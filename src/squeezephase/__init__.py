@@ -10,39 +10,32 @@ lambda_G_R = -(n + 1/2) * Theta_H.
 from .dynamics import (ExtendedState, IntegratorOptions, Trajectory, actions,
                        covariance, eom_rhs, h_cl, h_eff, h_fl, integrate)
 from .errors import (ConfigError, ConvergenceError, IntegrationError,
-                     NonEllipticError, ResonantMapError)
-from .floquet import (FloquetPhaseReport, floquet_dynamical_phase,
-                      floquet_geometric_phase, floquet_reports,
+                     NonEllipticError)
+from .floquet import (FloquetPhaseReport, floquet_reports,
                       pert_floquet_phases, relation_check)
 from .hannay import (HannayResult, PerturbativeModel, hannay_closed_form,
                      hannay_quadrature, hannay_report,
                      hannay_trajectory_estimate, pert_new_hamiltonian,
                      pert_transform)
-from .monodromy import (Monodromy, NormalFrame, TorusEnsemble,
-                        compute_monodromy, normal_form,
-                        periodic_gaussian_oracle, torus_ensemble)
-from .orbits import (PeriodicOrbit, find_periodic_orbit, orbit_loop_integral,
-                     orbit_phases, strob_map)
-from .params import (Constants, ParameterSchedule, ellipticity_margin,
-                     schedule_eval)
+from .monodromy import (Monodromy, NormalFrame, compute_monodromy,
+                        normal_form, periodic_gaussian_oracle)
+from .orbits import PeriodicOrbit, find_periodic_orbit
+from .params import Constants, ParameterSchedule, ellipticity_margin
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Constants", "ParameterSchedule", "schedule_eval", "ellipticity_margin",
+    "Constants", "ParameterSchedule", "ellipticity_margin",
     "ExtendedState", "Trajectory", "IntegratorOptions", "h_cl", "h_fl",
     "h_eff", "eom_rhs", "integrate", "actions", "covariance",
-    "Monodromy", "NormalFrame", "TorusEnsemble", "compute_monodromy",
-    "normal_form", "torus_ensemble", "periodic_gaussian_oracle",
-    "PeriodicOrbit", "strob_map", "find_periodic_orbit", "orbit_phases",
-    "orbit_loop_integral",
+    "Monodromy", "NormalFrame", "compute_monodromy", "normal_form",
+    "periodic_gaussian_oracle", "PeriodicOrbit", "find_periodic_orbit",
     "PerturbativeModel", "HannayResult", "pert_transform",
     "pert_new_hamiltonian", "hannay_quadrature", "hannay_closed_form",
     "hannay_trajectory_estimate", "hannay_report",
-    "FloquetPhaseReport", "floquet_geometric_phase",
-    "floquet_dynamical_phase", "relation_check", "floquet_reports",
+    "FloquetPhaseReport", "relation_check", "floquet_reports",
     "pert_floquet_phases",
     "NonEllipticError", "IntegrationError", "ConvergenceError",
-    "ResonantMapError", "ConfigError",
+    "ConfigError",
     "__version__",
 ]

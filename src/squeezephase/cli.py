@@ -48,31 +48,24 @@ class SimulateConfig:
 @dataclass
 class OrbitConfig:
     samples: int = 1024
-    tol: float = 1e-10
-    max_iter: int = 25
-    guess_g: float | None = None
-    guess_pi: float | None = None
 
 
 @dataclass
 class HannayConfig:
-    n_t: int = 512
-    n_phi: int = 512
+    n_t: int = 64
+    n_phi: int = 64
     i_bar: float = 1.0
-    ensemble: int = 256
 
 
 @dataclass
 class FloquetConfig:
     n: tuple = (0,)
-    ensemble: int = 256
 
 
 @dataclass
 class SweepConfig:
     eps: tuple = ()
     omega: tuple = ()
-    ensemble: int = 256
     workers: int = 0             # 0 = one per grid point, capped by CPUs
 
 
@@ -80,7 +73,7 @@ class SweepConfig:
 class RunConfig:
     schedule: ParameterSchedule
     constants: Constants
-    options: dynamics.IntegratorOptions
+    options: dynamics.IntegratorOptions      # steers simulate only
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     orbit: OrbitConfig = field(default_factory=OrbitConfig)
     hannay: HannayConfig = field(default_factory=HannayConfig)
@@ -100,13 +93,10 @@ _GLOBAL_KEYS = {
 _SECTION_KEYS = {
     "simulate": {"q0": "float", "p0": "float", "g0": "float", "pi0": "float",
                  "t1": "float", "samples": "int"},
-    "orbit": {"samples": "int", "tol": "float", "max_iter": "int",
-              "guess_g": "float", "guess_pi": "float"},
-    "hannay": {"n_t": "int", "n_phi": "int", "i_bar": "float",
-               "ensemble": "int"},
-    "floquet": {"n": "int_list", "ensemble": "int"},
-    "sweep": {"eps": "float_list", "omega": "float_list", "ensemble": "int",
-              "workers": "int"},
+    "orbit": {"samples": "int"},
+    "hannay": {"n_t": "int", "n_phi": "int", "i_bar": "float"},
+    "floquet": {"n": "int_list"},
+    "sweep": {"eps": "float_list", "omega": "float_list", "workers": "int"},
 }
 
 _FOURIER_KEYS = ("period", "a_cos", "a_sin", "b_cos", "b_sin",
@@ -256,8 +246,6 @@ def _build_config(values, lines, errors):
     orbit = section_obj(OrbitConfig, "orbit")
     if orbit.samples < 8:
         complain("orbit", "samples", "samples must be >= 8")
-    if orbit.tol <= 0:
-        complain("orbit", "tol", "tol must be > 0")
 
     hannay_cfg = section_obj(HannayConfig, "hannay")
     for key in ("n_t", "n_phi"):
@@ -265,14 +253,10 @@ def _build_config(values, lines, errors):
             complain("hannay", key, f"{key} must be >= 64")
     if hannay_cfg.i_bar <= 0:
         complain("hannay", "i_bar", "i_bar must be > 0")
-    if hannay_cfg.ensemble < 64:
-        complain("hannay", "ensemble", "ensemble must be >= 64")
 
     floquet_cfg = section_obj(FloquetConfig, "floquet")
     if any(n < 0 for n in floquet_cfg.n):
         complain("floquet", "n", "state numbers must be >= 0")
-    if floquet_cfg.ensemble < 8:
-        complain("floquet", "ensemble", "ensemble must be >= 8")
 
     sweep = section_obj(SweepConfig, "sweep")
     if any(not 0.0 <= e < 1.0 for e in sweep.eps):
@@ -364,13 +348,8 @@ def _run_simulate(cfg: RunConfig, out_dir: Path, fmt: str):
 
 
 def _run_orbit(cfg: RunConfig, out_dir: Path, fmt: str):
-    oc = cfg.orbit
-    guess = None
-    if oc.guess_g is not None:
-        guess = (oc.guess_g, oc.guess_pi or 0.0)
-    orb = orbits.find_periodic_orbit(
-        cfg.schedule, guess=guess, opts=cfg.options, newton_tol=oc.tol,
-        max_iter=oc.max_iter, n_samples=oc.samples)
+    orb = orbits.find_periodic_orbit(cfg.schedule,
+                                     n_samples=cfg.orbit.samples)
     rows = [[t, g, pi] for t, g, pi in zip(orb.t, orb.G, orb.Pi)]
     paths = [_write_table(out_dir, "orbit", ["t", "G", "Pi"], rows, fmt)]
     summary = {
@@ -384,9 +363,8 @@ def _run_orbit(cfg: RunConfig, out_dir: Path, fmt: str):
 
 def _run_hannay(cfg: RunConfig, out_dir: Path, fmt: str):
     hc = cfg.hannay
-    result = hannay.hannay_report(
-        cfg.schedule, I_bar=hc.i_bar, N=hc.ensemble, n_t=hc.n_t,
-        n_phi=hc.n_phi, consts=cfg.constants)
+    result = hannay.hannay_report(cfg.schedule, I_bar=hc.i_bar, n_t=hc.n_t,
+                                  n_phi=hc.n_phi)
     obj = {
         "theta_closed": result.theta_closed,
         "theta_quadrature": result.theta_quadrature,
@@ -399,9 +377,8 @@ def _run_hannay(cfg: RunConfig, out_dir: Path, fmt: str):
 
 
 def _run_floquet(cfg: RunConfig, out_dir: Path, fmt: str):
-    reports = floquet.floquet_reports(
-        cfg.schedule, cfg.floquet.n, consts=cfg.constants,
-        N=cfg.floquet.ensemble, opts=cfg.options)
+    reports = floquet.floquet_reports(cfg.schedule, cfg.floquet.n,
+                                      consts=cfg.constants)
     paths = []
     for rep in reports:
         path = out_dir / f"floquet_n{rep.n}.json"
@@ -411,23 +388,20 @@ def _run_floquet(cfg: RunConfig, out_dir: Path, fmt: str):
 
 
 def _sweep_point(args):
-    eps, omega, ensemble = args
-    sched = ParameterSchedule.standard(eps, omega)
-    model = hannay.PerturbativeModel(epsilon=eps, omega=omega)
-    theta_closed = hannay.hannay_closed_form(model)
-    theta_traj = hannay.hannay_trajectory_estimate(sched, N=ensemble)
-    rho = compute_monodromy(sched).rho
-    orb = orbits.find_periodic_orbit(sched)
-    lam_g0 = orb.lambda_G_cycle
-    return [eps, omega, theta_closed, theta_traj, rho, lam_g0,
-            lam_g0 + 0.5 * theta_closed]
+    eps, omega = args
+    mono = compute_monodromy(ParameterSchedule.standard(eps, omega))
+    theta_closed = hannay.hannay_closed_form(
+        hannay.PerturbativeModel(epsilon=eps, omega=omega))
+    lam_g0, _ = orbits.cycle_phases(mono)
+    return [eps, omega, theta_closed, hannay.trajectory_angle(mono),
+            mono.rho, lam_g0, lam_g0 + 0.5 * theta_closed]
 
 
 def _run_sweep(cfg: RunConfig, out_dir: Path, fmt: str):
     sw = cfg.sweep
     if not sw.eps or not sw.omega:
         raise ConfigError([(0, "sweep requires non-empty eps and omega lists")])
-    grid = [(e, w, sw.ensemble) for e in sw.eps for w in sw.omega]
+    grid = [(e, w) for e in sw.eps for w in sw.omega]
     workers = sw.workers if sw.workers > 0 else min(len(grid), _cpu_count())
     if workers > 1:
         try:

@@ -280,7 +280,9 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
             landed = abs((t + h) - target) <= hmin
             t = target if landed else t + h
             y = y5
-            k[0] = k[6] if not landed else rhs(t, y)  # FSAL
+            # FSAL: the last stage is the rhs at (t + h, y5), also when the
+            # step lands (t + h is then within hmin of the target)
+            k[0] = k[6]
             if record or landed and ti == len(targets) - 1:
                 ts.append(t)
                 ys.append(y.copy())

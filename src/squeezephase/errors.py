@@ -17,10 +17,6 @@ class ConvergenceError(RuntimeError):
     """An iterative solve did not reach tolerance."""
 
 
-class ResonantMapError(ConvergenceError):
-    """The stroboscopic-map Jacobian is singular (parametric resonance)."""
-
-
 class ConfigError(ValueError):
     """Invalid run configuration; ``errors`` lists (line, message) pairs."""
 

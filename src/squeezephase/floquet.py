@@ -12,9 +12,13 @@ quadratures:
 
 where <.> averages over the invariant torus at I_bar0, rho is the
 monodromy rotation number, and the loop integral runs over the T-periodic
-fluctuation orbit.  The headline check is lambda_G_R = -(n + 1/2) * Theta_H
-against the nonadiabatic Hannay angle, together with the quasi-energy
-consistency lambda_G_R + lambda_D_R = -(n + 1/2) * rho.
+fluctuation orbit.  For a quadratic Hamiltonian p dq/dt - q dp/dt =
+2 H_cl, and a uniform-angle mean of a quadratic form is its trace, so
+both torus means are exactly (I_bar0/2) tr(K S) from the period pass;
+no ensemble is integrated.  The headline check is
+lambda_G_R = -(n + 1/2) * Theta_H against the nonadiabatic Hannay angle,
+together with the quasi-energy consistency
+lambda_G_R + lambda_D_R = -(n + 1/2) * rho.
 """
 
 from __future__ import annotations
@@ -23,14 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegratorOptions, integrate_ode
-from .hannay import (PerturbativeModel, hannay_closed_form,
-                     hannay_trajectory_estimate)
-from .monodromy import NormalFrame, compute_monodromy, normal_form, torus_ensemble
-from .orbits import PeriodicOrbit, find_periodic_orbit
+from .hannay import PerturbativeModel, hannay_closed_form, trajectory_angle
+from .orbits import find_periodic_orbit
 from .params import STANDARD, Constants, ParameterSchedule
-
-DEFAULT_ENSEMBLE = 256
 
 
 @dataclass
@@ -57,121 +56,36 @@ class FloquetPhaseReport:
         }
 
 
-@dataclass
-class _Context:
-    """Schedule-level pieces shared by every state number."""
-
-    frame: NormalFrame
-    rho: float
-    orbit: PeriodicOrbit
-    theta_H: float
-
-
-def _build_context(sched, consts, opts) -> _Context:
-    # the matrix flow runs at its own tight tolerance; opts steers the
-    # trajectory work (ensembles, orbit) only
-    mono = compute_monodromy(sched)
-    frame = normal_form(mono)
-    orbit = find_periodic_orbit(sched, opts=opts)
-    if sched.kind == STANDARD:
-        theta = hannay_closed_form(PerturbativeModel.from_schedule(sched))
-    else:
-        # the estimator is action-independent; evaluate at one quantum
-        theta = hannay_trajectory_estimate(sched, I_bar0=consts.hbar,
-                                           consts=consts, opts=opts)
-    return _Context(frame=frame, rho=mono.rho, orbit=orbit, theta_H=theta)
-
-
-def _ensemble_means(sched, frame, I_bar0, N, opts):
-    """Torus means of int (p dq/dt - q dp/dt)/2 dt and int H_cl dt.
-
-    The two integrands coincide pointwise for a quadratic Hamiltonian
-    (Euler homogeneity), so their agreement doubles as a sanity witness;
-    both are carried so each phase uses its defining quadrature.
-    """
-    ens = torus_ensemble(frame, I_bar0, N)
-    n = N
-
-    def rhs(t, y):
-        a, b, c = sched.eval(t)
-        q, p = y[:n], y[n:2 * n]
-        qd = b * p + c * q
-        pd = -(a * q + c * p)
-        area = 0.5 * (p * qd - q * pd)
-        hcl = 0.5 * (a * q * q + b * p * p + 2.0 * c * q * p)
-        return np.concatenate([qd, pd, area, hcl])
-
-    y0 = np.concatenate([ens.points[:, 0], ens.points[:, 1],
-                         np.zeros(2 * n)])
-    _, ys = integrate_ode(rhs, 0.0, y0, sched.period, opts, record=False)
-    final = ys[-1]
-    return (float(np.mean(final[2 * n:3 * n])),
-            float(np.mean(final[3 * n:])))
-
-
-def _phases_for(ctx, sched, n, consts, N, opts):
-    if n < 0:
-        raise ValueError(f"state number must be non-negative, got {n}")
-    I_bar0 = n * consts.hbar
-    loop = -ctx.orbit.lambda_G_cycle          # oint G_p dPi_p
-    fluct_dyn = ctx.orbit.lambda_D_cycle      # -int H_fl dt
-    if n == 0:
-        # the centroid sits at the origin; only fluctuations contribute
-        return 0.0 - loop, fluct_dyn, I_bar0
-    mean_area, mean_hcl = _ensemble_means(sched, ctx.frame, I_bar0, N, opts)
-    lam_G = (mean_area - I_bar0 * ctx.rho) / consts.hbar - loop
-    lam_D = -mean_hcl / consts.hbar + fluct_dyn
-    return lam_G, lam_D, I_bar0
-
-
-def floquet_geometric_phase(sched: ParameterSchedule, n: int,
-                            consts: Constants = Constants(),
-                            N: int = DEFAULT_ENSEMBLE,
-                            opts: IntegratorOptions = IntegratorOptions(),
-                            ) -> float:
-    """Per-period geometric phase of the n-th Floquet cyclic state."""
-    ctx = _build_context(sched, consts, opts)
-    lam_G, _, _ = _phases_for(ctx, sched, n, consts, N, opts)
-    return lam_G
-
-
-def floquet_dynamical_phase(sched: ParameterSchedule, n: int,
-                            consts: Constants = Constants(),
-                            N: int = DEFAULT_ENSEMBLE,
-                            opts: IntegratorOptions = IntegratorOptions(),
-                            ) -> float:
-    """Per-period dynamical phase of the n-th Floquet cyclic state."""
-    ctx = _build_context(sched, consts, opts)
-    _, lam_D, _ = _phases_for(ctx, sched, n, consts, N, opts)
-    return lam_D
-
-
 def relation_check(sched: ParameterSchedule, n: int,
-                   consts: Constants = Constants(),
-                   N: int = DEFAULT_ENSEMBLE,
-                   opts: IntegratorOptions = IntegratorOptions(),
-                   ) -> FloquetPhaseReport:
+                   consts: Constants = Constants()) -> FloquetPhaseReport:
     """Full phase report for one state number."""
-    return floquet_reports(sched, [n], consts=consts, N=N, opts=opts)[0]
+    return floquet_reports(sched, [n], consts=consts)[0]
 
 
 def floquet_reports(sched: ParameterSchedule, ns,
-                    consts: Constants = Constants(),
-                    N: int = DEFAULT_ENSEMBLE,
-                    opts: IntegratorOptions = IntegratorOptions(),
-                    ):
+                    consts: Constants = Constants()):
     """Phase reports for several state numbers, sharing the per-schedule
-    monodromy, periodic orbit, and Hannay angle."""
-    ctx = _build_context(sched, consts, opts)
+    period pass, periodic orbit, and Hannay angle."""
+    orbit = find_periodic_orbit(sched)
+    mono = orbit.monodromy
+    if sched.kind == STANDARD:
+        theta_H = hannay_closed_form(PerturbativeModel.from_schedule(sched))
+    else:
+        theta_H = trajectory_angle(mono)
+    half_trace = 0.5 * mono.tr_KS
     reports = []
     for n in ns:
-        lam_G, lam_D, I_bar0 = _phases_for(ctx, sched, n, consts, N, opts)
+        if n < 0:
+            raise ValueError(f"state number must be non-negative, got {n}")
+        # the orbit's cycle phases plus n per-quantum torus terms
+        lam_G = orbit.lambda_G_cycle + n * (half_trace - mono.rho)
+        lam_D = orbit.lambda_D_cycle - n * half_trace
         half = n + 0.5
         reports.append(FloquetPhaseReport(
-            n=int(n), I_bar0=I_bar0, hbar=consts.hbar, rho=ctx.rho,
-            lambda_G_R=lam_G, lambda_D_R=lam_D, theta_H=ctx.theta_H,
-            residual_45=lam_G + half * ctx.theta_H,
-            residual_total=lam_G + lam_D + half * ctx.rho,
+            n=int(n), I_bar0=n * consts.hbar, hbar=consts.hbar, rho=mono.rho,
+            lambda_G_R=lam_G, lambda_D_R=lam_D, theta_H=theta_H,
+            residual_45=lam_G + half * theta_H,
+            residual_total=lam_G + lam_D + half * mono.rho,
         ))
     return reports
 

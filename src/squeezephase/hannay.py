@@ -7,9 +7,9 @@ a = 1 + eps*cos(omega t), b = 2 - a, c = eps*sin(omega t):
 * ``hannay_quadrature``:     the torus-averaged quadrature of the energy
   mismatch A = Hbar(Ibar) - H_cl under the explicit second-order
   action-angle transform.
-* ``hannay_trajectory_estimate``: a schedule-agnostic estimator built from
-  exact trajectories and the monodromy rotation number, usable beyond the
-  perturbative family.
+* ``hannay_trajectory_estimate``: a schedule-agnostic estimator, the
+  rotation number minus the torus-averaged dynamical angle advance, read
+  off the period pass and usable beyond the perturbative family.
 
 The second-order transform (phi, I) in terms of (phi_bar, Ibar, t) is
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IntegratorOptions, h_cl, integrate_ode
-from .monodromy import compute_monodromy, normal_form, torus_ensemble
-from .params import STANDARD, Constants, ParameterSchedule
+from .dynamics import h_cl
+from .monodromy import Monodromy, compute_monodromy
+from .params import STANDARD, ParameterSchedule
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,13 @@ def _simpson_weights(n):
     return w / 3.0
 
 
-def hannay_quadrature(model: PerturbativeModel, n_t: int = 512,
-                      n_phi: int = 512, I_bar: float = 1.0) -> float:
+def hannay_quadrature(model: PerturbativeModel, n_t: int = 64,
+                      n_phi: int = 64, I_bar: float = 1.0) -> float:
     """Torus-averaged quadrature of dA/dIbar over one period.
 
-    Composite Simpson on both axes.  dA/dIbar is evaluated analytically as
+    Composite Simpson on both axes; the integrand is periodic and
+    analytic, so the default 64 x 64 grid is already converged to
+    roundoff.  dA/dIbar is evaluated analytically as
     A/Ibar: A is linear in the action for this family because the old
     action is proportional to the new one and H_cl is degree-1 homogeneous.
     The linearity is asserted numerically on the grid.  The even spurious
@@ -144,62 +146,30 @@ def hannay_quadrature(model: PerturbativeModel, n_t: int = 512,
     return (16.0 * half - full) / 3.0
 
 
-def hannay_trajectory_estimate(sched: ParameterSchedule, I_bar0: float = 1.0,
-                               N: int = 256,
-                               consts: Constants = Constants(),
-                               opts: IntegratorOptions = IntegratorOptions(),
-                               ) -> float:
-    """Schedule-agnostic estimator: rotation number minus the torus-averaged
-    dynamical angle advance.
+def trajectory_angle(mono: Monodromy) -> float:
+    """Rotation number minus the torus-averaged dynamical angle advance.
 
     The centroid energy is degree-1 homogeneous in the torus action, so the
     action derivative of the transformed Hamiltonian along a trajectory of
-    torus action I_bar0 is H_cl/I_bar0; averaging its time integral over
-    the invariant ellipse and subtracting from rho isolates the geometric
-    part of the angle advance.  The result is independent of hbar and, for
-    the standard family, reproduces the closed form through second order.
+    torus action I is H_cl/I; its time integral averaged over the
+    invariant ellipse is tr(K S)/2 for every I.  Subtracting it from rho
+    isolates the geometric part of the angle advance.  The result is
+    independent of hbar and, for the standard family, reproduces the
+    closed form through second order.
     """
-    if N < 64:
-        raise ValueError(f"N must be >= 64, got {N}")
-    mono = compute_monodromy(sched)
-    frame = normal_form(mono)
-    ens = torus_ensemble(frame, I_bar0, N)
-    r2 = np.sum(ens.points ** 2, axis=1)
-    if np.min(r2) < 1e-18:
-        raise ValueError(
-            "torus ensemble passes within 1e-9 of the origin; the angle "
-            "average is ill-defined at zero action")
-    mean_hcl = _mean_hcl_integral(sched, ens.points, opts)
-    return mono.rho - mean_hcl / I_bar0
+    return mono.rho - 0.5 * mono.tr_KS
 
 
-def _mean_hcl_integral(sched, points, opts):
-    """Ensemble mean of int_0^T H_cl dt along the centroid trajectories.
-
-    All N points ride one vectorized integration pass (the centroid flow is
-    linear, so a shared adaptive step loses nothing).
-    """
-    n = len(points)
-
-    def rhs(t, y):
-        a, b, c = sched.eval(t)
-        q, p = y[:n], y[n:2 * n]
-        qd = b * p + c * q
-        pd = -(a * q + c * p)
-        return np.concatenate([qd, pd, h_cl(q, p, a, b, c)])
-
-    y0 = np.concatenate([points[:, 0], points[:, 1], np.zeros(n)])
-    _, ys = integrate_ode(rhs, 0.0, y0, sched.period, opts, record=False)
-    return float(np.mean(ys[-1][2 * n:]))
+def hannay_trajectory_estimate(sched: ParameterSchedule) -> float:
+    """Schedule-agnostic Hannay angle from one period pass."""
+    return trajectory_angle(compute_monodromy(sched))
 
 
-def hannay_report(sched: ParameterSchedule, I_bar: float = 1.0, N: int = 256,
-                  n_t: int = 512, n_phi: int = 512,
-                  consts: Constants = Constants()) -> HannayResult:
+def hannay_report(sched: ParameterSchedule, I_bar: float = 1.0,
+                  n_t: int = 64, n_phi: int = 64) -> HannayResult:
     """All angle routes for one schedule (closed/quadrature require the
     standard family; generic schedules report only the trajectory route)."""
     mono = compute_monodromy(sched)
-    traj = hannay_trajectory_estimate(sched, I_bar0=I_bar, N=N, consts=consts)
     if sched.kind == STANDARD:
         model = PerturbativeModel.from_schedule(sched)
         closed = hannay_closed_form(model)
@@ -208,8 +178,7 @@ def hannay_report(sched: ParameterSchedule, I_bar: float = 1.0, N: int = 256,
         closed = float("nan")
         quad = float("nan")
     return HannayResult(
-        theta_closed=closed, theta_quadrature=quad, theta_trajectory=traj,
-        rho=mono.rho,
-        diagnostics={"n_t": n_t, "n_phi": n_phi, "ensemble": N,
-                     "I_bar": I_bar},
+        theta_closed=closed, theta_quadrature=quad,
+        theta_trajectory=trajectory_angle(mono), rho=mono.rho,
+        diagnostics={"n_t": n_t, "n_phi": n_phi, "I_bar": I_bar},
     )

@@ -12,6 +12,12 @@ W also fixes the unique M-invariant symmetric unimodular form S = W W^T;
 the Gaussian state whose covariance is (hbar/2) S returns to itself after
 one period, which gives a non-perturbative oracle for the periodic
 fluctuation orbit.
+
+compute_monodromy is the one period pass of the package: beside M(t) it
+integrates K = int_0^T M^T H M dt, H = [[a, c], [c, b]], so that
+int_0^T x^T H x dt = x0^T K x0 along any centroid solution.  The orbit,
+the trajectory Hannay angle and every Floquet phase are derived from
+rho, S, K and the sampled M(t) without integrating anything else.
 """
 
 from __future__ import annotations
@@ -40,13 +46,29 @@ _PARABOLIC_TOL = 1e-12
 
 @dataclass
 class Monodromy:
-    """Time-T flow matrix of the linear centroid system and its rotation."""
+    """Result of the period pass: the time-T flow matrix of the linear
+    centroid system, its rotation, and the quadratic-form quadrature.
+
+    S = W W^T is the M-invariant symmetric unimodular form of the normal
+    frame and K = int_0^T M^T H M dt with H = [[a, c], [c, b]].  t and
+    path hold M(t) on the sample times the pass was asked for.
+    """
 
     M: np.ndarray
     sigma: float      # normal-form rotation in [0, 2*pi)
     winding: int      # full turns completed during one period
     rho: float        # 2*pi*winding + sigma
     period: float
+    S: np.ndarray
+    K: np.ndarray
+    t: np.ndarray = None
+    path: np.ndarray = None
+
+    @property
+    def tr_KS(self) -> float:
+        """tr(K S): for a uniform-angle ensemble on the invariant ellipse
+        of action I, the mean of int_0^T H_cl dt is exactly (I/2) tr(K S)."""
+        return float(np.sum(self.K * self.S))
 
 
 @dataclass
@@ -58,33 +80,17 @@ class NormalFrame:
     period: float
 
 
-@dataclass
-class TorusEnsemble:
-    """Uniform-angle sample of the M-invariant ellipse of action I_bar0."""
-
-    I_bar0: float
-    angles: np.ndarray   # normal-form angles phi_bar_j
-    points: np.ndarray   # shape (N, 2) rows (q, p)
-
-
-def _matrix_rhs(sched):
+def _period_rhs(sched):
+    """d/dt of (M11, M12, M21, M22, K11, K12, K22): M' = A M with
+    A = J H, and K' = M^T H M."""
     def rhs(t, y):
         a, b, c = sched.eval(t)
-        m = y.reshape(2, 2)
-        out = np.empty((2, 2))
-        # A(t) = [[c, b], [-a, -c]] acting on the left
-        out[0] = c * m[0] + b * m[1]
-        out[1] = -a * m[0] - c * m[1]
-        return out.reshape(-1)
+        m11, m12, m21, m22 = y[0], y[1], y[2], y[3]
+        h11, h12 = a * m11 + c * m21, a * m12 + c * m22
+        h21, h22 = c * m11 + b * m21, c * m12 + b * m22
+        return np.array([h21, h22, -h11, -h12, m11 * h11 + m21 * h21,
+                         m11 * h12 + m21 * h22, m12 * h12 + m22 * h22])
     return rhs
-
-
-def _fundamental_path(sched, opts, n_track):
-    T = sched.period
-    grid = np.linspace(0.0, T, n_track + 1)
-    ts, ys = integrate_ode(_matrix_rhs(sched), 0.0, np.eye(2).reshape(-1), T,
-                           opts, output_times=grid[1:-1])
-    return ts, ys.reshape(-1, 2, 2)
 
 
 # the matrix flow is cheap; run it tighter than the trajectory default so
@@ -93,21 +99,29 @@ _MATRIX_OPTS = IntegratorOptions(rtol=1e-12, atol=1e-12)
 
 
 def compute_monodromy(sched: ParameterSchedule,
-                      opts: IntegratorOptions = None,
-                      n_track: int = None) -> Monodromy:
-    """Integrate dM/dt = A(t) M over one period and extract (sigma, k, rho).
+                      n_samples: int = None) -> Monodromy:
+    """One pass over the period: integrate M(t) and K(t), extract
+    (sigma, k, rho) and the invariant form S.
 
+    The pass lands on a uniform grid fine enough for winding tracking; it
+    is refined to a multiple of n_samples when samples are requested, so
+    M(t) is also returned on the n_samples + 1 uniform times of [0, T].
     The winding k comes from unwrapping the normal-frame angle of one
-    solution column along a dense grid (fine enough that each increment
-    stays well under pi/2), then rounding (total - sigma)/(2*pi).
+    solution column along the path (each increment stays well under
+    pi/2), then rounding (total - sigma)/(2*pi).
     """
     T = sched.period
-    if opts is None:
-        opts = _MATRIX_OPTS
-    if n_track is None:
-        # ~64 samples per unit rotation of the unperturbed flow
-        n_track = max(256, int(64 * T / math.pi))
-    _, Ms = _fundamental_path(sched, opts, n_track)
+    # ~64 samples per unit rotation of the unperturbed flow
+    n_grid = max(256, int(64 * T / math.pi))
+    stride = 1
+    if n_samples is not None:
+        stride = math.ceil(n_grid / n_samples)
+        n_grid = stride * n_samples
+    grid = np.linspace(0.0, T, n_grid + 1)
+    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    ts, ys = integrate_ode(_period_rhs(sched), 0.0, y0, T, _MATRIX_OPTS,
+                           output_times=grid[1:-1])
+    Ms = ys[:, :4].reshape(-1, 2, 2)
     M = Ms[-1]
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-8:
@@ -118,11 +132,9 @@ def compute_monodromy(sched: ParameterSchedule,
         raise NonEllipticError(
             f"|tr M| = {abs(tr):.6f} >= 2: stroboscopic map is not elliptic")
 
-    W, sigma = _frame_of(M)
-    Winv = np.linalg.inv(W)
+    W, sigma = _checked_frame(M)
     x0 = W @ np.array([0.0, 1.0])  # normal-form angle zero
-    path = Ms @ x0                 # shape (K, 2)
-    qp = path @ Winv.T
+    qp = (Ms @ x0) @ np.linalg.inv(W).T
     theta = np.unwrap(np.arctan2(qp[:, 0], qp[:, 1]))
     total = float(theta[-1] - theta[0])
     winding = int(round((total - sigma) / (2.0 * math.pi)))
@@ -131,7 +143,14 @@ def compute_monodromy(sched: ParameterSchedule,
         raise RuntimeError(
             f"winding tracking inconsistent: unwrapped {total}, "
             f"normal-form sigma {sigma}")
-    return Monodromy(M=M, sigma=sigma, winding=winding, rho=rho, period=T)
+    t = path = None
+    if n_samples is not None:
+        keep = np.searchsorted(ts, grid[::stride])
+        t, path = ts[keep], Ms[keep]
+    k11, k12, k22 = ys[-1, 4:]
+    return Monodromy(M=M, sigma=sigma, winding=winding, rho=rho, period=T,
+                     S=W @ W.T, K=np.array([[k11, k12], [k12, k22]]),
+                     t=t, path=path)
 
 
 def _near_identity_like(M):
@@ -177,30 +196,21 @@ def _frame_of(M):
     return W, sigma
 
 
-def normal_form(mono: Monodromy) -> NormalFrame:
-    """Symplectic frame in which the monodromy is the rotation by sigma."""
-    W, sigma = _frame_of(mono.M)
-    R = np.linalg.solve(W, mono.M @ W)
+def _checked_frame(M):
+    """_frame_of, refused when W^-1 M W is not a rotation to 1e-8."""
+    W, sigma = _frame_of(M)
+    R = np.linalg.solve(W, M @ W)
     if np.abs(R @ R.T - np.eye(2)).max() > 1e-8:
         raise NonEllipticError(
             "normal form failed orthogonality check; map too close to "
             "parabolic for a reliable frame")
+    return W, sigma
+
+
+def normal_form(mono: Monodromy) -> NormalFrame:
+    """Symplectic frame in which the monodromy is the rotation by sigma."""
+    W, sigma = _checked_frame(mono.M)
     return NormalFrame(W=W, sigma=sigma, period=mono.period)
-
-
-def torus_ensemble(frame: NormalFrame, I_bar0: float, N: int) -> TorusEnsemble:
-    """N points on the invariant ellipse of action I_bar0, uniform in the
-    normal-form angle (the measure preserved by the stroboscopic rotation).
-    """
-    if not I_bar0 > 0.0:
-        raise ValueError(f"I_bar0 must be positive, got {I_bar0}")
-    if N < 8:
-        raise ValueError(f"N must be >= 8, got {N}")
-    phis = 2.0 * math.pi * np.arange(N) / N
-    r = math.sqrt(2.0 * I_bar0)
-    circle = np.column_stack([r * np.sin(phis), r * np.cos(phis)])
-    return TorusEnsemble(I_bar0=float(I_bar0), angles=phis,
-                         points=circle @ frame.W.T)
 
 
 def periodic_gaussian_oracle(frame: NormalFrame):

@@ -1,175 +1,66 @@
 """T-periodic fluctuation orbit and its cycle phases.
 
 At zero drive the fluctuation plane (G, Pi) has the fixed point (1/2, 0);
-under a periodic drive it continues to a unique T-periodic orbit, found
-here as a fixed point of the stroboscopic map by damped Newton iteration.
+under a periodic drive it continues to a unique T-periodic orbit.  The
+Gaussian of covariance (hbar/2) S, with S the M-invariant form of the
+monodromy, returns to itself after one period, so the orbit is read off
+S(t) = M(t) S M(t)^T as G = S11/2, Pi = S12/(2 S11): no root finding.
+
 The geometric phase of the corresponding cyclic squeezed state is the
 signed area the orbit encloses in the (Pi, G) plane,
 
     lambda_G = -int_0^T (dPi/dt) G dt = int_0^T Pi (dG/dt) dt,
 
-and the dynamical phase is -int_0^T H_fl dt.  Both are independent of
-hbar because the centroid stays at the origin.
+and the dynamical phase is -int_0^T H_fl dt.  Since H_fl = tr(H S(t))/4,
+the latter is -tr(K S)/4 with K = int_0^T M^T H M dt, and the two phases
+sum to -rho/2.  Both are independent of hbar because the centroid stays
+at the origin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import G_FLOOR, IntegratorOptions, integrate_ode
-from .errors import ConvergenceError, ResonantMapError
-from .monodromy import compute_monodromy, normal_form, periodic_gaussian_oracle
-from .params import STANDARD, ParameterSchedule
+from .monodromy import Monodromy, compute_monodromy
+from .params import ParameterSchedule
 
-DEFAULT_NEWTON_TOL = 1e-10
-DEFAULT_MAX_ITER = 25
 DEFAULT_SAMPLES = 1024
-_FD_STEP = 1e-6
-_MAX_DAMPINGS = 5
 
 
 @dataclass
 class PeriodicOrbit:
-    """Converged T-periodic fluctuation orbit with its cycle phases.
-
-    lambda_G_cycle is the -int (dPi/dt) G dt quadrature; the equivalent
-    int Pi (dG/dt) dt form is kept alongside as a consistency witness.
-    """
+    """T-periodic fluctuation orbit with its cycle phases and the period
+    pass it was derived from."""
 
     t: np.ndarray
     G: np.ndarray
     Pi: np.ndarray
     G0: float
     Pi0: float
-    residual: float
+    residual: float          # max |(G, Pi)(T) - (G0, Pi0)|
     lambda_G_cycle: float
-    lambda_G_cycle_alt: float
     lambda_D_cycle: float
+    monodromy: Monodromy
 
 
-def _fluct_rhs(sched):
-    def rhs(t, y):
-        a, b, c = sched.eval(t)
-        G, Pi = y[0], y[1]
-        Gd = 4.0 * b * G * Pi + 2.0 * c * G
-        Pid = -0.5 * (a - b / (4.0 * G * G) + 4.0 * b * Pi * Pi + 4.0 * c * Pi)
-        hfl = 0.5 * (a * G + b * (0.25 / G + 4.0 * Pi * Pi * G)
-                     + 4.0 * c * G * Pi)
-        # extra components: -Pid*G, Pi*Gd (two area quadratures), -H_fl
-        return np.array([Gd, Pid, -Pid * G, Pi * Gd, -hfl])
-    return rhs
+def cycle_phases(mono: Monodromy):
+    """(lambda_G, lambda_D) of the periodic orbit from the period pass."""
+    lam_D = -0.25 * mono.tr_KS
+    return -0.5 * mono.rho - lam_D, lam_D
 
 
-def _fluct_guard(y):
-    return y[0] > G_FLOOR
-
-
-def strob_map(x, sched: ParameterSchedule,
-              opts: IntegratorOptions = IntegratorOptions()):
-    """Image of a fluctuation point (G, Pi) under the time-T flow."""
-    y0 = np.array([x[0], x[1], 0.0, 0.0, 0.0])
-    _, ys = integrate_ode(_fluct_rhs(sched), 0.0, y0, sched.period, opts,
-                          guard=_fluct_guard, record=False)
-    return np.array([ys[-1][0], ys[-1][1]])
-
-
-def default_orbit_guess(sched: ParameterSchedule):
-    """Starting point for the Newton solve.
-
-    The standard family admits the first-order seed (1/2 - eps/(omega+2), 0);
-    generic schedules fall back on the invariant-covariance oracle.
-    """
-    if sched.kind == STANDARD:
-        return np.array([0.5 - sched.epsilon / (sched.omega + 2.0), 0.0])
-    frame = normal_form(compute_monodromy(sched))
-    return np.array(periodic_gaussian_oracle(frame))
-
-
-def find_periodic_orbit(sched: ParameterSchedule, guess=None,
-                        opts: IntegratorOptions = IntegratorOptions(),
-                        newton_tol: float = DEFAULT_NEWTON_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER,
+def find_periodic_orbit(sched: ParameterSchedule,
                         n_samples: int = DEFAULT_SAMPLES) -> PeriodicOrbit:
-    """Newton solve for the fixed point of the stroboscopic map.
-
-    The Jacobian is built by central differences of the map; the Newton
-    step is halved (up to 5 times) whenever the residual fails to decrease.
-    A singular Jacobian of F(x) = Phi_T(x) - x signals parametric resonance
-    of the fluctuation map and is reported as such.
-    """
-    x = np.asarray(guess, dtype=float) if guess is not None \
-        else default_orbit_guess(sched)
-
-    def residual(pt):
-        return strob_map(pt, sched, opts) - pt
-
-    F = residual(x)
-    rnorm = float(np.max(np.abs(F)))
-    converged = rnorm < newton_tol
-    for _ in range(max_iter):
-        if converged:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = _FD_STEP
-            jac[:, j] = (residual(x + e) - residual(x - e)) / (2.0 * _FD_STEP)
-        if abs(np.linalg.det(jac)) < 1e-12:
-            raise ResonantMapError(
-                "stroboscopic-map Jacobian is singular "
-                f"(det {np.linalg.det(jac):.3e}); fluctuation map is "
-                "parametrically resonant")
-        dx = np.linalg.solve(jac, -F)
-        step = 1.0
-        for _ in range(_MAX_DAMPINGS + 1):
-            x_try = x + step * dx
-            F_try = residual(x_try)
-            r_try = float(np.max(np.abs(F_try)))
-            if r_try < rnorm:
-                break
-            step *= 0.5
-        x, F, rnorm = x_try, F_try, r_try
-        converged = rnorm < newton_tol
-    if not converged:
-        raise ConvergenceError(
-            f"periodic-orbit Newton failed: residual {rnorm:.3e} after "
-            f"{max_iter} iterations")
-
-    return _sample_orbit(sched, x, rnorm, opts, n_samples)
-
-
-def _sample_orbit(sched, x0, residual, opts, n_samples):
-    T = sched.period
-    grid = np.linspace(0.0, T, n_samples + 1)
-    y0 = np.array([x0[0], x0[1], 0.0, 0.0, 0.0])
-    ts, ys = integrate_ode(_fluct_rhs(sched), 0.0, y0, T, opts,
-                           guard=_fluct_guard, output_times=grid[1:-1])
-    keep = np.searchsorted(ts, grid)
-    ts, ys = ts[keep], ys[keep]
+    """Periodic orbit sampled at n_samples + 1 uniform times of [0, T]."""
+    mono = compute_monodromy(sched, n_samples=n_samples)
+    St = mono.path @ mono.S @ np.transpose(mono.path, (0, 2, 1))
+    G = 0.5 * St[:, 0, 0]
+    Pi = St[:, 0, 1] / (2.0 * St[:, 0, 0])
+    residual = max(abs(G[-1] - G[0]), abs(Pi[-1] - Pi[0]))
+    lam_G, lam_D = cycle_phases(mono)
     return PeriodicOrbit(
-        t=ts, G=ys[:, 0], Pi=ys[:, 1],
-        G0=float(x0[0]), Pi0=float(x0[1]), residual=float(residual),
-        lambda_G_cycle=float(ys[-1, 2]),
-        lambda_G_cycle_alt=float(ys[-1, 3]),
-        lambda_D_cycle=float(ys[-1, 4]),
-    )
-
-
-def orbit_phases(orbit: PeriodicOrbit):
-    """Cycle phases (lambda_G, lambda_D); the two area quadratures must
-    agree on a converged orbit (integration by parts around the loop)."""
-    if not math.isclose(orbit.lambda_G_cycle, orbit.lambda_G_cycle_alt,
-                        rel_tol=0.0, abs_tol=1e-7):
-        raise ConvergenceError(
-            "area quadratures disagree: "
-            f"{orbit.lambda_G_cycle} vs {orbit.lambda_G_cycle_alt}; "
-            "orbit is not periodic to quadrature accuracy")
-    return orbit.lambda_G_cycle, orbit.lambda_D_cycle
-
-
-def orbit_loop_integral(orbit: PeriodicOrbit) -> float:
-    """The loop integral oint G dPi = -lambda_G of the converged orbit."""
-    return -orbit.lambda_G_cycle
+        t=mono.t, G=G, Pi=Pi, G0=float(G[0]), Pi0=float(Pi[0]),
+        residual=float(residual), lambda_G_cycle=lam_G,
+        lambda_D_cycle=lam_D, monodromy=mono)

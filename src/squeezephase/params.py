@@ -112,11 +112,6 @@ def _fourier_eval(coeffs, base):
     return total
 
 
-def schedule_eval(sched: ParameterSchedule, t: float):
-    """Coefficient triple (a, b, c) at time t."""
-    return sched.eval(t)
-
-
 def ellipticity_margin(sched: ParameterSchedule,
                        n_samples: int = DEFAULT_ELLIPTICITY_SAMPLES) -> float:
     """Minimum of a*b - c^2 over a uniform sample of one period.
@@ -127,9 +122,8 @@ def ellipticity_margin(sched: ParameterSchedule,
     if n_samples < 16:
         raise ValueError(f"n_samples must be >= 16, got {n_samples}")
     if sched.kind == STANDARD:
-        # a*b - c^2 = 1 - eps^2 identically; sampling kept as a cross-check.
-        margin = 1.0 - sched.epsilon ** 2
-        return margin
+        # a*b - c^2 = 1 - eps^2 identically; no sampling needed
+        return 1.0 - sched.epsilon ** 2
     margin = math.inf
     for i in range(n_samples):
         a, b, c = sched.eval(sched.period * i / n_samples)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from squeezephase import cli, hannay, orbits
 from squeezephase.cli import main, parse_config, run
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD
@@ -155,11 +156,45 @@ def test_json_format_variant(tmp_path):
     assert obj["t"][0] == 0.0
 
 
-def test_numeric_failure_exit_code(tmp_path):
-    # an absurd Newton budget with a far-off seed cannot converge
-    cfg = parse_config(
-        "epsilon=0.3\nomega=1.0\n[orbit]\nguess_g=8.0\nmax_iter=1")
-    assert run("orbit", cfg, out_dir=tmp_path) == 1
+def test_numeric_failure_exit_code(tmp_path, capsys):
+    # a Mathieu schedule inside the first resonance tongue is elliptic at
+    # every instant (a*b > c^2) but its period map is hyperbolic
+    cfg = parse_config("period=3.141592653589793\na_cos=1.0,0.3\n"
+                       "b_cos=1.0\nc_cos=0.0\n")
+    for sub in ("orbit", "hannay", "floquet"):
+        assert run(sub, cfg, out_dir=tmp_path / sub) == 1
+        assert "|tr M| = 2.055" in capsys.readouterr().err
+    cfg = parse_config("epsilon=0.1\nmax_steps=10\n[simulate]\nq0=1.0")
+    assert run("simulate", cfg, out_dir=tmp_path / "simulate") == 1
+    assert "max_steps=10" in capsys.readouterr().err
+
+
+def test_one_period_pass_per_operation(tmp_path, monkeypatch):
+    # each caller looks compute_monodromy up in its own namespace
+    calls = []
+
+    def counting(inner):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+        return counted
+
+    for module in (cli, hannay, orbits):
+        monkeypatch.setattr(module, "compute_monodromy",
+                            counting(module.compute_monodromy))
+    fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
+               "b_cos=1.0,-0.05\nc_sin=0.0,0.05\n")
+    for schedule in ("epsilon=0.1\nomega=1.0\n", fourier):
+        cfg = parse_config(schedule + "[orbit]\nsamples=64\n"
+                           "[floquet]\nn=0,1,2\n")
+        for sub in ("orbit", "hannay", "floquet"):
+            calls.clear()
+            assert run(sub, cfg, out_dir=tmp_path / sub) == 0
+            assert len(calls) == 1, sub
+    calls.clear()
+    cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0\nworkers=1")
+    assert run("sweep", cfg, out_dir=tmp_path / "sweep") == 0
+    assert len(calls) == 3
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    actions, covariance, eom_rhs, h_cl, h_eff,
-                                   h_fl, integrate)
+                                   h_fl, integrate, integrate_ode)
 from squeezephase.errors import IntegrationError
 from squeezephase.params import Constants, ParameterSchedule
 
@@ -174,6 +174,26 @@ def test_requested_times_match_untargeted_run():
     marked = integrate(state, TWO_PI, sched,
                        output_times=np.linspace(0.3, 6.0, 23)).final
     assert np.max(np.abs(plain.as_array() - marked.as_array())) < 1e-9
+
+
+def test_landing_step_reuses_last_stage():
+    # output times closer than the natural step clip every step, and the
+    # loose tolerance rejects none: each accepted step then costs the six
+    # new stages of the 5(4) pair, its last stage doubling as the next
+    # step's first (first-same-as-last) also when the step lands
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    grid = np.linspace(0.0, 1.0, 101)
+    ts, ys = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
+                           IntegratorOptions(rtol=1e-6, atol=1e-6),
+                           output_times=grid[1:-1])
+    assert np.array_equal(ts, grid)
+    assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
+    assert len(calls) == 1 + 6 * (len(ts) - 1)
 
 
 def test_integrate_rejects_bad_horizon():

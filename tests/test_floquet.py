@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from squeezephase.floquet import (floquet_dynamical_phase,
-                                  floquet_geometric_phase, floquet_reports,
-                                  pert_floquet_phases, relation_check)
+from squeezephase.floquet import (floquet_reports, pert_floquet_phases,
+                                  relation_check)
 from squeezephase.hannay import PerturbativeModel, hannay_closed_form
+from squeezephase.monodromy import normal_form
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
+from witness import ellipse_points, period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,7 +48,7 @@ def test_pert_phases_reject_negative_state():
 def test_geometric_phase_ground_state_is_orbit_area():
     eps = 0.1
     sched = ParameterSchedule.standard(eps, 1.0)
-    lam_G = floquet_geometric_phase(sched, 0)
+    lam_G = relation_check(sched, 0).lambda_G_R
     assert lam_G == pytest.approx(-math.pi * eps ** 2 / 9.0, abs=eps ** 3)
     orb = find_periodic_orbit(sched)
     assert lam_G == orb.lambda_G_cycle
@@ -56,33 +57,32 @@ def test_geometric_phase_ground_state_is_orbit_area():
 def test_geometric_phase_first_excited_state():
     eps = 0.1
     sched = ParameterSchedule.standard(eps, 1.0)
-    lam_G = floquet_geometric_phase(sched, 1)
+    lam_G = relation_check(sched, 1).lambda_G_R
     assert abs(lam_G - (-1.5 * TWO_PI * eps ** 2 / 9.0)) < 5 * eps ** 3
 
 
 def test_geometric_phase_vanishes_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
     for n in (0, 1, 2):
-        assert abs(floquet_geometric_phase(sched, n)) < 1e-8
+        assert abs(relation_check(sched, n).lambda_G_R) < 1e-8
 
 
 def test_dynamical_phase_ground_state():
     sched = ParameterSchedule.standard(0.1, 1.0)
-    assert floquet_dynamical_phase(sched, 0) == \
+    assert relation_check(sched, 0).lambda_D_R == \
         pytest.approx(-3.12763, abs=1e-2)
 
 
 def test_dynamical_phase_scales_with_state_number():
     eps = 0.1
     sched = ParameterSchedule.standard(eps, 1.0)
-    lam0 = floquet_dynamical_phase(sched, 0)
-    lam1 = floquet_dynamical_phase(sched, 1)
+    lam0, lam1 = (r.lambda_D_R for r in floquet_reports(sched, [0, 1]))
     assert abs(lam1 - 3.0 * lam0) < 5 * eps ** 3 * TWO_PI
 
 
 def test_dynamical_phase_quantized_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
-    assert floquet_dynamical_phase(sched, 2) == \
+    assert relation_check(sched, 2).lambda_D_R == \
         pytest.approx(-5.0 * math.pi, abs=1e-8)
 
 
@@ -136,10 +136,25 @@ def test_linearity_in_state_number():
 
 
 def test_ensemble_size_converged():
-    sched = ParameterSchedule.standard(0.05, 1.0)
-    lam_256 = floquet_geometric_phase(sched, 1, N=256)
-    lam_512 = floquet_geometric_phase(sched, 1, N=512)
-    assert abs(lam_512 - lam_256) < 1e-8
+    # a uniform-angle mean of a quadratic form is exact from 3 angles on,
+    # so 4 trajectories of the nonlinear flow, started on the invariant
+    # ellipse at I_bar0 = n*hbar with the fluctuations on the periodic
+    # orbit, must reproduce the trace formulas of the period pass
+    hbar = 0.7
+    four = ParameterSchedule.fourier(
+        5.3, a=[(1.0, 0.0), (0.1, 0.05), (0.03, -0.04)],
+        b=[(1.0, 0.0), (-0.08, 0.02)], c=[(0.0, 0.0), (0.02, 0.09)])
+    for sched in (ParameterSchedule.standard(0.05, 1.0), four):
+        orb = find_periodic_orbit(sched)
+        W = normal_form(orb.monodromy).W
+        reports = floquet_reports(sched, [1, 3], consts=Constants(hbar=hbar))
+        for rep in reports:
+            ends = [period_end(sched, q, p, orb.G0, orb.Pi0, hbar=hbar)
+                    for q, p in ellipse_points(W, rep.I_bar0, 4)]
+            mean_G = np.mean([end.lambda_G for end in ends])
+            mean_D = np.mean([end.lambda_D for end in ends])
+            assert abs(rep.lambda_G_R - (mean_G - rep.n * rep.rho)) < 1e-8
+            assert abs(rep.lambda_D_R - mean_D) < 1e-8
 
 
 def test_hbar_invariance_of_geometric_phase():

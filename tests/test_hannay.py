@@ -7,8 +7,9 @@ from squeezephase.hannay import (PerturbativeModel, hannay_closed_form,
                                  hannay_quadrature, hannay_report,
                                  hannay_trajectory_estimate,
                                  pert_new_hamiltonian, pert_transform)
-from squeezephase.monodromy import compute_monodromy
+from squeezephase.monodromy import compute_monodromy, normal_form
 from squeezephase.params import ParameterSchedule
+from witness import ellipse_points, period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,7 +88,7 @@ def test_quadrature_action_independent():
 
 def test_quadrature_grid_converged():
     model = PerturbativeModel(0.1, 1.0)
-    coarse = hannay_quadrature(model, n_t=512, n_phi=512)
+    coarse = hannay_quadrature(model)
     fine = hannay_quadrature(model, n_t=1024, n_phi=1024)
     assert abs(fine - coarse) < 1e-8
 
@@ -119,21 +120,27 @@ def test_trajectory_estimate_vanishes_without_drive():
 def test_trajectory_estimate_reproduces_closed_form():
     eps = 0.05
     sched = ParameterSchedule.standard(eps, 1.0)
-    est = hannay_trajectory_estimate(sched, I_bar0=1.0, N=256)
+    est = hannay_trajectory_estimate(sched)
     assert abs(est - TWO_PI * eps ** 2 / 9.0) < 5 * eps ** 3
 
 
 def test_trajectory_estimate_action_independent():
+    # rho minus the torus mean of int H_cl dt / I_bar, the mean taken over
+    # 4 nonlinear-flow trajectories on the invariant ellipse: int H_cl dt
+    # is the lambda_D the centroid adds to a run without centroid
     eps = 0.05
     sched = ParameterSchedule.standard(eps, 1.0)
-    est_low = hannay_trajectory_estimate(sched, I_bar0=0.5)
-    est_high = hannay_trajectory_estimate(sched, I_bar0=2.0)
-    assert abs(est_low - est_high) < 2 * eps ** 3
-
-
-def test_trajectory_estimate_requires_large_ensemble():
-    with pytest.raises(ValueError):
-        hannay_trajectory_estimate(ParameterSchedule.standard(0.05, 1.0), N=16)
+    mono = compute_monodromy(sched)
+    W = normal_form(mono).W
+    base = period_end(sched, 0.0, 0.0, 0.5, 0.0).lambda_D
+    ests = []
+    for I_bar in (0.5, 2.0):
+        hcl = [base - period_end(sched, q, p, 0.5, 0.0).lambda_D
+               for q, p in ellipse_points(W, I_bar, 4)]
+        ests.append(mono.rho - np.mean(hcl) / I_bar)
+    assert abs(ests[0] - ests[1]) < 2 * eps ** 3
+    for est in ests:
+        assert abs(est - hannay_trajectory_estimate(sched)) < 1e-8
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from squeezephase.dynamics import ExtendedState, integrate
+from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
 from squeezephase.errors import NonEllipticError
 from squeezephase.monodromy import (Monodromy, compute_monodromy, normal_form,
-                                    periodic_gaussian_oracle, torus_ensemble)
-from squeezephase.orbits import find_periodic_orbit
+                                    periodic_gaussian_oracle)
 from squeezephase.params import ParameterSchedule
+from witness import ellipse_points, period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,7 +20,8 @@ def rotation(sigma):
 
 
 def mono_of(M, period=TWO_PI):
-    return Monodromy(M=M, sigma=0.0, winding=0, rho=0.0, period=period)
+    return Monodromy(M=M, sigma=0.0, winding=0, rho=0.0, period=period,
+                     S=np.eye(2), K=np.zeros((2, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -120,62 +121,58 @@ def test_frame_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# torus ensembles
+# invariant torus: the form S and its ellipses
 # ----------------------------------------------------------------------
 
 def test_unperturbed_ensemble_is_circle():
-    frame = normal_form(compute_monodromy(ParameterSchedule.standard(0.0, 1.0)))
-    ens = torus_ensemble(frame, 1.0, 8)
+    mono = compute_monodromy(ParameterSchedule.standard(0.0, 1.0))
+    assert np.max(np.abs(mono.S - np.eye(2))) <= 1e-12
+    points = ellipse_points(normal_form(mono).W, 1.0, 8)
     r = math.sqrt(2.0)
     # quarter-turn members sit on the axes of the radius-sqrt(2) circle
     expected = np.array([[0, r], [r, 0], [0, -r], [-r, 0]])
-    assert np.max(np.abs(ens.points[[0, 2, 4, 6]] - expected)) < 1e-12
-    assert np.max(np.abs(np.hypot(ens.points[:, 0], ens.points[:, 1]) - r)) \
-        < 1e-12
+    assert np.max(np.abs(points[[0, 2, 4, 6]] - expected)) < 1e-12
+    assert np.max(np.abs(np.hypot(points[:, 0], points[:, 1]) - r)) < 1e-12
 
 
 def test_ensemble_membership_identity():
-    frame = normal_form(compute_monodromy(ParameterSchedule.standard(0.1, 1.0)))
-    ens = torus_ensemble(frame, 0.7, 64)
-    Sinv = np.linalg.inv(frame.W @ frame.W.T)
-    vals = np.einsum("ij,jk,ik->i", ens.points, Sinv, ens.points)
+    mono = compute_monodromy(ParameterSchedule.standard(0.1, 1.0))
+    W = normal_form(mono).W
+    assert np.array_equal(mono.S, W @ W.T)
+    assert abs(np.linalg.det(mono.S) - 1.0) <= 1e-12
+    points = ellipse_points(W, 0.7, 64)
+    vals = np.einsum("ij,jk,ik->i", points, np.linalg.inv(mono.S), points)
     assert np.max(np.abs(vals - 1.4)) < 1e-8
 
 
 def test_ensemble_area_is_action():
     # shoelace of the inscribed polygon, corrected by the exact N-gon
     # factor (an affine image of the regular polygon in the circle)
-    frame = normal_form(compute_monodromy(ParameterSchedule.standard(0.2, 0.8)))
+    mono = compute_monodromy(ParameterSchedule.standard(0.2, 0.8))
+    assert abs(np.linalg.det(mono.S) - 1.0) <= 1e-12
     N, I_bar = 256, 1.0
-    ens = torus_ensemble(frame, I_bar, N)
-    x, y = ens.points[:, 0], ens.points[:, 1]
+    points = ellipse_points(normal_form(mono).W, I_bar, N)
+    x, y = points[:, 0], points[:, 1]
     shoelace = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     area = shoelace * (TWO_PI / N) / math.sin(TWO_PI / N)
     assert abs(area - TWO_PI * I_bar) < 1e-6
 
 
 def test_ensemble_invariant_under_period_map():
-    # propagate each point through the full nonlinear pass (the centroid
-    # subsystem is linear, so this is also the monodromy action) and check
-    # it lands back on the same ellipse
+    # M S M^T = det(M) S holds at roundoff for the invariant form; the
+    # det M - 1 part is the pass's own error, held to 1e-10 elsewhere.
+    # Then propagate ellipse points through the full nonlinear pass (the
+    # centroid subsystem is linear, so this is also the monodromy action)
+    # and check each lands back on the same ellipse.
     sched = ParameterSchedule.standard(0.1, 1.0)
     mono = compute_monodromy(sched)
-    frame = normal_form(mono)
-    ens = torus_ensemble(frame, 1.0, 16)
-    Sinv = np.linalg.inv(frame.W @ frame.W.T)
-    for point in ens.points:
-        final = integrate(ExtendedState(q=point[0], p=point[1], G=0.5, Pi=0),
-                          sched.period, sched).final
+    M, S = mono.M, mono.S
+    assert np.max(np.abs(M @ S @ M.T - np.linalg.det(M) * S)) <= 1e-12
+    Sinv = np.linalg.inv(S)
+    for point in ellipse_points(normal_form(mono).W, 1.0, 16):
+        final = period_end(sched, point[0], point[1], 0.5, 0.0)
         image = np.array([final.q, final.p])
         assert abs(image @ Sinv @ image - 2.0) < 1e-6
-
-
-def test_ensemble_argument_validation():
-    frame = normal_form(compute_monodromy(ParameterSchedule.standard(0.0, 1.0)))
-    with pytest.raises(ValueError):
-        torus_ensemble(frame, -1.0, 16)
-    with pytest.raises(ValueError):
-        torus_ensemble(frame, 1.0, 4)
 
 
 # ----------------------------------------------------------------------
@@ -197,14 +194,36 @@ def test_oracle_first_order_location():
     assert abs(Pi0) < 3 * eps ** 2
 
 
+def newton_fixed_point(sched, x, tol=1e-11, fd_step=1e-6):
+    """Fixed point of the time-T fluctuation map by Newton iteration with a
+    central-difference Jacobian, the map taken from the nonlinear flow."""
+    opts = IntegratorOptions(rtol=1e-12, atol=1e-12)
+
+    def residual(pt):
+        end = integrate(ExtendedState(q=0.0, p=0.0, G=pt[0], Pi=pt[1]),
+                        sched.period, sched, opts=opts).final
+        return np.array([end.G, end.Pi]) - pt
+
+    x = np.asarray(x, dtype=float)
+    for _ in range(10):
+        F = residual(x)
+        if np.max(np.abs(F)) < tol:
+            return x
+        jac = np.column_stack([
+            (residual(x + e) - residual(x - e)) / (2.0 * fd_step)
+            for e in (np.array([fd_step, 0.0]), np.array([0.0, fd_step]))])
+        x = x - np.linalg.solve(jac, F)
+    raise AssertionError(f"Newton did not converge, residual {F}")
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.2])
 def test_oracle_matches_newton_solver(eps):
     sched = ParameterSchedule.standard(eps, 1.0)
     frame = normal_form(compute_monodromy(sched))
     G0, Pi0 = periodic_gaussian_oracle(frame)
-    orb = find_periodic_orbit(sched)
-    assert abs(G0 - orb.G0) < 1e-8
-    assert abs(Pi0 - orb.Pi0) < 1e-8
+    G_n, Pi_n = newton_fixed_point(sched, (0.5 - eps / 3.0, 0.0))
+    assert abs(G0 - G_n) < 1e-8
+    assert abs(Pi0 - Pi_n) < 1e-8
 
 
 def test_oracle_point_is_periodic_under_flow():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from squeezephase.orbits import (find_periodic_orbit, orbit_loop_integral,
-                                 orbit_phases, strob_map)
+from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
+from witness import period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -13,6 +13,12 @@ TWO_PI = 2.0 * math.pi
 def first_order_orbit(eps, omega, t):
     s = 1.0 / (omega + 2.0)
     return 0.5 - eps * s * np.cos(omega * t), -eps * s * np.sin(omega * t)
+
+
+def strob_map(x, sched):
+    """Image of a fluctuation point (G, Pi) under the time-T flow."""
+    end = period_end(sched, 0.0, 0.0, x[0], x[1])
+    return np.array([end.G, end.Pi])
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +52,7 @@ def test_strob_displaces_stale_fixed_point():
 
 
 # ----------------------------------------------------------------------
-# Newton solve
+# fixed point of the stroboscopic map
 # ----------------------------------------------------------------------
 
 def test_newton_immediate_at_zero_drive():
@@ -72,6 +78,8 @@ def test_newton_matches_covariance_oracle_at_strong_drive():
     G0, Pi0 = periodic_gaussian_oracle(normal_form(compute_monodromy(sched)))
     assert abs(orb.G0 - G0) < 1e-8
     assert abs(orb.Pi0 - Pi0) < 1e-8
+    image = strob_map((G0, Pi0), sched)
+    assert np.max(np.abs(image - [G0, Pi0])) < 1e-8
 
 
 def test_orbit_samples_positive_and_periodic():
@@ -99,7 +107,7 @@ def test_orbit_tracks_first_order_shape():
 
 def test_phases_at_zero_drive():
     orb = find_periodic_orbit(ParameterSchedule.standard(0.0, 1.0))
-    lam_G, lam_D = orbit_phases(orb)
+    lam_G, lam_D = orb.lambda_G_cycle, orb.lambda_D_cycle
     assert abs(lam_G) < 1e-10
     # H_fl = 1/2 at the fixed point, so lambda_D = -T/2 = -pi
     assert lam_D == pytest.approx(-math.pi, abs=1e-9)
@@ -107,22 +115,32 @@ def test_phases_at_zero_drive():
 
 def test_geometric_phase_second_order_value():
     eps = 0.1
-    orb = find_periodic_orbit(ParameterSchedule.standard(eps, 1.0))
-    lam_G, _ = orbit_phases(orb)
+    lam_G = find_periodic_orbit(
+        ParameterSchedule.standard(eps, 1.0)).lambda_G_cycle
     assert abs(lam_G - (-math.pi * eps ** 2 / 9.0)) < eps ** 3
 
 
 def test_dynamical_phase_second_order_value():
     eps = 0.1
-    orb = find_periodic_orbit(ParameterSchedule.standard(eps, 1.0))
-    _, lam_D = orbit_phases(orb)
+    lam_D = find_periodic_orbit(
+        ParameterSchedule.standard(eps, 1.0)).lambda_D_cycle
     assert lam_D == pytest.approx(-3.12763, abs=1e-2)
 
 
 def test_area_quadratures_agree():
-    orb = find_periodic_orbit(ParameterSchedule.standard(0.1, 1.0))
-    assert abs(orb.lambda_G_cycle - orb.lambda_G_cycle_alt) < 1e-8
-    assert orbit_loop_integral(orb) == -orb.lambda_G_cycle
+    # the pass gives lambda_G = -rho/2 + tr(KS)/4 and lambda_D = -tr(KS)/4;
+    # the nonlinear flow started on the orbit accumulates -int dPi/dt G dt
+    # and -int H_fl dt directly, and must come back to its start
+    four = ParameterSchedule.fourier(
+        5.3, a=[(1.0, 0.0), (0.1, 0.05), (0.03, -0.04)],
+        b=[(1.0, 0.0), (-0.08, 0.02)], c=[(0.0, 0.0), (0.02, 0.09)])
+    for sched in (ParameterSchedule.standard(0.1, 1.0), four):
+        orb = find_periodic_orbit(sched)
+        end = period_end(sched, 0.0, 0.0, orb.G0, orb.Pi0)
+        assert abs(end.G - orb.G0) < 1e-8
+        assert abs(end.Pi - orb.Pi0) < 1e-8
+        assert abs(end.lambda_G - orb.lambda_G_cycle) < 1e-8
+        assert abs(end.lambda_D - orb.lambda_D_cycle) < 1e-8
 
 
 def test_geometric_phase_is_enclosed_area():

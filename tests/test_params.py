@@ -5,23 +5,23 @@ import pytest
 
 from squeezephase.errors import NonEllipticError
 from squeezephase.params import (Constants, ParameterSchedule,
-                                 ellipticity_margin, schedule_eval)
+                                 ellipticity_margin)
 
 
 def test_unperturbed_schedule():
     sched = ParameterSchedule.standard(0.0, 1.0)
-    assert schedule_eval(sched, 0.7) == (1.0, 1.0, 0.0)
+    assert sched.eval(0.7) == (1.0, 1.0, 0.0)
 
 
 def test_standard_family_at_zero():
     sched = ParameterSchedule.standard(0.1, 1.0)
-    a, b, c = schedule_eval(sched, 0.0)
+    a, b, c = sched.eval(0.0)
     assert (a, b, c) == pytest.approx((1.1, 0.9, 0.0), abs=1e-15)
 
 
 def test_standard_family_quarter_period():
     sched = ParameterSchedule.standard(0.1, 1.0)
-    a, b, c = schedule_eval(sched, math.pi / 2)
+    a, b, c = sched.eval(math.pi / 2)
     assert (a, b, c) == pytest.approx((1.0, 1.0, 0.1), abs=1e-15)
 
 
@@ -29,8 +29,8 @@ def test_standard_family_quarter_period():
 def test_exact_periodicity_over_many_periods(k):
     sched = ParameterSchedule.standard(0.3, 0.7)
     for t in np.linspace(0.0, sched.period, 11):
-        base = np.array(schedule_eval(sched, t))
-        shifted = np.array(schedule_eval(sched, t + k * sched.period))
+        base = np.array(sched.eval(t))
+        shifted = np.array(sched.eval(t + k * sched.period))
         assert np.max(np.abs(shifted - base)) < 1e-12
 
 
@@ -41,8 +41,8 @@ def test_periodicity_bounded_by_argument_spacing():
     k = 1_000_000
     spacing = np.spacing(k * sched.period)
     for t in np.linspace(0.0, sched.period, 7):
-        base = np.array(schedule_eval(sched, t))
-        shifted = np.array(schedule_eval(sched, t + k * sched.period))
+        base = np.array(sched.eval(t))
+        shifted = np.array(sched.eval(t + k * sched.period))
         assert np.max(np.abs(shifted - base)) < 4.0 * spacing
 
 
@@ -50,7 +50,7 @@ def test_parameter_circuit_identities():
     eps = 0.25
     sched = ParameterSchedule.standard(eps, 2.0)
     for t in np.linspace(0.0, sched.period, 101):
-        a, b, c = schedule_eval(sched, t)
+        a, b, c = sched.eval(t)
         assert a + b == pytest.approx(2.0, abs=1e-15)
         assert (a - 1.0) ** 2 + c ** 2 == pytest.approx(eps ** 2, abs=1e-15)
 
