@@ -9,8 +9,8 @@ lambda_G_R = -(n + 1/2) * Theta_H.
 
 from .dynamics import (ExtendedState, IntegratorOptions, Trajectory, actions,
                        covariance, eom_rhs, h_cl, h_eff, h_fl, integrate)
-from .errors import (ConfigError, ConvergenceError, IntegrationError,
-                     NonEllipticError)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     IntegrationError, NonEllipticError)
 from .floquet import (FloquetPhaseReport, floquet_reports,
                       pert_floquet_phases, relation_check)
 from .hannay import (HannayResult, PerturbativeModel, hannay_closed_form,
@@ -36,6 +36,6 @@ __all__ = [
     "FloquetPhaseReport", "relation_check", "floquet_reports",
     "pert_floquet_phases",
     "NonEllipticError", "IntegrationError", "ConvergenceError",
-    "ConfigError",
+    "ConfigError", "DomainError",
     "__version__",
 ]

@@ -274,11 +274,12 @@ def _build_config(values, lines, errors):
 # ----------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
+    if not isinstance(value, float):  # np.float64 is a float
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        value = float(value)
     if math.isnan(value):
         return "null"
     return format(value, ".17g")
@@ -307,7 +308,7 @@ def _write_json(path: Path, obj):
 
 def _write_csv(path: Path, header, rows):
     out = [",".join(header)]
-    out.extend(",".join(_fmt(v) for v in row) for row in rows)
+    out.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -333,16 +334,14 @@ def _run_simulate(cfg: RunConfig, out_dir: Path, fmt: str):
     traj = dynamics.integrate(state0, t1, cfg.schedule, cfg.constants,
                               cfg.options, output_times=grid[1:-1])
     keep = np.searchsorted(traj.t, grid)
+    t = traj.t[keep]
+    q, p, G, Pi, lam_G, lam_D = traj.y[keep].T
+    I, J = dynamics.action_pair(q, p, G, Pi)
+    a, b, c = np.array([cfg.schedule.eval(ti) for ti in t.tolist()]).T
+    H = dynamics.h_eff(q, p, G, Pi, a, b, c, cfg.constants.hbar)
     header = ["t", "q", "p", "G", "Pi", "lambda_G", "lambda_D",
               "I", "J", "H_eff"]
-    rows = []
-    for i in keep:
-        st = traj.state_at_index(i)
-        I, J = dynamics.actions(st)
-        a, b, c = cfg.schedule.eval(st.t)
-        rows.append([st.t, st.q, st.p, st.G, st.Pi, st.lambda_G, st.lambda_D,
-                     I, J, dynamics.h_eff(st.q, st.p, st.G, st.Pi, a, b, c,
-                                          cfg.constants.hbar)])
+    rows = np.column_stack([t, q, p, G, Pi, lam_G, lam_D, I, J, H]).tolist()
     path = _write_table(out_dir, "trajectory", header, rows, fmt)
     return [path]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 from .params import Constants, ParameterSchedule
 
 # Reject any accepted step that would push the width at or below this floor;
@@ -131,16 +131,20 @@ def covariance(G, Pi, hbar=1.0):
 
 def actions(state: ExtendedState):
     """Unperturbed actions (I, J) of the centroid and fluctuation motion."""
-    _require_positive_width(state.G)
-    I = 0.5 * (state.q ** 2 + state.p ** 2)
-    G, Pi = state.G, state.Pi
+    return action_pair(state.q, state.p, state.G, state.Pi)
+
+
+def action_pair(q, p, G, Pi):
+    """(I, J) of actions() for scalars or arrays of the state components."""
+    _require_positive_width(G)
+    I = 0.5 * (q * q + p * p)
     J = (G + 0.25 / G + 4.0 * Pi * Pi * G - 1.0) / 4.0
     return I, J
 
 
 def _require_positive_width(G):
     if np.any(np.asarray(G) <= 0.0):
-        raise ValueError(f"fluctuation width G must be positive, got {G}")
+        raise DomainError(f"fluctuation width G must be positive, got {G}")
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +159,9 @@ def eom_rhs(state: ExtendedState, sched: ParameterSchedule,
 
 def _extended_rhs(t, y, sched, hbar):
     a, b, c = sched.eval(t)
-    q, p, G, Pi = y[0], y[1], y[2], y[3]
-    _require_positive_width(G)
+    q, p, G, Pi, _, _ = y.tolist()
+    if not G > 0.0:
+        raise DomainError(f"fluctuation width G must be positive, got {G}")
     qd = b * p + c * q
     pd = -(a * q + c * p)
     Gd = 4.0 * b * G * Pi + 2.0 * c * G
@@ -172,7 +177,9 @@ def _extended_rhs(t, y, sched, hbar):
 # Steppers
 # ----------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau (7 stages, first-same-as-last).
+# Dormand-Prince 5(4) tableau (7 stages, first-same-as-last).  The last
+# row of A holds the 5th-order weights, so the last stage state is the
+# step's solution and its rhs is the next step's first stage.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -183,12 +190,11 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(
-    _DP_B5,
-    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-     187 / 2100, 1 / 40),
-))
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+_DP_ROWS = tuple(np.array(row) for row in _DP_A)
+# 5th- minus 4th-order weights over all seven stages
+_DP_ERR = np.append(_DP_ROWS[-1], 0.0) - np.array(_DP_B4)
 
 _SAFETY = 0.9
 _MIN_SHRINK = 0.2
@@ -217,16 +223,16 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
     given, must accept the trial state or the step is rejected and halved.
     Returns (times, states) arrays; only the endpoints when record=False.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
     t = float(t0)
     targets = _merge_targets(t0, t1, output_times)
     hmin = _hmin(t0, t1)
-    ts, ys = [t], [y.copy()]
+    ts, ys = [t], [y]
+    n = y.size
 
     h = min(1e-2 * max(1.0, abs(t1 - t0)), targets[0] - t)
-    k1 = rhs(t, y)
-    n_eval_shape = k1.shape
-    k = [k1] + [np.empty(n_eval_shape) for _ in range(6)]
+    K = np.empty((7, n))
+    K[0] = rhs(t, y)
 
     steps = 0
     ti = 0
@@ -238,30 +244,21 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
                     f"exceeded max_steps={max_steps}", last_t=t)
             steps += 1
             h = min(h, target - t)
-            # stages; a domain violation inside a stage rejects the step
+            # stages; a domain violation inside a stage rejects the step.
+            # The state of the last stage is the 5th-order solution.
             try:
                 for i in range(1, 7):
-                    yi = y.copy()
-                    for j, aij in enumerate(_DP_A[i]):
-                        if aij != 0.0:
-                            yi += (h * aij) * k[j]
-                    k[i] = rhs(t + _DP_C[i] * h, yi)
-            except ValueError:
+                    y5 = y + h * (_DP_ROWS[i] @ K[:i])
+                    K[i] = rhs(t + _DP_C[i] * h, y5)
+            except DomainError:
                 h *= 0.5
                 if h < hmin:
                     raise IntegrationError(
                         "state left the domain below minimum step", last_t=t)
                 continue
-            y5 = y.copy()
-            for j, bj in enumerate(_DP_B5):
-                if bj != 0.0:
-                    y5 += (h * bj) * k[j]
-            err_vec = np.zeros_like(y)
-            for j, ej in enumerate(_DP_ERR):
-                if ej != 0.0:
-                    err_vec += (h * ej) * k[j]
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+            r = (h * (_DP_ERR @ K)) / (
+                atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+            err = math.sqrt(float(r @ r) / n)
 
             if guard is not None and not guard(y5):
                 h *= 0.5
@@ -282,10 +279,10 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
             y = y5
             # FSAL: the last stage is the rhs at (t + h, y5), also when the
             # step lands (t + h is then within hmin of the target)
-            k[0] = k[6]
+            K[0] = K[6]
             if record or landed and ti == len(targets) - 1:
                 ts.append(t)
-                ys.append(y.copy())
+                ys.append(y)
             factor = _MAX_GROW if err == 0.0 else min(
                 _MAX_GROW, _SAFETY * err ** -0.2)
             h = h * max(_MIN_SHRINK, factor)
@@ -294,7 +291,7 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
 
     if not record and (len(ts) < 2 or ts[-1] != t):
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)
     return np.array(ts), np.array(ys)
 
 
@@ -324,7 +321,7 @@ def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
             h = min(step, target - t)
             try:
                 y_new = _rk4_step(rhs, t, y, h)
-            except ValueError as exc:
+            except DomainError as exc:
                 raise IntegrationError(
                     f"state left the domain: {exc}", last_t=t) from exc
             if guard is not None and not guard(y_new):

@@ -5,6 +5,14 @@ class NonEllipticError(ValueError):
     """The schedule or monodromy is outside the elliptic (bounded) regime."""
 
 
+class DomainError(ValueError):
+    """A state left the domain of the equations of motion (G <= 0).
+
+    Raised inside a right-hand side, it tells the adaptive stepper to
+    retry with a smaller step; any other exception propagates.
+    """
+
+
 class IntegrationError(RuntimeError):
     """Adaptive step control failed; ``last_t`` is the last good time."""
 

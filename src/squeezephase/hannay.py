@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import h_cl
+from .errors import ConvergenceError
 from .monodromy import Monodromy, compute_monodromy
 from .params import STANDARD, ParameterSchedule
 
@@ -119,9 +120,10 @@ def hannay_quadrature(model: PerturbativeModel, n_t: int = 64,
     roundoff.  dA/dIbar is evaluated analytically as
     A/Ibar: A is linear in the action for this family because the old
     action is proportional to the new one and H_cl is degree-1 homogeneous.
-    The linearity is asserted numerically on the grid.  The even spurious
-    quartic of the truncated transform is removed by a single Richardson
-    step over eps and eps/2 (see module docstring).
+    The linearity is checked numerically on the grid; a violation raises
+    ConvergenceError.  The even spurious quartic of the truncated
+    transform is removed by a single Richardson step over eps and eps/2
+    (see module docstring).
     """
     if n_t < 64 or n_phi < 64:
         raise ValueError("n_t and n_phi must both be >= 64")
@@ -133,7 +135,7 @@ def hannay_quadrature(model: PerturbativeModel, n_t: int = 64,
         rate2 = _mismatch_rate(m, 2.0 * I_bar, n_t, n_phi)
         lin_dev = float(np.max(np.abs(rate2 - rate)))
         if lin_dev > 1e-9:
-            raise AssertionError(
+            raise ConvergenceError(
                 f"A/Ibar varies with the action by {lin_dev:.3e}; "
                 "homogeneity assumption violated")
         wt = _simpson_weights(n_t) * (m.period / n_t)

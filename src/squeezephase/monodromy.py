@@ -85,7 +85,7 @@ def _period_rhs(sched):
     A = J H, and K' = M^T H M."""
     def rhs(t, y):
         a, b, c = sched.eval(t)
-        m11, m12, m21, m22 = y[0], y[1], y[2], y[3]
+        m11, m12, m21, m22, _, _, _ = y.tolist()
         h11, h12 = a * m11 + c * m21, a * m12 + c * m22
         h21, h22 = c * m11 + b * m21, c * m12 + b * m22
         return np.array([h21, h22, -h11, -h12, m11 * h11 + m21 * h21,

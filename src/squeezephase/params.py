@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import NonEllipticError
 
@@ -92,9 +93,18 @@ class ParameterSchedule:
             ec = self.epsilon * math.cos(w)
             return 1.0 + ec, 1.0 - ec, self.epsilon * math.sin(w)
         base = 2.0 * math.pi * tau / self.period
-        return (_fourier_eval(self.a_coeffs, base),
-                _fourier_eval(self.b_coeffs, base),
-                _fourier_eval(self.c_coeffs, base))
+        # k = 0 carries the constant term (its sine has no effect); each
+        # harmonic's cos/sin is shared by the three coefficients
+        (a, _), (b, _), (c, _) = (
+            self.a_coeffs[0], self.b_coeffs[0], self.c_coeffs[0])
+        harmonics = zip_longest(self.a_coeffs[1:], self.b_coeffs[1:],
+                                self.c_coeffs[1:], fillvalue=(0.0, 0.0))
+        for k, ((ac, as_), (bc, bs), (cc, cs)) in enumerate(harmonics, 1):
+            ck, sk = math.cos(k * base), math.sin(k * base)
+            a += ac * ck + as_ * sk
+            b += bc * ck + bs * sk
+            c += cc * ck + cs * sk
+        return a, b, c
 
 
 def _pairs(coeffs):
@@ -102,14 +112,6 @@ def _pairs(coeffs):
     if not out:
         raise ValueError("fourier coefficient list must not be empty")
     return out
-
-
-def _fourier_eval(coeffs, base):
-    total = coeffs[0][0]  # k=0 sine has no effect
-    for k in range(1, len(coeffs)):
-        ck, sk = coeffs[k]
-        total += ck * math.cos(k * base) + sk * math.sin(k * base)
-    return total
 
 
 def ellipticity_margin(sched: ParameterSchedule,

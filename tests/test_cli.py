@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from squeezephase import cli, hannay, orbits
+from squeezephase import cli, dynamics, hannay, orbits
 from squeezephase.cli import main, parse_config, run
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD
@@ -122,6 +123,34 @@ def test_simulate_csv_columns(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,q,p,G,Pi,lambda_G,lambda_D,I,J,H_eff"
     assert len(lines) == 18  # header + samples + 1 rows
+
+
+@pytest.mark.parametrize("schedule", [
+    "epsilon=0.3\nomega=1.2\nhbar=0.5\n",
+    "period=5.3\na_cos=1.0,0.05,0.02\na_sin=0.0,0.03\nb_cos=1.0,-0.04\n"
+    "c_sin=0.0,0.05,0.01,0.02\nhbar=2.0\n",
+])
+def test_simulate_columns_match_scalar_helpers(tmp_path, schedule):
+    # the writer derives I, J and H_eff for all rows at once; every cell
+    # must equal the scalar helpers on the same row of integrate's output
+    cfg = parse_config(schedule + "[simulate]\nq0=0.7\np0=-0.3\ng0=0.6\n"
+                       "pi0=0.1\nt1=12.0\nsamples=64")
+    assert run("simulate", cfg, out_dir=tmp_path) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    grid = np.linspace(0.0, 12.0, 65)
+    traj = dynamics.integrate(
+        dynamics.ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 12.0,
+        cfg.schedule, cfg.constants, cfg.options, output_times=grid[1:-1])
+    keep = np.searchsorted(traj.t, grid)
+    assert len(lines) == len(keep)
+    for line, i in zip(lines, keep):
+        st = traj.state_at_index(i)
+        a, b, c = cfg.schedule.eval(st.t)
+        want = [st.t, *dynamics.actions(st),
+                dynamics.h_eff(st.q, st.p, st.G, st.Pi, a, b, c,
+                               cfg.constants.hbar)]
+        cells = line.split(",")
+        assert [cells[0], *cells[7:]] == [cli._fmt(v) for v in want]
 
 
 def test_sweep_table(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    actions, covariance, eom_rhs, h_cl, h_eff,
                                    h_fl, integrate, integrate_ode)
-from squeezephase.errors import IntegrationError
+from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.params import Constants, ParameterSchedule
 
 TWO_PI = 2.0 * math.pi
@@ -214,6 +214,30 @@ def test_width_guard_reports_failure():
         integrate(state, 10.0, sched)
     assert err.value.last_t is not None
     assert 0.0 < err.value.last_t < 10.0
+
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_only_domain_errors_reject_steps(method):
+    # a DomainError raised in the rhs is a state leaving the domain: the
+    # adaptive stepper halves the step and reports an IntegrationError at
+    # the wall; any other ValueError is a bug and must propagate unchanged
+    opts = IntegratorOptions(method=method, step=0.01)
+
+    def rhs_raising(exc):
+        def rhs(t, y):
+            if t > 0.25:
+                raise exc("past the wall")
+            return -y
+        return rhs
+
+    with pytest.raises(IntegrationError) as err:
+        integrate_ode(rhs_raising(DomainError), 0.0, np.array([1.0]), 1.0,
+                      opts)
+    assert 0.0 < err.value.last_t <= 0.25
+    with pytest.raises(ValueError, match="past the wall") as err:
+        integrate_ode(rhs_raising(ValueError), 0.0, np.array([1.0]), 1.0,
+                      opts)
+    assert type(err.value) is ValueError
 
 
 # ----------------------------------------------------------------------

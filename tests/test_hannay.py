@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from squeezephase.errors import ConvergenceError
 from squeezephase.hannay import (PerturbativeModel, hannay_closed_form,
                                  hannay_quadrature, hannay_report,
                                  hannay_trajectory_estimate,
@@ -106,6 +107,19 @@ def test_mismatch_rate_linear_in_action():
     r1 = _mismatch_rate(model, 1.0, 128, 128)
     r2 = _mismatch_rate(model, 2.0, 128, 128)
     assert np.max(np.abs(r2 - r1)) < 1e-10
+
+
+def test_homogeneity_violation_is_typed(tmp_path, monkeypatch):
+    # a mismatch rate that grows with the action breaks the analytic
+    # action derivative: a ConvergenceError, exit 1 from the CLI
+    from squeezephase import cli, hannay
+    monkeypatch.setattr(hannay, "_mismatch_rate",
+                        lambda model, I_bar, n_t, n_phi:
+                        np.full((n_t + 1, n_phi + 1), I_bar))
+    with pytest.raises(ConvergenceError, match="homogeneity"):
+        hannay_quadrature(PerturbativeModel(0.1, 1.0))
+    cfg = cli.parse_config("epsilon=0.1\nomega=1.0")
+    assert cli.run("hannay", cfg, out_dir=tmp_path) == 1
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,36 @@ def test_margin_matches_dense_sampling():
         pytest.approx(1.0 - eps ** 2, abs=1e-9)
 
 
+def _reference_coefficient(pairs, t, period):
+    base = 2.0 * math.pi * (t % period) / period
+    total = pairs[0][0]
+    for k in range(1, len(pairs)):
+        ck, sk = pairs[k]
+        total += ck * math.cos(k * base) + sk * math.sin(k * base)
+    return total
+
+
+@pytest.mark.parametrize("harmonics", [(1, 3, 6), (6, 1, 3), (3, 6, 1)])
+def test_fourier_eval_with_unequal_harmonic_counts(harmonics):
+    # a, b and c share each harmonic's cos/sin; lists of different length
+    # must still give every coefficient its own sum
+    rng = np.random.default_rng(sum(harmonics))
+    period = 5.3
+    coeffs = [[(const, 0.0)] + [tuple(0.1 / k * rng.standard_normal(2))
+                                for k in range(1, n + 1)]
+              for const, n in zip((1.0, 1.0, 0.0), harmonics)]
+    sched = ParameterSchedule.fourier(period, *coeffs)
+    for t in np.linspace(-period, 3.0 * period, 64):
+        got = sched.eval(float(t))
+        want = [_reference_coefficient(pairs, float(t), period)
+                for pairs in coeffs]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+    nodes = 2.0 * math.pi * np.arange(4096) / 4096
+    a, b, c = (sum(ck * np.cos(k * nodes) + sk * np.sin(k * nodes)
+                   for k, (ck, sk) in enumerate(pairs)) for pairs in coeffs)
+    assert abs(ellipticity_margin(sched) - np.min(a * b - c * c)) <= 1e-14
+
+
 def test_margin_non_elliptic_constant_schedule():
     sched = ParameterSchedule.fourier(
         1.0, a=[(0.5, 0.0)], b=[(0.5, 0.0)], c=[(1.0, 0.0)],
