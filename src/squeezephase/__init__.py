@@ -17,8 +17,8 @@ from .hannay import (HannayResult, PerturbativeModel, hannay_closed_form,
                      hannay_quadrature, hannay_report,
                      hannay_trajectory_estimate, pert_new_hamiltonian,
                      pert_transform)
-from .monodromy import (Monodromy, NormalFrame, compute_monodromy,
-                        normal_form, periodic_gaussian_oracle)
+from .monodromy import (Monodromy, compute_monodromy, normal_frame,
+                        periodic_gaussian_oracle)
 from .orbits import PeriodicOrbit, find_periodic_orbit
 from .params import Constants, ParameterSchedule, ellipticity_margin
 
@@ -28,7 +28,7 @@ __all__ = [
     "Constants", "ParameterSchedule", "ellipticity_margin",
     "ExtendedState", "Trajectory", "IntegratorOptions", "h_cl", "h_fl",
     "h_eff", "eom_rhs", "integrate", "actions", "covariance",
-    "Monodromy", "NormalFrame", "compute_monodromy", "normal_form",
+    "Monodromy", "compute_monodromy", "normal_frame",
     "periodic_gaussian_oracle", "PeriodicOrbit", "find_periodic_orbit",
     "PerturbativeModel", "HannayResult", "pert_transform",
     "pert_new_hamiltonian", "hannay_quadrature", "hannay_closed_form",

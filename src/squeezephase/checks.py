@@ -136,8 +136,8 @@ def check_rotation_number_continuity(omega=1.0):
 
 def check_oracle_periodicity(eps=0.05, omega=1.0):
     sched = ParameterSchedule.standard(eps, omega)
-    frame = monodromy.normal_form(monodromy.compute_monodromy(sched))
-    G0, Pi0 = monodromy.periodic_gaussian_oracle(frame)
+    G0, Pi0 = monodromy.periodic_gaussian_oracle(
+        monodromy.compute_monodromy(sched))
     end = dynamics.integrate(dynamics.ExtendedState(q=0.0, p=0.0, G=G0,
                                                     Pi=Pi0),
                              sched.period, sched).final

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, dynamics, floquet, hannay, orbits
-from .errors import (ConfigError, ConvergenceError, IntegrationError,
-                     NonEllipticError)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     IntegrationError, NonEllipticError)
 from .monodromy import compute_monodromy
 from .params import Constants, ParameterSchedule
 
@@ -451,7 +451,7 @@ def run(subcommand: str, config: RunConfig, out_dir=".", fmt="csv") -> int:
             print(f"config error (line {line}): {msg}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonEllipticError, ConvergenceError, IntegrationError,
-            ValueError) as exc:
+            DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     for path in paths:

@@ -90,10 +90,6 @@ class Trajectory:
     y: np.ndarray
 
     @property
-    def initial(self) -> ExtendedState:
-        return ExtendedState.from_array(self.y[0], self.t[0])
-
-    @property
     def final(self) -> ExtendedState:
         return ExtendedState.from_array(self.y[-1], self.t[-1])
 
@@ -216,12 +212,12 @@ def _hmin(t0, t1):
 
 
 def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
-               max_steps=2_000_000, record=True):
+               max_steps=2_000_000):
     """Adaptive embedded 5(4) pass from t0 to t1.
 
     Accepted steps land exactly on every requested output time.  guard, if
     given, must accept the trial state or the step is rejected and halved.
-    Returns (times, states) arrays; only the endpoints when record=False.
+    Returns (times, states) arrays of every accepted step.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -280,18 +276,13 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
             # FSAL: the last stage is the rhs at (t + h, y5), also when the
             # step lands (t + h is then within hmin of the target)
             K[0] = K[6]
-            if record or landed and ti == len(targets) - 1:
-                ts.append(t)
-                ys.append(y)
+            ts.append(t)
+            ys.append(y)
             factor = _MAX_GROW if err == 0.0 else min(
                 _MAX_GROW, _SAFETY * err ** -0.2)
             h = h * max(_MIN_SHRINK, factor)
         t = target
         ti += 1
-
-    if not record and (len(ts) < 2 or ts[-1] != t):
-        ts.append(t)
-        ys.append(y)
     return np.array(ts), np.array(ys)
 
 
@@ -304,7 +295,7 @@ def _rk4_step(rhs, t, y, h):
 
 
 def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
-              max_steps=2_000_000, record=True):
+              max_steps=2_000_000):
     """Fixed-step classical Runge-Kutta pass, clipping at output times."""
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -330,26 +321,21 @@ def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
             landed = abs((t + h) - target) <= hmin
             t = target if landed else t + h
             y = y_new
-            if record:
-                ts.append(t)
-                ys.append(y.copy())
+            ts.append(t)
+            ys.append(y.copy())
         t = target
-    if not record:
-        ts.append(t)
-        ys.append(y.copy())
     return np.array(ts), np.array(ys)
 
 
 def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
-                  guard=None, output_times=None, record=True):
+                  guard=None, output_times=None):
     """Dispatch a generic ODE pass through the configured stepper."""
     if opts.method == RK4:
         return _rk4_path(rhs, t0, y0, t1, opts.step, guard=guard,
                          output_times=output_times,
-                         max_steps=opts.max_steps, record=record)
+                         max_steps=opts.max_steps)
     return _rk45_path(rhs, t0, y0, t1, opts.rtol, opts.atol, guard=guard,
-                      output_times=output_times,
-                      max_steps=opts.max_steps, record=record)
+                      output_times=output_times, max_steps=opts.max_steps)
 
 
 def _width_guard(y):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monodromy import Monodromy, compute_monodromy
+from .monodromy import Monodromy, compute_monodromy, fluctuation_point
 from .params import ParameterSchedule
 
 DEFAULT_SAMPLES = 1024
@@ -56,8 +56,7 @@ def find_periodic_orbit(sched: ParameterSchedule,
     """Periodic orbit sampled at n_samples + 1 uniform times of [0, T]."""
     mono = compute_monodromy(sched, n_samples=n_samples)
     St = mono.path @ mono.S @ np.transpose(mono.path, (0, 2, 1))
-    G = 0.5 * St[:, 0, 0]
-    Pi = St[:, 0, 1] / (2.0 * St[:, 0, 0])
+    G, Pi = fluctuation_point(St)
     residual = max(abs(G[-1] - G[0]), abs(Pi[-1] - Pi[0]))
     lam_G, lam_D = cycle_phases(mono)
     return PeriodicOrbit(

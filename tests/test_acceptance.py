@@ -13,8 +13,7 @@ from squeezephase.dynamics import (ExtendedState, IntegratorOptions, actions,
 from squeezephase.floquet import floquet_reports, relation_check
 from squeezephase.hannay import (PerturbativeModel, hannay_closed_form,
                                  hannay_quadrature)
-from squeezephase.monodromy import (compute_monodromy, normal_form,
-                                    periodic_gaussian_oracle)
+from squeezephase.monodromy import compute_monodromy, periodic_gaussian_oracle
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
 
@@ -137,8 +136,7 @@ def test_criterion_8_oracle_equivalence():
     details = []
     for eps in (0.05, 0.2):
         sched = ParameterSchedule.standard(eps, 1.0)
-        G0, Pi0 = periodic_gaussian_oracle(
-            normal_form(compute_monodromy(sched)))
+        G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
         orb = find_periodic_orbit(sched)
         end = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
                         sched.period, sched).final

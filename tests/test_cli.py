@@ -198,6 +198,17 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "max_steps=10" in capsys.readouterr().err
 
 
+def test_untyped_error_propagates(tmp_path, monkeypatch):
+    # only the package's typed failures map to exit 1; a plain ValueError
+    # is a bug and must surface, not be reported as a numeric failure
+    def broken(cfg, out_dir, fmt):
+        raise ValueError("not a numeric failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "orbit", broken)
+    with pytest.raises(ValueError, match="not a numeric failure"):
+        run("orbit", parse_config(""), out_dir=tmp_path)
+
+
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     # each caller looks compute_monodromy up in its own namespace
     calls = []

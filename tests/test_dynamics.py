@@ -163,7 +163,7 @@ def test_trajectory_structure():
     assert np.all(traj.y[:, 2] > 0)
     for m in marks:
         assert m in traj.t
-    assert traj.initial.as_array() == pytest.approx(state.as_array())
+    assert traj.state_at_index(0).as_array() == pytest.approx(state.as_array())
 
 
 def test_requested_times_match_untargeted_run():

@@ -6,7 +6,6 @@ import pytest
 from squeezephase.floquet import (floquet_reports, pert_floquet_phases,
                                   relation_check)
 from squeezephase.hannay import PerturbativeModel, hannay_closed_form
-from squeezephase.monodromy import normal_form
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
 from witness import ellipse_points, period_end
@@ -146,7 +145,7 @@ def test_ensemble_size_converged():
         b=[(1.0, 0.0), (-0.08, 0.02)], c=[(0.0, 0.0), (0.02, 0.09)])
     for sched in (ParameterSchedule.standard(0.05, 1.0), four):
         orb = find_periodic_orbit(sched)
-        W = normal_form(orb.monodromy).W
+        W = orb.monodromy.W
         reports = floquet_reports(sched, [1, 3], consts=Constants(hbar=hbar))
         for rep in reports:
             ends = [period_end(sched, q, p, orb.G0, orb.Pi0, hbar=hbar)

@@ -8,7 +8,7 @@ from squeezephase.hannay import (PerturbativeModel, hannay_closed_form,
                                  hannay_quadrature, hannay_report,
                                  hannay_trajectory_estimate,
                                  pert_new_hamiltonian, pert_transform)
-from squeezephase.monodromy import compute_monodromy, normal_form
+from squeezephase.monodromy import compute_monodromy
 from squeezephase.params import ParameterSchedule
 from witness import ellipse_points, period_end
 
@@ -145,7 +145,7 @@ def test_trajectory_estimate_action_independent():
     eps = 0.05
     sched = ParameterSchedule.standard(eps, 1.0)
     mono = compute_monodromy(sched)
-    W = normal_form(mono).W
+    W = mono.W
     base = period_end(sched, 0.0, 0.0, 0.5, 0.0).lambda_D
     ests = []
     for I_bar in (0.5, 2.0):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
-from squeezephase.errors import NonEllipticError
-from squeezephase.monodromy import (Monodromy, compute_monodromy, normal_form,
+from squeezephase import cli
+from squeezephase import monodromy as monodromy_module
+from squeezephase.errors import IntegrationError, NonEllipticError
+from squeezephase.monodromy import (compute_monodromy, normal_frame,
                                     periodic_gaussian_oracle)
 from squeezephase.params import ParameterSchedule
 from witness import ellipse_points, period_end
@@ -17,11 +19,6 @@ def rotation(sigma):
     # rotation advancing the angle of (q, p) = sqrt(2I) (sin, cos)
     return np.array([[math.cos(sigma), math.sin(sigma)],
                      [-math.sin(sigma), math.cos(sigma)]])
-
-
-def mono_of(M, period=TWO_PI):
-    return Monodromy(M=M, sigma=0.0, winding=0, rho=0.0, period=period,
-                     S=np.eye(2), K=np.zeros((2, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -71,52 +68,133 @@ def test_resonant_drive_keeps_elliptic_map():
     assert abs(mono.rho - pred) < 5 * eps ** 3
 
 
+@pytest.mark.parametrize("eps, omega", [
+    (0.05, 1.0), (0.4, 0.7), (0.9, 3.0), (0.3, 0.5), (0.02, 2.0),
+    (0.3, 0.3), (0.75, 2.5), (0.6, 0.25)])
+def test_standard_family_matches_exact_solution(eps, omega):
+    # in the frame rotating at -omega/2 the standard drive is static,
+    # M(t) = R(-omega t/2) exp(tB), B = A(0) + (omega/2) J; B^2 = -nu^2 I
+    # gives M(T) = -(cos(nu T) I + sin(nu T) B/nu) and rho = nu T - pi,
+    # and M = cos(sigma) I + sin(sigma) S J gives S = diag(B12, -B21)/nu.
+    # The cases cover windings 0 to 3 and the resonant omega = 2
+    mono = compute_monodromy(ParameterSchedule.standard(eps, omega))
+    T = TWO_PI / omega
+    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
+    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
+                  [-(1.0 + eps + omega / 2.0), 0.0]])
+    M = -(math.cos(nu * T) * np.eye(2) + math.sin(nu * T) * B / nu)
+    S = np.diag([B[0, 1], -B[1, 0]]) / nu
+    assert np.max(np.abs(mono.M - M)) <= 1e-10
+    assert abs(mono.rho - (nu * T - math.pi)) <= 1e-11
+    assert np.max(np.abs(mono.S - S)) <= 1e-9 * np.max(np.abs(S))
+
+
+def test_coarse_pass_cannot_count_windings(tmp_path, monkeypatch):
+    # three steps per period move the normal-frame angle by ~2.1 rad each:
+    # the winding is ambiguous and the pass must refuse with a typed error
+    real = monodromy_module.integrate_ode
+
+    def coarse(*args, **kwargs):
+        ts, ys = real(*args, **kwargs)
+        keep = np.linspace(0, len(ts) - 1, 4).round().astype(int)
+        return ts[keep], ys[keep]
+
+    monkeypatch.setattr(monodromy_module, "integrate_ode", coarse)
+    with pytest.raises(IntegrationError, match="windings cannot be counted"):
+        compute_monodromy(ParameterSchedule.standard(0.05, 1.0))
+    cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n")
+    assert cli.run("hannay", cfg, out_dir=tmp_path) == 1
+
+
 # ----------------------------------------------------------------------
 # normal form
 # ----------------------------------------------------------------------
 
 def test_normal_form_of_pure_rotation():
-    frame = normal_form(mono_of(rotation(0.3)))
-    R = np.linalg.solve(frame.W, rotation(0.3) @ frame.W)
+    W, _ = normal_frame(rotation(0.3))
+    R = np.linalg.solve(W, rotation(0.3) @ W)
     assert np.max(np.abs(R - rotation(0.3))) < 1e-12
-    assert abs(np.linalg.det(frame.W) - 1.0) < 1e-12
+    assert abs(np.linalg.det(W) - 1.0) < 1e-12
 
 
 def test_normal_form_of_sheared_elliptic_map():
     shear = np.array([[1.0, 0.7], [0.0, 1.0]])
     M = shear @ rotation(1.0) @ np.linalg.inv(shear)
-    frame = normal_form(mono_of(M))
-    assert abs(np.linalg.det(frame.W) - 1.0) < 1e-10
-    R = np.linalg.solve(frame.W, M @ frame.W)
+    W, _ = normal_frame(M)
+    assert abs(np.linalg.det(W) - 1.0) < 1e-10
+    R = np.linalg.solve(W, M @ W)
     assert np.max(np.abs(R @ R.T - np.eye(2))) < 1e-8
     assert np.max(np.abs(R - rotation(1.0))) < 1e-8
 
 
 def test_normal_form_invariants_from_schedule():
     mono = compute_monodromy(ParameterSchedule.standard(0.1, 1.0))
-    frame = normal_form(mono)
-    assert abs(np.linalg.det(frame.W) - 1.0) < 1e-10
-    R = np.linalg.solve(frame.W, mono.M @ frame.W)
+    assert abs(np.linalg.det(mono.W) - 1.0) < 1e-10
+    R = np.linalg.solve(mono.W, mono.M @ mono.W)
     assert np.max(np.abs(R @ R.T - np.eye(2))) < 1e-8
 
 
 def test_normal_form_rejects_hyperbolic():
     M = np.diag([2.0, 0.5])
     with pytest.raises(NonEllipticError):
-        normal_form(mono_of(M))
+        normal_frame(M)
 
 
 def test_normal_form_rejects_sheared_parabolic():
     M = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NonEllipticError):
-        normal_form(mono_of(M))
+        normal_frame(M)
+
+
+def test_normal_frame_rejects_negative_discriminant():
+    # |tr M| < 2 and clear of the parabolic tolerance, yet
+    # -M12 M21 - d^2 < 0: no real frame exists
+    M = np.array([[1.0 - 1e-11, 1.0], [1e-15, 1.0 - 1e-11]])
+    with pytest.raises(NonEllipticError, match="parabolic"):
+        normal_frame(M)
+
+
+def random_frame(rng):
+    # unimodular, condition number bounded by the squeeze k and shear h
+    k, h = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    return (np.diag([k, 1.0 / k]) @ np.array([[1.0, h], [0.0, 1.0]])
+            @ rotation(rng.uniform(0.0, TWO_PI)))
+
+
+def test_normal_frame_recovers_conjugated_rotations():
+    # M = P R(sigma) P^-1 with det P = 1: the frame must return sigma and
+    # a W with W^-1 M W = R(sigma), det W = 1 and W W^T = P P^T.  Angles
+    # 1.05e-6 from 0, pi and 2*pi sit just outside the parabolic refusal
+    # (2 - |tr M| = sigma^2 reaches 1e-12 at 1e-6); there the form is
+    # resolved only to roundoff / |sin(sigma)|
+    rng = np.random.default_rng(20260)
+    near = [x + o for x in (0.0, math.pi, TWO_PI)
+            for o in (-1e-5, -1.05e-6, 1.05e-6, 1e-5) if 0.0 < x + o < TWO_PI]
+    for sigma in [*rng.uniform(0.0, TWO_PI, 64), *near]:
+        P = random_frame(rng)
+        M = P @ rotation(sigma) @ np.linalg.inv(P)
+        W, got = normal_frame(M)
+        S = P @ P.T
+        tol_S = 1e-9 if sigma in near else 1e-12
+        assert abs(got - sigma) <= 1e-12
+        R = np.linalg.solve(W, M @ W)
+        assert np.max(np.abs(R - rotation(sigma))) <= 1e-12
+        assert abs(np.linalg.det(W) - 1.0) <= 1e-12
+        assert np.max(np.abs(W @ W.T - S)) <= tol_S * np.max(np.abs(S))
+
+
+def test_normal_frame_refuses_inside_parabolic_band():
+    rng = np.random.default_rng(5)
+    for sigma in (5e-7, math.pi - 5e-7, math.pi + 5e-7, TWO_PI - 5e-7):
+        P = random_frame(rng)
+        with pytest.raises(NonEllipticError, match="parabolic"):
+            normal_frame(P @ rotation(sigma) @ np.linalg.inv(P))
 
 
 def test_frame_is_deterministic():
     mono = compute_monodromy(ParameterSchedule.standard(0.15, 0.9))
-    W1 = normal_form(mono).W
-    W2 = normal_form(compute_monodromy(
-        ParameterSchedule.standard(0.15, 0.9))).W
+    W1 = mono.W
+    W2 = compute_monodromy(ParameterSchedule.standard(0.15, 0.9)).W
     assert np.array_equal(W1, W2)
 
 
@@ -127,7 +205,7 @@ def test_frame_is_deterministic():
 def test_unperturbed_ensemble_is_circle():
     mono = compute_monodromy(ParameterSchedule.standard(0.0, 1.0))
     assert np.max(np.abs(mono.S - np.eye(2))) <= 1e-12
-    points = ellipse_points(normal_form(mono).W, 1.0, 8)
+    points = ellipse_points(mono.W, 1.0, 8)
     r = math.sqrt(2.0)
     # quarter-turn members sit on the axes of the radius-sqrt(2) circle
     expected = np.array([[0, r], [r, 0], [0, -r], [-r, 0]])
@@ -137,7 +215,7 @@ def test_unperturbed_ensemble_is_circle():
 
 def test_ensemble_membership_identity():
     mono = compute_monodromy(ParameterSchedule.standard(0.1, 1.0))
-    W = normal_form(mono).W
+    W = mono.W
     assert np.array_equal(mono.S, W @ W.T)
     assert abs(np.linalg.det(mono.S) - 1.0) <= 1e-12
     points = ellipse_points(W, 0.7, 64)
@@ -151,7 +229,7 @@ def test_ensemble_area_is_action():
     mono = compute_monodromy(ParameterSchedule.standard(0.2, 0.8))
     assert abs(np.linalg.det(mono.S) - 1.0) <= 1e-12
     N, I_bar = 256, 1.0
-    points = ellipse_points(normal_form(mono).W, I_bar, N)
+    points = ellipse_points(mono.W, I_bar, N)
     x, y = points[:, 0], points[:, 1]
     shoelace = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     area = shoelace * (TWO_PI / N) / math.sin(TWO_PI / N)
@@ -169,7 +247,7 @@ def test_ensemble_invariant_under_period_map():
     M, S = mono.M, mono.S
     assert np.max(np.abs(M @ S @ M.T - np.linalg.det(M) * S)) <= 1e-12
     Sinv = np.linalg.inv(S)
-    for point in ellipse_points(normal_form(mono).W, 1.0, 16):
+    for point in ellipse_points(mono.W, 1.0, 16):
         final = period_end(sched, point[0], point[1], 0.5, 0.0)
         image = np.array([final.q, final.p])
         assert abs(image @ Sinv @ image - 2.0) < 1e-6
@@ -180,16 +258,16 @@ def test_ensemble_invariant_under_period_map():
 # ----------------------------------------------------------------------
 
 def test_oracle_unperturbed_fixed_point():
-    frame = normal_form(compute_monodromy(ParameterSchedule.standard(0.0, 1.0)))
-    G0, Pi0 = periodic_gaussian_oracle(frame)
+    G0, Pi0 = periodic_gaussian_oracle(
+        compute_monodromy(ParameterSchedule.standard(0.0, 1.0)))
     assert G0 == pytest.approx(0.5, abs=1e-10)
     assert Pi0 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_oracle_first_order_location():
     eps = 0.1
-    frame = normal_form(compute_monodromy(ParameterSchedule.standard(eps, 1.0)))
-    G0, Pi0 = periodic_gaussian_oracle(frame)
+    G0, Pi0 = periodic_gaussian_oracle(
+        compute_monodromy(ParameterSchedule.standard(eps, 1.0)))
     assert abs(G0 - (0.5 - eps / 3.0)) < 3 * eps ** 2
     assert abs(Pi0) < 3 * eps ** 2
 
@@ -219,8 +297,7 @@ def newton_fixed_point(sched, x, tol=1e-11, fd_step=1e-6):
 @pytest.mark.parametrize("eps", [0.05, 0.2])
 def test_oracle_matches_newton_solver(eps):
     sched = ParameterSchedule.standard(eps, 1.0)
-    frame = normal_form(compute_monodromy(sched))
-    G0, Pi0 = periodic_gaussian_oracle(frame)
+    G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
     G_n, Pi_n = newton_fixed_point(sched, (0.5 - eps / 3.0, 0.0))
     assert abs(G0 - G_n) < 1e-8
     assert abs(Pi0 - Pi_n) < 1e-8
@@ -228,8 +305,7 @@ def test_oracle_matches_newton_solver(eps):
 
 def test_oracle_point_is_periodic_under_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
-    frame = normal_form(compute_monodromy(sched))
-    G0, Pi0 = periodic_gaussian_oracle(frame)
+    G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
     final = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
                       sched.period, sched).final
     assert abs(final.G - G0) < 1e-7
