@@ -333,11 +333,10 @@ def _run_simulate(cfg: RunConfig, out_dir: Path, fmt: str):
     grid = np.linspace(0.0, t1, sc.samples + 1)
     traj = dynamics.integrate(state0, t1, cfg.schedule, cfg.constants,
                               cfg.options, output_times=grid[1:-1])
-    keep = np.searchsorted(traj.t, grid)
-    t = traj.t[keep]
-    q, p, G, Pi, lam_G, lam_D = traj.y[keep].T
+    t = traj.t
+    q, p, G, Pi, lam_G, lam_D = traj.y.T
     I, J = dynamics.action_pair(q, p, G, Pi)
-    a, b, c = np.array([cfg.schedule.eval(ti) for ti in t.tolist()]).T
+    a, b, c = cfg.schedule.sample(t)
     H = dynamics.h_eff(q, p, G, Pi, a, b, c, cfg.constants.hbar)
     header = ["t", "q", "p", "G", "Pi", "lambda_G", "lambda_D",
               "I", "J", "H_eff"]

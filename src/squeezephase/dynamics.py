@@ -15,6 +15,7 @@ one error control.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -84,7 +85,8 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Accepted integration samples; rows of y are (q, p, G, Pi, lG, lD)."""
+    """Integration samples, every accepted step or the requested output
+    times; rows of y are (q, p, G, Pi, lG, lD)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -191,20 +193,44 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_ROWS = tuple(np.array(row) for row in _DP_A)
 # 5th- minus 4th-order weights over all seven stages
 _DP_ERR = np.append(_DP_ROWS[-1], 0.0) - np.array(_DP_B4)
+# Shampine's 4th-order continuous extension of the pair: inside an accepted
+# step, y(t + theta h) = y + h (theta, theta^2, theta^3, theta^4) @ _DP_DENSE
+# @ K.  Row j holds the theta^(j+1) coefficient of each stage weight; the
+# columns sum to the 5th-order weights, so theta = 1 is the step's solution
+# (Shampine, Math. Comp. 46, 135 (1986); Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6).
+_DP_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423,
+     69997945 / 29380423],
+]).T
+_POWERS = np.arange(1, 5)
 
 _SAFETY = 0.9
 _MIN_SHRINK = 0.2
 _MAX_GROW = 5.0
 
 
-def _merge_targets(t0, t1, output_times):
-    targets = [float(t1)]
-    if output_times is not None:
-        for t in output_times:
-            t = float(t)
-            if t0 < t < t1:
-                targets.append(t)
-    return sorted(set(targets))
+def _check_output_times(t0, t1, output_times):
+    """Output times as a list, required strictly increasing in (t0, t1)."""
+    if output_times is None:
+        return []
+    out = [float(t) for t in output_times]
+    if out and not (t0 < out[0] and out[-1] < t1 and all(
+            a < b for a, b in zip(out, out[1:]))):
+        raise ValueError(
+            f"output times must increase strictly inside ({t0}, {t1})")
+    return out
 
 
 def _hmin(t0, t1):
@@ -215,75 +241,81 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
                max_steps=2_000_000):
     """Adaptive embedded 5(4) pass from t0 to t1.
 
-    Accepted steps land exactly on every requested output time.  guard, if
-    given, must accept the trial state or the step is rejected and halved.
-    Returns (times, states) arrays of every accepted step.
+    Steps are chosen by error control alone and land on t1 only; the
+    states at output_times come from the continuous extension of the step
+    that covers each time (a time equal to a step's start gives that
+    step's state exactly).  guard, if given, must accept the trial state
+    or the step is rejected and halved.  Returns (times, states) of every
+    accepted step and the (len(output_times), n) array of output states.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
-    targets = _merge_targets(t0, t1, output_times)
+    t1 = float(t1)
+    tout = _check_output_times(t, t1, output_times)
     hmin = _hmin(t0, t1)
     ts, ys = [t], [y]
     n = y.size
+    dense = np.empty((len(tout), n))
+    j = 0
 
-    h = min(1e-2 * max(1.0, abs(t1 - t0)), targets[0] - t)
+    h = min(1e-2 * max(1.0, abs(t1 - t0)), t1 - t)
     K = np.empty((7, n))
     K[0] = rhs(t, y)
 
     steps = 0
-    ti = 0
-    while ti < len(targets):
-        target = targets[ti]
-        while t < target - hmin:
-            if steps >= max_steps:
+    while t < t1 - hmin:
+        if steps >= max_steps:
+            raise IntegrationError(
+                f"exceeded max_steps={max_steps}", last_t=t)
+        steps += 1
+        h = min(h, t1 - t)
+        # stages; a domain violation inside a stage rejects the step.
+        # The state of the last stage is the 5th-order solution.
+        try:
+            for i in range(1, 7):
+                y5 = y + h * (_DP_ROWS[i] @ K[:i])
+                K[i] = rhs(t + _DP_C[i] * h, y5)
+        except DomainError:
+            h *= 0.5
+            if h < hmin:
                 raise IntegrationError(
-                    f"exceeded max_steps={max_steps}", last_t=t)
-            steps += 1
-            h = min(h, target - t)
-            # stages; a domain violation inside a stage rejects the step.
-            # The state of the last stage is the 5th-order solution.
-            try:
-                for i in range(1, 7):
-                    y5 = y + h * (_DP_ROWS[i] @ K[:i])
-                    K[i] = rhs(t + _DP_C[i] * h, y5)
-            except DomainError:
-                h *= 0.5
-                if h < hmin:
-                    raise IntegrationError(
-                        "state left the domain below minimum step", last_t=t)
-                continue
-            r = (h * (_DP_ERR @ K)) / (
-                atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
-            err = math.sqrt(float(r @ r) / n)
+                    "state left the domain below minimum step", last_t=t)
+            continue
+        r = (h * (_DP_ERR @ K)) / (
+            atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        err = math.sqrt(float(r @ r) / n)
 
-            if guard is not None and not guard(y5):
-                h *= 0.5
-                if h < hmin:
-                    raise IntegrationError(
-                        "step rejected by state guard below minimum step",
-                        last_t=t)
-                continue
-            if err > 1.0:
-                h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
-                if h < hmin:
-                    raise IntegrationError(
-                        f"cannot meet tolerance at t={t}", last_t=t)
-                continue
+        if guard is not None and not guard(y5):
+            h *= 0.5
+            if h < hmin:
+                raise IntegrationError(
+                    "step rejected by state guard below minimum step",
+                    last_t=t)
+            continue
+        if err > 1.0:
+            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
+            if h < hmin:
+                raise IntegrationError(
+                    f"cannot meet tolerance at t={t}", last_t=t)
+            continue
 
-            landed = abs((t + h) - target) <= hmin
-            t = target if landed else t + h
-            y = y5
-            # FSAL: the last stage is the rhs at (t + h, y5), also when the
-            # step lands (t + h is then within hmin of the target)
-            K[0] = K[6]
-            ts.append(t)
-            ys.append(y)
-            factor = _MAX_GROW if err == 0.0 else min(
-                _MAX_GROW, _SAFETY * err ** -0.2)
-            h = h * max(_MIN_SHRINK, factor)
-        t = target
-        ti += 1
-    return np.array(ts), np.array(ys)
+        t_next = t1 if abs((t + h) - t1) <= hmin else t + h
+        if j < len(tout) and tout[j] < t_next:
+            k = bisect.bisect_left(tout, t_next, j)
+            theta = (np.array(tout[j:k]) - t) / h
+            dense[j:k] = y + h * ((theta[:, None] ** _POWERS)
+                                  @ (_DP_DENSE @ K))
+            j = k
+        t = t_next
+        y = y5
+        # FSAL: the last stage is the rhs at (t + h, y5)
+        K[0] = K[6]
+        ts.append(t)
+        ys.append(y)
+        factor = _MAX_GROW if err == 0.0 else min(
+            _MAX_GROW, _SAFETY * err ** -0.2)
+        h = h * max(_MIN_SHRINK, factor)
+    return np.array(ts), np.array(ys), dense
 
 
 def _rk4_step(rhs, t, y, h):
@@ -296,12 +328,15 @@ def _rk4_step(rhs, t, y, h):
 
 def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
               max_steps=2_000_000):
-    """Fixed-step classical Runge-Kutta pass, clipping at output times."""
+    """Fixed-step classical Runge-Kutta pass, clipping steps to land on
+    every output time.  Returns (times, states) of every step and the
+    (len(output_times), n) array of output states."""
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
-    targets = _merge_targets(t0, t1, output_times)
+    targets = _check_output_times(t, t1, output_times) + [float(t1)]
     hmin = _hmin(t0, t1)
     ts, ys = [t], [y.copy()]
+    landed_states = []
     steps = 0
     for target in targets:
         while t < target - hmin:
@@ -324,12 +359,18 @@ def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
             ts.append(t)
             ys.append(y.copy())
         t = target
-    return np.array(ts), np.array(ys)
+        landed_states.append(y)
+    dense = np.array(landed_states[:-1]).reshape(-1, y.size)
+    return np.array(ts), np.array(ys), dense
 
 
 def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
                   guard=None, output_times=None):
-    """Dispatch a generic ODE pass through the configured stepper."""
+    """Dispatch a generic ODE pass through the configured stepper.
+
+    Returns (times, states) of every accepted step and the states at
+    output_times, which must increase strictly inside (t0, t1).
+    """
     if opts.method == RK4:
         return _rk4_path(rhs, t0, y0, t1, opts.step, guard=guard,
                          output_times=output_times,
@@ -355,13 +396,16 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
     t1 : float
         Final time, must exceed state0.t.
     output_times : sequence of float, optional
-        Times in (t0, t1) the integrator must land on exactly; they appear
-        among the returned samples.
+        Times strictly increasing inside (t0, t1).  The adaptive method
+        evaluates them by the continuous extension of the step covering
+        each (its steps do not depend on them); rk4-fixed lands on them.
 
     Returns
     -------
     Trajectory
-        All accepted steps; phases are accumulated within the same pass.
+        Without output_times, every accepted step; with them, exactly the
+        rows at (t0, *output_times, t1).  Phases are accumulated within
+        the same pass.
     """
     if not t1 > state0.t:
         raise ValueError(f"t1={t1} must exceed start time {state0.t}")
@@ -370,6 +414,18 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
     def rhs(t, y):
         return _extended_rhs(t, y, sched, hbar)
 
-    ts, ys = integrate_ode(rhs, state0.t, state0.as_array(), t1, opts,
-                           guard=_width_guard, output_times=output_times)
-    return Trajectory(t=ts, y=ys)
+    ts, ys, dense = integrate_ode(rhs, state0.t, state0.as_array(), t1, opts,
+                                  guard=_width_guard,
+                                  output_times=output_times)
+    if output_times is None:
+        return Trajectory(t=ts, y=ys)
+    t_out = np.array([ts[0], *output_times, ts[-1]], dtype=float)
+    # the guard vets accepted steps only; a width dipping to the floor
+    # between them shows up in the interpolated rows
+    low = np.flatnonzero(dense[:, 2] <= G_FLOOR)
+    if low.size:
+        i = int(low[0])
+        raise IntegrationError(
+            f"interpolated width G = {dense[i, 2]:.3e} at t={t_out[i + 1]} "
+            f"is at or below the floor {G_FLOOR}", last_t=float(t_out[i]))
+    return Trajectory(t=t_out, y=np.vstack([ys[:1], dense, ys[-1:]]))

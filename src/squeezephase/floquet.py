@@ -15,7 +15,9 @@ monodromy rotation number, and the loop integral runs over the T-periodic
 fluctuation orbit.  For a quadratic Hamiltonian p dq/dt - q dp/dt =
 2 H_cl, and a uniform-angle mean of a quadratic form is its trace, so
 both torus means are exactly (I_bar0/2) tr(K S) from the period pass;
-no ensemble is integrated.  The headline check is
+no ensemble is integrated.  The orbit's cycle phases come from the same
+pass (orbits.cycle_phases), which samples no orbit: it lands on T alone.
+The headline check is
 lambda_G_R = -(n + 1/2) * Theta_H against the nonadiabatic Hannay angle,
 together with the quasi-energy consistency
 lambda_G_R + lambda_D_R = -(n + 1/2) * rho.
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hannay import PerturbativeModel, hannay_closed_form, trajectory_angle
-from .orbits import find_periodic_orbit
+from .monodromy import compute_monodromy
+from .orbits import cycle_phases
 from .params import STANDARD, Constants, ParameterSchedule
 
 
@@ -65,9 +68,9 @@ def relation_check(sched: ParameterSchedule, n: int,
 def floquet_reports(sched: ParameterSchedule, ns,
                     consts: Constants = Constants()):
     """Phase reports for several state numbers, sharing the per-schedule
-    period pass, periodic orbit, and Hannay angle."""
-    orbit = find_periodic_orbit(sched)
-    mono = orbit.monodromy
+    period pass, the orbit's cycle phases, and the Hannay angle."""
+    mono = compute_monodromy(sched)
+    lam_G0, lam_D0 = cycle_phases(mono)
     if sched.kind == STANDARD:
         theta_H = hannay_closed_form(PerturbativeModel.from_schedule(sched))
     else:
@@ -78,8 +81,8 @@ def floquet_reports(sched: ParameterSchedule, ns,
         if n < 0:
             raise ValueError(f"state number must be non-negative, got {n}")
         # the orbit's cycle phases plus n per-quantum torus terms
-        lam_G = orbit.lambda_G_cycle + n * (half_trace - mono.rho)
-        lam_D = orbit.lambda_D_cycle - n * half_trace
+        lam_G = lam_G0 + n * (half_trace - mono.rho)
+        lam_D = lam_D0 - n * half_trace
         half = n + 0.5
         reports.append(FloquetPhaseReport(
             n=int(n), I_bar0=n * consts.hbar, hbar=consts.hbar, rho=mono.rho,

@@ -89,8 +89,11 @@ def _period_rhs(sched):
 
 
 # the matrix flow is cheap; run it tighter than the trajectory default so
-# the symplectic determinant holds to 1e-10 even for slow drives
-_MATRIX_OPTS = IntegratorOptions(rtol=1e-12, atol=1e-12)
+# the symplectic determinant holds to 1e-10 even for slow drives.  K grows
+# like t, so its error is ~rtol |K| per step, and the Floquet phases take
+# the difference rho - tr(KS)/2 of two numbers ~T: at 1e-12 a drive with
+# omega = 0.5 loses 1.9e-10 in lambda_G_R(n=3), at 3e-13 5.6e-11
+_MATRIX_OPTS = IntegratorOptions(rtol=3e-13, atol=3e-13)
 
 
 def compute_monodromy(sched: ParameterSchedule,
@@ -98,17 +101,21 @@ def compute_monodromy(sched: ParameterSchedule,
     """One pass over the period: integrate M(t) and K(t), extract
     (sigma, k, rho) and the normal frame W.
 
-    The pass lands on the n_samples + 1 uniform times of [0, T] when
-    samples are requested, and M(t) is returned there; otherwise it lands
-    on T only.  The winding k comes from unwrapping the normal-frame angle
-    of one solution column over the accepted steps (each increment must
-    stay under pi/2), then rounding (total - sigma)/(2*pi).
+    The steps are chosen by error control alone and land on T only; with
+    n_samples, M(t) is returned on the n_samples + 1 uniform times of
+    [0, T], interior ones by the continuous extension of the step that
+    covers them.  M(T), K, sigma, rho and W are therefore the same, bit
+    for bit, for every n_samples.  The winding k comes from unwrapping
+    the normal-frame angle of one solution column over the accepted steps
+    (each increment must stay under pi/2), then rounding
+    (total - sigma)/(2*pi).
     """
     T = sched.period
     grid = None if n_samples is None else np.linspace(0.0, T, n_samples + 1)
     y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    ts, ys = integrate_ode(_period_rhs(sched), 0.0, y0, T, _MATRIX_OPTS,
-                           output_times=None if grid is None else grid[1:-1])
+    ts, ys, dense = integrate_ode(
+        _period_rhs(sched), 0.0, y0, T, _MATRIX_OPTS,
+        output_times=None if grid is None else grid[1:-1])
     Ms = ys[:, :4].reshape(-1, 2, 2)
     M = Ms[-1]
     det = float(np.linalg.det(M))
@@ -132,14 +139,13 @@ def compute_monodromy(sched: ParameterSchedule,
         raise IntegrationError(
             f"winding tracking inconsistent: unwrapped {total}, "
             f"normal-form sigma {sigma}", last_t=T)
-    t = path = None
+    path = None
     if grid is not None:
-        keep = np.searchsorted(ts, grid)
-        t, path = ts[keep], Ms[keep]
+        path = np.vstack([ys[:1], dense, ys[-1:]])[:, :4].reshape(-1, 2, 2)
     k11, k12, k22 = ys[-1, 4:]
     return Monodromy(M=M, sigma=sigma, winding=winding, rho=rho, period=T,
                      W=W, K=np.array([[k11, k12], [k12, k22]]),
-                     t=t, path=path)
+                     t=grid, path=path)
 
 
 def normal_frame(M):

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
+import numpy as np
+
 from .errors import NonEllipticError
 
 DEFAULT_ELLIPTICITY_SAMPLES = 4096
@@ -92,7 +94,26 @@ class ParameterSchedule:
             w = self.omega * tau
             ec = self.epsilon * math.cos(w)
             return 1.0 + ec, 1.0 - ec, self.epsilon * math.sin(w)
-        base = 2.0 * math.pi * tau / self.period
+        return self._fourier_sums(2.0 * math.pi * tau / self.period,
+                                  math.cos, math.sin)
+
+    def sample(self, t):
+        """Coefficient arrays (a, b, c) at an array of times.
+
+        The numpy form of :meth:`eval`, with the same reduction modulo T
+        and the same operations in the same order.
+        """
+        tau = np.asarray(t, dtype=float) % self.period
+        if self.kind == STANDARD:
+            w = self.omega * tau
+            ec = self.epsilon * np.cos(w)
+            return 1.0 + ec, 1.0 - ec, self.epsilon * np.sin(w)
+        sums = self._fourier_sums(2.0 * math.pi * tau / self.period,
+                                  np.cos, np.sin)
+        # a schedule without harmonics sums to constants
+        return tuple(v + np.zeros_like(tau) for v in sums)
+
+    def _fourier_sums(self, base, cos, sin):
         # k = 0 carries the constant term (its sine has no effect); each
         # harmonic's cos/sin is shared by the three coefficients
         (a, _), (b, _), (c, _) = (
@@ -100,12 +121,11 @@ class ParameterSchedule:
         harmonics = zip_longest(self.a_coeffs[1:], self.b_coeffs[1:],
                                 self.c_coeffs[1:], fillvalue=(0.0, 0.0))
         for k, ((ac, as_), (bc, bs), (cc, cs)) in enumerate(harmonics, 1):
-            ck, sk = math.cos(k * base), math.sin(k * base)
+            ck, sk = cos(k * base), sin(k * base)
             a += ac * ck + as_ * sk
             b += bc * ck + bs * sk
             c += cc * ck + cs * sk
         return a, b, c
-
 
 def _pairs(coeffs):
     out = tuple((float(c), float(s)) for c, s in coeffs)
@@ -126,8 +146,5 @@ def ellipticity_margin(sched: ParameterSchedule,
     if sched.kind == STANDARD:
         # a*b - c^2 = 1 - eps^2 identically; no sampling needed
         return 1.0 - sched.epsilon ** 2
-    margin = math.inf
-    for i in range(n_samples):
-        a, b, c = sched.eval(sched.period * i / n_samples)
-        margin = min(margin, a * b - c * c)
-    return margin
+    a, b, c = sched.sample(sched.period * np.arange(n_samples) / n_samples)
+    return float(np.min(a * b - c * c))

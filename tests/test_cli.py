@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from squeezephase import cli, dynamics, hannay, orbits
+from squeezephase import cli, dynamics, floquet, hannay, orbits
 from squeezephase.cli import main, parse_config, run
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD
@@ -210,16 +210,17 @@ def test_untyped_error_propagates(tmp_path, monkeypatch):
 
 
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
-    # each caller looks compute_monodromy up in its own namespace
+    # each caller looks compute_monodromy up in its own namespace; calls
+    # records the n_samples each pass was asked for
     calls = []
 
     def counting(inner):
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("n_samples"))
             return inner(*args, **kwargs)
         return counted
 
-    for module in (cli, hannay, orbits):
+    for module in (cli, hannay, orbits, floquet):
         monkeypatch.setattr(module, "compute_monodromy",
                             counting(module.compute_monodromy))
     fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
@@ -231,6 +232,8 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
             calls.clear()
             assert run(sub, cfg, out_dir=tmp_path / sub) == 0
             assert len(calls) == 1, sub
+        # floquet reads no orbit samples, so its pass asks for none
+        assert calls == [None]
     calls.clear()
     cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0\nworkers=1")
     assert run("sweep", cfg, out_dir=tmp_path / "sweep") == 0

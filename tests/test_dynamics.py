@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from squeezephase import cli, dynamics
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    actions, covariance, eom_rhs, h_cl, h_eff,
                                    h_fl, integrate, integrate_ode)
@@ -176,24 +177,96 @@ def test_requested_times_match_untargeted_run():
     assert np.max(np.abs(plain.as_array() - marked.as_array())) < 1e-9
 
 
-def test_landing_step_reuses_last_stage():
-    # output times closer than the natural step clip every step, and the
-    # loose tolerance rejects none: each accepted step then costs the six
-    # new stages of the 5(4) pair, its last stage doubling as the next
-    # step's first (first-same-as-last) also when the step lands
+def _counted_decay():
     calls = []
 
     def rhs(t, y):
         calls.append(t)
         return -y
+    return rhs, calls
 
+
+def test_output_times_do_not_move_steps():
+    # the adaptive stepper chooses its steps by error control alone: with
+    # and without output times it makes the same rhs calls at the same
+    # times and accepts the same steps, bit for bit
     grid = np.linspace(0.0, 1.0, 101)
-    ts, ys = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                           IntegratorOptions(rtol=1e-6, atol=1e-6),
-                           output_times=grid[1:-1])
-    assert np.array_equal(ts, grid)
-    assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
+    opts = IntegratorOptions(rtol=1e-6, atol=1e-6)
+    rhs, plain_calls = _counted_decay()
+    ts, ys, none = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
+    rhs, dense_calls = _counted_decay()
+    ts_d, ys_d, dense = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
+                                      output_times=grid[1:-1])
+    assert dense_calls == plain_calls
+    assert np.array_equal(ts_d, ts) and np.array_equal(ys_d, ys)
+    assert none.shape == (0, 1) and dense.shape == (99, 1)
+    # fewer steps than samples: the steps were not clipped to the grid
+    assert len(ts) - 1 < 99
+
+
+def test_steps_reuse_last_stage():
+    # at a tolerance that rejects no step, each accepted step costs the six
+    # new stages of the 5(4) pair: its last stage is the next step's first
+    # (first-same-as-last), also for the step that lands on t1
+    rhs, calls = _counted_decay()
+    ts, ys, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
+                              IntegratorOptions(rtol=1e-6, atol=1e-6),
+                              output_times=np.linspace(0.0, 1.0, 101)[1:-1])
+    assert ts[-1] == 1.0
     assert len(calls) == 1 + 6 * (len(ts) - 1)
+
+
+def test_dense_output_matches_exact_decay():
+    # the continuous extension is 4th-order accurate inside each step
+    grid = np.linspace(0.0, 1.0, 101)
+    rhs, _ = _counted_decay()
+    ts, ys, dense = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
+                                  IntegratorOptions(rtol=1e-10, atol=1e-10),
+                                  output_times=grid[1:-1])
+    assert len(ts) - 1 < 99
+    assert np.max(np.abs(dense[:, 0] - np.exp(-grid[1:-1]))) <= 1e-9
+
+
+def test_output_time_on_a_step_gives_its_state():
+    # a requested time equal to an accepted step's time reads that step's
+    # state exactly (theta = 0 of the step it starts)
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-8)
+    rhs, _ = _counted_decay()
+    ts, ys, _ = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts)
+    inner = ts[1:-1]
+    assert inner.size >= 3
+    rhs, _ = _counted_decay()
+    _, _, dense = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts,
+                                output_times=inner)
+    assert np.array_equal(dense, ys[1:-1])
+
+
+def test_output_times_must_increase_inside_the_horizon():
+    rhs, _ = _counted_decay()
+    opts = IntegratorOptions()
+    for bad in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3]):
+        with pytest.raises(ValueError, match="output times"):
+            integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
+                          output_times=bad)
+
+
+def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
+    # the guard vets accepted steps only; with it disabled and the floor
+    # raised above part of the orbit, the interpolated rows must still
+    # refuse a width at or below the floor
+    sched = ParameterSchedule.standard(0.0, 1.0)
+    state = ExtendedState(q=0, p=0, G=1.0, Pi=0.0)  # G swings 1 -> 1/4 -> 1
+    monkeypatch.setattr(dynamics, "_width_guard", lambda y: True)
+    monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
+    plain = integrate(state, math.pi, sched)
+    assert plain.y[:, 2].min() < 0.3  # the disabled guard let it through
+    with pytest.raises(IntegrationError, match="interpolated width") as err:
+        integrate(state, math.pi, sched,
+                  output_times=np.linspace(0.0, math.pi, 33)[1:-1])
+    assert 0.0 < err.value.last_t < math.pi
+    cfg = cli.parse_config("epsilon=0.0\n[simulate]\ng0=1.0\n"
+                           f"t1={math.pi!r}\nsamples=32\n")
+    assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
 
 
 def test_integrate_rejects_bad_horizon():

@@ -89,15 +89,39 @@ def test_standard_family_matches_exact_solution(eps, omega):
     assert np.max(np.abs(mono.S - S)) <= 1e-9 * np.max(np.abs(S))
 
 
+@pytest.mark.parametrize("sched", [
+    ParameterSchedule.standard(0.4, 0.7),
+    ParameterSchedule.fourier(
+        5.3, a=[(1.0, 0.0), (0.1, 0.05), (0.03, -0.04), (0.02, 0.01)],
+        b=[(1.0, 0.0), (-0.08, 0.02), (0.01, 0.03)],
+        c=[(0.0, 0.0), (0.02, 0.09), (-0.03, 0.0), (0.0, 0.02)]),
+], ids=["standard", "fourier-3"])
+def test_samples_do_not_move_the_pass(sched):
+    # samples come from the continuous extension, so the steps, and with
+    # them M(T), K, rho and the frame, are the same bit for bit
+    plain = compute_monodromy(sched)
+    assert plain.t is None and plain.path is None
+    for n in (8, 512, 4096):
+        mono = compute_monodromy(sched, n_samples=n)
+        assert np.array_equal(mono.M, plain.M)
+        assert np.array_equal(mono.K, plain.K)
+        assert np.array_equal(mono.W, plain.W)
+        assert (mono.rho, mono.sigma, mono.winding) == \
+            (plain.rho, plain.sigma, plain.winding)
+        assert np.array_equal(mono.t, np.linspace(0.0, sched.period, n + 1))
+        assert np.array_equal(mono.path[0], np.eye(2))
+        assert np.array_equal(mono.path[-1], plain.M)
+
+
 def test_coarse_pass_cannot_count_windings(tmp_path, monkeypatch):
     # three steps per period move the normal-frame angle by ~2.1 rad each:
     # the winding is ambiguous and the pass must refuse with a typed error
     real = monodromy_module.integrate_ode
 
     def coarse(*args, **kwargs):
-        ts, ys = real(*args, **kwargs)
+        ts, ys, dense = real(*args, **kwargs)
         keep = np.linspace(0, len(ts) - 1, 4).round().astype(int)
-        return ts[keep], ys[keep]
+        return ts[keep], ys[keep], dense
 
     monkeypatch.setattr(monodromy_module, "integrate_ode", coarse)
     with pytest.raises(IntegrationError, match="windings cannot be counted"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from squeezephase.monodromy import fluctuation_point
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
 from witness import period_end
@@ -141,6 +142,30 @@ def test_area_quadratures_agree():
         assert abs(end.Pi - orb.Pi0) < 1e-8
         assert abs(end.lambda_G - orb.lambda_G_cycle) < 1e-8
         assert abs(end.lambda_D - orb.lambda_D_cycle) < 1e-8
+
+
+@pytest.mark.parametrize("eps, omega", [
+    (0.05, 1.0), (0.4, 0.7), (0.9, 3.0), (0.3, 0.5), (0.02, 2.0),
+    (0.3, 0.3), (0.75, 2.5), (0.6, 0.25)])
+def test_orbit_samples_match_exact_solution(eps, omega):
+    # the standard family is solved exactly by M(t) = R(-omega t/2) exp(tB),
+    # B = A(0) + (omega/2) J, B^2 = -nu^2 I, and its invariant form is
+    # S = diag(B12, -B21)/nu; every interpolated sample of the orbit must
+    # match S(t) = M(t) S M(t)^T
+    orb = find_periodic_orbit(ParameterSchedule.standard(eps, omega))
+    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
+    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
+                  [-(1.0 + eps + omega / 2.0), 0.0]])
+    S = np.diag([B[0, 1], -B[1, 0]]) / nu
+    for t, G, Pi in zip(orb.t, orb.G, orb.Pi):
+        c, s = math.cos(omega * t / 2.0), math.sin(omega * t / 2.0)
+        M = np.array([[c, -s], [s, c]]) @ (
+            math.cos(nu * t) * np.eye(2) + math.sin(nu * t) * B / nu)
+        St = M @ S @ M.T
+        G_exact, Pi_exact = fluctuation_point(St)
+        scale = np.max(np.abs(St))
+        assert abs(G - G_exact) <= 1e-9 * scale
+        assert abs(Pi - Pi_exact) <= 1e-9 * scale
 
 
 def test_geometric_phase_is_enclosed_area():

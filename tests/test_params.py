@@ -104,6 +104,25 @@ def test_fourier_eval_with_unequal_harmonic_counts(harmonics):
     assert abs(ellipticity_margin(sched) - np.min(a * b - c * c)) <= 1e-14
 
 
+
+@pytest.mark.parametrize("harmonics", [(1, 1, 1), (1, 3, 6), (6, 3, 1),
+                                       (3, 6, 1)])
+def test_sample_matches_scalar_eval(harmonics):
+    # the array form of eval over times spanning several periods, both
+    # signs, for the standard family and Fourier lists of unequal length
+    rng = np.random.default_rng(7 + sum(harmonics))
+    period = 5.3
+    coeffs = [[(const, 0.0)] + [tuple(0.1 / k * rng.standard_normal(2))
+                                for k in range(1, n + 1)]
+              for const, n in zip((1.0, 1.0, 0.0), harmonics)]
+    t = np.linspace(-2.0 * period, 3.0 * period, 257)
+    for sched in (ParameterSchedule.fourier(period, *coeffs),
+                  ParameterSchedule.standard(0.37, 1.3)):
+        got = np.array(sched.sample(t))
+        want = np.array([sched.eval(x) for x in t.tolist()]).T
+        assert got.shape == (3, t.size)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
 def test_margin_non_elliptic_constant_schedule():
     sched = ParameterSchedule.fourier(
         1.0, a=[(0.5, 0.0)], b=[(0.5, 0.0)], c=[(1.0, 0.0)],
