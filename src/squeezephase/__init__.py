@@ -11,14 +11,10 @@ from .dynamics import (ExtendedState, IntegratorOptions, Trajectory, actions,
                        covariance, eom_rhs, h_cl, h_eff, h_fl, integrate)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      IntegrationError, NonEllipticError)
-from .floquet import (FloquetPhaseReport, floquet_reports,
-                      pert_floquet_phases, relation_check)
-from .hannay import (HannayResult, PerturbativeModel, hannay_closed_form,
-                     hannay_quadrature, hannay_report,
-                     hannay_trajectory_estimate, pert_new_hamiltonian,
-                     pert_transform)
-from .monodromy import (Monodromy, compute_monodromy, normal_frame,
-                        periodic_gaussian_oracle)
+from .floquet import FloquetPhaseReport, floquet_reports, pert_floquet_phases
+from .hannay import (HannayResult, hannay_closed_form, hannay_quadrature,
+                     hannay_report, pert_new_hamiltonian, pert_transform)
+from .monodromy import Monodromy, compute_monodromy, normal_frame
 from .orbits import PeriodicOrbit, find_periodic_orbit
 from .params import Constants, ParameterSchedule, ellipticity_margin
 
@@ -29,12 +25,10 @@ __all__ = [
     "ExtendedState", "Trajectory", "IntegratorOptions", "h_cl", "h_fl",
     "h_eff", "eom_rhs", "integrate", "actions", "covariance",
     "Monodromy", "compute_monodromy", "normal_frame",
-    "periodic_gaussian_oracle", "PeriodicOrbit", "find_periodic_orbit",
-    "PerturbativeModel", "HannayResult", "pert_transform",
-    "pert_new_hamiltonian", "hannay_quadrature", "hannay_closed_form",
-    "hannay_trajectory_estimate", "hannay_report",
-    "FloquetPhaseReport", "relation_check", "floquet_reports",
-    "pert_floquet_phases",
+    "PeriodicOrbit", "find_periodic_orbit",
+    "HannayResult", "pert_transform", "pert_new_hamiltonian",
+    "hannay_quadrature", "hannay_closed_form", "hannay_report",
+    "FloquetPhaseReport", "floquet_reports", "pert_floquet_phases",
     "NonEllipticError", "IntegrationError", "ConvergenceError",
     "ConfigError", "DomainError",
     "__version__",

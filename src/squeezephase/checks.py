@@ -1,12 +1,15 @@
 """Built-in invariant suite behind the `check` subcommand.
 
 Each check exercises one structural property the computations rely on
-(symplecticity, conservation, quadrature consistency, hbar independence).
-They run at desk scale and are shared with the test suite.
+(symplecticity, conservation, quadrature consistency, hbar independence)
+or holds a result of the period pass against an independent witness: the
+nonlinear extended-state flow, or the exact solution of the standard
+family.  They run at desk scale and are shared with the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,23 @@ class CheckResult:
 
 def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def ellipse_points(W, I_bar, n):
+    """n points of action I_bar on the invariant ellipse of the normal
+    frame W, uniform in the normal-frame angle."""
+    phis = 2.0 * math.pi * np.arange(n) / n
+    r = math.sqrt(2.0 * I_bar)
+    return np.column_stack([r * np.sin(phis), r * np.cos(phis)]) @ W.T
+
+
+def _standard_exact(eps, omega):
+    """(rho, Theta_H) of the standard family to all orders in eps, from
+    its exact solution: with nu = sqrt((1 + omega/2)^2 - eps^2),
+    rho = 2 pi nu/omega - pi and Theta_H = pi ((1 + omega/2)/nu - 1)."""
+    nu = math.sqrt((1.0 + 0.5 * omega) ** 2 - eps * eps)
+    return (2.0 * math.pi * nu / omega - math.pi,
+            math.pi * ((1.0 + 0.5 * omega) / nu - 1.0))
 
 
 def check_schedule_periodicity(eps=0.05, omega=1.0):
@@ -125,25 +145,14 @@ def check_monodromy_symplectic(eps=0.05, omega=1.0):
                    f"max |det M - 1| = {worst:.3e}")
 
 
-def check_rotation_number_continuity(omega=1.0):
-    rhos = [monodromy.compute_monodromy(
-        ParameterSchedule.standard(e, omega)).rho
-        for e in (0.0, 0.0125, 0.025, 0.0375, 0.05)]
-    jump = max(abs(r2 - r1) for r1, r2 in zip(rhos, rhos[1:]))
-    return _result("rotation-number-continuity", jump < 0.1,
-                   f"max successive |drho| = {jump:.3e}")
-
-
-def check_oracle_periodicity(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
-    G0, Pi0 = monodromy.periodic_gaussian_oracle(
-        monodromy.compute_monodromy(sched))
-    end = dynamics.integrate(dynamics.ExtendedState(q=0.0, p=0.0, G=G0,
-                                                    Pi=Pi0),
-                             sched.period, sched).final
-    dev = max(abs(end.G - G0), abs(end.Pi - Pi0))
-    return _result("oracle-periodicity", dev < 1e-7,
-                   f"|Phi_T(oracle) - oracle| = {dev:.3e}")
+def check_rotation_number_exact(omega=1.0):
+    worst = 0.0
+    for e in (0.0, 0.0125, 0.025, 0.0375, 0.05):
+        rho = monodromy.compute_monodromy(
+            ParameterSchedule.standard(e, omega)).rho
+        worst = max(worst, abs(rho - _standard_exact(e, omega)[0]))
+    return _result("rotation-number-exact", worst < 1e-11,
+                   f"max |rho - rho_exact| = {worst:.3e}")
 
 
 def check_invariant_form(eps=0.05, omega=1.0):
@@ -167,16 +176,20 @@ def check_invariant_form(eps=0.05, omega=1.0):
 
 
 def check_orbit_phase_witness(eps=0.05, omega=1.0):
+    # the nonlinear flow from the orbit's initial point must return to it
+    # and accumulate the cycle phases the period pass derives
     sched = ParameterSchedule.standard(eps, omega)
     orb = orbits.find_periodic_orbit(sched)
     end = dynamics.integrate(dynamics.ExtendedState(q=0.0, p=0.0, G=orb.G0,
                                                     Pi=orb.Pi0),
                              sched.period, sched).final
-    dev = max(abs(end.lambda_G - orb.lambda_G_cycle),
-              abs(end.lambda_D - orb.lambda_D_cycle))
-    return _result("orbit-phase-witness", dev < 1e-8,
+    periodic = max(abs(end.G - orb.G0), abs(end.Pi - orb.Pi0))
+    phases = max(abs(end.lambda_G - orb.lambda_G_cycle),
+                 abs(end.lambda_D - orb.lambda_D_cycle))
+    return _result("orbit-phase-witness", periodic < 1e-7 and phases < 1e-8,
+                   f"|Phi_T(G0, Pi0) - (G0, Pi0)| = {periodic:.3e}, "
                    f"flow-accumulated vs period-pass cycle phases differ by "
-                   f"{dev:.3e}")
+                   f"{phases:.3e}")
 
 
 def check_orbit_shoelace(eps=0.05, omega=1.0):
@@ -190,34 +203,24 @@ def check_orbit_shoelace(eps=0.05, omega=1.0):
 
 
 def check_hannay_routes(eps=0.05, omega=1.0):
-    model = hannay.PerturbativeModel(epsilon=eps, omega=omega)
-    closed = hannay.hannay_closed_form(model)
-    quad = hannay.hannay_quadrature(model)
     sched = ParameterSchedule.standard(eps, omega)
-    traj = hannay.hannay_trajectory_estimate(sched)
-    ok = abs(quad - closed) < 1e-5 and abs(traj - closed) < 5 * eps ** 3
+    closed = hannay.hannay_closed_form(sched)
+    quad = hannay.hannay_quadrature(sched)
+    traj = hannay.trajectory_angle(monodromy.compute_monodromy(sched))
+    exact = _standard_exact(eps, omega)[1]
+    ok = abs(quad - closed) < 1e-5 and abs(traj - exact) < 1e-9
     return _result(
         "hannay-routes-agree", ok,
-        f"quad-closed = {quad - closed:.3e}, traj-closed = {traj - closed:.3e}")
+        f"quad-closed = {quad - closed:.3e}, traj-exact = {traj - exact:.3e}")
 
 
 def check_hannay_action_independence(eps=0.05, omega=1.0):
-    model = hannay.PerturbativeModel(epsilon=eps, omega=omega)
-    vals = [hannay.hannay_quadrature(model, n_t=256, n_phi=256, I_bar=ib)
+    sched = ParameterSchedule.standard(eps, omega)
+    vals = [hannay.hannay_quadrature(sched, n_t=256, n_phi=256, I_bar=ib)
             for ib in (0.5, 1.0, 2.0)]
     spread = max(vals) - min(vals)
     return _result("hannay-action-independence", spread < 1e-10,
                    f"quadrature spread across I_bar = {spread:.3e}")
-
-
-def check_floquet_n0_reduction(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
-    orb = orbits.find_periodic_orbit(sched)
-    rep = floquet.relation_check(sched, 0)
-    dev = max(abs(rep.lambda_G_R - orb.lambda_G_cycle),
-              abs(rep.lambda_D_R - orb.lambda_D_cycle))
-    return _result("floquet-n0-reduction", dev == 0.0,
-                   f"n=0 phases vs orbit phases differ by {dev:.3e}")
 
 
 def check_floquet_residuals(eps=0.05, omega=1.0):
@@ -232,14 +235,29 @@ def check_floquet_residuals(eps=0.05, omega=1.0):
         f"{worst_tot:.3e} (tol {tol:.2e})")
 
 
-def check_floquet_hbar_invariance(eps=0.05, omega=1.0, n=1):
+def check_floquet_flow_witness(eps=0.05, omega=1.0):
+    # 4 nonlinear-flow runs on the invariant ellipse at I = n*hbar, the
+    # fluctuations on the periodic orbit: a uniform-angle mean of a
+    # quadratic form is exact from 3 angles on, so the means must equal
+    # the trace formulas of the reports
     sched = ParameterSchedule.standard(eps, omega)
-    vals = [floquet.relation_check(sched, n,
-                                   consts=Constants(hbar=h)).lambda_G_R
-            for h in (0.5, 1.0, 2.0)]
-    spread = max(vals) - min(vals)
-    return _result("floquet-hbar-invariance", abs(spread) < 1e-8,
-                   f"lambda_G_R spread across hbar = {spread:.3e}")
+    mono = monodromy.compute_monodromy(sched)
+    G0, Pi0 = monodromy.fluctuation_point(mono.S)
+    worst = 0.0
+    for n, hbar in ((1, 0.5), (3, 2.0)):
+        consts = Constants(hbar=hbar)
+        rep = floquet.floquet_reports(sched, [n], consts=consts)[0]
+        ends = [dynamics.integrate(
+            dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0), sched.period,
+            sched, consts=consts).final
+            for q, p in ellipse_points(mono.W, rep.I_bar0, 4)]
+        mean_G = np.mean([end.lambda_G for end in ends])
+        mean_D = np.mean([end.lambda_D for end in ends])
+        worst = max(worst, abs(mean_G - n * rep.rho - rep.lambda_G_R),
+                    abs(mean_D - rep.lambda_D_R))
+    return _result("floquet-flow-witness", worst < 1e-8,
+                   f"max |flow mean - report| over (n, hbar) in "
+                   f"{{(1, 0.5), (3, 2)}} = {worst:.3e}")
 
 
 ALL_CHECKS = (
@@ -251,16 +269,14 @@ ALL_CHECKS = (
     check_phase_additivity,
     check_hbar_independent_fluctuations,
     check_monodromy_symplectic,
-    check_rotation_number_continuity,
-    check_oracle_periodicity,
+    check_rotation_number_exact,
     check_invariant_form,
     check_orbit_phase_witness,
     check_orbit_shoelace,
     check_hannay_routes,
     check_hannay_action_independence,
-    check_floquet_n0_reduction,
     check_floquet_residuals,
-    check_floquet_hbar_invariance,
+    check_floquet_flow_witness,
 )
 
 

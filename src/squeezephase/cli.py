@@ -387,9 +387,9 @@ def _run_floquet(cfg: RunConfig, out_dir: Path, fmt: str):
 
 def _sweep_point(args):
     eps, omega = args
-    mono = compute_monodromy(ParameterSchedule.standard(eps, omega))
-    theta_closed = hannay.hannay_closed_form(
-        hannay.PerturbativeModel(epsilon=eps, omega=omega))
+    sched = ParameterSchedule.standard(eps, omega)
+    mono = compute_monodromy(sched)
+    theta_closed = hannay.hannay_closed_form(sched)
     lam_g0, _ = orbits.cycle_phases(mono)
     return [eps, omega, theta_closed, hannay.trajectory_angle(mono),
             mono.rho, lam_g0, lam_g0 + 0.5 * theta_closed]

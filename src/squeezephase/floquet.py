@@ -21,6 +21,11 @@ The headline check is
 lambda_G_R = -(n + 1/2) * Theta_H against the nonadiabatic Hannay angle,
 together with the quasi-energy consistency
 lambda_G_R + lambda_D_R = -(n + 1/2) * rho.
+
+floquet_reports serves any list of state numbers from one pass; the
+report of a single state is floquet_reports(sched, [n])[0].
+pert_floquet_phases gives the second-order closed forms on the standard
+family only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hannay import PerturbativeModel, hannay_closed_form, trajectory_angle
+from .hannay import _require_standard, hannay_closed_form, trajectory_angle
 from .monodromy import compute_monodromy
 from .orbits import cycle_phases
 from .params import STANDARD, Constants, ParameterSchedule
@@ -59,12 +64,6 @@ class FloquetPhaseReport:
         }
 
 
-def relation_check(sched: ParameterSchedule, n: int,
-                   consts: Constants = Constants()) -> FloquetPhaseReport:
-    """Full phase report for one state number."""
-    return floquet_reports(sched, [n], consts=consts)[0]
-
-
 def floquet_reports(sched: ParameterSchedule, ns,
                     consts: Constants = Constants()):
     """Phase reports for several state numbers, sharing the per-schedule
@@ -72,7 +71,7 @@ def floquet_reports(sched: ParameterSchedule, ns,
     mono = compute_monodromy(sched)
     lam_G0, lam_D0 = cycle_phases(mono)
     if sched.kind == STANDARD:
-        theta_H = hannay_closed_form(PerturbativeModel.from_schedule(sched))
+        theta_H = hannay_closed_form(sched)
     else:
         theta_H = trajectory_angle(mono)
     half_trace = 0.5 * mono.tr_KS
@@ -93,13 +92,14 @@ def floquet_reports(sched: ParameterSchedule, ns,
     return reports
 
 
-def pert_floquet_phases(model: PerturbativeModel, n: int,
-                        consts: Constants = Constants()):
-    """Second-order closed forms of (lambda_G_R, lambda_D_R)."""
+def pert_floquet_phases(sched: ParameterSchedule, n: int):
+    """Second-order closed forms of (lambda_G_R, lambda_D_R) on the
+    standard family."""
+    _require_standard(sched)
     if n < 0:
         raise ValueError(f"state number must be non-negative, got {n}")
-    eps, om = model.epsilon, model.omega
-    T = model.period
+    eps, om = sched.epsilon, sched.omega
+    T = sched.period
     half = n + 0.5
     lam_G = -half * 2.0 * np.pi * eps ** 2 / (om + 2.0) ** 2
     lam_D = -half * (1.0 + (-2.0 / (om + 2.0)

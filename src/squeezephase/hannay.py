@@ -7,9 +7,13 @@ a = 1 + eps*cos(omega t), b = 2 - a, c = eps*sin(omega t):
 * ``hannay_quadrature``:     the torus-averaged quadrature of the energy
   mismatch A = Hbar(Ibar) - H_cl under the explicit second-order
   action-angle transform.
-* ``hannay_trajectory_estimate``: a schedule-agnostic estimator, the
-  rotation number minus the torus-averaged dynamical angle advance, read
-  off the period pass and usable beyond the perturbative family.
+* ``trajectory_angle``:   a schedule-agnostic estimator, the rotation
+  number minus the torus-averaged dynamical angle advance, read off the
+  period pass (``trajectory_angle(compute_monodromy(sched))``) and usable
+  beyond the perturbative family.
+
+The first two, and the transform they rest on, take the standard
+``ParameterSchedule`` and raise ValueError for any other kind.
 
 The second-order transform (phi, I) in terms of (phi_bar, Ibar, t) is
 
@@ -36,26 +40,10 @@ from .monodromy import Monodromy, compute_monodromy
 from .params import STANDARD, ParameterSchedule
 
 
-@dataclass(frozen=True)
-class PerturbativeModel:
-    """Second-order action-angle model of the standard family."""
-
-    epsilon: float
-    omega: float
-
-    @classmethod
-    def from_schedule(cls, sched: ParameterSchedule) -> "PerturbativeModel":
-        if sched.kind != STANDARD:
-            raise ValueError(
-                "the perturbative model applies to the standard family only")
-        return cls(epsilon=sched.epsilon, omega=sched.omega)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
-    def schedule(self) -> ParameterSchedule:
-        return ParameterSchedule.standard(self.epsilon, self.omega)
+def _require_standard(sched: ParameterSchedule) -> None:
+    if sched.kind != STANDARD:
+        raise ValueError(
+            "the perturbative model applies to the standard family only")
 
 
 @dataclass
@@ -69,37 +57,38 @@ class HannayResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def pert_transform(phi_bar, I_bar, t, model: PerturbativeModel):
+def pert_transform(phi_bar, I_bar, t, sched: ParameterSchedule):
     """Old action-angle variables (phi, I) of the new ones at time t."""
-    eps = model.epsilon
-    s = 1.0 / (model.omega + 2.0)
-    u = model.omega * t + 2.0 * np.asarray(phi_bar)
+    _require_standard(sched)
+    eps = sched.epsilon
+    s = 1.0 / (sched.omega + 2.0)
+    u = sched.omega * t + 2.0 * np.asarray(phi_bar)
     phi = phi_bar - eps * s * np.sin(u) + 0.5 * (eps * s) ** 2 * np.sin(2.0 * u)
     I = I_bar * (1.0 + 2.0 * eps * s * np.cos(u) + 2.0 * (eps * s) ** 2)
     return phi, I
 
 
-def pert_new_hamiltonian(I_bar, model: PerturbativeModel):
+def pert_new_hamiltonian(I_bar, sched: ParameterSchedule):
     """Angle-free Hamiltonian Ibar*(1 - eps^2/(omega+2)) of the new action."""
-    return I_bar * (1.0 - model.epsilon ** 2 / (model.omega + 2.0))
+    _require_standard(sched)
+    return I_bar * (1.0 - sched.epsilon ** 2 / (sched.omega + 2.0))
 
 
-def hannay_closed_form(model: PerturbativeModel) -> float:
+def hannay_closed_form(sched: ParameterSchedule) -> float:
     """Closed-form angle 2*pi*eps^2/(omega+2)^2, action-independent."""
-    return 2.0 * math.pi * model.epsilon ** 2 / (model.omega + 2.0) ** 2
+    _require_standard(sched)
+    return 2.0 * math.pi * sched.epsilon ** 2 / (sched.omega + 2.0) ** 2
 
 
-def _mismatch_rate(model, I_bar, n_t, n_phi):
+def _mismatch_rate(sched, I_bar, n_t, n_phi):
     """Grid of dA/dIbar = A/Ibar over (t, phi_bar), A = Hbar - H_cl."""
-    t = np.linspace(0.0, model.period, n_t + 1)
+    t = np.linspace(0.0, sched.period, n_t + 1)
     phib = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
     tt, pp = np.meshgrid(t, phib, indexing="ij")
-    phi, I = pert_transform(pp, I_bar, tt, model)
+    phi, I = pert_transform(pp, I_bar, tt, sched)
     q = np.sqrt(2.0 * I) * np.sin(phi)
     p = np.sqrt(2.0 * I) * np.cos(phi)
-    a = 1.0 + model.epsilon * np.cos(model.omega * tt)
-    c = model.epsilon * np.sin(model.omega * tt)
-    A = pert_new_hamiltonian(I_bar, model) - h_cl(q, p, a, 2.0 - a, c)
+    A = pert_new_hamiltonian(I_bar, sched) - h_cl(q, p, *sched.sample(tt))
     return A / I_bar
 
 
@@ -111,7 +100,7 @@ def _simpson_weights(n):
     return w / 3.0
 
 
-def hannay_quadrature(model: PerturbativeModel, n_t: int = 64,
+def hannay_quadrature(sched: ParameterSchedule, n_t: int = 64,
                       n_phi: int = 64, I_bar: float = 1.0) -> float:
     """Torus-averaged quadrature of dA/dIbar over one period.
 
@@ -125,26 +114,27 @@ def hannay_quadrature(model: PerturbativeModel, n_t: int = 64,
     transform is removed by a single Richardson step over eps and eps/2
     (see module docstring).
     """
+    _require_standard(sched)
     if n_t < 64 or n_phi < 64:
         raise ValueError("n_t and n_phi must both be >= 64")
     n_t += n_t % 2
     n_phi += n_phi % 2
 
-    def averaged(m):
-        rate = _mismatch_rate(m, I_bar, n_t, n_phi)
-        rate2 = _mismatch_rate(m, 2.0 * I_bar, n_t, n_phi)
+    def averaged(part):
+        rate = _mismatch_rate(part, I_bar, n_t, n_phi)
+        rate2 = _mismatch_rate(part, 2.0 * I_bar, n_t, n_phi)
         lin_dev = float(np.max(np.abs(rate2 - rate)))
         if lin_dev > 1e-9:
             raise ConvergenceError(
                 f"A/Ibar varies with the action by {lin_dev:.3e}; "
                 "homogeneity assumption violated")
-        wt = _simpson_weights(n_t) * (m.period / n_t)
+        wt = _simpson_weights(n_t) * (part.period / n_t)
         wp = _simpson_weights(n_phi) * (2.0 * math.pi / n_phi)
         return float(wt @ rate @ wp) / (2.0 * math.pi)
 
-    full = averaged(model)
-    half = averaged(PerturbativeModel(epsilon=0.5 * model.epsilon,
-                                      omega=model.omega))
+    full = averaged(sched)
+    half = averaged(ParameterSchedule.standard(0.5 * sched.epsilon,
+                                               sched.omega))
     return (16.0 * half - full) / 3.0
 
 
@@ -162,20 +152,14 @@ def trajectory_angle(mono: Monodromy) -> float:
     return mono.rho - 0.5 * mono.tr_KS
 
 
-def hannay_trajectory_estimate(sched: ParameterSchedule) -> float:
-    """Schedule-agnostic Hannay angle from one period pass."""
-    return trajectory_angle(compute_monodromy(sched))
-
-
 def hannay_report(sched: ParameterSchedule, I_bar: float = 1.0,
                   n_t: int = 64, n_phi: int = 64) -> HannayResult:
     """All angle routes for one schedule (closed/quadrature require the
     standard family; generic schedules report only the trajectory route)."""
     mono = compute_monodromy(sched)
     if sched.kind == STANDARD:
-        model = PerturbativeModel.from_schedule(sched)
-        closed = hannay_closed_form(model)
-        quad = hannay_quadrature(model, n_t=n_t, n_phi=n_phi, I_bar=I_bar)
+        closed = hannay_closed_form(sched)
+        quad = hannay_quadrature(sched, n_t=n_t, n_phi=n_phi, I_bar=I_bar)
     else:
         closed = float("nan")
         quad = float("nan")

@@ -12,8 +12,9 @@ recovered by unwrapping the angle of a fundamental solution expressed in
 the W frame over the accepted steps of the pass.
 
 The Gaussian state whose covariance is (hbar/2) S returns to itself after
-one period, which gives a non-perturbative oracle for the periodic
-fluctuation orbit.
+one period, so fluctuation_point(mono.S) is the initial point (G0, Pi0) of
+the periodic fluctuation orbit, exact at any drive strength and
+independent of hbar.
 
 compute_monodromy is the one period pass of the package: beside M(t) it
 integrates K = int_0^T M^T H M dt, H = [[a, c], [c, b]], so that
@@ -191,14 +192,3 @@ def fluctuation_point(S):
     """(G, Pi) of the Gaussian with covariance (hbar/2) S, for one form or
     a stack of them: G = S11/2, Pi = S12/(2 S11)."""
     return 0.5 * S[..., 0, 0], S[..., 0, 1] / (2.0 * S[..., 0, 0])
-
-
-def periodic_gaussian_oracle(mono: Monodromy):
-    """Initial (G0, Pi0) of the exactly T-periodic fluctuation orbit.
-
-    S is the unique M-invariant positive symmetric unimodular form; the
-    Gaussian covariance (hbar/2) S is therefore fixed by the return map.
-    Exact at any drive strength, independent of hbar.
-    """
-    G0, Pi0 = fluctuation_point(mono.S)
-    return float(G0), float(Pi0)

@@ -68,19 +68,16 @@ class ParameterSchedule:
                    epsilon=float(epsilon), omega=float(omega))
 
     @classmethod
-    def fourier(cls, period: float, a, b, c,
-                require_elliptic: bool = True) -> "ParameterSchedule":
+    def fourier(cls, period: float, a, b, c) -> "ParameterSchedule":
         """Generic schedule from (cos, sin) coefficient pairs for a, b, c."""
         if not (period > 0.0 and math.isfinite(period)):
             raise ValueError(f"period must be positive and finite, got {period}")
         sched = cls(kind=FOURIER, period=float(period),
                     a_coeffs=_pairs(a), b_coeffs=_pairs(b), c_coeffs=_pairs(c))
-        if require_elliptic:
-            margin = ellipticity_margin(sched)
-            if margin <= 0.0:
-                raise NonEllipticError(
-                    f"schedule violates a*b > c^2 (sampled margin {margin:.6g})"
-                )
+        margin = ellipticity_margin(sched)
+        if margin <= 0.0:
+            raise NonEllipticError(
+                f"schedule violates a*b > c^2 (sampled margin {margin:.6g})")
         return sched
 
     def eval(self, t: float):

@@ -10,10 +10,9 @@ import numpy as np
 
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions, actions,
                                    covariance, integrate)
-from squeezephase.floquet import floquet_reports, relation_check
-from squeezephase.hannay import (PerturbativeModel, hannay_closed_form,
-                                 hannay_quadrature)
-from squeezephase.monodromy import compute_monodromy, periodic_gaussian_oracle
+from squeezephase.floquet import floquet_reports
+from squeezephase.hannay import hannay_closed_form, hannay_quadrature
+from squeezephase.monodromy import compute_monodromy, fluctuation_point
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
 
@@ -64,11 +63,11 @@ def test_criterion_3_cyclic_dynamical_phase():
 
 
 def test_criterion_4_hannay_quadrature():
-    model = PerturbativeModel(0.1, 1.0)
-    closed = hannay_closed_form(model)
-    quad = hannay_quadrature(model)
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    closed = hannay_closed_form(sched)
+    quad = hannay_quadrature(sched)
     dev = abs(quad - closed)
-    vals = [hannay_quadrature(model, I_bar=ib) for ib in (0.5, 1.0, 2.0)]
+    vals = [hannay_quadrature(sched, I_bar=ib) for ib in (0.5, 1.0, 2.0)]
     spread = max(vals) - min(vals)
     ok = dev <= 1e-5 and spread <= 1e-10
     _report(4, ok,
@@ -95,7 +94,7 @@ def test_criterion_5_rotation_number():
 def test_criterion_6_headline_relation():
     eps = 0.05
     sched = ParameterSchedule.standard(eps, 1.0)
-    theta = hannay_closed_form(PerturbativeModel(eps, 1.0))
+    theta = hannay_closed_form(sched)
     tol = 5 * eps ** 3
     reports = floquet_reports(sched, [0, 1, 2, 3])
     worst = max(abs(r.residual_45) for r in reports)
@@ -114,8 +113,8 @@ def test_criterion_7_hbar_invariance():
     sched = ParameterSchedule.standard(eps, 1.0)
     lams, orbs = [], []
     for hbar in (0.5, 1.0, 2.0):
-        lams.append(relation_check(sched, n,
-                                   consts=Constants(hbar=hbar)).lambda_G_R)
+        rep = floquet_reports(sched, [n], consts=Constants(hbar=hbar))[0]
+        lams.append(rep.lambda_G_R)
         final = integrate(ExtendedState(q=0, p=0, G=0.6, Pi=0.1),
                           sched.period, sched,
                           consts=Constants(hbar=hbar)).final
@@ -136,7 +135,7 @@ def test_criterion_8_oracle_equivalence():
     details = []
     for eps in (0.05, 0.2):
         sched = ParameterSchedule.standard(eps, 1.0)
-        G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
+        G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
         orb = find_periodic_orbit(sched)
         end = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
                         sched.period, sched).final

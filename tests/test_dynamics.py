@@ -8,7 +8,7 @@ from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    actions, covariance, eom_rhs, h_cl, h_eff,
                                    h_fl, integrate, integrate_ode)
 from squeezephase.errors import DomainError, IntegrationError
-from squeezephase.params import Constants, ParameterSchedule
+from squeezephase.params import FOURIER, Constants, ParameterSchedule
 
 TWO_PI = 2.0 * math.pi
 
@@ -279,9 +279,9 @@ def test_integrate_rejects_bad_horizon():
 def test_width_guard_reports_failure():
     # constant c < 0 with b = 0 gives dG/dt = 2cG: monotone width collapse
     # that must hit the positivity floor and abort with the last good time
-    sched = ParameterSchedule.fourier(
-        1.0, a=[(1.0, 0.0)], b=[(0.0, 0.0)], c=[(-1.0, 0.0)],
-        require_elliptic=False)
+    sched = ParameterSchedule(
+        kind=FOURIER, period=1.0, a_coeffs=((1.0, 0.0),),
+        b_coeffs=((0.0, 0.0),), c_coeffs=((-1.0, 0.0),))
     state = ExtendedState(q=0, p=0, G=1e-4, Pi=0.0)
     with pytest.raises(IntegrationError) as err:
         integrate(state, 10.0, sched)

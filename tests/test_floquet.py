@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from squeezephase.floquet import (floquet_reports, pert_floquet_phases,
-                                  relation_check)
-from squeezephase.hannay import PerturbativeModel, hannay_closed_form
+from squeezephase.checks import ellipse_points
+from squeezephase.floquet import floquet_reports, pert_floquet_phases
+from squeezephase.hannay import hannay_closed_form
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
-from witness import ellipse_points, period_end
+from witness import period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -18,26 +18,26 @@ TWO_PI = 2.0 * math.pi
 # ----------------------------------------------------------------------
 
 def test_pert_phases_ground_state():
-    lam_G, lam_D = pert_floquet_phases(PerturbativeModel(0.1, 1.0), 0)
+    lam_G, lam_D = pert_floquet_phases(ParameterSchedule.standard(0.1, 1.0), 0)
     assert lam_G == pytest.approx(-3.4907e-3, abs=1e-7)
     assert lam_D == pytest.approx(-3.12763, abs=1e-5)
 
 
 def test_pert_phases_excited_state():
-    lam_G, _ = pert_floquet_phases(PerturbativeModel(0.1, 1.0), 2)
+    lam_G, _ = pert_floquet_phases(ParameterSchedule.standard(0.1, 1.0), 2)
     assert lam_G == pytest.approx(-2.5 * 6.9813e-3, abs=1e-6)
 
 
 def test_pert_phases_without_drive():
     for n in (0, 1, 3):
-        lam_G, lam_D = pert_floquet_phases(PerturbativeModel(0.0, 1.0), n)
+        lam_G, lam_D = pert_floquet_phases(ParameterSchedule.standard(0.0, 1.0), n)
         assert lam_G == 0.0
         assert lam_D == pytest.approx(-(n + 0.5) * TWO_PI, rel=1e-15)
 
 
 def test_pert_phases_reject_negative_state():
     with pytest.raises(ValueError):
-        pert_floquet_phases(PerturbativeModel(0.1, 1.0), -1)
+        pert_floquet_phases(ParameterSchedule.standard(0.1, 1.0), -1)
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_pert_phases_reject_negative_state():
 def test_geometric_phase_ground_state_is_orbit_area():
     eps = 0.1
     sched = ParameterSchedule.standard(eps, 1.0)
-    lam_G = relation_check(sched, 0).lambda_G_R
+    lam_G = floquet_reports(sched, [0])[0].lambda_G_R
     assert lam_G == pytest.approx(-math.pi * eps ** 2 / 9.0, abs=eps ** 3)
     orb = find_periodic_orbit(sched)
     assert lam_G == orb.lambda_G_cycle
@@ -56,19 +56,19 @@ def test_geometric_phase_ground_state_is_orbit_area():
 def test_geometric_phase_first_excited_state():
     eps = 0.1
     sched = ParameterSchedule.standard(eps, 1.0)
-    lam_G = relation_check(sched, 1).lambda_G_R
+    lam_G = floquet_reports(sched, [1])[0].lambda_G_R
     assert abs(lam_G - (-1.5 * TWO_PI * eps ** 2 / 9.0)) < 5 * eps ** 3
 
 
 def test_geometric_phase_vanishes_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
     for n in (0, 1, 2):
-        assert abs(relation_check(sched, n).lambda_G_R) < 1e-8
+        assert abs(floquet_reports(sched, [n])[0].lambda_G_R) < 1e-8
 
 
 def test_dynamical_phase_ground_state():
     sched = ParameterSchedule.standard(0.1, 1.0)
-    assert relation_check(sched, 0).lambda_D_R == \
+    assert floquet_reports(sched, [0])[0].lambda_D_R == \
         pytest.approx(-3.12763, abs=1e-2)
 
 
@@ -81,14 +81,14 @@ def test_dynamical_phase_scales_with_state_number():
 
 def test_dynamical_phase_quantized_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
-    assert relation_check(sched, 2).lambda_D_R == \
+    assert floquet_reports(sched, [2])[0].lambda_D_R == \
         pytest.approx(-5.0 * math.pi, abs=1e-8)
 
 
 def test_negative_state_number_rejected():
     sched = ParameterSchedule.standard(0.05, 1.0)
     with pytest.raises(ValueError):
-        relation_check(sched, -1)
+        floquet_reports(sched, [-1])
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_relation_residuals_small():
 
 
 def test_relation_exact_without_drive():
-    rep = relation_check(ParameterSchedule.standard(0.0, 1.0), 1)
+    rep = floquet_reports(ParameterSchedule.standard(0.0, 1.0), [1])[0]
     assert rep.theta_H == 0.0
     assert abs(rep.residual_45) < 1e-8
     assert abs(rep.residual_total) < 1e-8
@@ -118,7 +118,7 @@ def test_relation_for_rational_frequencies():
     tol = 5 * eps ** 3
     for omega in (1.0, 0.5, 2.0 / 3.0, 0.6):
         sched = ParameterSchedule.standard(eps, omega)
-        rep = relation_check(sched, 1)
+        rep = floquet_reports(sched, [1])[0]
         assert abs(rep.residual_45) <= tol
 
 
@@ -130,8 +130,7 @@ def test_linearity_in_state_number():
     lams = np.array([r.lambda_G_R for r in reports])
     slope, intercept = np.polyfit(halves, lams, 1)
     assert abs(intercept) <= 1e-4
-    assert abs(slope + hannay_closed_form(PerturbativeModel(eps, 1.0))) \
-        <= 5 * eps ** 3
+    assert abs(slope + hannay_closed_form(sched)) <= 5 * eps ** 3
 
 
 def test_ensemble_size_converged():
@@ -160,14 +159,14 @@ def test_hbar_invariance_of_geometric_phase():
     sched = ParameterSchedule.standard(0.05, 1.0)
     vals, orbits_ = [], []
     for hbar in (0.5, 1.0, 2.0):
-        rep = relation_check(sched, 1, consts=Constants(hbar=hbar))
+        rep = floquet_reports(sched, [1], consts=Constants(hbar=hbar))[0]
         vals.append(rep.lambda_G_R)
         assert rep.I_bar0 == hbar
     assert max(vals) - min(vals) < 1e-8
 
 
 def test_report_dict_fields():
-    rep = relation_check(ParameterSchedule.standard(0.05, 1.0), 2)
+    rep = floquet_reports(ParameterSchedule.standard(0.05, 1.0), [2])[0]
     d = rep.as_dict()
     assert set(d) == {"n", "I_bar0", "hbar", "rho", "lambda_G_R",
                       "lambda_D_R", "theta_H", "residual_45",
@@ -183,6 +182,6 @@ def test_generic_schedule_uses_trajectory_angle():
         a=[(1.0, 0.0), (eps, 0.0)],
         b=[(1.0, 0.0), (-eps, 0.0)],
         c=[(0.0, 0.0), (0.0, eps)])
-    rep = relation_check(four, 1)
+    rep = floquet_reports(four, [1])[0]
     assert abs(rep.theta_H - TWO_PI * eps ** 2 / 9.0) < 5 * eps ** 3
     assert abs(rep.residual_45) < 5 * eps ** 3

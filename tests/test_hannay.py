@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from squeezephase.checks import ellipse_points
 from squeezephase.errors import ConvergenceError
-from squeezephase.hannay import (PerturbativeModel, hannay_closed_form,
-                                 hannay_quadrature, hannay_report,
-                                 hannay_trajectory_estimate,
-                                 pert_new_hamiltonian, pert_transform)
+from squeezephase.floquet import pert_floquet_phases
+from squeezephase.hannay import (hannay_closed_form, hannay_quadrature,
+                                 hannay_report, pert_new_hamiltonian,
+                                 pert_transform, trajectory_angle)
 from squeezephase.monodromy import compute_monodromy
 from squeezephase.params import ParameterSchedule
-from witness import ellipse_points, period_end
+from witness import period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,39 +21,47 @@ TWO_PI = 2.0 * math.pi
 # ----------------------------------------------------------------------
 
 def test_transform_identity_without_drive():
-    model = PerturbativeModel(0.0, 1.0)
-    phi, I = pert_transform(0.37, 1.3, 2.0, model)
+    sched = ParameterSchedule.standard(0.0, 1.0)
+    phi, I = pert_transform(0.37, 1.3, 2.0, sched)
     assert phi == 0.37
     assert I == 1.3
 
 
 def test_transform_at_zero_angle():
-    model = PerturbativeModel(0.1, 1.0)
-    phi, I = pert_transform(0.0, 1.0, 0.0, model)
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    phi, I = pert_transform(0.0, 1.0, 0.0, sched)
     assert phi == pytest.approx(0.0, abs=1e-15)
     assert I == pytest.approx(1.0 + 0.2 / 3.0 + 0.02 / 9.0, rel=1e-12)
 
 
 def test_transform_at_quarter_angle():
-    model = PerturbativeModel(0.1, 1.0)
-    phi, I = pert_transform(math.pi / 4.0, 1.0, 0.0, model)
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    phi, I = pert_transform(math.pi / 4.0, 1.0, 0.0, sched)
     assert phi == pytest.approx(math.pi / 4.0 - 0.1 / 3.0, abs=1e-12)
     assert phi == pytest.approx(0.75206, abs=1e-5)
 
 
 def test_new_hamiltonian_values():
-    assert pert_new_hamiltonian(1.0, PerturbativeModel(0.0, 1.0)) == 1.0
-    assert pert_new_hamiltonian(1.0, PerturbativeModel(0.1, 1.0)) == \
+    assert pert_new_hamiltonian(1.0, ParameterSchedule.standard(0.0, 1.0)) == 1.0
+    assert pert_new_hamiltonian(1.0, ParameterSchedule.standard(0.1, 1.0)) == \
         pytest.approx(1.0 - 0.01 / 3.0, rel=1e-15)
-    assert pert_new_hamiltonian(2.0, PerturbativeModel(0.2, 2.0)) == \
+    assert pert_new_hamiltonian(2.0, ParameterSchedule.standard(0.2, 2.0)) == \
         pytest.approx(1.98, rel=1e-15)
 
 
-def test_model_requires_standard_family():
+@pytest.mark.parametrize("call", [
+    hannay_closed_form,
+    hannay_quadrature,
+    lambda s: pert_transform(0.0, 1.0, 0.0, s),
+    lambda s: pert_new_hamiltonian(1.0, s),
+    lambda s: pert_floquet_phases(s, 0),
+], ids=["hannay_closed_form", "hannay_quadrature", "pert_transform",
+        "pert_new_hamiltonian", "pert_floquet_phases"])
+def test_model_requires_standard_family(call):
     four = ParameterSchedule.fourier(
         1.0, a=[(1.0, 0.0)], b=[(1.0, 0.0)], c=[(0.0, 0.0)])
-    with pytest.raises(ValueError):
-        PerturbativeModel.from_schedule(four)
+    with pytest.raises(ValueError, match="standard family"):
+        call(four)
 
 
 # ----------------------------------------------------------------------
@@ -60,10 +69,10 @@ def test_model_requires_standard_family():
 # ----------------------------------------------------------------------
 
 def test_closed_form_values():
-    assert hannay_closed_form(PerturbativeModel(0.0, 1.0)) == 0.0
-    assert hannay_closed_form(PerturbativeModel(0.1, 1.0)) == \
+    assert hannay_closed_form(ParameterSchedule.standard(0.0, 1.0)) == 0.0
+    assert hannay_closed_form(ParameterSchedule.standard(0.1, 1.0)) == \
         pytest.approx(6.9813e-3, abs=1e-7)
-    assert hannay_closed_form(PerturbativeModel(0.05, 0.5)) == \
+    assert hannay_closed_form(ParameterSchedule.standard(0.05, 0.5)) == \
         pytest.approx(2.5133e-3, abs=1e-7)
 
 
@@ -72,40 +81,40 @@ def test_closed_form_values():
 # ----------------------------------------------------------------------
 
 def test_quadrature_vanishes_without_drive():
-    assert hannay_quadrature(PerturbativeModel(0.0, 1.0)) == \
+    assert hannay_quadrature(ParameterSchedule.standard(0.0, 1.0)) == \
         pytest.approx(0.0, abs=1e-14)
 
 
 def test_quadrature_matches_closed_form():
-    model = PerturbativeModel(0.1, 1.0)
-    assert abs(hannay_quadrature(model) - hannay_closed_form(model)) < 1e-5
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    assert abs(hannay_quadrature(sched) - hannay_closed_form(sched)) < 1e-5
 
 
 def test_quadrature_action_independent():
-    model = PerturbativeModel(0.1, 1.0)
-    vals = [hannay_quadrature(model, I_bar=ib) for ib in (0.5, 1.0, 2.0)]
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    vals = [hannay_quadrature(sched, I_bar=ib) for ib in (0.5, 1.0, 2.0)]
     assert max(vals) - min(vals) < 1e-10
 
 
 def test_quadrature_grid_converged():
-    model = PerturbativeModel(0.1, 1.0)
-    coarse = hannay_quadrature(model)
-    fine = hannay_quadrature(model, n_t=1024, n_phi=1024)
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    coarse = hannay_quadrature(sched)
+    fine = hannay_quadrature(sched, n_t=1024, n_phi=1024)
     assert abs(fine - coarse) < 1e-8
 
 
 def test_quadrature_rejects_tiny_grids():
     with pytest.raises(ValueError):
-        hannay_quadrature(PerturbativeModel(0.1, 1.0), n_t=32)
+        hannay_quadrature(ParameterSchedule.standard(0.1, 1.0), n_t=32)
 
 
 def test_mismatch_rate_linear_in_action():
     # the energy mismatch divided by the action must be action-free on the
     # whole grid, which is what licenses the analytic action derivative
     from squeezephase.hannay import _mismatch_rate
-    model = PerturbativeModel(0.1, 1.0)
-    r1 = _mismatch_rate(model, 1.0, 128, 128)
-    r2 = _mismatch_rate(model, 2.0, 128, 128)
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    r1 = _mismatch_rate(sched, 1.0, 128, 128)
+    r2 = _mismatch_rate(sched, 2.0, 128, 128)
     assert np.max(np.abs(r2 - r1)) < 1e-10
 
 
@@ -114,10 +123,10 @@ def test_homogeneity_violation_is_typed(tmp_path, monkeypatch):
     # action derivative: a ConvergenceError, exit 1 from the CLI
     from squeezephase import cli, hannay
     monkeypatch.setattr(hannay, "_mismatch_rate",
-                        lambda model, I_bar, n_t, n_phi:
+                        lambda sched, I_bar, n_t, n_phi:
                         np.full((n_t + 1, n_phi + 1), I_bar))
     with pytest.raises(ConvergenceError, match="homogeneity"):
-        hannay_quadrature(PerturbativeModel(0.1, 1.0))
+        hannay_quadrature(ParameterSchedule.standard(0.1, 1.0))
     cfg = cli.parse_config("epsilon=0.1\nomega=1.0")
     assert cli.run("hannay", cfg, out_dir=tmp_path) == 1
 
@@ -128,13 +137,13 @@ def test_homogeneity_violation_is_typed(tmp_path, monkeypatch):
 
 def test_trajectory_estimate_vanishes_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
-    assert abs(hannay_trajectory_estimate(sched)) < 1e-9
+    assert abs(trajectory_angle(compute_monodromy(sched))) < 1e-9
 
 
 def test_trajectory_estimate_reproduces_closed_form():
     eps = 0.05
     sched = ParameterSchedule.standard(eps, 1.0)
-    est = hannay_trajectory_estimate(sched)
+    est = trajectory_angle(compute_monodromy(sched))
     assert abs(est - TWO_PI * eps ** 2 / 9.0) < 5 * eps ** 3
 
 
@@ -154,7 +163,7 @@ def test_trajectory_estimate_action_independent():
         ests.append(mono.rho - np.mean(hcl) / I_bar)
     assert abs(ests[0] - ests[1]) < 2 * eps ** 3
     for est in ests:
-        assert abs(est - hannay_trajectory_estimate(sched)) < 1e-8
+        assert abs(est - trajectory_angle(mono)) < 1e-8
 
 
 # ----------------------------------------------------------------------

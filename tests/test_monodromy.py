@@ -7,10 +7,11 @@ from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
 from squeezephase.errors import IntegrationError, NonEllipticError
-from squeezephase.monodromy import (compute_monodromy, normal_frame,
-                                    periodic_gaussian_oracle)
+from squeezephase.checks import ellipse_points
+from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
+                                    normal_frame)
 from squeezephase.params import ParameterSchedule
-from witness import ellipse_points, period_end
+from witness import period_end
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,16 +283,16 @@ def test_ensemble_invariant_under_period_map():
 # ----------------------------------------------------------------------
 
 def test_oracle_unperturbed_fixed_point():
-    G0, Pi0 = periodic_gaussian_oracle(
-        compute_monodromy(ParameterSchedule.standard(0.0, 1.0)))
+    G0, Pi0 = fluctuation_point(
+        compute_monodromy(ParameterSchedule.standard(0.0, 1.0)).S)
     assert G0 == pytest.approx(0.5, abs=1e-10)
     assert Pi0 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_oracle_first_order_location():
     eps = 0.1
-    G0, Pi0 = periodic_gaussian_oracle(
-        compute_monodromy(ParameterSchedule.standard(eps, 1.0)))
+    G0, Pi0 = fluctuation_point(
+        compute_monodromy(ParameterSchedule.standard(eps, 1.0)).S)
     assert abs(G0 - (0.5 - eps / 3.0)) < 3 * eps ** 2
     assert abs(Pi0) < 3 * eps ** 2
 
@@ -321,7 +322,7 @@ def newton_fixed_point(sched, x, tol=1e-11, fd_step=1e-6):
 @pytest.mark.parametrize("eps", [0.05, 0.2])
 def test_oracle_matches_newton_solver(eps):
     sched = ParameterSchedule.standard(eps, 1.0)
-    G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
+    G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
     G_n, Pi_n = newton_fixed_point(sched, (0.5 - eps / 3.0, 0.0))
     assert abs(G0 - G_n) < 1e-8
     assert abs(Pi0 - Pi_n) < 1e-8
@@ -329,7 +330,7 @@ def test_oracle_matches_newton_solver(eps):
 
 def test_oracle_point_is_periodic_under_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
-    G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
+    G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
     final = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
                       sched.period, sched).final
     assert abs(final.G - G0) < 1e-7

@@ -72,11 +72,10 @@ def test_newton_first_order_location():
 
 
 def test_newton_matches_covariance_oracle_at_strong_drive():
-    from squeezephase.monodromy import (compute_monodromy,
-                                        periodic_gaussian_oracle)
+    from squeezephase.monodromy import compute_monodromy
     sched = ParameterSchedule.standard(0.2, 1.0)
     orb = find_periodic_orbit(sched)
-    G0, Pi0 = periodic_gaussian_oracle(compute_monodromy(sched))
+    G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
     assert abs(orb.G0 - G0) < 1e-8
     assert abs(orb.Pi0 - Pi0) < 1e-8
     image = strob_map((G0, Pi0), sched)

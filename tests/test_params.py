@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squeezephase.errors import NonEllipticError
-from squeezephase.params import (Constants, ParameterSchedule,
+from squeezephase.params import (FOURIER, Constants, ParameterSchedule,
                                  ellipticity_margin)
 
 
@@ -124,9 +124,9 @@ def test_sample_matches_scalar_eval(harmonics):
         assert np.max(np.abs(got - want)) <= 1e-15
 
 def test_margin_non_elliptic_constant_schedule():
-    sched = ParameterSchedule.fourier(
-        1.0, a=[(0.5, 0.0)], b=[(0.5, 0.0)], c=[(1.0, 0.0)],
-        require_elliptic=False)
+    sched = ParameterSchedule(
+        kind=FOURIER, period=1.0, a_coeffs=((0.5, 0.0),),
+        b_coeffs=((0.5, 0.0),), c_coeffs=((1.0, 0.0),))
     assert ellipticity_margin(sched) == pytest.approx(-0.75, abs=1e-15)
 
 
