@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +51,6 @@ class OrbitConfig:
 
 
 @dataclass
-class HannayConfig:
-    n_t: int = 64
-    n_phi: int = 64
-    i_bar: float = 1.0
-
-
-@dataclass
 class FloquetConfig:
     n: tuple = (0,)
 
@@ -76,7 +69,6 @@ class RunConfig:
     options: dynamics.IntegratorOptions      # steers simulate only
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     orbit: OrbitConfig = field(default_factory=OrbitConfig)
-    hannay: HannayConfig = field(default_factory=HannayConfig)
     floquet: FloquetConfig = field(default_factory=FloquetConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
@@ -94,7 +86,6 @@ _SECTION_KEYS = {
     "simulate": {"q0": "float", "p0": "float", "g0": "float", "pi0": "float",
                  "t1": "float", "samples": "int"},
     "orbit": {"samples": "int"},
-    "hannay": {"n_t": "int", "n_phi": "int", "i_bar": "float"},
     "floquet": {"n": "int_list"},
     "sweep": {"eps": "float_list", "omega": "float_list", "workers": "int"},
 }
@@ -114,7 +105,7 @@ def _parse_scalar(kind, raw):
             raise ValueError(raw)
         return value
     if kind == "float_list":
-        return tuple(float(part) for part in raw.split(","))
+        return tuple(_parse_scalar("float", part) for part in raw.split(","))
     if kind == "int_list":
         return tuple(int(part) for part in raw.split(","))
     raise AssertionError(kind)
@@ -247,26 +238,23 @@ def _build_config(values, lines, errors):
     if orbit.samples < 8:
         complain("orbit", "samples", "samples must be >= 8")
 
-    hannay_cfg = section_obj(HannayConfig, "hannay")
-    for key in ("n_t", "n_phi"):
-        if getattr(hannay_cfg, key) < 64:
-            complain("hannay", key, f"{key} must be >= 64")
-    if hannay_cfg.i_bar <= 0:
-        complain("hannay", "i_bar", "i_bar must be > 0")
-
     floquet_cfg = section_obj(FloquetConfig, "floquet")
     if any(n < 0 for n in floquet_cfg.n):
         complain("floquet", "n", "state numbers must be >= 0")
+    if len(set(floquet_cfg.n)) < len(floquet_cfg.n):
+        complain("floquet", "n", "state numbers must not repeat")
 
     sweep = section_obj(SweepConfig, "sweep")
     if any(not 0.0 <= e < 1.0 for e in sweep.eps):
         complain("sweep", "eps", "sweep eps values must lie in [0, 1)")
     if any(w <= 0.0 for w in sweep.omega):
         complain("sweep", "omega", "sweep omega values must be > 0")
+    if sweep.workers < 0:
+        complain("sweep", "workers", "workers must be >= 0")
 
     return RunConfig(schedule=schedule, constants=constants, options=options,
-                     simulate=simulate, orbit=orbit, hannay=hannay_cfg,
-                     floquet=floquet_cfg, sweep=sweep)
+                     simulate=simulate, orbit=orbit, floquet=floquet_cfg,
+                     sweep=sweep)
 
 
 # ----------------------------------------------------------------------
@@ -360,17 +348,8 @@ def _run_orbit(cfg: RunConfig, out_dir: Path, fmt: str):
 
 
 def _run_hannay(cfg: RunConfig, out_dir: Path, fmt: str):
-    hc = cfg.hannay
-    result = hannay.hannay_report(cfg.schedule, I_bar=hc.i_bar, n_t=hc.n_t,
-                                  n_phi=hc.n_phi)
-    obj = {
-        "theta_closed": result.theta_closed,
-        "theta_quadrature": result.theta_quadrature,
-        "theta_trajectory": result.theta_trajectory,
-        "rho": result.rho,
-    }
-    obj.update(result.diagnostics)
-    _write_json(out_dir / "hannay.json", obj)
+    result = hannay.hannay_report(cfg.schedule)
+    _write_json(out_dir / "hannay.json", asdict(result))
     return [out_dir / "hannay.json"]
 
 
@@ -380,7 +359,7 @@ def _run_floquet(cfg: RunConfig, out_dir: Path, fmt: str):
     paths = []
     for rep in reports:
         path = out_dir / f"floquet_n{rep.n}.json"
-        _write_json(path, rep.as_dict())
+        _write_json(path, asdict(rep))
         paths.append(path)
     return paths
 
@@ -444,6 +423,11 @@ def run(subcommand: str, config: RunConfig, out_dir=".", fmt="csv") -> int:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         paths = _RUNNERS[subcommand](config, out, fmt)
     except ConfigError as exc:
         for line, msg in exc.errors:

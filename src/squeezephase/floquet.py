@@ -54,15 +54,6 @@ class FloquetPhaseReport:
     residual_45: float      # lambda_G_R + (n + 1/2) * theta_H
     residual_total: float   # lambda_G_R + lambda_D_R + (n + 1/2) * rho
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "I_bar0": self.I_bar0, "hbar": self.hbar,
-            "rho": self.rho, "lambda_G_R": self.lambda_G_R,
-            "lambda_D_R": self.lambda_D_R, "theta_H": self.theta_H,
-            "residual_45": self.residual_45,
-            "residual_total": self.residual_total,
-        }
-
 
 def floquet_reports(sched: ParameterSchedule, ns,
                     consts: Constants = Constants()):

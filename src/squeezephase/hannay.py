@@ -6,14 +6,17 @@ a = 1 + eps*cos(omega t), b = 2 - a, c = eps*sin(omega t):
 * ``hannay_closed_form``:    2*pi*eps^2/(omega+2)^2.
 * ``hannay_quadrature``:     the torus-averaged quadrature of the energy
   mismatch A = Hbar(Ibar) - H_cl under the explicit second-order
-  action-angle transform.
+  action-angle transform, on one fixed Simpson grid of ``GRID`` intervals
+  per axis.
 * ``trajectory_angle``:   a schedule-agnostic estimator, the rotation
   number minus the torus-averaged dynamical angle advance, read off the
   period pass (``trajectory_angle(compute_monodromy(sched))``) and usable
   beyond the perturbative family.
 
 The first two, and the transform they rest on, take the standard
-``ParameterSchedule`` and raise ValueError for any other kind.
+``ParameterSchedule`` and raise ValueError for any other kind.  No route
+takes a torus action or a grid: the angle does not depend on the action,
+and the quadrature's grid is fixed.
 
 The second-order transform (phi, I) in terms of (phi_bar, Ibar, t) is
 
@@ -30,7 +33,7 @@ over eps and eps/2 removes it without ever invoking the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +51,12 @@ def _require_standard(sched: ParameterSchedule) -> None:
 
 @dataclass
 class HannayResult:
-    """All computed angle values (radians per period) plus diagnostics."""
+    """All computed angle values (radians per period) and rho."""
 
     theta_closed: float
     theta_quadrature: float
     theta_trajectory: float
     rho: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 def pert_transform(phi_bar, I_bar, t, sched: ParameterSchedule):
@@ -80,10 +82,15 @@ def hannay_closed_form(sched: ParameterSchedule) -> float:
     return 2.0 * math.pi * sched.epsilon ** 2 / (sched.omega + 2.0) ** 2
 
 
-def _mismatch_rate(sched, I_bar, n_t, n_phi):
+# Simpson intervals per axis of the quadrature grid (even); the integrand
+# is periodic and analytic, so 64 is already converged to roundoff
+GRID = 64
+
+
+def _mismatch_rate(sched, I_bar):
     """Grid of dA/dIbar = A/Ibar over (t, phi_bar), A = Hbar - H_cl."""
-    t = np.linspace(0.0, sched.period, n_t + 1)
-    phib = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
+    t = np.linspace(0.0, sched.period, GRID + 1)
+    phib = np.linspace(0.0, 2.0 * math.pi, GRID + 1)
     tt, pp = np.meshgrid(t, phib, indexing="ij")
     phi, I = pert_transform(pp, I_bar, tt, sched)
     q = np.sqrt(2.0 * I) * np.sin(phi)
@@ -100,36 +107,30 @@ def _simpson_weights(n):
     return w / 3.0
 
 
-def hannay_quadrature(sched: ParameterSchedule, n_t: int = 64,
-                      n_phi: int = 64, I_bar: float = 1.0) -> float:
+def hannay_quadrature(sched: ParameterSchedule) -> float:
     """Torus-averaged quadrature of dA/dIbar over one period.
 
-    Composite Simpson on both axes; the integrand is periodic and
-    analytic, so the default 64 x 64 grid is already converged to
-    roundoff.  dA/dIbar is evaluated analytically as
-    A/Ibar: A is linear in the action for this family because the old
-    action is proportional to the new one and H_cl is degree-1 homogeneous.
-    The linearity is checked numerically on the grid; a violation raises
+    Composite Simpson on both axes of the fixed ``GRID`` x ``GRID`` grid.
+    dA/dIbar is evaluated analytically as A/Ibar at Ibar = 1: A is linear
+    in the action for this family because the old action is proportional
+    to the new one and H_cl is degree-1 homogeneous.  The linearity is
+    checked on the grid against Ibar = 2; a violation raises
     ConvergenceError.  The even spurious quartic of the truncated
     transform is removed by a single Richardson step over eps and eps/2
     (see module docstring).
     """
     _require_standard(sched)
-    if n_t < 64 or n_phi < 64:
-        raise ValueError("n_t and n_phi must both be >= 64")
-    n_t += n_t % 2
-    n_phi += n_phi % 2
 
     def averaged(part):
-        rate = _mismatch_rate(part, I_bar, n_t, n_phi)
-        rate2 = _mismatch_rate(part, 2.0 * I_bar, n_t, n_phi)
-        lin_dev = float(np.max(np.abs(rate2 - rate)))
+        rate = _mismatch_rate(part, 1.0)
+        lin_dev = float(np.max(np.abs(_mismatch_rate(part, 2.0) - rate)))
         if lin_dev > 1e-9:
             raise ConvergenceError(
                 f"A/Ibar varies with the action by {lin_dev:.3e}; "
                 "homogeneity assumption violated")
-        wt = _simpson_weights(n_t) * (part.period / n_t)
-        wp = _simpson_weights(n_phi) * (2.0 * math.pi / n_phi)
+        w = _simpson_weights(GRID)
+        wt = w * (part.period / GRID)
+        wp = w * (2.0 * math.pi / GRID)
         return float(wt @ rate @ wp) / (2.0 * math.pi)
 
     full = averaged(sched)
@@ -152,19 +153,17 @@ def trajectory_angle(mono: Monodromy) -> float:
     return mono.rho - 0.5 * mono.tr_KS
 
 
-def hannay_report(sched: ParameterSchedule, I_bar: float = 1.0,
-                  n_t: int = 64, n_phi: int = 64) -> HannayResult:
+def hannay_report(sched: ParameterSchedule) -> HannayResult:
     """All angle routes for one schedule (closed/quadrature require the
     standard family; generic schedules report only the trajectory route)."""
     mono = compute_monodromy(sched)
     if sched.kind == STANDARD:
         closed = hannay_closed_form(sched)
-        quad = hannay_quadrature(sched, n_t=n_t, n_phi=n_phi, I_bar=I_bar)
+        quad = hannay_quadrature(sched)
     else:
         closed = float("nan")
         quad = float("nan")
     return HannayResult(
         theta_closed=closed, theta_quadrature=quad,
         theta_trajectory=trajectory_angle(mono), rho=mono.rho,
-        diagnostics={"n_t": n_t, "n_phi": n_phi, "I_bar": I_bar},
     )

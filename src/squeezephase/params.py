@@ -75,7 +75,7 @@ class ParameterSchedule:
         sched = cls(kind=FOURIER, period=float(period),
                     a_coeffs=_pairs(a), b_coeffs=_pairs(b), c_coeffs=_pairs(c))
         margin = ellipticity_margin(sched)
-        if margin <= 0.0:
+        if not margin > 0.0:
             raise NonEllipticError(
                 f"schedule violates a*b > c^2 (sampled margin {margin:.6g})")
         return sched
@@ -128,6 +128,8 @@ def _pairs(coeffs):
     out = tuple((float(c), float(s)) for c, s in coeffs)
     if not out:
         raise ValueError("fourier coefficient list must not be empty")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"fourier coefficients must be finite, got {out}")
     return out
 
 

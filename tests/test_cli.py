@@ -61,6 +61,32 @@ def test_unknown_section_reported():
     assert any("unknown section" in msg for _, msg in err.value.errors)
 
 
+@pytest.mark.parametrize("text, error", [
+    # the Hannay routes take the schedule alone: no grid, no action
+    ("epsilon=0.1\n[hannay]\nn_t=128\ni_bar=2.0",
+     (2, "unknown section [hannay]")),
+    ("epsilon=0.1\n[floquet]\nn=1,2,1", (3, "state numbers must not repeat")),
+    ("[sweep]\neps=0.1\nomega=1.0\nworkers=-3", (4, "workers must be >= 0")),
+], ids=["hannay-section", "repeated-state", "negative-workers"])
+def test_rejected_with_line(text, error):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [error]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[sweep]\neps=0.1\nomega=1.0,nan", 3),
+    ("[sweep]\neps=0.1,inf\nomega=1.0", 2),
+    ("period=6.0\na_cos=1.0,nan\nb_cos=1.0", 2),
+    ("period=6.0\na_cos=1.0\nb_cos=1.0\nc_sin=0.0,-inf", 4),
+])
+def test_non_finite_list_values_rejected(text, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(got == line and msg.startswith("malformed value")
+               for got, msg in err.value.errors)
+
+
 def test_fourier_config_builds_schedule():
     text = ("period=6.283185307179586\n"
             "a_cos=1.0,0.05\nb_cos=1.0,-0.05\nc_sin=0.0,0.05\n")
@@ -258,6 +284,20 @@ def test_main_config_error_exit(tmp_path):
     cfg_file.write_text("epsilon=2.0\n")
     assert main(["orbit", "--config", str(cfg_file),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_output_directory_error(tmp_path, capsys):
+    # an existing file where the output directory should go
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert run("check", parse_config(""), out_dir=blocker) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("epsilon=0.1\n")
+    assert main(["hannay", "--config", str(cfg_file),
+                 "--out", str(blocker / "sub")]) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
 
 
 def test_main_requires_config_except_check(tmp_path):

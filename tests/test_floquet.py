@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from squeezephase import cli
 from squeezephase.checks import ellipse_points
 from squeezephase.floquet import floquet_reports, pert_floquet_phases
 from squeezephase.hannay import hannay_closed_form
@@ -165,9 +167,10 @@ def test_hbar_invariance_of_geometric_phase():
     assert max(vals) - min(vals) < 1e-8
 
 
-def test_report_dict_fields():
-    rep = floquet_reports(ParameterSchedule.standard(0.05, 1.0), [2])[0]
-    d = rep.as_dict()
+def test_report_dict_fields(tmp_path):
+    cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n[floquet]\nn=2")
+    assert cli.run("floquet", cfg, out_dir=tmp_path) == 0
+    d = json.loads((tmp_path / "floquet_n2.json").read_text())
     assert set(d) == {"n", "I_bar0", "hbar", "rho", "lambda_G_R",
                       "lambda_D_R", "theta_H", "residual_45",
                       "residual_total"}

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from squeezephase import hannay
 from squeezephase.checks import ellipse_points
 from squeezephase.errors import ConvergenceError
 from squeezephase.floquet import pert_floquet_phases
-from squeezephase.hannay import (hannay_closed_form, hannay_quadrature,
-                                 hannay_report, pert_new_hamiltonian,
-                                 pert_transform, trajectory_angle)
+from squeezephase.hannay import (_mismatch_rate, hannay_closed_form,
+                                 hannay_quadrature, hannay_report,
+                                 pert_new_hamiltonian, pert_transform,
+                                 trajectory_angle)
 from squeezephase.monodromy import compute_monodromy
 from squeezephase.params import ParameterSchedule
 from witness import period_end
@@ -91,40 +93,39 @@ def test_quadrature_matches_closed_form():
 
 
 def test_quadrature_action_independent():
+    # the rate the quadrature integrates is action-free at every node of
+    # its grid, so no torus action can move the angle
     sched = ParameterSchedule.standard(0.1, 1.0)
-    vals = [hannay_quadrature(sched, I_bar=ib) for ib in (0.5, 1.0, 2.0)]
-    assert max(vals) - min(vals) < 1e-10
+    rates = [_mismatch_rate(sched, ib) for ib in (0.5, 1.0, 2.0)]
+    assert np.max(np.ptp(rates, axis=0)) < 1e-10
 
 
-def test_quadrature_grid_converged():
+def test_quadrature_grid_converged(monkeypatch):
     sched = ParameterSchedule.standard(0.1, 1.0)
     coarse = hannay_quadrature(sched)
-    fine = hannay_quadrature(sched, n_t=1024, n_phi=1024)
+    monkeypatch.setattr(hannay, "GRID", 1024)
+    fine = hannay_quadrature(sched)
     assert abs(fine - coarse) < 1e-8
 
 
-def test_quadrature_rejects_tiny_grids():
-    with pytest.raises(ValueError):
-        hannay_quadrature(ParameterSchedule.standard(0.1, 1.0), n_t=32)
-
-
-def test_mismatch_rate_linear_in_action():
+def test_mismatch_rate_linear_in_action(monkeypatch):
     # the energy mismatch divided by the action must be action-free on the
     # whole grid, which is what licenses the analytic action derivative
-    from squeezephase.hannay import _mismatch_rate
+    monkeypatch.setattr(hannay, "GRID", 128)
     sched = ParameterSchedule.standard(0.1, 1.0)
-    r1 = _mismatch_rate(sched, 1.0, 128, 128)
-    r2 = _mismatch_rate(sched, 2.0, 128, 128)
+    r1 = _mismatch_rate(sched, 1.0)
+    r2 = _mismatch_rate(sched, 2.0)
+    assert r1.shape == (129, 129)
     assert np.max(np.abs(r2 - r1)) < 1e-10
 
 
 def test_homogeneity_violation_is_typed(tmp_path, monkeypatch):
     # a mismatch rate that grows with the action breaks the analytic
     # action derivative: a ConvergenceError, exit 1 from the CLI
-    from squeezephase import cli, hannay
+    from squeezephase import cli
     monkeypatch.setattr(hannay, "_mismatch_rate",
-                        lambda sched, I_bar, n_t, n_phi:
-                        np.full((n_t + 1, n_phi + 1), I_bar))
+                        lambda sched, I_bar:
+                        np.full((hannay.GRID + 1,) * 2, I_bar))
     with pytest.raises(ConvergenceError, match="homogeneity"):
         hannay_quadrature(ParameterSchedule.standard(0.1, 1.0))
     cfg = cli.parse_config("epsilon=0.1\nomega=1.0")

@@ -136,6 +136,25 @@ def test_fourier_constructor_rejects_non_elliptic():
             1.0, a=[(0.5, 0.0)], b=[(0.5, 0.0)], c=[(1.0, 0.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fourier_constructor_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ParameterSchedule.fourier(6.0, a=[(1.0, 0.0), (bad, 0.0)],
+                                  b=[(1.0, 0.0)], c=[(0.0, 0.0)])
+    with pytest.raises(ValueError, match="finite"):
+        ParameterSchedule.fourier(6.0, a=[(1.0, 0.0)], b=[(1.0, 0.0)],
+                                  c=[(0.0, bad)])
+
+
+def test_fourier_constructor_rejects_nan_margin():
+    # finite coefficients whose products overflow sample a NaN margin,
+    # which must not pass for an elliptic one
+    huge = [(1e200, 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonEllipticError, match="nan"):
+        ParameterSchedule.fourier(1.0, a=huge, b=huge, c=huge)
+
+
 def test_standard_constructor_rejects_large_epsilon():
     with pytest.raises(NonEllipticError):
         ParameterSchedule.standard(1.0, 1.0)
