@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +139,11 @@ def parse_config(text: str) -> RunConfig:
         if key not in schema:
             errors.append((lineno, f"unknown key {key!r}{where}"))
             continue
+        lines[(section, key)] = lineno
         try:
-            value = _parse_scalar(schema[key], raw)
+            values[(section, key)] = _parse_scalar(schema[key], raw)
         except ValueError:
             errors.append((lineno, f"malformed value for {key}: {raw!r}"))
-            continue
-        values[(section, key)] = value
-        lines[(section, key)] = lineno
 
     cfg = _build_config(values, lines, errors)
     if errors:
@@ -158,17 +156,23 @@ def _get(values, section, key, default=None):
 
 
 def _build_config(values, lines, errors):
+    """Build the RunConfig from the parsed values; lines holds the line of
+    every known key given, also of those whose value failed to parse."""
     def complain(section, key, msg):
         errors.append((lines.get((section, key), 0), msg))
 
     # ---- schedule -------------------------------------------------
     has_standard = (None, "epsilon") in values or (None, "omega") in values
     has_fourier = any((None, k) in values for k in _FOURIER_KEYS)
+    # a schedule key that failed to parse is reported already; a schedule
+    # built without it would report a second, spurious error
+    fourier_malformed = any(
+        (None, k) in lines and (None, k) not in values for k in _FOURIER_KEYS)
     schedule = ParameterSchedule.standard(0.0, 1.0)
     if has_standard and has_fourier:
         complain(None, "period",
                  "cannot mix epsilon/omega with fourier schedule keys")
-    elif has_fourier:
+    elif has_fourier and not fourier_malformed:
         period = _get(values, None, "period")
         if period is None:
             errors.append((0, "fourier schedule requires period"))
@@ -197,36 +201,22 @@ def _build_config(values, lines, errors):
         else:
             schedule = ParameterSchedule.standard(epsilon, omega)
 
-    # ---- constants and integrator ---------------------------------
-    constants = Constants()
-    hbar = _get(values, None, "hbar", 1.0)
-    if hbar <= 0.0:
-        complain(None, "hbar", "hbar must be > 0")
-    else:
-        constants = Constants(hbar=hbar)
+    # ---- constants, integrator and sections -------------------------
+    def build(cls, section=None):
+        # from the keys given only, so that the defaults and rules of cls
+        # are stated once, in cls; its error goes on the first key's line
+        given = {f.name: values[(section, f.name)] for f in fields(cls)
+                 if (section, f.name) in values}
+        try:
+            return cls(**given)
+        except ValueError as exc:
+            errors.append((min(lines[(section, k)] for k in given), str(exc)))
+            return cls()
 
-    options = dynamics.IntegratorOptions()
-    try:
-        options = dynamics.IntegratorOptions(
-            method=_get(values, None, "method", dynamics.RK45),
-            rtol=_get(values, None, "rtol", 1e-10),
-            atol=_get(values, None, "atol", 1e-10),
-            step=_get(values, None, "step", 1e-3),
-            max_steps=_get(values, None, "max_steps", 2_000_000),
-        )
-    except ValueError as exc:
-        complain(None, "method", str(exc))
+    constants = build(Constants)
+    options = build(dynamics.IntegratorOptions)
 
-    # ---- sections ---------------------------------------------------
-    def section_obj(cls, name, **overrides):
-        kwargs = {}
-        for key in _SECTION_KEYS[name]:
-            if (name, key) in values:
-                kwargs[key] = values[(name, key)]
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-    simulate = section_obj(SimulateConfig, "simulate")
+    simulate = build(SimulateConfig, "simulate")
     if simulate.samples < 1:
         complain("simulate", "samples", "samples must be >= 1")
     if simulate.g0 <= 0:
@@ -234,17 +224,17 @@ def _build_config(values, lines, errors):
     if simulate.t1 is not None and simulate.t1 <= 0:
         complain("simulate", "t1", "t1 must be > 0")
 
-    orbit = section_obj(OrbitConfig, "orbit")
+    orbit = build(OrbitConfig, "orbit")
     if orbit.samples < 8:
         complain("orbit", "samples", "samples must be >= 8")
 
-    floquet_cfg = section_obj(FloquetConfig, "floquet")
+    floquet_cfg = build(FloquetConfig, "floquet")
     if any(n < 0 for n in floquet_cfg.n):
         complain("floquet", "n", "state numbers must be >= 0")
     if len(set(floquet_cfg.n)) < len(floquet_cfg.n):
         complain("floquet", "n", "state numbers must not repeat")
 
-    sweep = section_obj(SweepConfig, "sweep")
+    sweep = build(SweepConfig, "sweep")
     if any(not 0.0 <= e < 1.0 for e in sweep.eps):
         complain("sweep", "eps", "sweep eps values must lie in [0, 1)")
     if any(w <= 0.0 for w in sweep.omega):

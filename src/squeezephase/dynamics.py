@@ -11,6 +11,10 @@ accumulated geometric and dynamical phases obey
 
 and ride the same integration pass as the state, so state and phase share
 one error control.
+
+The width has one floor, G_FLOOR: the right-hand side refuses any state at
+or below it, so the steppers reject every stage that reaches it, and
+integrate refuses any row it would return at or below it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .params import Constants, ParameterSchedule
 
-# Reject any accepted step that would push the width at or below this floor;
-# the flow preserves G > 0, so reaching it signals integration failure.
+# The flow preserves G > 0, so a width at or below this floor signals
+# integration failure: _extended_rhs raises DomainError there and integrate
+# refuses any returned row there.
 G_FLOOR = 1e-6
 
 RK45 = "rk45-adaptive"
@@ -158,8 +163,9 @@ def eom_rhs(state: ExtendedState, sched: ParameterSchedule,
 def _extended_rhs(t, y, sched, hbar):
     a, b, c = sched.eval(t)
     q, p, G, Pi, _, _ = y.tolist()
-    if not G > 0.0:
-        raise DomainError(f"fluctuation width G must be positive, got {G}")
+    if not G > G_FLOOR:
+        raise DomainError(
+            f"fluctuation width G = {G} is at or below the floor {G_FLOOR}")
     qd = b * p + c * q
     pd = -(a * q + c * p)
     Gd = 4.0 * b * G * Pi + 2.0 * c * G
@@ -237,16 +243,16 @@ def _hmin(t0, t1):
     return 1e-14 * max(1.0, abs(t1 - t0), abs(t0), abs(t1))
 
 
-def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
-               max_steps=2_000_000):
+def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
     """Adaptive embedded 5(4) pass from t0 to t1.
 
     Steps are chosen by error control alone and land on t1 only; the
     states at output_times come from the continuous extension of the step
     that covers each time (a time equal to a step's start gives that
-    step's state exactly).  guard, if given, must accept the trial state
-    or the step is rejected and halved.  Returns (times, states) of every
-    accepted step and the (len(output_times), n) array of output states.
+    step's state exactly).  A DomainError from any stage, the trial
+    solution's included, rejects the step and halves it.  Returns
+    (times, states) of every accepted step and the (len(output_times), n)
+    array of output states.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -264,9 +270,9 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
 
     steps = 0
     while t < t1 - hmin:
-        if steps >= max_steps:
+        if steps >= opts.max_steps:
             raise IntegrationError(
-                f"exceeded max_steps={max_steps}", last_t=t)
+                f"exceeded max_steps={opts.max_steps}", last_t=t)
         steps += 1
         h = min(h, t1 - t)
         # stages; a domain violation inside a stage rejects the step.
@@ -282,16 +288,8 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
                     "state left the domain below minimum step", last_t=t)
             continue
         r = (h * (_DP_ERR @ K)) / (
-            atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+            opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y5)))
         err = math.sqrt(float(r @ r) / n)
-
-        if guard is not None and not guard(y5):
-            h *= 0.5
-            if h < hmin:
-                raise IntegrationError(
-                    "step rejected by state guard below minimum step",
-                    last_t=t)
-            continue
         if err > 1.0:
             h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
             if h < hmin:
@@ -318,19 +316,12 @@ def _rk45_path(rhs, t0, y0, t1, rtol, atol, guard=None, output_times=None,
     return np.array(ts), np.array(ys), dense
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
-              max_steps=2_000_000):
+def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
     """Fixed-step classical Runge-Kutta pass, clipping steps to land on
-    every output time.  Returns (times, states) of every step and the
-    (len(output_times), n) array of output states."""
+    every output time.  A DomainError from any stage ends the pass; the
+    reported last_t is the latest time whose state the rhs accepted.
+    Returns (times, states) of every step and the (len(output_times), n)
+    array of output states."""
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     targets = _check_output_times(t, t1, output_times) + [float(t1)]
@@ -338,21 +329,24 @@ def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
     ts, ys = [t], [y.copy()]
     landed_states = []
     steps = 0
+    good_t = None
     for target in targets:
         while t < target - hmin:
-            if steps >= max_steps:
+            if steps >= opts.max_steps:
                 raise IntegrationError(
-                    f"exceeded max_steps={max_steps}", last_t=t)
+                    f"exceeded max_steps={opts.max_steps}", last_t=t)
             steps += 1
-            h = min(step, target - t)
+            h = min(opts.step, target - t)
             try:
-                y_new = _rk4_step(rhs, t, y, h)
+                k1 = rhs(t, y)
+                good_t = t
+                k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+                k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
+                k4 = rhs(t + h, y + h * k3)
             except DomainError as exc:
                 raise IntegrationError(
-                    f"state left the domain: {exc}", last_t=t) from exc
-            if guard is not None and not guard(y_new):
-                raise IntegrationError(
-                    "fixed-step state guard violated", last_t=t)
+                    f"state left the domain: {exc}", last_t=good_t) from exc
+            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             landed = abs((t + h) - target) <= hmin
             t = target if landed else t + h
             y = y_new
@@ -365,22 +359,14 @@ def _rk4_path(rhs, t0, y0, t1, step, guard=None, output_times=None,
 
 
 def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
-                  guard=None, output_times=None):
+                  output_times=None):
     """Dispatch a generic ODE pass through the configured stepper.
 
     Returns (times, states) of every accepted step and the states at
     output_times, which must increase strictly inside (t0, t1).
     """
-    if opts.method == RK4:
-        return _rk4_path(rhs, t0, y0, t1, opts.step, guard=guard,
-                         output_times=output_times,
-                         max_steps=opts.max_steps)
-    return _rk45_path(rhs, t0, y0, t1, opts.rtol, opts.atol, guard=guard,
-                      output_times=output_times, max_steps=opts.max_steps)
-
-
-def _width_guard(y):
-    return y[2] > G_FLOOR
+    path = _rk4_path if opts.method == RK4 else _rk45_path
+    return path(rhs, t0, y0, t1, opts, output_times)
 
 
 def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
@@ -406,6 +392,9 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
         Without output_times, every accepted step; with them, exactly the
         rows at (t0, *output_times, t1).  Phases are accumulated within
         the same pass.
+
+    Raises IntegrationError if any returned row has its width at or below
+    G_FLOOR; its last_t is then the time of the row before.
     """
     if not t1 > state0.t:
         raise ValueError(f"t1={t1} must exceed start time {state0.t}")
@@ -415,17 +404,18 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
         return _extended_rhs(t, y, sched, hbar)
 
     ts, ys, dense = integrate_ode(rhs, state0.t, state0.as_array(), t1, opts,
-                                  guard=_width_guard,
                                   output_times=output_times)
     if output_times is None:
-        return Trajectory(t=ts, y=ys)
-    t_out = np.array([ts[0], *output_times, ts[-1]], dtype=float)
-    # the guard vets accepted steps only; a width dipping to the floor
-    # between them shows up in the interpolated rows
-    low = np.flatnonzero(dense[:, 2] <= G_FLOOR)
+        t_out, y_out = ts, ys
+    else:
+        t_out = np.array([ts[0], *output_times, ts[-1]], dtype=float)
+        y_out = np.vstack([ys[:1], dense, ys[-1:]])
+    # the rhs vets every stage, but not an interpolated row, nor the final
+    # row of a fixed step
+    low = np.flatnonzero(y_out[:, 2] <= G_FLOOR)
     if low.size:
         i = int(low[0])
         raise IntegrationError(
-            f"interpolated width G = {dense[i, 2]:.3e} at t={t_out[i + 1]} "
-            f"is at or below the floor {G_FLOOR}", last_t=float(t_out[i]))
-    return Trajectory(t=t_out, y=np.vstack([ys[:1], dense, ys[-1:]]))
+            f"width G = {y_out[i, 2]:.3e} at t={t_out[i]} is at or below "
+            f"the floor {G_FLOOR}", last_t=float(t_out[i - 1]) if i else None)
+    return Trajectory(t=t_out, y=y_out)

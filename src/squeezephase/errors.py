@@ -6,7 +6,8 @@ class NonEllipticError(ValueError):
 
 
 class DomainError(ValueError):
-    """A state left the domain of the equations of motion (G <= 0).
+    """A state left the domain of the equations of motion (its width G is
+    not positive, or in a right-hand side at or below dynamics.G_FLOOR).
 
     Raised inside a right-hand side, it tells the adaptive stepper to
     retry with a smaller step; any other exception propagates.
@@ -14,7 +15,8 @@ class DomainError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step control failed; ``last_t`` is the last good time."""
+    """Integration failed; ``last_t`` is the last good time, whose state
+    was inside the domain (None when no such time was reached)."""
 
     def __init__(self, message, last_t=None):
         super().__init__(message)

@@ -145,5 +145,9 @@ def ellipticity_margin(sched: ParameterSchedule,
     if sched.kind == STANDARD:
         # a*b - c^2 = 1 - eps^2 identically; no sampling needed
         return 1.0 - sched.epsilon ** 2
-    a, b, c = sched.sample(sched.period * np.arange(n_samples) / n_samples)
-    return float(np.min(a * b - c * c))
+    # huge finite coefficients overflow to inf or nan, which fourier()
+    # refuses as a margin that is not positive
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = sched.sample(
+            sched.period * np.arange(n_samples) / n_samples)
+        return float(np.min(a * b - c * c))

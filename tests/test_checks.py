@@ -1,4 +1,5 @@
-from squeezephase.checks import run_builtin_checks
+from squeezephase import checks
+from squeezephase.checks import CheckResult, run_builtin_checks
 from squeezephase.cli import main, parse_config, run
 
 
@@ -14,6 +15,17 @@ def test_check_subcommand_exit_and_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_check_subcommand_reports_failure(tmp_path, capsys, monkeypatch):
+    def failing():
+        return CheckResult(name="always-fails", passed=False, detail="x = 1")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (failing,))
+    assert run("check", parse_config(""), out_dir=tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL always-fails: x = 1\n"
+    assert "one or more built-in checks failed" in captured.err
 
 
 def test_check_needs_no_config(tmp_path, capsys):

@@ -67,7 +67,13 @@ def test_unknown_section_reported():
      (2, "unknown section [hannay]")),
     ("epsilon=0.1\n[floquet]\nn=1,2,1", (3, "state numbers must not repeat")),
     ("[sweep]\neps=0.1\nomega=1.0\nworkers=-3", (4, "workers must be >= 0")),
-], ids=["hannay-section", "repeated-state", "negative-workers"])
+    # an integrator or hbar error sits on the first of its keys present
+    ("rtol=-1", (1, "rtol and atol must be positive")),
+    ("epsilon=0.1\nmax_steps=0", (2, "max_steps must be positive")),
+    ("epsilon=0.1\nstep=0\nmethod=rk4-fixed", (2, "step must be positive")),
+    ("epsilon=0.1\nhbar=-1", (2, "hbar must be positive and finite, got -1.0")),
+], ids=["hannay-section", "repeated-state", "negative-workers", "rtol",
+        "max-steps", "rk4-step", "hbar"])
 def test_rejected_with_line(text, error):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -81,10 +87,21 @@ def test_rejected_with_line(text, error):
     ("period=6.0\na_cos=1.0\nb_cos=1.0\nc_sin=0.0,-inf", 4),
 ])
 def test_non_finite_list_values_rejected(text, line):
+    # the malformed value is the only error: no schedule is built with a
+    # default in place of the dropped key
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert any(got == line and msg.startswith("malformed value")
-               for got, msg in err.value.errors)
+    (got, msg), = err.value.errors
+    assert got == line and msg.startswith("malformed value")
+
+
+def test_overflowing_coefficients_are_a_config_error(tmp_path):
+    # a*b - c^2 overflows for finite coefficients this large; under
+    # filterwarnings = error a numpy warning would surface as a traceback
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("period=1.0\na_cos=1e200\nb_cos=1e200\nc_cos=1e200\n")
+    assert main(["hannay", "--config", str(cfg_file),
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_fourier_config_builds_schedule():

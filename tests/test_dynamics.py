@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,10 @@ def test_rhs_rejects_collapsed_width():
     sched = ParameterSchedule.standard(0.0, 1.0)
     with pytest.raises(ValueError):
         ExtendedState(q=0, p=0, G=-0.5, Pi=0)
+    # the right-hand side refuses a width at the floor, not only below zero
+    at_floor = ExtendedState(q=0, p=0, G=dynamics.G_FLOOR, Pi=0)
+    with pytest.raises(DomainError, match="floor"):
+        eom_rhs(at_floor, sched)
 
 
 # ----------------------------------------------------------------------
@@ -251,19 +256,30 @@ def test_output_times_must_increase_inside_the_horizon():
 
 
 def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
-    # the guard vets accepted steps only; with it disabled and the floor
-    # raised above part of the orbit, the interpolated rows must still
-    # refuse a width at or below the floor
+    # the rhs vets every stage; with an rhs that has no floor and the floor
+    # raised above part of the orbit, integrate must still refuse the
+    # accepted and the interpolated rows at or below the floor
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=0, p=0, G=1.0, Pi=0.0)  # G swings 1 -> 1/4 -> 1
-    monkeypatch.setattr(dynamics, "_width_guard", lambda y: True)
+    floored = dynamics._extended_rhs
+
+    def rhs_without_floor(t, y, sched, hbar):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "G_FLOOR", 0.0)
+            return floored(t, y, sched, hbar)
+
+    monkeypatch.setattr(dynamics, "_extended_rhs", rhs_without_floor)
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
-    plain = integrate(state, math.pi, sched)
-    assert plain.y[:, 2].min() < 0.3  # the disabled guard let it through
-    with pytest.raises(IntegrationError, match="interpolated width") as err:
-        integrate(state, math.pi, sched,
-                  output_times=np.linspace(0.0, math.pi, 33)[1:-1])
-    assert 0.0 < err.value.last_t < math.pi
+    _, ys, _ = integrate_ode(lambda t, y: rhs_without_floor(t, y, sched, 1.0),
+                             0.0, state.as_array(), math.pi,
+                             IntegratorOptions())
+    assert ys[:, 2].min() < 0.3  # the swapped rhs let the steps through
+    for output_times in (None, np.linspace(0.0, math.pi, 33)[1:-1]):
+        with pytest.raises(IntegrationError, match="width G = .* at t=") as err:
+            integrate(state, math.pi, sched, output_times=output_times)
+        t = err.value.last_t
+        assert 0.0 < t < math.pi
+        assert math.cos(t) ** 2 + math.sin(t) ** 2 / 4 > 0.3
     cfg = cli.parse_config("epsilon=0.0\n[simulate]\ng0=1.0\n"
                            f"t1={math.pi!r}\nsamples=32\n")
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
@@ -287,6 +303,41 @@ def test_width_guard_reports_failure():
         integrate(state, 10.0, sched)
     assert err.value.last_t is not None
     assert 0.0 < err.value.last_t < 10.0
+    # rk4-fixed meets the floor in a stage of the step that crosses it:
+    # last_t is that step's start, still above it
+    rk4 = IntegratorOptions(method="rk4-fixed", step=0.01)
+    with pytest.raises(IntegrationError, match="floor") as err:
+        integrate(state, 10.0, sched, opts=rk4)
+    last_good = integrate(state, err.value.last_t, sched, opts=rk4).final
+    assert last_good.G > dynamics.G_FLOOR
+
+
+def test_fixed_step_final_row_at_floor_is_reported(tmp_path):
+    # one rk4 step with b = 0 and c = 0 at the step's start and middle
+    # keeps every stage at the start width, which the rhs accepts; c = -6
+    # at its end takes the final row to G0 (1 - 0.5 * 6 / 3) = 0, which
+    # only integrate's row check sees
+    sched = ParameterSchedule(
+        kind=FOURIER, period=1.0, a_coeffs=((1.0, 0.0),),
+        b_coeffs=((0.0, 0.0),), c_coeffs=((-3.0, 0.0), (3.0, 3.0)))
+    opts = IntegratorOptions(method="rk4-fixed", step=0.5)
+    state = ExtendedState(q=0, p=0, G=0.5, Pi=0.0)
+    _, ys, _ = integrate_ode(
+        lambda t, y: dynamics._extended_rhs(t, y, sched, 1.0),
+        0.0, state.as_array(), 0.5, opts)
+    assert len(ys) == 2 and ys[-1, 2] <= dynamics.G_FLOOR
+    with pytest.raises(IntegrationError, match="width G = .* at t=0.5") as err:
+        integrate(state, 0.5, sched, opts=opts)
+    assert err.value.last_t == 0.0
+    # a step further, the pass itself meets that row at the next step's
+    # first stage; last_t is still the last time the rhs accepted
+    with pytest.raises(IntegrationError, match="left the domain") as err:
+        integrate(state, 1.0, sched, opts=opts)
+    assert err.value.last_t == 0.0
+    cfg = cli.parse_config("method=rk4-fixed\nstep=0.5\n"
+                           "[simulate]\ng0=0.5\nt1=0.5\nsamples=1\n")
+    cfg = dataclasses.replace(cfg, schedule=sched)
+    assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
