@@ -137,12 +137,17 @@ def check_hbar_independent_fluctuations(eps=0.05, omega=1.0):
 
 
 def check_monodromy_symplectic(eps=0.05, omega=1.0):
-    worst = 0.0
+    # Gauss steps are symplectic, so det M = 1 holds to roundoff
+    worst = estimate = 0.0
+    steps = []
     for e in (0.0, eps):
         mono = monodromy.compute_monodromy(ParameterSchedule.standard(e, omega))
         worst = max(worst, abs(float(np.linalg.det(mono.M)) - 1.0))
-    return _result("monodromy-symplectic", worst < 1e-10,
-                   f"max |det M - 1| = {worst:.3e}")
+        estimate = max(estimate, mono.estimate)
+        steps.append(str(mono.steps))
+    return _result("monodromy-symplectic", worst < 1e-13,
+                   f"max |det M - 1| = {worst:.3e} (N = {', '.join(steps)} "
+                   f"steps, N-vs-2N estimate {estimate:.3e})")
 
 
 def check_rotation_number_exact(omega=1.0):
@@ -151,7 +156,7 @@ def check_rotation_number_exact(omega=1.0):
         rho = monodromy.compute_monodromy(
             ParameterSchedule.standard(e, omega)).rho
         worst = max(worst, abs(rho - _standard_exact(e, omega)[0]))
-    return _result("rotation-number-exact", worst < 1e-11,
+    return _result("rotation-number-exact", worst < 1e-13,
                    f"max |rho - rho_exact| = {worst:.3e}")
 
 
@@ -208,7 +213,7 @@ def check_hannay_routes(eps=0.05, omega=1.0):
     quad = hannay.hannay_quadrature(sched)
     traj = hannay.trajectory_angle(monodromy.compute_monodromy(sched))
     exact = _standard_exact(eps, omega)[1]
-    ok = abs(quad - closed) < 1e-5 and abs(traj - exact) < 1e-9
+    ok = abs(quad - closed) < 1e-5 and abs(traj - exact) < 1e-12
     return _result(
         "hannay-routes-agree", ok,
         f"quad-closed = {quad - closed:.3e}, traj-exact = {traj - exact:.3e}")

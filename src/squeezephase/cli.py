@@ -219,8 +219,9 @@ def _build_config(values, lines, errors):
     simulate = build(SimulateConfig, "simulate")
     if simulate.samples < 1:
         complain("simulate", "samples", "samples must be >= 1")
-    if simulate.g0 <= 0:
-        complain("simulate", "g0", "g0 must be > 0")
+    if not simulate.g0 > dynamics.G_FLOOR:
+        complain("simulate", "g0",
+                 f"g0 must be > {dynamics.G_FLOOR}, the width floor")
     if simulate.t1 is not None and simulate.t1 <= 0:
         complain("simulate", "t1", "t1 must be > 0")
 

@@ -252,7 +252,8 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
     step's state exactly).  A DomainError from any stage, the trial
     solution's included, rejects the step and halves it.  Returns
     (times, states) of every accepted step and the (len(output_times), n)
-    array of output states.
+    array of output states.  A DomainError at the start state is reported
+    as IntegrationError with last_t None, as _rk4_path reports it.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -266,7 +267,11 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
 
     h = min(1e-2 * max(1.0, abs(t1 - t0)), t1 - t)
     K = np.empty((7, n))
-    K[0] = rhs(t, y)
+    try:
+        K[0] = rhs(t, y)
+    except DomainError as exc:
+        raise IntegrationError(
+            f"state left the domain: {exc}", last_t=None) from exc
 
     steps = 0
     while t < t1 - hmin:

@@ -16,7 +16,7 @@ fluctuation orbit.  For a quadratic Hamiltonian p dq/dt - q dp/dt =
 2 H_cl, and a uniform-angle mean of a quadratic form is its trace, so
 both torus means are exactly (I_bar0/2) tr(K S) from the period pass;
 no ensemble is integrated.  The orbit's cycle phases come from the same
-pass (orbits.cycle_phases), which samples no orbit: it lands on T alone.
+pass (orbits.cycle_phases), run without orbit samples.
 The headline check is
 lambda_G_R = -(n + 1/2) * Theta_H against the nonadiabatic Hannay angle,
 together with the quasi-energy consistency

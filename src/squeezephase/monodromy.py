@@ -9,7 +9,7 @@ S = W W^T, det W = 1 conjugates M to the rotation R(sigma) in the angle
 convention q = sqrt(2I) sin(phi), p = sqrt(2I) cos(phi).  The continuous
 rotation number rho = 2*pi*k + sigma counts full windings of the flow,
 recovered by unwrapping the angle of a fundamental solution expressed in
-the W frame over the accepted steps of the pass.
+the W frame over the steps of the pass.
 
 The Gaussian state whose covariance is (hbar/2) S returns to itself after
 one period, so fluctuation_point(mono.S) is the initial point (G0, Pi0) of
@@ -21,6 +21,18 @@ integrates K = int_0^T M^T H M dt, H = [[a, c], [c, b]], so that
 int_0^T x^T H x dt = x0^T K x0 along any centroid solution.  The orbit,
 the trajectory Hannay angle and every Floquet phase are derived from
 rho, S, K and the sampled M(t) without integrating anything else.
+
+The pass is s = 5 stage Gauss-Legendre collocation (order 2s = 10) on N
+equal steps.  The system x' = A(t) x, A = J H, is linear, so a Gauss step
+maps M(t_k) to P_k M(t_k) with a step matrix P_k that does not depend on
+the state: the stage equations Z_i = I + h sum_j a_ij A_j Z_j of all N
+steps are one batched linear solve, fed by one ParameterSchedule.sample
+call at all N s nodes.  The same stage solutions give the step's share of
+K, M_k^T Q_k M_k with Q_k = h sum_i b_i Z_i^T H_i Z_i, at the same order.
+Only the 2x2 prefix product M_(k+1) = P_k M_k is sequential.  Gauss
+methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, IV.2 and VI.4).  The same pass
+on 2N steps is the error estimate.
 """
 
 from __future__ import annotations
@@ -30,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegratorOptions, integrate_ode
-from .errors import IntegrationError, NonEllipticError
-from .params import ParameterSchedule
+from .errors import ConvergenceError, IntegrationError, NonEllipticError
+from .params import STANDARD, ParameterSchedule
 
 # Below this distance from +/- identity the frame is meaningless and the
 # map is treated as the exact rotation by 0 or pi.
@@ -43,6 +54,47 @@ _IDENTITY_TOL = 1e-9
 # grazing the parabolic boundary at resonant omega.)
 _PARABOLIC_TOL = 1e-12
 
+# Step rule: h (2 B + 2 pi H / T) <= _STEP_RATE, with B a bound on |a|,
+# |b| and |c| over the period and H the highest harmonic.  At order 10 it
+# leaves the truncation error under roundoff.
+_STEP_RATE = 0.5
+
+# Largest accepted disagreement of the N and 2N passes, in M relative to
+# max(1, max |M|) and in K relative to max(1, max |K|).
+_ESTIMATE_BOUND = 1e-11
+
+# Orbit samples are taken this many at a time, which bounds the memory of
+# their batched partial steps whatever the sample count.
+_SAMPLE_CHUNK = 256
+
+
+def _gauss_legendre():
+    """Nodes c, weights b and collocation matrix a of the 5-stage Gauss
+    method on [0, 1].
+
+    c and b map the closed-form roots of the Legendre polynomial P_5 and
+    their weights from [-1, 1]; a_ij = int_0^c_i l_j for the Lagrange
+    basis l_j on c, integrated exactly (l_j has degree 4) by the same
+    rule on [0, c_i].
+    """
+    r = 2.0 * math.sqrt(10.0 / 7.0)
+    x_in, x_out = math.sqrt(5.0 - r) / 3.0, math.sqrt(5.0 + r) / 3.0
+    d = 13.0 * math.sqrt(70.0)
+    w_in, w_out = (322.0 + d) / 900.0, (322.0 - d) / 900.0
+    x = np.array([-x_out, -x_in, 0.0, x_in, x_out])
+    c = 0.5 * (1.0 + x)
+    b = 0.5 * np.array([w_out, w_in, 128.0 / 225.0, w_in, w_out])
+    off = ~np.eye(5, dtype=bool)                       # (j, m), m != j
+    nodes = c[:, None] * c                             # (i, k)
+    num = np.where(off, nodes[..., None, None] - c, 1.0).prod(axis=-1)
+    den = np.where(off, c[:, None] - c, 1.0).prod(axis=-1)
+    a = c[:, None] * np.einsum("k,ikj->ij", b, num / den)
+    return c, b, a
+
+
+_GL_C, _GL_B, _GL_A = _gauss_legendre()
+_STAGES = _GL_C.size
+
 
 @dataclass
 class Monodromy:
@@ -50,8 +102,10 @@ class Monodromy:
     centroid system, its rotation, and the quadratic-form quadrature.
 
     W is the normal frame (W^-1 M W = R(sigma), det W = 1) and
-    K = int_0^T M^T H M dt with H = [[a, c], [c, b]].  t and path hold
-    M(t) on the sample times the pass was asked for.
+    K = int_0^T M^T H M dt with H = [[a, c], [c, b]].  steps is the number
+    N of Gauss steps and estimate the disagreement of the N and 2N passes
+    (relative, see compute_monodromy).  t and path hold M(t) on the
+    sample times the pass was asked for.
     """
 
     M: np.ndarray
@@ -61,6 +115,8 @@ class Monodromy:
     period: float
     W: np.ndarray
     K: np.ndarray
+    steps: int
+    estimate: float
     t: np.ndarray = None
     path: np.ndarray = None
 
@@ -76,48 +132,106 @@ class Monodromy:
         return float(np.sum(self.K * self.S))
 
 
-def _period_rhs(sched):
-    """d/dt of (M11, M12, M21, M22, K11, K12, K22): M' = A M with
-    A = J H, and K' = M^T H M."""
-    def rhs(t, y):
-        a, b, c = sched.eval(t)
-        m11, m12, m21, m22, _, _, _ = y.tolist()
-        h11, h12 = a * m11 + c * m21, a * m12 + c * m22
-        h21, h22 = c * m11 + b * m21, c * m12 + b * m22
-        return np.array([h21, h22, -h11, -h12, m11 * h11 + m21 * h21,
-                         m11 * h12 + m21 * h22, m12 * h12 + m22 * h22])
-    return rhs
+def _step_count(sched: ParameterSchedule) -> int:
+    """N of the step rule: the smallest N with
+    (T/N) (2 B + 2 pi H / T) <= _STEP_RATE."""
+    if sched.kind == STANDARD:
+        bound, harmonics = 1.0 + sched.epsilon, 1
+    else:
+        coeffs = (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs)
+        bound = max(sum(abs(c) + abs(s) for c, s in pairs)
+                    for pairs in coeffs)
+        harmonics = max(len(pairs) for pairs in coeffs) - 1
+    rate = 2.0 * bound * sched.period + 2.0 * math.pi * harmonics
+    return max(1, math.ceil(rate / _STEP_RATE))
 
 
-# the matrix flow is cheap; run it tighter than the trajectory default so
-# the symplectic determinant holds to 1e-10 even for slow drives.  K grows
-# like t, so its error is ~rtol |K| per step, and the Floquet phases take
-# the difference rho - tr(KS)/2 of two numbers ~T: at 1e-12 a drive with
-# omega = 0.5 loses 1.9e-10 in lambda_G_R(n=3), at 3e-13 5.6e-11
-_MATRIX_OPTS = IntegratorOptions(rtol=3e-13, atol=3e-13)
+def _gauss_steps(sched: ParameterSchedule, t0, h):
+    """Step matrices P and quadrature matrices Q of Gauss steps of sizes h
+    from the times t0 (arrays of one length n).
+
+    P maps M(t0) to M(t0 + h), and the step adds M(t0)^T Q M(t0) to K.
+    """
+    n, s = t0.size, _STAGES
+    a, b, c = sched.sample(t0[:, None] + h[:, None] * _GL_C)   # (n, s)
+    # block (i, j) of the stage equations Z_i - h sum_j a_ij A_j Z_j = I
+    # is delta_ij I - h a_ij A_j, A = J H = [[c, b], [-a, -c]]; hA is
+    # indexed (step, row, stage, column)
+    ha, hb, hc = (h[:, None] * v for v in (a, b, c))
+    hA = np.stack([np.stack([hc, hb], -1), np.stack([-ha, -hc], -1)], 1)
+    L = np.eye(2 * s) - (hA[:, None] * _GL_A[:, None, :, None]).reshape(
+        n, 2 * s, 2 * s)
+    # the right-hand side has the shape of the solution, which every
+    # numpy version reads as a stack of matrices
+    ones = np.broadcast_to(np.tile(np.eye(2), (s, 1)), (n, 2 * s, 2))
+    Z = np.linalg.solve(L, ones).reshape(n, s, 2, 2)
+    # rows of A_i Z_i from the rows Z0, Z1 of Z_i; H_i Z_i = J^T A_i Z_i
+    # has the rows (-F1, F0)
+    Z0, Z1 = Z[:, :, 0], Z[:, :, 1]
+    a, b, c = a[..., None], b[..., None], c[..., None]
+    F0, F1 = c * Z0 + b * Z1, -(a * Z0 + c * Z1)
+    w = h[:, None] * _GL_B                              # (n, s)
+    P = np.eye(2) + np.einsum("ni,nipq->npq", w, np.stack([F0, F1], 2))
+    Q = np.einsum("nipq,nipr->nqr", Z * w[..., None, None],
+                  np.stack([-F1, F0], 2))
+    return P, Q
+
+
+def _gauss_pass(sched: ParameterSchedule, N: int):
+    """M(t_k) at the N + 1 step times t_k = k T/N, and K."""
+    h = sched.period / N
+    P, Q = _gauss_steps(sched, h * np.arange(N), np.full(N, h))
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    prefix = [(m11, m12, m21, m22)]
+    for (p11, p12), (p21, p22) in P.tolist():
+        m11, m12, m21, m22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
+                              p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
+        prefix.append((m11, m12, m21, m22))
+    Ms = np.array(prefix).reshape(N + 1, 2, 2)
+    (k11, k12), (_, k22) = np.einsum(
+        "kpq,kpr->qr", Ms[:-1], Q @ Ms[:-1]).tolist()
+    return Ms, np.array([[k11, k12], [k12, k22]])
+
+
+def _sample_path(sched: ParameterSchedule, Ms, n_samples: int):
+    """M(t) at the n_samples + 1 times j T/n_samples from the prefix
+    products Ms of the pass: a sample on a step time is that step's M, any
+    other one Gauss step of the partial size from the start of the step
+    that covers it.  The step of a sample and its offset in the step are
+    exact integer arithmetic."""
+    N = Ms.shape[0] - 1
+    h = sched.period / N
+    k, r = np.divmod(np.arange(n_samples + 1) * N, n_samples)
+    path = Ms[k]
+    inside = np.flatnonzero(r)
+    for i in range(0, inside.size, _SAMPLE_CHUNK):
+        j = inside[i:i + _SAMPLE_CHUNK]
+        P, _ = _gauss_steps(sched, h * k[j], h * r[j] / n_samples)
+        path[j] = P @ path[j]
+    return path
 
 
 def compute_monodromy(sched: ParameterSchedule,
                       n_samples: int = None) -> Monodromy:
-    """One pass over the period: integrate M(t) and K(t), extract
+    """One pass over the period: M(t) and K(t) on N Gauss steps, then
     (sigma, k, rho) and the normal frame W.
 
-    The steps are chosen by error control alone and land on T only; with
+    N is set by the schedule alone (_step_count).  The winding k comes
+    from unwrapping the normal-frame angle of one solution column over
+    the N steps (each increment must stay under pi/2), then rounding
+    (total - sigma)/(2*pi).  The same pass on 2N steps follows; estimate
+    is the larger of max |M_2N - M_N| / max(1, max |M_N|) and the same
+    for K, and ConvergenceError is raised past _ESTIMATE_BOUND.  With
     n_samples, M(t) is returned on the n_samples + 1 uniform times of
-    [0, T], interior ones by the continuous extension of the step that
-    covers them.  M(T), K, sigma, rho and W are therefore the same, bit
-    for bit, for every n_samples.  The winding k comes from unwrapping
-    the normal-frame angle of one solution column over the accepted steps
-    (each increment must stay under pi/2), then rounding
-    (total - sigma)/(2*pi).
+    [0, T] (_sample_path); the samples take no part in the pass, so
+    M(T), K, sigma, rho and W are the same, bit for bit, for every
+    n_samples.
     """
+    if n_samples is not None and n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     T = sched.period
-    grid = None if n_samples is None else np.linspace(0.0, T, n_samples + 1)
-    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    ts, ys, dense = integrate_ode(
-        _period_rhs(sched), 0.0, y0, T, _MATRIX_OPTS,
-        output_times=None if grid is None else grid[1:-1])
-    Ms = ys[:, :4].reshape(-1, 2, 2)
+    N = _step_count(sched)
+    Ms, K = _gauss_pass(sched, N)
     M = Ms[-1]
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-8:
@@ -131,7 +245,7 @@ def compute_monodromy(sched: ParameterSchedule,
     step = float(np.abs(np.diff(theta)).max())
     if step >= 0.5 * math.pi:
         raise IntegrationError(
-            f"normal-frame angle moved {step:.3f} rad in one step; "
+            f"normal-frame angle moved {step:.3f} rad in one of {N} steps; "
             "windings cannot be counted", last_t=T)
     total = float(theta[-1] - theta[0])
     winding = int(round((total - sigma) / (2.0 * math.pi)))
@@ -140,13 +254,22 @@ def compute_monodromy(sched: ParameterSchedule,
         raise IntegrationError(
             f"winding tracking inconsistent: unwrapped {total}, "
             f"normal-form sigma {sigma}", last_t=T)
-    path = None
-    if grid is not None:
-        path = np.vstack([ys[:1], dense, ys[-1:]])[:, :4].reshape(-1, 2, 2)
-    k11, k12, k22 = ys[-1, 4:]
+
+    Ms2, K2 = _gauss_pass(sched, 2 * N)
+    estimate = max(
+        float(np.abs(Ms2[-1] - M).max()) / max(1.0, float(np.abs(M).max())),
+        float(np.abs(K2 - K).max()) / max(1.0, float(np.abs(K).max())))
+    if not estimate <= _ESTIMATE_BOUND:
+        raise ConvergenceError(
+            f"period pass on N = {N} steps and on 2N = {2 * N} steps "
+            f"disagree by {estimate:.3e} (relative), over the bound "
+            f"{_ESTIMATE_BOUND:.0e}")
+    grid = path = None
+    if n_samples is not None:
+        grid = np.linspace(0.0, T, n_samples + 1)
+        path = _sample_path(sched, Ms, n_samples)
     return Monodromy(M=M, sigma=sigma, winding=winding, rho=rho, period=T,
-                     W=W, K=np.array([[k11, k12], [k12, k22]]),
-                     t=grid, path=path)
+                     W=W, K=K, steps=N, estimate=estimate, t=grid, path=path)
 
 
 def normal_frame(M):

@@ -5,9 +5,10 @@ under a periodic drive it continues to a unique T-periodic orbit.  The
 Gaussian of covariance (hbar/2) S, with S the M-invariant form of the
 monodromy, returns to itself after one period, so the orbit is read off
 S(t) = M(t) S M(t)^T as G = S11/2, Pi = S12/(2 S11): no root finding.
-The pass steps under error control alone and M(t) is read at the sample
-times from the continuous extension of its steps, so the number of samples
-changes neither the steps nor rho, S and K.
+The pass takes N Gauss steps set by the schedule alone, and M(t) at a
+sample time is one partial Gauss step from the start of the step that
+covers it, so the number of samples changes neither the steps nor rho, S
+and K.
 
 The geometric phase of the corresponding cyclic squeezed state is the
 signed area the orbit encloses in the (Pi, G) plane,

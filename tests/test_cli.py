@@ -72,8 +72,11 @@ def test_unknown_section_reported():
     ("epsilon=0.1\nmax_steps=0", (2, "max_steps must be positive")),
     ("epsilon=0.1\nstep=0\nmethod=rk4-fixed", (2, "step must be positive")),
     ("epsilon=0.1\nhbar=-1", (2, "hbar must be positive and finite, got -1.0")),
+    # a start width the right-hand side would refuse
+    ("epsilon=0.1\n[simulate]\nq0=1.0\ng0=1e-7",
+     (4, "g0 must be > 1e-06, the width floor")),
 ], ids=["hannay-section", "repeated-state", "negative-workers", "rtol",
-        "max-steps", "rk4-step", "hbar"])
+        "max-steps", "rk4-step", "hbar", "g0-floor"])
 def test_rejected_with_line(text, error):
     with pytest.raises(ConfigError) as err:
         parse_config(text)

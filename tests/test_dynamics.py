@@ -341,6 +341,20 @@ def test_fixed_step_final_row_at_floor_is_reported(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_start_width_at_floor_is_reported(method):
+    # a start state the right-hand side refuses fails the same way under
+    # either method: IntegrationError, and no time was good
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    for G in (1e-7, dynamics.G_FLOOR):
+        with pytest.raises(IntegrationError,
+                           match="left the domain: .* at or below the floor"
+                           ) as err:
+            integrate(ExtendedState(q=1.0, p=0.0, G=G, Pi=0.0), 1.0, sched,
+                      opts=IntegratorOptions(method=method))
+        assert err.value.last_t is None
+
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
 def test_only_domain_errors_reject_steps(method):
     # a DomainError raised in the rhs is a state leaving the domain: the
     # adaptive stepper halves the step and reports an IntegrationError at

@@ -6,12 +6,13 @@ import pytest
 from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
-from squeezephase.errors import IntegrationError, NonEllipticError
+from squeezephase.errors import (ConvergenceError, IntegrationError,
+                                 NonEllipticError)
 from squeezephase.checks import ellipse_points
 from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
 from squeezephase.params import ParameterSchedule
-from witness import period_end
+from witness import period_end, rk45_period_pass
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,7 +52,7 @@ def test_rotation_number_slow_drive():
 def test_determinant_symplectic():
     for eps, omega in [(0.0, 1.0), (0.1, 1.0), (0.2, 0.7), (0.05, 2.0)]:
         mono = compute_monodromy(ParameterSchedule.standard(eps, omega))
-        assert abs(np.linalg.det(mono.M) - 1.0) < 1e-10
+        assert abs(np.linalg.det(mono.M) - 1.0) < 1e-13
 
 
 def test_rotation_number_continuous_in_drive():
@@ -77,7 +78,9 @@ def test_standard_family_matches_exact_solution(eps, omega):
     # M(t) = R(-omega t/2) exp(tB), B = A(0) + (omega/2) J; B^2 = -nu^2 I
     # gives M(T) = -(cos(nu T) I + sin(nu T) B/nu) and rho = nu T - pi,
     # and M = cos(sigma) I + sin(sigma) S J gives S = diag(B12, -B21)/nu.
-    # The cases cover windings 0 to 3 and the resonant omega = 2
+    # In that frame M^T H M = exp(tB^T) H0 exp(tB), H0 = diag(1+eps, 1-eps),
+    # so tr(K S) = (2 pi/omega)(2 + omega - 2 eps^2)/nu.  The cases cover
+    # windings 0 to 3 and the resonant omega = 2
     mono = compute_monodromy(ParameterSchedule.standard(eps, omega))
     T = TWO_PI / omega
     nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
@@ -85,9 +88,11 @@ def test_standard_family_matches_exact_solution(eps, omega):
                   [-(1.0 + eps + omega / 2.0), 0.0]])
     M = -(math.cos(nu * T) * np.eye(2) + math.sin(nu * T) * B / nu)
     S = np.diag([B[0, 1], -B[1, 0]]) / nu
-    assert np.max(np.abs(mono.M - M)) <= 1e-10
-    assert abs(mono.rho - (nu * T - math.pi)) <= 1e-11
+    tr_KS = TWO_PI / omega * (2.0 + omega - 2.0 * eps ** 2) / nu
+    assert np.max(np.abs(mono.M - M)) <= 1e-13
+    assert abs(mono.rho - (nu * T - math.pi)) <= 1e-13
     assert np.max(np.abs(mono.S - S)) <= 1e-9 * np.max(np.abs(S))
+    assert abs(mono.tr_KS - tr_KS) <= 1e-12 * tr_KS
 
 
 @pytest.mark.parametrize("sched", [
@@ -98,8 +103,8 @@ def test_standard_family_matches_exact_solution(eps, omega):
         c=[(0.0, 0.0), (0.02, 0.09), (-0.03, 0.0), (0.0, 0.02)]),
 ], ids=["standard", "fourier-3"])
 def test_samples_do_not_move_the_pass(sched):
-    # samples come from the continuous extension, so the steps, and with
-    # them M(T), K, rho and the frame, are the same bit for bit
+    # samples are partial steps off the pass, so M(T), K, rho and the
+    # frame are the same bit for bit
     plain = compute_monodromy(sched)
     assert plain.t is None and plain.path is None
     for n in (8, 512, 4096):
@@ -114,21 +119,67 @@ def test_samples_do_not_move_the_pass(sched):
         assert np.array_equal(mono.path[-1], plain.M)
 
 
+def test_sample_count_must_be_positive():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        compute_monodromy(ParameterSchedule.standard(0.1, 1.0), n_samples=0)
+
+
+def random_fourier(rng, harmonics):
+    # elliptic by construction: a, b >= 0.8 - 0.2 and |c| <= 0.05 + 0.2,
+    # so a b - c^2 >= 0.36 - 0.0625
+    amp = 0.1 / harmonics
+
+    def coeff(mean):
+        return [(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2))
+                                for _ in range(harmonics)]
+    return ParameterSchedule.fourier(
+        rng.uniform(2.0, 8.0), coeff(rng.uniform(0.8, 1.2)),
+        coeff(rng.uniform(0.8, 1.2)), coeff(rng.uniform(-0.05, 0.05)))
+
+
+def witness_cases():
+    # a standard schedule and one seeded random Fourier schedule per
+    # harmonic count 1-8 (every draw of this seed has an elliptic map)
+    rng = np.random.default_rng(1998)
+    return [ParameterSchedule.standard(0.3, 0.5),
+            *(random_fourier(rng, harmonics) for harmonics in range(1, 9))]
+
+
+def test_gauss_pass_matches_rk45_witness():
+    for sched in witness_cases():
+        mono = compute_monodromy(sched)
+        M, K, rho = rk45_period_pass(sched)
+        tr_KS = float(np.sum(K * mono.S))
+        assert np.max(np.abs(mono.M - M)) <= 1e-11 * max(1.0, np.abs(M).max())
+        assert abs(mono.rho - rho) <= 1e-12
+        assert abs(mono.tr_KS - tr_KS) <= 1e-10 * abs(tr_KS)
+        # the N-vs-2N estimate sits at roundoff, far under its bound
+        assert mono.steps == monodromy_module._step_count(sched)
+        assert 0.0 <= mono.estimate <= 1e-13
+
+
 def test_coarse_pass_cannot_count_windings(tmp_path, monkeypatch):
-    # three steps per period move the normal-frame angle by ~2.1 rad each:
-    # the winding is ambiguous and the pass must refuse with a typed error
-    real = monodromy_module.integrate_ode
-
-    def coarse(*args, **kwargs):
-        ts, ys, dense = real(*args, **kwargs)
-        keep = np.linspace(0, len(ts) - 1, 4).round().astype(int)
-        return ts[keep], ys[keep], dense
-
-    monkeypatch.setattr(monodromy_module, "integrate_ode", coarse)
+    # three Gauss steps per period move the normal-frame angle by ~2.1 rad
+    # each: the winding is ambiguous and the pass must refuse with a typed
+    # error before it runs the 2N pass
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 3)
     with pytest.raises(IntegrationError, match="windings cannot be counted"):
         compute_monodromy(ParameterSchedule.standard(0.05, 1.0))
     cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n")
     assert cli.run("hannay", cfg, out_dir=tmp_path) == 1
+
+
+def test_coarse_pass_fails_its_error_estimate(tmp_path, monkeypatch, capsys):
+    # six steps count the windings (~1.05 rad per step) but leave an error
+    # of ~2e-9, which the N-vs-2N comparison must catch and name
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 6)
+    with pytest.raises(ConvergenceError,
+                       match=r"N = 6 steps and on 2N = 12 steps disagree by "
+                             r"\d\.\d{3}e-\d\d .* over the bound 1e-11"):
+        compute_monodromy(ParameterSchedule.standard(0.05, 1.0))
+    cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n")
+    assert cli.run("floquet", cfg, out_dir=tmp_path) == 1
+    assert "N = 6 steps" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +314,7 @@ def test_ensemble_area_is_action():
 
 def test_ensemble_invariant_under_period_map():
     # M S M^T = det(M) S holds at roundoff for the invariant form; the
-    # det M - 1 part is the pass's own error, held to 1e-10 elsewhere.
+    # det M - 1 part is the pass's own error, held to 1e-13 elsewhere.
     # Then propagate ellipse points through the full nonlinear pass (the
     # centroid subsystem is linear, so this is also the monodromy action)
     # and check each lands back on the same ellipse.
