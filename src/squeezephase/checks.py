@@ -18,6 +18,11 @@ from . import dynamics, floquet, hannay, monodromy, orbits
 from .params import Constants, ParameterSchedule
 
 
+# the nonlinear extended-state flow, the witness of every check that
+# integrates a state: it shares nothing with the period pass
+_FLOW = dynamics.IntegratorOptions(method=dynamics.RK45)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -73,7 +78,7 @@ def check_action_conservation(omega=1.0):
     sched = ParameterSchedule.standard(0.0, omega)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=1.0, Pi=0.0)
     I0, J0 = dynamics.actions(state)
-    traj = dynamics.integrate(state, 10 * sched.period, sched)
+    traj = dynamics.integrate(state, 10 * sched.period, sched, opts=_FLOW)
     worst = 0.0
     for i in range(0, len(traj.t), max(1, len(traj.t) // 64)):
         I, J = dynamics.actions(traj.state_at_index(i))
@@ -86,7 +91,7 @@ def check_covariance_determinant(eps=0.05, omega=1.0, hbar=1.0):
     sched = ParameterSchedule.standard(eps, omega)
     state = dynamics.ExtendedState(q=0.3, p=-0.2, G=0.7, Pi=0.1)
     traj = dynamics.integrate(state, sched.period, sched,
-                              consts=Constants(hbar=hbar))
+                              consts=Constants(hbar=hbar), opts=_FLOW)
     dq2, dp2, cov = dynamics.covariance(traj.y[:, 2], traj.y[:, 3], hbar)
     worst = float(np.max(np.abs(dq2 * dp2 - cov ** 2 - hbar ** 2 / 4.0)))
     return _result("covariance-determinant", worst < 1e-10,
@@ -98,7 +103,8 @@ def check_rk4_convergence(eps=0.05, omega=1.0):
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     ref = dynamics.integrate(
         state, sched.period, sched,
-        opts=dynamics.IntegratorOptions(rtol=1e-13, atol=1e-13)).final
+        opts=dynamics.IntegratorOptions(method=dynamics.RK45, rtol=1e-13,
+                                        atol=1e-13)).final
     errs = []
     for h in (8e-3, 4e-3):
         end = dynamics.integrate(
@@ -114,9 +120,9 @@ def check_phase_additivity(eps=0.05, omega=1.0):
     sched = ParameterSchedule.standard(eps, omega)
     state = dynamics.ExtendedState(q=0.8, p=0.1, G=0.6, Pi=-0.05)
     T = sched.period
-    mid = dynamics.integrate(state, 0.37 * T, sched).final
-    two = dynamics.integrate(mid, T, sched).final
-    one = dynamics.integrate(state, T, sched).final
+    mid = dynamics.integrate(state, 0.37 * T, sched, opts=_FLOW).final
+    two = dynamics.integrate(mid, T, sched, opts=_FLOW).final
+    one = dynamics.integrate(state, T, sched, opts=_FLOW).final
     dev = max(abs(two.lambda_G - one.lambda_G),
               abs(two.lambda_D - one.lambda_D))
     return _result("phase-additivity", dev < 1e-9,
@@ -129,7 +135,7 @@ def check_hbar_independent_fluctuations(eps=0.05, omega=1.0):
     ends = []
     for hbar in (0.5, 1.0, 2.0):
         end = dynamics.integrate(state, sched.period, sched,
-                                 consts=Constants(hbar=hbar)).final
+                                 consts=Constants(hbar=hbar), opts=_FLOW).final
         ends.append((end.G, end.Pi))
     dev = max(abs(g - ends[0][0]) + abs(pi - ends[0][1]) for g, pi in ends)
     return _result("hbar-independent-fluctuations", dev < 1e-8,
@@ -187,7 +193,7 @@ def check_orbit_phase_witness(eps=0.05, omega=1.0):
     orb = orbits.find_periodic_orbit(sched)
     end = dynamics.integrate(dynamics.ExtendedState(q=0.0, p=0.0, G=orb.G0,
                                                     Pi=orb.Pi0),
-                             sched.period, sched).final
+                             sched.period, sched, opts=_FLOW).final
     periodic = max(abs(end.G - orb.G0), abs(end.Pi - orb.Pi0))
     phases = max(abs(end.lambda_G - orb.lambda_G_cycle),
                  abs(end.lambda_D - orb.lambda_D_cycle))
@@ -256,7 +262,7 @@ def check_floquet_flow_witness(eps=0.05, omega=1.0):
         rep = floquet.floquet_reports(sched, [n], consts=consts)[0]
         ends = [dynamics.integrate(
             dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0), sched.period,
-            sched, consts=consts).final
+            sched, consts=consts, opts=_FLOW).final
             for q, p in ellipse_points(mono.W, rep.I_bar0, 4)]
         mean_G = np.mean([end.lambda_G for end in ends])
         mean_D = np.mean([end.lambda_D for end in ends])

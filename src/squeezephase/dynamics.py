@@ -9,12 +9,20 @@ accumulated geometric and dynamical phases obey
     d(lambda_G)/dt = (p*dq/dt - q*dp/dt)/(2*hbar) - (dPi/dt)*G
     d(lambda_D)/dt = -H_eff/hbar
 
-and ride the same integration pass as the state, so state and phase share
-one error control.
+integrate takes one of three routes (IntegratorOptions.method).  The
+default, "linear", needs no stepping of these equations: the centroid
+follows x = M x0 and the covariance form S = M S0 M^T, with M(t) the flow
+matrix of the centroid system, and both phases are quadratic forms of
+K(t) = int M^T H M plus the angle of the complex width; M and K come from
+the Gauss period pass of monodromy.sample_flow.  The flow routes,
+"rk45-adaptive" and "rk4-fixed", integrate the six components above, the
+phases in the same pass as the state, so that state and phase share one
+error control; they are the independent witness of the linear route and
+of the period pass.
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
 or below it, so the steppers reject every stage that reaches it, and
-integrate refuses any row it would return at or below it.
+integrate refuses any row it would return at or below it, on every route.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError
+from .monodromy import sample_flow
 from .params import Constants, ParameterSchedule
 
 # The flow preserves G > 0, so a width at or below this floor signals
@@ -33,6 +42,7 @@ from .params import Constants, ParameterSchedule
 # refuses any returned row there.
 G_FLOOR = 1e-6
 
+LINEAR = "linear"
 RK45 = "rk45-adaptive"
 RK4 = "rk4-fixed"
 
@@ -67,22 +77,27 @@ class ExtendedState:
 class IntegratorOptions:
     """Time-integration options.
 
-    method is "rk45-adaptive" (embedded 5(4) pair, default) or "rk4-fixed".
-    rtol/atol control the adaptive method; step is the fixed-method step.
+    method is "linear" (the default: the state and the phases in closed
+    form from M(t) and K(t) of the Gauss period pass, see _linear_path),
+    or one of the flow routes that step the extended-state equations of
+    motion: "rk45-adaptive" (embedded 5(4) pair) or "rk4-fixed".
+    rtol/atol control the adaptive method, step is the fixed-method step,
+    and max_steps bounds the steps of either flow route; the linear route
+    sets its own steps from the schedule and reads none of them.
     """
 
-    method: str = RK45
+    method: str = LINEAR
     rtol: float = 1e-10
     atol: float = 1e-10
     step: float = 1e-3
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.method not in (RK45, RK4):
+        if self.method not in (LINEAR, RK45, RK4):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == RK45 and not (self.rtol > 0.0 and self.atol > 0.0):
+        if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("rtol and atol must be positive")
-        if self.method == RK4 and not self.step > 0.0:
+        if not self.step > 0.0:
             raise ValueError("step must be positive")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
@@ -90,8 +105,9 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Integration samples, every accepted step or the requested output
-    times; rows of y are (q, p, G, Pi, lG, lD)."""
+    """Integration samples: every step (an accepted step of a flow route,
+    a Gauss node of the linear route) or the requested output times; rows
+    of y are (q, p, G, Pi, lG, lD)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -367,11 +383,46 @@ def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
                   output_times=None):
     """Dispatch a generic ODE pass through the configured stepper.
 
-    Returns (times, states) of every accepted step and the states at
+    A generic right-hand side has no linear route: rk4-fixed runs the
+    fixed-step pass and any other method the adaptive one.  Returns
+    (times, states) of every accepted step and the states at
     output_times, which must increase strictly inside (t0, t1).
     """
     path = _rk4_path if opts.method == RK4 else _rk45_path
     return path(rhs, t0, y0, t1, opts, output_times)
+
+
+def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
+    """Rows (t, q, p, G, Pi, lG, lD) in closed form from the flow matrix
+    M(t) and K(t) = int_t0^t M^T H M of the Gauss period pass.
+
+    The covariance form of the start state, S0 = [[2G, 4G Pi],
+    [4G Pi, 1/(2G) + 8G Pi^2]], has the lower-triangular factor
+    W0 = [[r, 0], [2 Pi r, 1/r]], r = sqrt(2G).  With phi the angle of
+    the first row of M W0, unwrapped from 0 at t0 (sample_flow's angle
+    for the frame W0):
+
+        (q, p) = M (q0, p0),  S = M S0 M^T,  G = S11/2,  Pi = S12/(2 S11),
+        lambda_D = lambda_D0 - x0^T K x0/(2 hbar) - tr(K S0)/4,
+        lambda_G = lambda_G0 + x0^T K x0/(2 hbar) + tr(K S0)/4 - phi/2.
+    """
+    x0 = np.array([state0.q, state0.p])
+    r = math.sqrt(2.0 * state0.G)
+    W0 = np.array([[r, 0.0], [2.0 * state0.Pi * r, 1.0 / r]])
+    if output_times is not None:
+        output_times = _check_output_times(state0.t, t1, output_times)
+    flow = sample_flow(sched, state0.t, t1, output_times, W0)
+    Z = flow.M @ W0
+    (u, v), (u2, v2) = Z[:, 0].T, Z[:, 1].T
+    w = u * u + v * v
+    centroid = np.einsum("p,npq,q->n", x0, flow.K, x0) / (2.0 * hbar)
+    width = 0.25 * np.einsum("npq,pq->n", flow.K, W0 @ W0.T)
+    y = np.column_stack([
+        flow.M @ x0, 0.5 * w, (u * u2 + v * v2) / (2.0 * w),
+        state0.lambda_G + centroid + width - 0.5 * flow.angle,
+        state0.lambda_D - centroid - width])
+    y[0] = state0.as_array()
+    return flow.t, y
 
 
 def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
@@ -387,16 +438,19 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
     t1 : float
         Final time, must exceed state0.t.
     output_times : sequence of float, optional
-        Times strictly increasing inside (t0, t1).  The adaptive method
-        evaluates them by the continuous extension of the step covering
-        each (its steps do not depend on them); rk4-fixed lands on them.
+        Times strictly increasing inside (t0, t1).  The linear route
+        samples M(t) and K(t) at them by partial Gauss steps, the
+        adaptive method evaluates them by the continuous extension of the
+        step covering each (neither moves its steps), and rk4-fixed lands
+        on them.
 
     Returns
     -------
     Trajectory
-        Without output_times, every accepted step; with them, exactly the
-        rows at (t0, *output_times, t1).  Phases are accumulated within
-        the same pass.
+        Without output_times, every step (every Gauss node of the linear
+        route, every accepted step of a flow route); with them, exactly
+        the rows at (t0, *output_times, t1).  The flow routes accumulate
+        the phases within the same pass.
 
     Raises IntegrationError if any returned row has its width at or below
     G_FLOOR; its last_t is then the time of the row before.
@@ -405,18 +459,21 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
         raise ValueError(f"t1={t1} must exceed start time {state0.t}")
     hbar = consts.hbar
 
-    def rhs(t, y):
-        return _extended_rhs(t, y, sched, hbar)
-
-    ts, ys, dense = integrate_ode(rhs, state0.t, state0.as_array(), t1, opts,
-                                  output_times=output_times)
-    if output_times is None:
-        t_out, y_out = ts, ys
+    if opts.method == LINEAR:
+        t_out, y_out = _linear_path(state0, t1, sched, hbar, output_times)
     else:
-        t_out = np.array([ts[0], *output_times, ts[-1]], dtype=float)
-        y_out = np.vstack([ys[:1], dense, ys[-1:]])
+        def rhs(t, y):
+            return _extended_rhs(t, y, sched, hbar)
+
+        ts, ys, dense = integrate_ode(rhs, state0.t, state0.as_array(), t1,
+                                      opts, output_times=output_times)
+        if output_times is None:
+            t_out, y_out = ts, ys
+        else:
+            t_out = np.array([ts[0], *output_times, ts[-1]], dtype=float)
+            y_out = np.vstack([ys[:1], dense, ys[-1:]])
     # the rhs vets every stage, but not an interpolated row, nor the final
-    # row of a fixed step
+    # row of a fixed step, nor any row of the linear route
     low = np.flatnonzero(y_out[:, 2] <= G_FLOOR)
     if low.size:
         i = int(low[0])

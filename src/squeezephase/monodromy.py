@@ -33,6 +33,11 @@ Only the 2x2 prefix product M_(k+1) = P_k M_k is sequential.  Gauss
 methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, IV.2 and VI.4).  The same pass
 on 2N steps is the error estimate.
+
+The pass is also the sampler of M(t) and K(t) at any time: a time inside
+a step is one partial Gauss step from its start (_flow_at), which gives
+the orbit samples of compute_monodromy and, with the powers of M(T), the
+trajectories of sample_flow over any horizon from any start time.
 """
 
 from __future__ import annotations
@@ -177,10 +182,11 @@ def _gauss_steps(sched: ParameterSchedule, t0, h):
     return P, Q
 
 
-def _gauss_pass(sched: ParameterSchedule, N: int):
-    """M(t_k) at the N + 1 step times t_k = k T/N, and K."""
+def _gauss_pass(sched: ParameterSchedule, N: int, t0: float = 0.0):
+    """M(t_k) at the N + 1 step times t_k = t0 + k T/N of the flow from
+    t0, K over the period, and the step quadrature matrices Q."""
     h = sched.period / N
-    P, Q = _gauss_steps(sched, h * np.arange(N), np.full(N, h))
+    P, Q = _gauss_steps(sched, t0 + h * np.arange(N), np.full(N, h))
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     prefix = [(m11, m12, m21, m22)]
     for (p11, p12), (p21, p22) in P.tolist():
@@ -190,25 +196,147 @@ def _gauss_pass(sched: ParameterSchedule, N: int):
     Ms = np.array(prefix).reshape(N + 1, 2, 2)
     (k11, k12), (_, k22) = np.einsum(
         "kpq,kpr->qr", Ms[:-1], Q @ Ms[:-1]).tolist()
-    return Ms, np.array([[k11, k12], [k12, k22]])
+    return Ms, np.array([[k11, k12], [k12, k22]]), Q
 
 
-def _sample_path(sched: ParameterSchedule, Ms, n_samples: int):
-    """M(t) at the n_samples + 1 times j T/n_samples from the prefix
-    products Ms of the pass: a sample on a step time is that step's M, any
-    other one Gauss step of the partial size from the start of the step
-    that covers it.  The step of a sample and its offset in the step are
-    exact integer arithmetic."""
-    N = Ms.shape[0] - 1
-    h = sched.period / N
-    k, r = np.divmod(np.arange(n_samples + 1) * N, n_samples)
-    path = Ms[k]
-    inside = np.flatnonzero(r)
+def _pass_estimate(sched: ParameterSchedule, N: int, M, K,
+                   t0: float = 0.0) -> float:
+    """Disagreement of the pass (M, K) on N steps with the same pass on
+    2N steps: the larger of max |M_2N - M_N| / max(1, max |M_N|) and the
+    same for K.  Raises ConvergenceError past _ESTIMATE_BOUND."""
+    Ms2, K2, _ = _gauss_pass(sched, 2 * N, t0)
+    estimate = max(
+        float(np.abs(Ms2[-1] - M).max()) / max(1.0, float(np.abs(M).max())),
+        float(np.abs(K2 - K).max()) / max(1.0, float(np.abs(K).max())))
+    if not estimate <= _ESTIMATE_BOUND:
+        raise ConvergenceError(
+            f"period pass on N = {N} steps and on 2N = {2 * N} steps "
+            f"disagree by {estimate:.3e} (relative), over the bound "
+            f"{_ESTIMATE_BOUND:.0e}")
+    return estimate
+
+
+def _node_quadrature(Ms, Q):
+    """K at the N + 1 step times of the pass (Ms, Q): the prefix sums of
+    the step shares M_k^T Q_k M_k.  (compute_monodromy keeps the one-shot
+    sum of _gauss_pass, whose bits its artifacts carry.)"""
+    shares = np.einsum("kpq,kpr->kqr", Ms[:-1], Q @ Ms[:-1])
+    return np.concatenate([np.zeros((1, 2, 2)), np.cumsum(shares, axis=0)])
+
+
+def _flow_at(sched: ParameterSchedule, Ms, Ks, t0, step, offset):
+    """M and K of the pass (Ms, Ks) from t0 at the times
+    t0 + step h + offset, h = T/N, with step in [0, N) and offset of the
+    order of h; K is None when Ks is.
+
+    A time with offset 0 is that step time's M and K; any other is one
+    Gauss step of size offset from the step time, which maps M and adds
+    M^T Q M to K.  The partial steps are taken _SAMPLE_CHUNK at a time.
+    """
+    h = sched.period / (Ms.shape[0] - 1)
+    M = Ms[step]
+    K = None if Ks is None else Ks[step]
+    inside = np.flatnonzero(offset)
     for i in range(0, inside.size, _SAMPLE_CHUNK):
         j = inside[i:i + _SAMPLE_CHUNK]
-        P, _ = _gauss_steps(sched, h * k[j], h * r[j] / n_samples)
-        path[j] = P @ path[j]
-    return path
+        P, Q = _gauss_steps(sched, t0 + h * step[j], offset[j])
+        if K is not None:
+            K[j] += np.einsum("npq,npr->nqr", M[j], Q @ M[j])
+        M[j] = P @ M[j]
+    return M, K
+
+
+def _row_angle(M):
+    """Angle of the first row (M11, M12) of each matrix of a stack."""
+    return np.arctan2(M[..., 0, 1], M[..., 0, 0])
+
+
+def _wrap(angle):
+    """angle reduced into [-pi, pi)."""
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+
+
+@dataclass
+class FlowSample:
+    """M(t) and K(t) = int_t0^t M^T H M dt of the centroid flow from t0 at
+    the times t, and the angle the first row of M(t) W has turned since
+    t0, for the frame W sample_flow was given.
+    """
+
+    t: np.ndarray
+    M: np.ndarray
+    K: np.ndarray
+    angle: np.ndarray
+
+
+def sample_flow(sched: ParameterSchedule, t0: float, t1: float, times,
+                W) -> FlowSample:
+    """M(t), K(t) and the turn of the first row of M(t) W of the flow from
+    t0, at t0, the times and t1.
+
+    times must lie strictly inside (t0, t1) and increase; when times is
+    None the samples are t0, every Gauss node strictly inside (t0, t1),
+    and t1.  One Gauss pass over [t0, t0 + T] gives M(tau) and K(tau) at
+    tau = t - t0 - kT inside the period (_flow_at), and since the
+    schedule is T-periodic, with M_T = M(T):
+
+        M(t) = M(tau) M_T^k,
+        K(t) = sum_{m<k} (M_T^m)^T K(T) M_T^m + (M_T^k)^T K(tau) M_T^k.
+
+    The angle alpha(tau) of the first row m of M(tau) is unwrapped over
+    the N steps of the pass, each increment under pi/2 as in
+    compute_monodromy (IntegrationError), plus the wrapped increment of a
+    sample's partial step.  The first row of M(t) W is m B_k with
+    B_k = M_T^k W.  A map of determinant 1 keeps the order of directions
+    and turns each by less than pi from the angle c_k it gives the first
+    unit row (1, 0), so the angle of m B_k lifts to
+    alpha + c_k + wrap(angle(m B_k) - alpha - c_k) exactly, however far
+    the flow squeezes; period k turns by that lift at alpha(T), less c_k.
+    Then the N-vs-2N estimate must hold (ConvergenceError).  There is no
+    normal frame: a hyperbolic period map (a schedule inside a resonance
+    tongue) is sampled like any other.
+    """
+    T = sched.period
+    N = _step_count(sched)
+    h = T / N
+    Ms, K, Q = _gauss_pass(sched, N, t0)
+    alpha = np.unwrap(_row_angle(Ms))
+    moves = np.abs(np.diff(alpha))
+    i = int(np.argmax(moves))
+    if moves[i] >= 0.5 * math.pi:
+        raise IntegrationError(
+            f"row angle moved {moves[i]:.3f} rad in one of {N} Gauss steps; "
+            "its turns cannot be counted", last_t=t0 + i * h)
+
+    if times is None:
+        times = t0 + h * np.arange(1, math.ceil((t1 - t0) / h))
+        times = times[times < t1]
+    t = np.concatenate([[t0], times, [t1]]).astype(float)
+    s = t - t0
+    period = np.maximum(np.floor(s / T), 0.0).astype(int)
+    tau = s - period * T
+    step = np.clip(np.floor(tau / h), 0, N - 1).astype(int)
+    Ks = _node_quadrature(Ms, Q)
+    M_tau, K_tau = _flow_at(sched, Ms, Ks, t0, step, tau - step * h)
+    # M_T^k and the sums of K over k whole periods, k = 0 .. max
+    powers, sums = [np.eye(2)], [np.zeros((2, 2))]
+    for _ in range(int(period.max())):
+        P = powers[-1]
+        sums.append(sums[-1] + P.T @ Ks[-1] @ P)
+        powers.append(P @ Ms[-1])
+    powers = np.array(powers)
+    B = powers[period]
+    M = M_tau @ B
+
+    a = alpha[step] + _wrap(_row_angle(M_tau) - alpha[step])
+    c = _row_angle(powers @ W)
+    turns = alpha[-1] + _wrap(c[1:] - alpha[-1] - c[:-1])
+    before = np.concatenate([[0.0], np.cumsum(turns)])[period]
+    angle = before + a + _wrap(_row_angle(M @ W) - a - c[period])
+    _pass_estimate(sched, N, Ms[-1], K, t0)
+    return FlowSample(
+        t=t, M=M, K=np.array(sums)[period] + np.transpose(B, (0, 2, 1))
+        @ K_tau @ B, angle=angle)
 
 
 def compute_monodromy(sched: ParameterSchedule,
@@ -223,7 +351,7 @@ def compute_monodromy(sched: ParameterSchedule,
     is the larger of max |M_2N - M_N| / max(1, max |M_N|) and the same
     for K, and ConvergenceError is raised past _ESTIMATE_BOUND.  With
     n_samples, M(t) is returned on the n_samples + 1 uniform times of
-    [0, T] (_sample_path); the samples take no part in the pass, so
+    [0, T] (_flow_at); the samples take no part in the pass, so
     M(T), K, sigma, rho and W are the same, bit for bit, for every
     n_samples.
     """
@@ -231,7 +359,7 @@ def compute_monodromy(sched: ParameterSchedule,
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     T = sched.period
     N = _step_count(sched)
-    Ms, K = _gauss_pass(sched, N)
+    Ms, K, _ = _gauss_pass(sched, N)
     M = Ms[-1]
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-8:
@@ -255,19 +383,13 @@ def compute_monodromy(sched: ParameterSchedule,
             f"winding tracking inconsistent: unwrapped {total}, "
             f"normal-form sigma {sigma}", last_t=T)
 
-    Ms2, K2 = _gauss_pass(sched, 2 * N)
-    estimate = max(
-        float(np.abs(Ms2[-1] - M).max()) / max(1.0, float(np.abs(M).max())),
-        float(np.abs(K2 - K).max()) / max(1.0, float(np.abs(K).max())))
-    if not estimate <= _ESTIMATE_BOUND:
-        raise ConvergenceError(
-            f"period pass on N = {N} steps and on 2N = {2 * N} steps "
-            f"disagree by {estimate:.3e} (relative), over the bound "
-            f"{_ESTIMATE_BOUND:.0e}")
+    estimate = _pass_estimate(sched, N, M, K)
     grid = path = None
     if n_samples is not None:
+        # sample j at step k with offset (r/n_samples) h, exactly
         grid = np.linspace(0.0, T, n_samples + 1)
-        path = _sample_path(sched, Ms, n_samples)
+        k, r = np.divmod(np.arange(n_samples + 1) * N, n_samples)
+        path, _ = _flow_at(sched, Ms, None, 0.0, k, T / N * r / n_samples)
     return Monodromy(M=M, sigma=sigma, winding=winding, rho=rho, period=T,
                      W=W, K=K, steps=N, estimate=estimate, t=grid, path=path)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from squeezephase import cli, dynamics, floquet, hannay, orbits
+from squeezephase import cli, dynamics, floquet, hannay, monodromy, orbits
 from squeezephase.cli import main, parse_config, run
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD
@@ -18,7 +18,7 @@ def test_minimal_standard_config():
     assert cfg.schedule.kind == STANDARD
     assert cfg.schedule.epsilon == 0.1
     assert cfg.constants.hbar == 1.0
-    assert cfg.options.method == "rk45-adaptive"
+    assert cfg.options.method == "linear"
     assert cfg.floquet.n == (0,)
 
 
@@ -199,6 +199,25 @@ def test_simulate_columns_match_scalar_helpers(tmp_path, schedule):
         assert [cells[0], *cells[7:]] == [cli._fmt(v) for v in want]
 
 
+def test_csv_rows_match_cell_formatter(tmp_path):
+    # the writer formats a row of floats in one go; every row must read
+    # as the per-cell formatter spells it, special values and other cell
+    # types included
+    rows = [
+        [0.1, -0.0, 1e-300, -1e300, 2.0 / 3.0, 5e-324],
+        [float("nan"), 1.0, float("inf"), -float("inf"), 0.0, 3.0],
+        [1, True, False, -7, 10 ** 20, 0.5],
+        [np.float64(0.1), np.float64("nan"), np.int64(3), 2.5, -2.5, 1e16],
+    ]
+    header = ["a", "b", "c", "d", "e", "f"]
+    cli._write_csv(tmp_path / "t.csv", header, rows)
+    want = [",".join(header)] + [",".join(map(cli._fmt, r)) for r in rows]
+    assert (tmp_path / "t.csv").read_bytes() == \
+        ("\n".join(want) + "\n").encode()
+    assert want[2] == "null,1,inf,-inf,0,3"
+    assert want[3] == "1,true,false,-7,100000000000000000000,0.5"
+
+
 def test_sweep_table(tmp_path):
     cfg = parse_config("[sweep]\neps=0.0,0.05\nomega=1.0\nworkers=1")
     assert run("sweep", cfg, out_dir=tmp_path) == 0
@@ -239,7 +258,8 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     for sub in ("orbit", "hannay", "floquet"):
         assert run(sub, cfg, out_dir=tmp_path / sub) == 1
         assert "|tr M| = 2.055" in capsys.readouterr().err
-    cfg = parse_config("epsilon=0.1\nmax_steps=10\n[simulate]\nq0=1.0")
+    cfg = parse_config("epsilon=0.1\nmethod=rk45-adaptive\nmax_steps=10\n"
+                       "[simulate]\nq0=1.0")
     assert run("simulate", cfg, out_dir=tmp_path / "simulate") == 1
     assert "max_steps=10" in capsys.readouterr().err
 
@@ -257,29 +277,38 @@ def test_untyped_error_propagates(tmp_path, monkeypatch):
 
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     # each caller looks compute_monodromy up in its own namespace; calls
-    # records the n_samples each pass was asked for
-    calls = []
+    # records the n_samples each pass was asked for, and passes the step
+    # count of every Gauss pass: the pass on N steps and its estimate on 2N
+    calls, passes = [], []
 
-    def counting(inner):
+    def counting(inner, record, arg):
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("n_samples"))
+            record.append(arg(args, kwargs))
             return inner(*args, **kwargs)
         return counted
 
     for module in (cli, hannay, orbits, floquet):
-        monkeypatch.setattr(module, "compute_monodromy",
-                            counting(module.compute_monodromy))
+        monkeypatch.setattr(module, "compute_monodromy", counting(
+            module.compute_monodromy, calls,
+            lambda args, kwargs: kwargs.get("n_samples")))
+    monkeypatch.setattr(monodromy, "_gauss_pass", counting(
+        monodromy._gauss_pass, passes, lambda args, kwargs: args[1]))
     fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
                "b_cos=1.0,-0.05\nc_sin=0.0,0.05\n")
     for schedule in ("epsilon=0.1\nomega=1.0\n", fourier):
         cfg = parse_config(schedule + "[orbit]\nsamples=64\n"
-                           "[floquet]\nn=0,1,2\n")
-        for sub in ("orbit", "hannay", "floquet"):
+                           "[floquet]\nn=0,1,2\n[simulate]\nt1=20.0\n"
+                           "samples=500\n")
+        N = monodromy._step_count(cfg.schedule)
+        for sub in ("orbit", "hannay", "floquet", "simulate"):
             calls.clear()
+            passes.clear()
             assert run(sub, cfg, out_dir=tmp_path / sub) == 0
-            assert len(calls) == 1, sub
-        # floquet reads no orbit samples, so its pass asks for none
-        assert calls == [None]
+            assert passes == [N, 2 * N], sub
+            # floquet reads no orbit samples, so its pass asks for none;
+            # simulate samples its own pass
+            assert calls == {"orbit": [64], "hannay": [None],
+                             "floquet": [None], "simulate": []}[sub]
     calls.clear()
     cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0\nworkers=1")
     assert run("sweep", cfg, out_dir=tmp_path / "sweep") == 0

@@ -10,6 +10,7 @@ from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    h_fl, integrate, integrate_ode)
 from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
+from witness import FLOW
 
 TWO_PI = 2.0 * math.pi
 
@@ -280,7 +281,8 @@ def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
         t = err.value.last_t
         assert 0.0 < t < math.pi
         assert math.cos(t) ** 2 + math.sin(t) ** 2 / 4 > 0.3
-    cfg = cli.parse_config("epsilon=0.0\n[simulate]\ng0=1.0\n"
+    cfg = cli.parse_config("epsilon=0.0\nmethod=rk45-adaptive\n"
+                           "[simulate]\ng0=1.0\n"
                            f"t1={math.pi!r}\nsamples=32\n")
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
 
@@ -397,7 +399,7 @@ def test_covariance_determinant_along_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
     hbar = 2.0
     traj = integrate(ExtendedState(q=0.3, p=-0.1, G=0.8, Pi=0.2),
-                     TWO_PI, sched, consts=Constants(hbar=hbar))
+                     TWO_PI, sched, consts=Constants(hbar=hbar), opts=FLOW)
     dq2, dp2, cov = covariance(traj.y[:, 2], traj.y[:, 3], hbar)
     assert np.max(np.abs(dq2 * dp2 - cov ** 2 - hbar ** 2 / 4)) < 1e-10
 
@@ -406,7 +408,7 @@ def test_fluctuation_flow_is_hbar_independent():
     sched = ParameterSchedule.standard(0.1, 1.0)
     state = ExtendedState(q=0.4, p=0.3, G=0.7, Pi=-0.1)
     finals = [integrate(state, TWO_PI, sched,
-                        consts=Constants(hbar=h)).final
+                        consts=Constants(hbar=h), opts=FLOW).final
               for h in (0.5, 1.0, 2.0)]
     for f in finals[1:]:
         assert abs(f.G - finals[0].G) < 1e-8
@@ -417,7 +419,8 @@ def test_rk4_fourth_order_convergence():
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
     ref = integrate(state, TWO_PI, sched,
-                    opts=IntegratorOptions(rtol=1e-13, atol=1e-13)).final
+                    opts=IntegratorOptions(method="rk45-adaptive",
+                                           rtol=1e-13, atol=1e-13)).final
     errs = [np.max(np.abs(
         integrate(state, TWO_PI, sched,
                   opts=IntegratorOptions(method="rk4-fixed", step=h)

@@ -12,7 +12,7 @@ from squeezephase.checks import ellipse_points
 from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
 from squeezephase.params import ParameterSchedule
-from witness import period_end, rk45_period_pass
+from witness import period_end, random_fourier, rk45_period_pass
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,19 +122,6 @@ def test_samples_do_not_move_the_pass(sched):
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         compute_monodromy(ParameterSchedule.standard(0.1, 1.0), n_samples=0)
-
-
-def random_fourier(rng, harmonics):
-    # elliptic by construction: a, b >= 0.8 - 0.2 and |c| <= 0.05 + 0.2,
-    # so a b - c^2 >= 0.36 - 0.0625
-    amp = 0.1 / harmonics
-
-    def coeff(mean):
-        return [(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2))
-                                for _ in range(harmonics)]
-    return ParameterSchedule.fourier(
-        rng.uniform(2.0, 8.0), coeff(rng.uniform(0.8, 1.2)),
-        coeff(rng.uniform(0.8, 1.2)), coeff(rng.uniform(-0.05, 0.05)))
 
 
 def witness_cases():
@@ -351,7 +338,7 @@ def test_oracle_first_order_location():
 def newton_fixed_point(sched, x, tol=1e-11, fd_step=1e-6):
     """Fixed point of the time-T fluctuation map by Newton iteration with a
     central-difference Jacobian, the map taken from the nonlinear flow."""
-    opts = IntegratorOptions(rtol=1e-12, atol=1e-12)
+    opts = IntegratorOptions(method="rk45-adaptive", rtol=1e-12, atol=1e-12)
 
     def residual(pt):
         end = integrate(ExtendedState(q=0.0, p=0.0, G=pt[0], Pi=pt[1]),

@@ -1,9 +1,9 @@
 """Independent witnesses for quantities derived from the period pass.
 
 The flow witness is the nonlinear extended-state flow of
-dynamics.integrate: it carries (q, p, G, Pi) and accumulates lambda_G and
-lambda_D in its own right-hand side, sharing nothing with
-compute_monodromy.  Its start points on the invariant ellipse come from
+dynamics.integrate under rk45-adaptive (FLOW): it carries (q, p, G, Pi)
+and accumulates lambda_G and lambda_D in its own right-hand side, sharing
+nothing with compute_monodromy.  Its start points on the invariant ellipse come from
 squeezephase.checks.ellipse_points, which the built-in checks share.
 
 The pass witness integrates M(t) and K(t) of the period pass by the
@@ -17,17 +17,33 @@ import numpy as np
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    integrate, integrate_ode)
 from squeezephase.monodromy import normal_frame
-from squeezephase.params import Constants
+from squeezephase.params import Constants, ParameterSchedule
 
 # tight enough that the witness's own error (~1e-12 in M, ~1e-11 in K over
 # a slow drive's period) stays under the bounds it is held to
-_PASS_OPTS = IntegratorOptions(rtol=3e-13, atol=3e-13)
+_PASS_OPTS = IntegratorOptions(method="rk45-adaptive", rtol=3e-13,
+                               atol=3e-13)
+# named, since the default linear route shares the Gauss pass
+FLOW = IntegratorOptions(method="rk45-adaptive")
+
+
+def random_fourier(rng, harmonics):
+    # a seeded random Fourier schedule, elliptic by construction: a, b >= 0.8 - 0.2 and |c| <= 0.05 + 0.2,
+    # so a b - c^2 >= 0.36 - 0.0625
+    amp = 0.1 / harmonics
+
+    def coeff(mean):
+        return [(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2))
+                                for _ in range(harmonics)]
+    return ParameterSchedule.fourier(
+        rng.uniform(2.0, 8.0), coeff(rng.uniform(0.8, 1.2)),
+        coeff(rng.uniform(0.8, 1.2)), coeff(rng.uniform(-0.05, 0.05)))
 
 
 def period_end(sched, q, p, G, Pi, hbar=1.0):
     """Extended state after one period of the flow started at t = 0."""
     return integrate(ExtendedState(q=q, p=p, G=G, Pi=Pi), sched.period,
-                     sched, consts=Constants(hbar=hbar)).final
+                     sched, consts=Constants(hbar=hbar), opts=FLOW).final
 
 
 def _period_rhs(sched):
