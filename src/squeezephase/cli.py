@@ -252,9 +252,6 @@ def _build_config(values, lines, errors):
 # Deterministic writers (17 significant digits, '\n' endings)
 # ----------------------------------------------------------------------
 
-_FLOAT = {float}
-
-
 def _fmt(value) -> str:
     if not isinstance(value, float):  # np.float64 is a float
         if isinstance(value, bool):
@@ -289,14 +286,18 @@ def _write_json(path: Path, obj):
 
 
 def _write_csv(path: Path, header, rows):
-    # a row of Python floats is one %-format, which spells a finite float
-    # as _fmt does; an "n" (nan, inf) or another cell type falls back to
-    # _fmt for the row
+    # a row of finite Python floats is one %-format, which spells each as
+    # _fmt does; a row with another cell type or an "n" (nan, inf) falls
+    # back to _fmt
     fmt = ",".join(["%.17g"] * len(header))
     out = [",".join(header)]
     for row in rows:
-        line = fmt % tuple(row) if set(map(type, row)) <= _FLOAT else "n"
-        out.append(",".join(map(_fmt, row)) if "n" in line else line)
+        line = None
+        if all(type(v) is float for v in row):
+            line = fmt % tuple(row)
+        if line is None or "n" in line:
+            line = ",".join(map(_fmt, row))
+        out.append(line)
     path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -381,13 +381,16 @@ def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
 
 def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
                   output_times=None):
-    """Dispatch a generic ODE pass through the configured stepper.
+    """Dispatch a generic ODE pass through the configured flow stepper.
 
-    A generic right-hand side has no linear route: rk4-fixed runs the
-    fixed-step pass and any other method the adaptive one.  Returns
-    (times, states) of every accepted step and the states at
-    output_times, which must increase strictly inside (t0, t1).
+    A generic right-hand side has no linear route, so opts.method must
+    name rk45-adaptive or rk4-fixed.  Returns (times, states) of every
+    accepted step and the states at output_times, which must increase
+    strictly inside (t0, t1).
     """
+    if opts.method == LINEAR:
+        raise ValueError("a generic right-hand side has no linear route: "
+                         f"name {RK45!r} or {RK4!r}")
     path = _rk4_path if opts.method == RK4 else _rk45_path
     return path(rhs, t0, y0, t1, opts, output_times)
 

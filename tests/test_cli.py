@@ -18,7 +18,7 @@ def test_minimal_standard_config():
     assert cfg.schedule.kind == STANDARD
     assert cfg.schedule.epsilon == 0.1
     assert cfg.constants.hbar == 1.0
-    assert cfg.options.method == "linear"
+    assert cfg.options.method == dynamics.LINEAR == "linear"
     assert cfg.floquet.n == (0,)
 
 
@@ -231,15 +231,18 @@ def test_sweep_table(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    text = "epsilon=0.08\nomega=1.0\n[simulate]\nq0=0.3\nsamples=32"
-    cfg = parse_config(text)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run("simulate", cfg, out_dir=out1) == 0
-    assert run("orbit", cfg, out_dir=out1) == 0
-    assert run("simulate", parse_config(text), out_dir=out2) == 0
-    assert run("orbit", parse_config(text), out_dir=out2) == 0
-    for name in ("trajectory.csv", "orbit.csv", "orbit_summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the flow route and the default linear route
+    for method in ("rk45-adaptive", "linear"):
+        text = (f"epsilon=0.08\nomega=1.0\nmethod={method}\n"
+                "[simulate]\nq0=0.3\nsamples=32")
+        cfg = parse_config(text)
+        out1, out2 = tmp_path / method / "a", tmp_path / method / "b"
+        assert run("simulate", cfg, out_dir=out1) == 0
+        assert run("orbit", cfg, out_dir=out1) == 0
+        assert run("simulate", parse_config(text), out_dir=out2) == 0
+        assert run("orbit", parse_config(text), out_dir=out2) == 0
+        for name in ("trajectory.csv", "orbit.csv", "orbit_summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_json_format_variant(tmp_path):

@@ -136,7 +136,7 @@ def test_rhs_rejects_collapsed_width():
 def test_centroid_period_return():
     sched = ParameterSchedule.standard(0.0, 1.0)
     final = integrate(ExtendedState(q=1, p=0, G=0.5, Pi=0),
-                      TWO_PI, sched).final
+                      TWO_PI, sched, opts=FLOW).final
     assert abs(final.q - 1.0) < 1e-8
     assert abs(final.p) < 1e-8
 
@@ -144,7 +144,7 @@ def test_centroid_period_return():
 def test_fluctuation_half_period_return():
     sched = ParameterSchedule.standard(0.0, 1.0)
     final = integrate(ExtendedState(q=0, p=0, G=1.0, Pi=0),
-                      math.pi, sched).final
+                      math.pi, sched, opts=FLOW).final
     assert abs(final.G - 1.0) < 1e-8
     assert abs(final.Pi) < 1e-8
 
@@ -153,7 +153,8 @@ def test_fixed_and_adaptive_methods_agree():
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
     ref = integrate(state, TWO_PI, sched,
-                    opts=IntegratorOptions(rtol=1e-12, atol=1e-12)).final
+                    opts=IntegratorOptions(method="rk45-adaptive",
+                                           rtol=1e-12, atol=1e-12)).final
     rk4 = integrate(state, TWO_PI, sched,
                     opts=IntegratorOptions(method="rk4-fixed",
                                            step=1e-3)).final
@@ -164,7 +165,7 @@ def test_trajectory_structure():
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
     marks = [1.0, 2.5]
-    traj = integrate(state, TWO_PI, sched, output_times=marks)
+    traj = integrate(state, TWO_PI, sched, opts=FLOW, output_times=marks)
     assert traj.t[0] == 0.0
     assert np.all(np.diff(traj.t) > 0)
     assert np.all(traj.y[:, 2] > 0)
@@ -177,8 +178,8 @@ def test_requested_times_match_untargeted_run():
     # landing exactly on interior output times must not disturb accuracy
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
-    plain = integrate(state, TWO_PI, sched).final
-    marked = integrate(state, TWO_PI, sched,
+    plain = integrate(state, TWO_PI, sched, opts=FLOW).final
+    marked = integrate(state, TWO_PI, sched, opts=FLOW,
                        output_times=np.linspace(0.3, 6.0, 23)).final
     assert np.max(np.abs(plain.as_array() - marked.as_array())) < 1e-9
 
@@ -197,7 +198,7 @@ def test_output_times_do_not_move_steps():
     # and without output times it makes the same rhs calls at the same
     # times and accepts the same steps, bit for bit
     grid = np.linspace(0.0, 1.0, 101)
-    opts = IntegratorOptions(rtol=1e-6, atol=1e-6)
+    opts = IntegratorOptions(method="rk45-adaptive", rtol=1e-6, atol=1e-6)
     rhs, plain_calls = _counted_decay()
     ts, ys, none = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
     rhs, dense_calls = _counted_decay()
@@ -216,7 +217,8 @@ def test_steps_reuse_last_stage():
     # (first-same-as-last), also for the step that lands on t1
     rhs, calls = _counted_decay()
     ts, ys, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                              IntegratorOptions(rtol=1e-6, atol=1e-6),
+                              IntegratorOptions(method="rk45-adaptive",
+                                                rtol=1e-6, atol=1e-6),
                               output_times=np.linspace(0.0, 1.0, 101)[1:-1])
     assert ts[-1] == 1.0
     assert len(calls) == 1 + 6 * (len(ts) - 1)
@@ -227,7 +229,8 @@ def test_dense_output_matches_exact_decay():
     grid = np.linspace(0.0, 1.0, 101)
     rhs, _ = _counted_decay()
     ts, ys, dense = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                                  IntegratorOptions(rtol=1e-10, atol=1e-10),
+                                  IntegratorOptions(method="rk45-adaptive",
+                                                    rtol=1e-10, atol=1e-10),
                                   output_times=grid[1:-1])
     assert len(ts) - 1 < 99
     assert np.max(np.abs(dense[:, 0] - np.exp(-grid[1:-1]))) <= 1e-9
@@ -236,7 +239,7 @@ def test_dense_output_matches_exact_decay():
 def test_output_time_on_a_step_gives_its_state():
     # a requested time equal to an accepted step's time reads that step's
     # state exactly (theta = 0 of the step it starts)
-    opts = IntegratorOptions(rtol=1e-8, atol=1e-8)
+    opts = IntegratorOptions(method="rk45-adaptive", rtol=1e-8, atol=1e-8)
     rhs, _ = _counted_decay()
     ts, ys, _ = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts)
     inner = ts[1:-1]
@@ -249,11 +252,17 @@ def test_output_time_on_a_step_gives_its_state():
 
 def test_output_times_must_increase_inside_the_horizon():
     rhs, _ = _counted_decay()
-    opts = IntegratorOptions()
     for bad in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3]):
         with pytest.raises(ValueError, match="output times"):
-            integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
+            integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, FLOW,
                           output_times=bad)
+
+
+def test_generic_pass_has_no_linear_route():
+    rhs, calls = _counted_decay()
+    with pytest.raises(ValueError, match="no linear route"):
+        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, IntegratorOptions())
+    assert calls == []
 
 
 def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
@@ -272,12 +281,12 @@ def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_extended_rhs", rhs_without_floor)
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
     _, ys, _ = integrate_ode(lambda t, y: rhs_without_floor(t, y, sched, 1.0),
-                             0.0, state.as_array(), math.pi,
-                             IntegratorOptions())
+                             0.0, state.as_array(), math.pi, FLOW)
     assert ys[:, 2].min() < 0.3  # the swapped rhs let the steps through
     for output_times in (None, np.linspace(0.0, math.pi, 33)[1:-1]):
         with pytest.raises(IntegrationError, match="width G = .* at t=") as err:
-            integrate(state, math.pi, sched, output_times=output_times)
+            integrate(state, math.pi, sched, opts=FLOW,
+                      output_times=output_times)
         t = err.value.last_t
         assert 0.0 < t < math.pi
         assert math.cos(t) ** 2 + math.sin(t) ** 2 / 4 > 0.3
@@ -291,7 +300,7 @@ def test_integrate_rejects_bad_horizon():
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0, t=1.0)
     with pytest.raises(ValueError):
-        integrate(state, 0.5, sched)
+        integrate(state, 0.5, sched, opts=FLOW)
 
 
 def test_width_guard_reports_failure():
@@ -302,7 +311,7 @@ def test_width_guard_reports_failure():
         b_coeffs=((0.0, 0.0),), c_coeffs=((-1.0, 0.0),))
     state = ExtendedState(q=0, p=0, G=1e-4, Pi=0.0)
     with pytest.raises(IntegrationError) as err:
-        integrate(state, 10.0, sched)
+        integrate(state, 10.0, sched, opts=FLOW)
     assert err.value.last_t is not None
     assert 0.0 < err.value.last_t < 10.0
     # rk4-fixed meets the floor in a stage of the step that crosses it:
@@ -388,7 +397,7 @@ def test_actions_conserved_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=1.0, p=0.0, G=1.0, Pi=0.0)
     I0, J0 = actions(state)
-    traj = integrate(state, 10 * TWO_PI, sched)
+    traj = integrate(state, 10 * TWO_PI, sched, opts=FLOW)
     for i in range(0, len(traj.t), 40):
         I, J = actions(traj.state_at_index(i))
         assert abs(I - I0) < 1e-8
@@ -432,9 +441,9 @@ def test_rk4_fourth_order_convergence():
 def test_phase_additivity():
     sched = ParameterSchedule.standard(0.1, 1.0)
     state = ExtendedState(q=0.8, p=0.1, G=0.6, Pi=-0.05)
-    mid = integrate(state, 2.3, sched).final
-    split = integrate(mid, TWO_PI, sched).final
-    whole = integrate(state, TWO_PI, sched).final
+    mid = integrate(state, 2.3, sched, opts=FLOW).final
+    split = integrate(mid, TWO_PI, sched, opts=FLOW).final
+    whole = integrate(state, TWO_PI, sched, opts=FLOW).final
     assert abs(split.lambda_G - whole.lambda_G) < 1e-9
     assert abs(split.lambda_D - whole.lambda_D) < 1e-9
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from squeezephase import cli, dynamics
+from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
 from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
 from squeezephase.errors import ConvergenceError, IntegrationError
@@ -32,10 +32,6 @@ def linear_and_flow(sched, state, t1, n, hbar):
 
 def relative_gap(got, want):
     return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), axis=0)
-
-
-def test_linear_is_the_default_route():
-    assert IntegratorOptions().method == dynamics.LINEAR == "linear"
 
 
 @pytest.mark.parametrize("eps, omega", [(0.3, 1.2), (0.75, 0.5), (0.1, 2.0)])

@@ -12,7 +12,7 @@ from squeezephase.checks import ellipse_points
 from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
 from squeezephase.params import ParameterSchedule
-from witness import period_end, random_fourier, rk45_period_pass
+from witness import FLOW, period_end, random_fourier, rk45_period_pass
 
 TWO_PI = 2.0 * math.pi
 
@@ -370,6 +370,6 @@ def test_oracle_point_is_periodic_under_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
     G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
     final = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
-                      sched.period, sched).final
+                      sched.period, sched, opts=FLOW).final
     assert abs(final.G - G0) < 1e-7
     assert abs(final.Pi - Pi0) < 1e-7
