@@ -18,7 +18,10 @@ the Gauss period pass of monodromy.sample_flow.  The flow routes,
 "rk45-adaptive" and "rk4-fixed", integrate the six components above, the
 phases in the same pass as the state, so that state and phase share one
 error control; they are the independent witness of the linear route and
-of the period pass.
+of the period pass.  The flow steppers run on Python floats: the state and
+the stages of a step are lists, and numpy enters only to build the dense
+output of a step that covers an output time.  integrate_ode takes a
+generic numpy right-hand side and adapts it at its boundary.
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
 or below it, so the steppers reject every stage that reaches it, and
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +177,14 @@ def _require_positive_width(G):
 def eom_rhs(state: ExtendedState, sched: ParameterSchedule,
             consts: Constants = Constants()) -> np.ndarray:
     """Time derivative of (q, p, G, Pi, lambda_G, lambda_D) at the state."""
-    return _extended_rhs(state.t, state.as_array(), sched, consts.hbar)
+    return np.array(_extended_rhs(state.t, state.as_array(), sched,
+                                  consts.hbar))
 
 
 def _extended_rhs(t, y, sched, hbar):
+    """The derivative of the 6-sequence y at t, as a list of floats."""
     a, b, c = sched.eval(t)
-    q, p, G, Pi, _, _ = y.tolist()
+    q, p, G, Pi, _, _ = y
     if not G > G_FLOOR:
         raise DomainError(
             f"fluctuation width G = {G} is at or below the floor {G_FLOOR}")
@@ -190,7 +196,7 @@ def _extended_rhs(t, y, sched, hbar):
     hfl = 0.5 * (a * G + b * (0.25 / G + 4.0 * Pi * Pi * G) + 4.0 * c * G * Pi)
     lGd = (p * qd - q * pd) / (2.0 * hbar) - Pid * G
     lDd = -(hcl / hbar + hfl)
-    return np.array([qd, pd, Gd, Pid, lGd, lDd])
+    return [qd, pd, Gd, Pid, lGd, lDd]
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +218,8 @@ _DP_A = (
 )
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
-_DP_ROWS = tuple(np.array(row) for row in _DP_A)
 # 5th- minus 4th-order weights over all seven stages
-_DP_ERR = np.append(_DP_ROWS[-1], 0.0) - np.array(_DP_B4)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
 # Shampine's 4th-order continuous extension of the pair: inside an accepted
 # step, y(t + theta h) = y + h (theta, theta^2, theta^3, theta^4) @ _DP_DENSE
 # @ K.  Row j holds the theta^(j+1) coefficient of each stage weight; the
@@ -259,132 +264,190 @@ def _hmin(t0, t1):
     return 1e-14 * max(1.0, abs(t1 - t0), abs(t0), abs(t1))
 
 
-def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
-    """Adaptive embedded 5(4) pass from t0 to t1.
+def _stepper_error(what, t, h, calls, accepted, rejected, walls, last_t):
+    """IntegrationError naming where the pass stopped and what it did."""
+    return IntegrationError(
+        f"{what} (t={t!r}, h={h:.3e}; {calls} rhs calls, {accepted} "
+        f"accepted steps, rejected {rejected} for error and {walls} for "
+        f"the domain)", last_t=last_t)
 
-    Steps are chosen by error control alone and land on t1 only; the
-    states at output_times come from the continuous extension of the step
-    that covers each time (a time equal to a step's start gives that
-    step's state exactly).  A DomainError from any stage, the trial
-    solution's included, rejects the step and halves it.  Returns
-    (times, states) of every accepted step and the (len(output_times), n)
-    array of output states.  A DomainError at the start state is reported
-    as IntegrationError with last_t None, as _rk4_path reports it.
+
+def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
+    """Adaptive embedded 5(4) pass from t0 to t1 on Python floats.
+
+    rhs(t, y) takes and returns a list of floats.  Steps are chosen by
+    error control alone and land on t1 only; the states at output_times
+    come from the continuous extension of the step that covers each time
+    (a time equal to a step's start gives that step's state exactly).  A
+    DomainError from any stage, the trial solution's included, rejects
+    the step and halves it.  Returns (times, states) of every accepted
+    step and the (len(output_times), n) array of output states.  A
+    DomainError at the start state is reported as IntegrationError with
+    last_t None, as _rk4_path reports it.
     """
-    y = np.array(y0, dtype=float)
+    _, c2, c3, c4, c5, _, _ = _DP_C
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    atol, rtol = opts.atol, opts.rtol
+    y = [float(v) for v in y0]
     t = float(t0)
     t1 = float(t1)
     tout = _check_output_times(t, t1, output_times)
     hmin = _hmin(t0, t1)
-    ts, ys = [t], [y]
-    n = y.size
+    # rows as packed doubles, not lists of float objects
+    ts, ys = array("d", [t]), array("d", y)
+    n = len(y)
     dense = np.empty((len(tout), n))
     j = 0
+    calls = accepted = rejected = walls = 0
 
     h = min(1e-2 * max(1.0, abs(t1 - t0)), t1 - t)
-    K = np.empty((7, n))
     try:
-        K[0] = rhs(t, y)
+        calls += 1
+        k1 = rhs(t, y)
     except DomainError as exc:
-        raise IntegrationError(
-            f"state left the domain: {exc}", last_t=None) from exc
+        raise _stepper_error(f"state left the domain: {exc}", t, h, calls,
+                             0, 0, 0, None) from exc
 
-    steps = 0
     while t < t1 - hmin:
-        if steps >= opts.max_steps:
-            raise IntegrationError(
-                f"exceeded max_steps={opts.max_steps}", last_t=t)
-        steps += 1
+        if accepted + rejected + walls >= opts.max_steps:
+            raise _stepper_error(f"exceeded max_steps={opts.max_steps}", t,
+                                 h, calls, accepted, rejected, walls, t)
         h = min(h, t1 - t)
         # stages; a domain violation inside a stage rejects the step.
-        # The state of the last stage is the 5th-order solution.
+        # The state of the last stage, y7, is the 5th-order solution.
         try:
-            for i in range(1, 7):
-                y5 = y + h * (_DP_ROWS[i] @ K[:i])
-                K[i] = rhs(t + _DP_C[i] * h, y5)
+            calls += 1
+            k2 = rhs(t + c2 * h, [
+                y_ + h * (a21 * d1) for y_, d1 in zip(y, k1)])
+            calls += 1
+            k3 = rhs(t + c3 * h, [
+                y_ + h * (a31 * d1 + a32 * d2)
+                for y_, d1, d2 in zip(y, k1, k2)])
+            calls += 1
+            k4 = rhs(t + c4 * h, [
+                y_ + h * (a41 * d1 + a42 * d2 + a43 * d3)
+                for y_, d1, d2, d3 in zip(y, k1, k2, k3)])
+            calls += 1
+            k5 = rhs(t + c5 * h, [
+                y_ + h * (a51 * d1 + a52 * d2 + a53 * d3 + a54 * d4)
+                for y_, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+            calls += 1
+            k6 = rhs(t + h, [
+                y_ + h * (a61 * d1 + a62 * d2 + a63 * d3 + a64 * d4
+                          + a65 * d5)
+                for y_, d1, d2, d3, d4, d5 in zip(y, k1, k2, k3, k4, k5)])
+            y7 = [y_ + h * (a71 * d1 + a73 * d3 + a74 * d4 + a75 * d5
+                            + a76 * d6)
+                  for y_, d1, d3, d4, d5, d6 in zip(y, k1, k3, k4, k5, k6)]
+            calls += 1
+            k7 = rhs(t + h, y7)
         except DomainError:
+            walls += 1
             h *= 0.5
             if h < hmin:
-                raise IntegrationError(
-                    "state left the domain below minimum step", last_t=t)
+                raise _stepper_error(
+                    "state left the domain below minimum step", t, h, calls,
+                    accepted, rejected, walls, t)
             continue
-        r = (h * (_DP_ERR @ K)) / (
-            opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y5)))
-        err = math.sqrt(float(r @ r) / n)
+        sq = 0.0
+        for y_, z, d1, d3, d4, d5, d6, d7 in zip(y, y7, k1, k3, k4, k5, k6,
+                                                  k7):
+            r = h * (e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6
+                     + e7 * d7) / (atol + rtol * max(abs(y_), abs(z)))
+            sq += r * r
+        err = math.sqrt(sq / n)
         if err > 1.0:
+            rejected += 1
             h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
             if h < hmin:
-                raise IntegrationError(
-                    f"cannot meet tolerance at t={t}", last_t=t)
+                raise _stepper_error("cannot meet tolerance", t, h, calls,
+                                     accepted, rejected, walls, t)
             continue
 
+        accepted += 1
         t_next = t1 if abs((t + h) - t1) <= hmin else t + h
         if j < len(tout) and tout[j] < t_next:
             k = bisect.bisect_left(tout, t_next, j)
             theta = (np.array(tout[j:k]) - t) / h
-            dense[j:k] = y + h * ((theta[:, None] ** _POWERS)
-                                  @ (_DP_DENSE @ K))
+            K = np.array((k1, k2, k3, k4, k5, k6, k7))
+            dense[j:k] = np.array(y) + h * ((theta[:, None] ** _POWERS)
+                                            @ (_DP_DENSE @ K))
             j = k
         t = t_next
-        y = y5
-        # FSAL: the last stage is the rhs at (t + h, y5)
-        K[0] = K[6]
+        y = y7
+        # FSAL: the last stage is the rhs at (t + h, y7)
+        k1 = k7
         ts.append(t)
-        ys.append(y)
+        ys.fromlist(y)
         factor = _MAX_GROW if err == 0.0 else min(
             _MAX_GROW, _SAFETY * err ** -0.2)
         h = h * max(_MIN_SHRINK, factor)
-    return np.array(ts), np.array(ys), dense
+    return np.array(ts), np.array(ys).reshape(-1, n), dense
 
 
 def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
-    """Fixed-step classical Runge-Kutta pass, clipping steps to land on
-    every output time.  A DomainError from any stage ends the pass; the
-    reported last_t is the latest time whose state the rhs accepted.
-    Returns (times, states) of every step and the (len(output_times), n)
-    array of output states."""
-    y = np.asarray(y0, dtype=float).copy()
+    """Fixed-step classical Runge-Kutta pass on Python floats, clipping
+    steps to land on every output time.
+
+    rhs(t, y) takes and returns a list of floats.  A DomainError from any
+    stage ends the pass; the reported last_t is the latest time whose
+    state the rhs accepted.  Returns (times, states) of every step and the
+    (len(output_times), n) array of output states."""
+    y = [float(v) for v in y0]
     t = float(t0)
     targets = _check_output_times(t, t1, output_times) + [float(t1)]
     hmin = _hmin(t0, t1)
-    ts, ys = [t], [y.copy()]
+    # rows as packed doubles, not lists of float objects
+    ts, ys = array("d", [t]), array("d", y)
+    n = len(y)
     landed_states = []
-    steps = 0
+    calls = accepted = 0
     good_t = None
     for target in targets:
         while t < target - hmin:
-            if steps >= opts.max_steps:
-                raise IntegrationError(
-                    f"exceeded max_steps={opts.max_steps}", last_t=t)
-            steps += 1
             h = min(opts.step, target - t)
+            if accepted >= opts.max_steps:
+                raise _stepper_error(f"exceeded max_steps={opts.max_steps}",
+                                     t, h, calls, accepted, 0, 0, t)
+            half = 0.5 * h
             try:
+                calls += 1
                 k1 = rhs(t, y)
                 good_t = t
-                k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-                k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-                k4 = rhs(t + h, y + h * k3)
+                calls += 1
+                k2 = rhs(t + half, [y_ + half * d for y_, d in zip(y, k1)])
+                calls += 1
+                k3 = rhs(t + half, [y_ + half * d for y_, d in zip(y, k2)])
+                calls += 1
+                k4 = rhs(t + h, [y_ + h * d for y_, d in zip(y, k3)])
             except DomainError as exc:
-                raise IntegrationError(
-                    f"state left the domain: {exc}", last_t=good_t) from exc
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                raise _stepper_error(f"state left the domain: {exc}", t, h,
+                                     calls, accepted, 0, 0, good_t) from exc
+            # the operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
+            sixth = h / 6.0
+            y = [y_ + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                 for y_, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+            accepted += 1
             landed = abs((t + h) - target) <= hmin
             t = target if landed else t + h
-            y = y_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.fromlist(y)
         t = target
         landed_states.append(y)
-    dense = np.array(landed_states[:-1]).reshape(-1, y.size)
-    return np.array(ts), np.array(ys), dense
+    dense = np.array(landed_states[:-1]).reshape(-1, n)
+    return np.array(ts), np.array(ys).reshape(-1, n), dense
 
 
 def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
                   output_times=None):
     """Dispatch a generic ODE pass through the configured flow stepper.
 
-    A generic right-hand side has no linear route, so opts.method must
-    name rk45-adaptive or rk4-fixed.  Returns (times, states) of every
+    rhs(t, y) takes the state as an ndarray and returns an array-like;
+    the steppers run on Python floats and adapt it at this boundary.  A
+    generic right-hand side has no linear route, so opts.method must name
+    rk45-adaptive or rk4-fixed.  Returns (times, states) of every
     accepted step and the states at output_times, which must increase
     strictly inside (t0, t1).
     """
@@ -392,7 +455,8 @@ def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
         raise ValueError("a generic right-hand side has no linear route: "
                          f"name {RK45!r} or {RK4!r}")
     path = _rk4_path if opts.method == RK4 else _rk45_path
-    return path(rhs, t0, y0, t1, opts, output_times)
+    return path(lambda t, y: np.asarray(rhs(t, np.array(y))).tolist(),
+                t0, y0, t1, opts, output_times)
 
 
 def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
@@ -465,11 +529,10 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
     if opts.method == LINEAR:
         t_out, y_out = _linear_path(state0, t1, sched, hbar, output_times)
     else:
-        def rhs(t, y):
-            return _extended_rhs(t, y, sched, hbar)
-
-        ts, ys, dense = integrate_ode(rhs, state0.t, state0.as_array(), t1,
-                                      opts, output_times=output_times)
+        rhs = _extended_rhs      # looked up per call of integrate
+        path = _rk4_path if opts.method == RK4 else _rk45_path
+        ts, ys, dense = path(lambda t, y: rhs(t, y, sched, hbar), state0.t,
+                             state0.as_array(), t1, opts, output_times)
         if output_times is None:
             t_out, y_out = ts, ys
         else:

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import NonEllipticError
 
 DEFAULT_ELLIPTICITY_SAMPLES = 4096
+# the certified ellipticity test of fourier() doubles its sample count up
+# to this cap before it refuses a schedule
+_MAX_CERTIFY_SAMPLES = 1 << 20
 
 STANDARD = "standard-family"
 FOURIER = "fourier"
@@ -74,10 +77,12 @@ class ParameterSchedule:
             raise ValueError(f"period must be positive and finite, got {period}")
         sched = cls(kind=FOURIER, period=float(period),
                     a_coeffs=_pairs(a), b_coeffs=_pairs(b), c_coeffs=_pairs(c))
-        margin = ellipticity_margin(sched)
-        if not margin > 0.0:
+        bound, sampled, n = _certified_margin(sched)
+        if not bound > 0.0:
             raise NonEllipticError(
-                f"schedule violates a*b > c^2 (sampled margin {margin:.6g})")
+                f"schedule is not certified to keep a*b > c^2: lower bound "
+                f"{bound:.6g} from the sampled margin {sampled:.6g} on "
+                f"n={n} points")
         return sched
 
     def eval(self, t: float):
@@ -131,6 +136,54 @@ def _pairs(coeffs):
     if not np.all(np.isfinite(out)):
         raise ValueError(f"fourier coefficients must be finite, got {out}")
     return out
+
+
+def _certified_margin(sched: ParameterSchedule):
+    """(bound, sampled, n): a lower bound of min(a*b - c^2) over the period
+    of a Fourier schedule, from the minimum of n uniform samples.
+
+    f = a*b - c^2 is a trigonometric polynomial of degree 2H (H the highest
+    harmonic), built from the coefficient tuples.  Every angle lies within
+    pi/n of a sample, and Bernstein's inequality bounds |df/dtheta| by 2H
+    times the sum of the harmonic amplitudes |f_k| of f, so
+
+        min f >= sampled - 2 pi H sum_k |f_k| / n.
+
+    n starts at 16 H + 16 and doubles, up to _MAX_CERTIFY_SAMPLES, while
+    the bound is not positive but the sampled minimum is.
+    """
+    H = max(map(len, (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs))) - 1
+    # huge finite coefficients overflow to inf or nan, which fourier()
+    # refuses as a bound that is not positive
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = (_exponentials(pairs, H) for pairs in (
+            sched.a_coeffs, sched.b_coeffs, sched.c_coeffs))
+        # f[k] multiplies exp(i k theta), k = 0..2H; harmonic k of the
+        # real f has the amplitude 2 |f[k]|
+        f = (np.convolve(a, b) - np.convolve(c, c))[2 * H:]
+        amplitudes = 2.0 * float(np.abs(f[1:]).sum())
+        n = 16 * H + 16
+        while True:
+            spectrum = np.zeros(n // 2 + 1, dtype=complex)
+            spectrum[:f.size] = f
+            sampled = float(np.min(n * np.fft.irfft(spectrum, n)))
+            bound = sampled - 2.0 * math.pi * H * amplitudes / n
+            if (bound > 0.0 or not sampled > 0.0
+                    or 2 * n > _MAX_CERTIFY_SAMPLES):
+                return bound, sampled, n
+            n *= 2
+
+
+def _exponentials(pairs, H):
+    """Coefficients of exp(i k theta), k = -H..H, of sum_k (cos_k cos k
+    theta + sin_k sin k theta)."""
+    cos, sin = np.array(pairs).T
+    half = 0.5 * (cos - 1j * sin)
+    half[0] = cos[0]
+    z = np.zeros(2 * H + 1, dtype=complex)
+    z[H:H + half.size] = half
+    z[H - half.size + 1:H + 1] = np.conj(half[::-1])
+    return z
 
 
 def ellipticity_margin(sched: ParameterSchedule,

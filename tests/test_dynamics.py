@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,177 @@ def test_output_time_on_a_step_gives_its_state():
     _, _, dense = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts,
                                 output_times=inner)
     assert np.array_equal(dense, ys[1:-1])
+
+
+def test_fixed_steps_make_four_calls():
+    # one rhs call per stage, and each call of the extended rhs evaluates
+    # the schedule once
+    rhs, calls = _counted_decay()
+    ts, _, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
+                             IntegratorOptions(method="rk4-fixed", step=0.03),
+                             output_times=[0.1, 0.55])
+    assert len(calls) == 4 * (len(ts) - 1)
+    sched = _CountingSchedule(kind=FOURIER, period=5.3,
+                              a_coeffs=((1.0, 0.0), (0.05, 0.03)),
+                              b_coeffs=((1.0, 0.0),), c_coeffs=((0.0, 0.0),))
+    traj = integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 1.0, sched,
+                     opts=IntegratorOptions(method="rk4-fixed", step=0.03))
+    assert len(sched.evals) == 4 * (len(traj.t) - 1)
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingSchedule(ParameterSchedule):
+    evals: list = dataclasses.field(default_factory=list, compare=False)
+
+    def eval(self, t):
+        self.evals.append(t)
+        return super().eval(t)
+
+
+_COUNTERS = re.compile(r"\(t=(.+), h=\S+; (\d+) rhs calls, (\d+) accepted "
+                       r"steps, rejected (\d+) for error and (\d+) for the "
+                       r"domain\)$")
+
+
+def _counters(err):
+    """(t, rhs calls, accepted, rejected for error, rejected for the
+    domain) named by a stepper's IntegrationError."""
+    t, *counts = _COUNTERS.search(str(err)).groups()
+    return (float(t), *map(int, counts))
+
+
+@pytest.mark.parametrize("method, calls", [("rk45-adaptive", 1 + 6 * 3),
+                                           ("rk4-fixed", 4 * 3)])
+def test_max_steps_failure_names_its_counters(method, calls):
+    rhs, seen = _counted_decay()
+    opts = IntegratorOptions(method=method, rtol=1e-6, atol=1e-6, step=0.01,
+                             max_steps=3)
+    with pytest.raises(IntegrationError, match="exceeded max_steps=3") as err:
+        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
+    t, n_calls, accepted, rejected, walls = _counters(err.value)
+    assert (n_calls, accepted, rejected, walls) == (calls, 3, 0, 0)
+    assert len(seen) == calls
+    assert t == err.value.last_t > 0.0
+
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_domain_failure_names_its_counters(method):
+    # y' = -y with a DomainError wall past t = 0.25: the adaptive stepper
+    # halves the step at the wall until it falls below the minimum step,
+    # the fixed stepper stops at the first stage past the wall
+    seen = []
+
+    def rhs(t, y):
+        seen.append(t)
+        if t > 0.25:
+            raise DomainError("past the wall")
+        return -y
+
+    with pytest.raises(IntegrationError, match="left the domain") as err:
+        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
+                      IntegratorOptions(method=method, step=0.01))
+    t, calls, accepted, rejected, walls = _counters(err.value)
+    assert calls == len(seen)
+    assert accepted >= 1 and t <= 0.25
+    # each refused step stops at its first stage past the wall
+    past = sum(1 for s in seen if s > 0.25)
+    if method == "rk45-adaptive":
+        assert walls == past >= 40      # from h ~ 0.01 to below 1e-14
+    else:
+        assert (rejected, walls, past) == (0, 0, 1)
+        assert 4 * accepted < calls <= 4 * accepted + 4
+
+
+def _numpy_rk4(sched, y0, t1, step, marks, hbar=1.0):
+    """rk4-fixed as a numpy vector pass, landing on every mark: the rows
+    at (0, *marks, t1)."""
+    def f(t, y):
+        return np.array(dynamics._extended_rhs(t, y, sched, hbar))
+
+    hmin = dynamics._hmin(0.0, t1)
+    y, t, rows = np.array(y0, dtype=float), 0.0, [np.array(y0, dtype=float)]
+    for target in [*marks, t1]:
+        while t < target - hmin:
+            h = min(step, target - t)
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = target if abs((t + h) - target) <= hmin else t + h
+        t = target
+        rows.append(y)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("sched", [
+    ParameterSchedule.standard(0.3, 1.3),
+    ParameterSchedule.fourier(5.3, [(1.0, 0.0), (0.05, 0.03), (0.02, 0.0),
+                                    (0.01, 0.02)],
+                              [(1.0, 0.0), (-0.04, 0.0), (0.01, 0.0)],
+                              [(0.0, 0.0), (0.0, 0.05), (0.0, 0.01),
+                               (0.0, 0.02)])], ids=["standard", "fourier3"])
+def test_fixed_steps_equal_the_numpy_vector_formula(sched):
+    # the scalar kernel keeps the operation order of the vector formula,
+    # so rk4-fixed is bit for bit the numpy pass
+    y0 = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
+    marks = np.linspace(0.37, 7.1, 9).tolist()
+    traj = integrate(ExtendedState.from_array(y0, 0.0), 7.5, sched,
+                     consts=Constants(hbar=0.7),
+                     opts=IntegratorOptions(method="rk4-fixed", step=0.02),
+                     output_times=marks)
+    want = _numpy_rk4(sched, y0, 7.5, 0.02, marks, hbar=0.7)
+    assert np.array_equal(traj.y, want)
+
+
+# Dormand-Prince 5(4), Hairer, Norsett & Wanner, Solving ODEs I, II.5
+_DP_TABLEAU = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0]])
+_DP_NODES = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_WEIGHTS = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784,
+                        11 / 84])
+
+
+def test_adaptive_step_equals_the_tableau():
+    # one accepted step of the scalar kernel against the Dormand-Prince
+    # tableau evaluated with numpy
+    sched = ParameterSchedule.standard(0.3, 1.3)
+    y0 = np.array([0.7, -0.3, 0.6, 0.1, 0.2, -0.4])
+    h = 0.01
+
+    def f(t, y):
+        return np.array(dynamics._extended_rhs(t, y, sched, 1.0))
+
+    ts, ys, _ = dynamics._rk45_path(
+        lambda t, y: dynamics._extended_rhs(t, y, sched, 1.0), 0.0, y0, h,
+        IntegratorOptions(method="rk45-adaptive", rtol=1e-6, atol=1e-6))
+    assert ts.tolist() == [0.0, h]
+    K = np.zeros((6, 6))
+    for i in range(6):
+        K[i] = f(_DP_NODES[i] * h, y0 + h * (_DP_TABLEAU[i] @ K))
+    want = y0 + h * (_DP_WEIGHTS @ K)
+    assert np.max(np.abs(ys[1] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_extended_rhs_takes_a_list_or_an_array():
+    sched = ParameterSchedule.standard(0.3, 1.3)
+    y = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
+    from_list = dynamics._extended_rhs(0.4, y, sched, 0.7)
+    from_array = dynamics._extended_rhs(0.4, np.array(y), sched, 0.7)
+    assert isinstance(from_list, list) and len(from_list) == 6
+    assert from_list == from_array
+
+
+def test_eom_rhs_returns_an_array():
+    rhs = eom_rhs(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1, t=0.4),
+                  ParameterSchedule.standard(0.3, 1.3))
+    assert isinstance(rhs, np.ndarray) and rhs.shape == (6,)
+    assert rhs.dtype == float
 
 
 def test_output_times_must_increase_inside_the_horizon():

@@ -5,7 +5,7 @@ import pytest
 
 from squeezephase.errors import NonEllipticError
 from squeezephase.params import (FOURIER, Constants, ParameterSchedule,
-                                 ellipticity_margin)
+                                 _certified_margin, ellipticity_margin)
 
 
 def test_unperturbed_schedule():
@@ -134,6 +134,47 @@ def test_fourier_constructor_rejects_non_elliptic():
     with pytest.raises(NonEllipticError):
         ParameterSchedule.fourier(
             1.0, a=[(0.5, 0.0)], b=[(0.5, 0.0)], c=[(1.0, 0.0)])
+
+
+def test_fourier_constructor_refuses_a_dip_between_samples():
+    # a = 1 + 1.2 cos(2 pi 4096 t/T) dips to -0.2, but every one of the
+    # 4096 samples of ellipticity_margin sits on a crest
+    a = [(1.0, 0.0)] + [(0.0, 0.0)] * 4095 + [(1.2, 0.0)]
+    raw = ParameterSchedule(kind=FOURIER, period=1.0, a_coeffs=tuple(a),
+                            b_coeffs=((1.0, 0.0),), c_coeffs=((0.0, 0.0),))
+    assert ellipticity_margin(raw) == pytest.approx(2.2, abs=1e-9)
+    with pytest.raises(NonEllipticError,
+                       match=r"lower bound -\S+ .* on n=65552 points"):
+        ParameterSchedule.fourier(1.0, a, [(1.0, 0.0)], [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("harmonics", [1, 2, 3, 6])
+def test_fourier_constructor_certifies_seeded_schedules(harmonics):
+    # few-harmonic schedules are certified on the first 16 H + 16 points,
+    # and the bound is below the minimum of a dense sample
+    rng = np.random.default_rng(11 + harmonics)
+    for _ in range(5):
+        coeffs = [[(mean, 0.0)] + [tuple(rng.uniform(-0.3, 0.3, 2) / harmonics)
+                                   for _ in range(harmonics)]
+                  for mean in (1.0, 1.2, 0.1)]
+        sched = ParameterSchedule.fourier(rng.uniform(1.0, 8.0), *coeffs)
+        bound, sampled, n = _certified_margin(sched)
+        assert n == 16 * harmonics + 16
+        assert 0.0 < bound < ellipticity_margin(sched, n_samples=1 << 14)
+        assert sampled == pytest.approx(
+            ellipticity_margin(sched, n_samples=n), abs=1e-14)
+
+
+def test_certified_margin_doubles_near_the_boundary():
+    # a = 1 + 0.999 cos: min 1e-3, which 32 samples cannot certify; a
+    # schedule that touches 0 is refused
+    near = ParameterSchedule.fourier(1.0, [(1.0, 0.0), (0.999, 0.0)],
+                                     [(1.0, 0.0)], [(0.0, 0.0)])
+    bound, _, n = _certified_margin(near)
+    assert 0.0 < bound < 1e-3 and n > 32
+    with pytest.raises(NonEllipticError, match="lower bound"):
+        ParameterSchedule.fourier(1.0, [(1.0, 0.0), (1.0, 0.0)],
+                                  [(1.0, 0.0)], [(0.0, 0.0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
