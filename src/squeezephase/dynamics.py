@@ -14,7 +14,7 @@ default, "linear", needs no stepping of these equations: the centroid
 follows x = M x0 and the covariance form S = M S0 M^T, with M(t) the flow
 matrix of the centroid system, and both phases are quadratic forms of
 K(t) = int M^T H M plus the angle of the complex width; M and K come from
-the Gauss period pass of monodromy.sample_flow.  The flow routes,
+the Gauss period pass of monodromy.period_pass.  The flow routes,
 "rk45-adaptive" and "rk4-fixed", integrate the six components above, the
 phases in the same pass as the state, so that state and phase share one
 error control; they are the independent witness of the linear route and
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .monodromy import sample_flow
+from .monodromy import fluctuation_point, period_pass
 from .params import Constants, ParameterSchedule
 
 # The flow preserves G > 0, so a width at or below this floor signals
@@ -466,8 +466,8 @@ def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
     The covariance form of the start state, S0 = [[2G, 4G Pi],
     [4G Pi, 1/(2G) + 8G Pi^2]], has the lower-triangular factor
     W0 = [[r, 0], [2 Pi r, 1/r]], r = sqrt(2G).  With phi the angle of
-    the first row of M W0, unwrapped from 0 at t0 (sample_flow's angle
-    for the frame W0):
+    the first row of M W0, unwrapped from 0 at t0 (PeriodPass.sample's
+    angle for the frame W0):
 
         (q, p) = M (q0, p0),  S = M S0 M^T,  G = S11/2,  Pi = S12/(2 S11),
         lambda_D = lambda_D0 - x0^T K x0/(2 hbar) - tr(K S0)/4,
@@ -478,14 +478,13 @@ def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
     W0 = np.array([[r, 0.0], [2.0 * state0.Pi * r, 1.0 / r]])
     if output_times is not None:
         output_times = _check_output_times(state0.t, t1, output_times)
-    flow = sample_flow(sched, state0.t, t1, output_times, W0)
+    flow = period_pass(sched, state0.t).sample(t1, output_times, W0)
     Z = flow.M @ W0
-    (u, v), (u2, v2) = Z[:, 0].T, Z[:, 1].T
-    w = u * u + v * v
+    G, Pi = fluctuation_point(Z @ np.transpose(Z, (0, 2, 1)))
     centroid = np.einsum("p,npq,q->n", x0, flow.K, x0) / (2.0 * hbar)
     width = 0.25 * np.einsum("npq,pq->n", flow.K, W0 @ W0.T)
     y = np.column_stack([
-        flow.M @ x0, 0.5 * w, (u * u2 + v * v2) / (2.0 * w),
+        flow.M @ x0, G, Pi,
         state0.lambda_G + centroid + width - 0.5 * flow.angle,
         state0.lambda_D - centroid - width])
     y[0] = state0.as_array()

@@ -6,21 +6,22 @@ exact identity M = cos(sigma) I + sin(sigma) S J, J = [[0, 1], [-1, 0]],
 with S the unique M-invariant symmetric unimodular positive form; S and
 sigma are read off the entries of M in closed form, and any W with
 S = W W^T, det W = 1 conjugates M to the rotation R(sigma) in the angle
-convention q = sqrt(2I) sin(phi), p = sqrt(2I) cos(phi).  The continuous
-rotation number rho = 2*pi*k + sigma counts full windings of the flow,
-recovered by unwrapping the angle of a fundamental solution expressed in
-the W frame over the steps of the pass.
+convention q = sqrt(2I) sin(phi), p = sqrt(2I) cos(phi).
 
 The Gaussian state whose covariance is (hbar/2) S returns to itself after
 one period, so fluctuation_point(mono.S) is the initial point (G0, Pi0) of
 the periodic fluctuation orbit, exact at any drive strength and
 independent of hbar.
 
-compute_monodromy is the one period pass of the package: beside M(t) it
-integrates K = int_0^T M^T H M dt, H = [[a, c], [c, b]], so that
-int_0^T x^T H x dt = x0^T K x0 along any centroid solution.  The orbit,
-the trajectory Hannay angle and every Floquet phase are derived from
-rho, S, K and the sampled M(t) without integrating anything else.
+period_pass is the one period pass of the package.  Beside M(t) it
+integrates K(t) = int_t0^t M^T H M dt, H = [[a, c], [c, b]], so that
+int x^T H x dt = x0^T K x0 along any centroid solution, and it unwraps
+the angle alpha of the first row of M(t) over its steps.
+compute_monodromy reads M = M(T), the normal frame W, sigma and the
+continuous rotation number rho = 2*pi*k + sigma off the pass from t = 0,
+the winding k from the lift of alpha.  The orbit, the trajectory Hannay
+angle, every Floquet phase and the linear route of dynamics.integrate are
+derived from that pass without integrating anything else.
 
 The pass is s = 5 stage Gauss-Legendre collocation (order 2s = 10) on N
 equal steps.  The system x' = A(t) x, A = J H, is linear, so a Gauss step
@@ -34,10 +35,10 @@ methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, IV.2 and VI.4).  The same pass
 on 2N steps is the error estimate.
 
-The pass is also the sampler of M(t) and K(t) at any time: a time inside
-a step is one partial Gauss step from its start (_flow_at), which gives
-the orbit samples of compute_monodromy and, with the powers of M(T), the
-trajectories of sample_flow over any horizon from any start time.
+PeriodPass.sample is the one sampler of M(t), K(t) and the turn of the
+first row of M(t) W: a time inside a step is one partial Gauss step from
+its start, and a time in a later period takes the powers of M(T).  The
+samples take no part in the pass, so they never move M(T), K, rho or W.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ _STEP_RATE = 0.5
 # max(1, max |M|) and in K relative to max(1, max |K|).
 _ESTIMATE_BOUND = 1e-11
 
-# Orbit samples are taken this many at a time, which bounds the memory of
-# their batched partial steps whatever the sample count.
+# Samples of the pass are taken this many at a time, which bounds the
+# memory of their batched partial steps whatever the sample count.
 _SAMPLE_CHUNK = 256
 
 
@@ -103,14 +104,15 @@ _STAGES = _GL_C.size
 
 @dataclass
 class Monodromy:
-    """Result of the period pass: the time-T flow matrix of the linear
-    centroid system, its rotation, and the quadratic-form quadrature.
+    """The period pass from t = 0 read as the time-T flow matrix M of the
+    linear centroid system, its rotation, and the quadratic-form
+    quadrature.
 
     W is the normal frame (W^-1 M W = R(sigma), det W = 1) and
     K = int_0^T M^T H M dt with H = [[a, c], [c, b]].  steps is the number
     N of Gauss steps and estimate the disagreement of the N and 2N passes
-    (relative, see compute_monodromy).  t and path hold M(t) on the
-    sample times the pass was asked for.
+    (relative, see period_pass); flow is the pass itself, whose sample
+    gives M(t) and K(t) at any time.
     """
 
     M: np.ndarray
@@ -122,8 +124,7 @@ class Monodromy:
     K: np.ndarray
     steps: int
     estimate: float
-    t: np.ndarray = None
-    path: np.ndarray = None
+    flow: PeriodPass
 
     @property
     def S(self) -> np.ndarray:
@@ -183,8 +184,9 @@ def _gauss_steps(sched: ParameterSchedule, t0, h):
 
 
 def _gauss_pass(sched: ParameterSchedule, N: int, t0: float = 0.0):
-    """M(t_k) at the N + 1 step times t_k = t0 + k T/N of the flow from
-    t0, K over the period, and the step quadrature matrices Q."""
+    """M(t_k) and K(t_k) at the N + 1 step times t_k = t0 + k T/N of the
+    flow from t0: K(t_k) is the prefix sum of the step shares
+    M_j^T Q_j M_j, j < k."""
     h = sched.period / N
     P, Q = _gauss_steps(sched, t0 + h * np.arange(N), np.full(N, h))
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
@@ -194,56 +196,9 @@ def _gauss_pass(sched: ParameterSchedule, N: int, t0: float = 0.0):
                               p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
         prefix.append((m11, m12, m21, m22))
     Ms = np.array(prefix).reshape(N + 1, 2, 2)
-    (k11, k12), (_, k22) = np.einsum(
-        "kpq,kpr->qr", Ms[:-1], Q @ Ms[:-1]).tolist()
-    return Ms, np.array([[k11, k12], [k12, k22]]), Q
-
-
-def _pass_estimate(sched: ParameterSchedule, N: int, M, K,
-                   t0: float = 0.0) -> float:
-    """Disagreement of the pass (M, K) on N steps with the same pass on
-    2N steps: the larger of max |M_2N - M_N| / max(1, max |M_N|) and the
-    same for K.  Raises ConvergenceError past _ESTIMATE_BOUND."""
-    Ms2, K2, _ = _gauss_pass(sched, 2 * N, t0)
-    estimate = max(
-        float(np.abs(Ms2[-1] - M).max()) / max(1.0, float(np.abs(M).max())),
-        float(np.abs(K2 - K).max()) / max(1.0, float(np.abs(K).max())))
-    if not estimate <= _ESTIMATE_BOUND:
-        raise ConvergenceError(
-            f"period pass on N = {N} steps and on 2N = {2 * N} steps "
-            f"disagree by {estimate:.3e} (relative), over the bound "
-            f"{_ESTIMATE_BOUND:.0e}")
-    return estimate
-
-
-def _node_quadrature(Ms, Q):
-    """K at the N + 1 step times of the pass (Ms, Q): the prefix sums of
-    the step shares M_k^T Q_k M_k.  (compute_monodromy keeps the one-shot
-    sum of _gauss_pass, whose bits its artifacts carry.)"""
     shares = np.einsum("kpq,kpr->kqr", Ms[:-1], Q @ Ms[:-1])
-    return np.concatenate([np.zeros((1, 2, 2)), np.cumsum(shares, axis=0)])
-
-
-def _flow_at(sched: ParameterSchedule, Ms, Ks, t0, step, offset):
-    """M and K of the pass (Ms, Ks) from t0 at the times
-    t0 + step h + offset, h = T/N, with step in [0, N) and offset of the
-    order of h; K is None when Ks is.
-
-    A time with offset 0 is that step time's M and K; any other is one
-    Gauss step of size offset from the step time, which maps M and adds
-    M^T Q M to K.  The partial steps are taken _SAMPLE_CHUNK at a time.
-    """
-    h = sched.period / (Ms.shape[0] - 1)
-    M = Ms[step]
-    K = None if Ks is None else Ks[step]
-    inside = np.flatnonzero(offset)
-    for i in range(0, inside.size, _SAMPLE_CHUNK):
-        j = inside[i:i + _SAMPLE_CHUNK]
-        P, Q = _gauss_steps(sched, t0 + h * step[j], offset[j])
-        if K is not None:
-            K[j] += np.einsum("npq,npr->nqr", M[j], Q @ M[j])
-        M[j] = P @ M[j]
-    return M, K
+    return Ms, np.concatenate([np.zeros((1, 2, 2)),
+                               np.cumsum(shares, axis=0)])
 
 
 def _row_angle(M):
@@ -260,7 +215,7 @@ def _wrap(angle):
 class FlowSample:
     """M(t) and K(t) = int_t0^t M^T H M dt of the centroid flow from t0 at
     the times t, and the angle the first row of M(t) W has turned since
-    t0, for the frame W sample_flow was given.
+    t0, for the frame W PeriodPass.sample was given.
     """
 
     t: np.ndarray
@@ -269,129 +224,154 @@ class FlowSample:
     angle: np.ndarray
 
 
-def sample_flow(sched: ParameterSchedule, t0: float, t1: float, times,
-                W) -> FlowSample:
-    """M(t), K(t) and the turn of the first row of M(t) W of the flow from
-    t0, at t0, the times and t1.
+@dataclass
+class PeriodPass:
+    """The Gauss pass over [t0, t0 + T] (period_pass): M and K at the
+    N + 1 step times t0 + k T/N, the angle alpha of the first row of M
+    there, unwrapped from 0 at t0, and the disagreement estimate of the
+    N and 2N passes."""
 
-    times must lie strictly inside (t0, t1) and increase; when times is
-    None the samples are t0, every Gauss node strictly inside (t0, t1),
-    and t1.  One Gauss pass over [t0, t0 + T] gives M(tau) and K(tau) at
-    tau = t - t0 - kT inside the period (_flow_at), and since the
-    schedule is T-periodic, with M_T = M(T):
+    sched: ParameterSchedule
+    t0: float
+    Ms: np.ndarray
+    Ks: np.ndarray
+    alpha: np.ndarray
+    estimate: float
 
-        M(t) = M(tau) M_T^k,
-        K(t) = sum_{m<k} (M_T^m)^T K(T) M_T^m + (M_T^k)^T K(tau) M_T^k.
+    @property
+    def steps(self) -> int:
+        return self.Ms.shape[0] - 1
 
-    The angle alpha(tau) of the first row m of M(tau) is unwrapped over
-    the N steps of the pass, each increment under pi/2 as in
-    compute_monodromy (IntegrationError), plus the wrapped increment of a
-    sample's partial step.  The first row of M(t) W is m B_k with
-    B_k = M_T^k W.  A map of determinant 1 keeps the order of directions
-    and turns each by less than pi from the angle c_k it gives the first
-    unit row (1, 0), so the angle of m B_k lifts to
-    alpha + c_k + wrap(angle(m B_k) - alpha - c_k) exactly, however far
-    the flow squeezes; period k turns by that lift at alpha(T), less c_k.
-    Then the N-vs-2N estimate must hold (ConvergenceError).  There is no
-    normal frame: a hyperbolic period map (a schedule inside a resonance
-    tongue) is sampled like any other.
+    def _partial(self, step, offset):
+        """M and K at the times t0 + step h + offset, h = T/N, step in
+        [0, N): a nonzero offset is one Gauss step of that size from the
+        step time, which maps M and adds M^T Q M to K.  The partial steps
+        are taken _SAMPLE_CHUNK at a time."""
+        h = self.sched.period / self.steps
+        M, K = self.Ms[step], self.Ks[step]
+        inside = np.flatnonzero(offset)
+        for i in range(0, inside.size, _SAMPLE_CHUNK):
+            j = inside[i:i + _SAMPLE_CHUNK]
+            P, Q = _gauss_steps(self.sched, self.t0 + h * step[j], offset[j])
+            K[j] += np.einsum("npq,npr->nqr", M[j], Q @ M[j])
+            M[j] = P @ M[j]
+        return M, K
+
+    def sample(self, t1: float, times, W) -> FlowSample:
+        """M(t), K(t) and the turn of the first row of M(t) W of the flow
+        from t0, at t0, the times and t1.
+
+        times must lie strictly inside (t0, t1) and increase; when times
+        is None the samples are t0, every Gauss node strictly inside
+        (t0, t1), and t1.  The pass gives M(tau) and K(tau) at
+        tau = t - t0 - kT inside the period (_partial), and since the
+        schedule is T-periodic, with M_T = M(T):
+
+            M(t) = M(tau) M_T^k,
+            K(t) = sum_{m<k} (M_T^m)^T K(T) M_T^m + (M_T^k)^T K(tau) M_T^k.
+
+        The angle of a sample's first row m of M(tau) is alpha at the
+        start of its step plus the wrapped increment of its partial step.
+        The first row of M(t) W is m B_k with B_k = M_T^k W.  A map of
+        determinant 1 keeps the order of directions and turns each by
+        less than pi from the angle c_k it gives the first unit row
+        (1, 0), so the angle of m B_k lifts to
+        alpha + c_k + wrap(angle(m B_k) - alpha - c_k) exactly, however
+        far the flow squeezes; period k turns by that lift at alpha(T),
+        less c_k.  There is no normal frame: a hyperbolic period map (a
+        schedule inside a resonance tongue) is sampled like any other.
+        """
+        t0, alpha, T, N = self.t0, self.alpha, self.sched.period, self.steps
+        h = T / N
+        if times is None:
+            times = t0 + h * np.arange(1, math.ceil((t1 - t0) / h))
+            times = times[times < t1]
+        t = np.concatenate([[t0], times, [t1]]).astype(float)
+        s = t - t0
+        period = np.maximum(np.floor(s / T), 0.0).astype(int)
+        tau = s - period * T
+        step = np.clip(np.floor(tau / h), 0, N - 1).astype(int)
+        M_tau, K_tau = self._partial(step, tau - step * h)
+        # M_T^k and the sums of K over k whole periods, k = 0 .. max
+        powers, sums = [np.eye(2)], [np.zeros((2, 2))]
+        for _ in range(int(period.max())):
+            P = powers[-1]
+            sums.append(sums[-1] + P.T @ self.Ks[-1] @ P)
+            powers.append(P @ self.Ms[-1])
+        powers = np.array(powers)
+        B = powers[period]
+        M = M_tau @ B
+
+        a = alpha[step] + _wrap(_row_angle(M_tau) - alpha[step])
+        c = _row_angle(powers @ W)
+        turns = alpha[-1] + _wrap(c[1:] - alpha[-1] - c[:-1])
+        before = np.concatenate([[0.0], np.cumsum(turns)])[period]
+        angle = before + a + _wrap(_row_angle(M @ W) - a - c[period])
+        return FlowSample(
+            t=t, M=M, K=np.array(sums)[period] + np.transpose(B, (0, 2, 1))
+            @ K_tau @ B, angle=angle)
+
+
+def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
+    """The Gauss pass over [t0, t0 + T] on N steps, N set by the schedule
+    alone (_step_count).
+
+    The angle alpha of the first row of M is unwrapped over the N steps;
+    an increment of pi/2 or more leaves its turns ambiguous and raises
+    IntegrationError before the 2N pass.  The same pass on 2N steps
+    follows: estimate is the larger of max |M_2N - M_N| / max(1, max |M_N|)
+    at t0 + T and the same for K, and ConvergenceError is raised past
+    _ESTIMATE_BOUND.
     """
-    T = sched.period
     N = _step_count(sched)
-    h = T / N
-    Ms, K, Q = _gauss_pass(sched, N, t0)
+    Ms, Ks = _gauss_pass(sched, N, t0)
     alpha = np.unwrap(_row_angle(Ms))
     moves = np.abs(np.diff(alpha))
     i = int(np.argmax(moves))
     if moves[i] >= 0.5 * math.pi:
         raise IntegrationError(
             f"row angle moved {moves[i]:.3f} rad in one of {N} Gauss steps; "
-            "its turns cannot be counted", last_t=t0 + i * h)
-
-    if times is None:
-        times = t0 + h * np.arange(1, math.ceil((t1 - t0) / h))
-        times = times[times < t1]
-    t = np.concatenate([[t0], times, [t1]]).astype(float)
-    s = t - t0
-    period = np.maximum(np.floor(s / T), 0.0).astype(int)
-    tau = s - period * T
-    step = np.clip(np.floor(tau / h), 0, N - 1).astype(int)
-    Ks = _node_quadrature(Ms, Q)
-    M_tau, K_tau = _flow_at(sched, Ms, Ks, t0, step, tau - step * h)
-    # M_T^k and the sums of K over k whole periods, k = 0 .. max
-    powers, sums = [np.eye(2)], [np.zeros((2, 2))]
-    for _ in range(int(period.max())):
-        P = powers[-1]
-        sums.append(sums[-1] + P.T @ Ks[-1] @ P)
-        powers.append(P @ Ms[-1])
-    powers = np.array(powers)
-    B = powers[period]
-    M = M_tau @ B
-
-    a = alpha[step] + _wrap(_row_angle(M_tau) - alpha[step])
-    c = _row_angle(powers @ W)
-    turns = alpha[-1] + _wrap(c[1:] - alpha[-1] - c[:-1])
-    before = np.concatenate([[0.0], np.cumsum(turns)])[period]
-    angle = before + a + _wrap(_row_angle(M @ W) - a - c[period])
-    _pass_estimate(sched, N, Ms[-1], K, t0)
-    return FlowSample(
-        t=t, M=M, K=np.array(sums)[period] + np.transpose(B, (0, 2, 1))
-        @ K_tau @ B, angle=angle)
+            "windings cannot be counted", last_t=t0 + i * sched.period / N)
+    Ms2, Ks2 = _gauss_pass(sched, 2 * N, t0)
+    estimate = max(
+        float(np.abs(x2[-1] - x[-1]).max()) / max(1.0, float(
+            np.abs(x[-1]).max())) for x, x2 in ((Ms, Ms2), (Ks, Ks2)))
+    if not estimate <= _ESTIMATE_BOUND:
+        raise ConvergenceError(
+            f"period pass on N = {N} steps and on 2N = {2 * N} steps "
+            f"disagree by {estimate:.3e} (relative), over the bound "
+            f"{_ESTIMATE_BOUND:.0e}")
+    return PeriodPass(sched=sched, t0=t0, Ms=Ms, Ks=Ks, alpha=alpha,
+                      estimate=estimate)
 
 
-def compute_monodromy(sched: ParameterSchedule,
-                      n_samples: int = None) -> Monodromy:
-    """One pass over the period: M(t) and K(t) on N Gauss steps, then
-    (sigma, k, rho) and the normal frame W.
+def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
+    """The period pass from t = 0 (period_pass), then (sigma, k, rho) and
+    the normal frame W of M = M(T).
 
-    N is set by the schedule alone (_step_count).  The winding k comes
-    from unwrapping the normal-frame angle of one solution column over
-    the N steps (each increment must stay under pi/2), then rounding
-    (total - sigma)/(2*pi).  The same pass on 2N steps follows; estimate
-    is the larger of max |M_2N - M_N| / max(1, max |M_N|) and the same
-    for K, and ConvergenceError is raised past _ESTIMATE_BOUND.  With
-    n_samples, M(t) is returned on the n_samples + 1 uniform times of
-    [0, T] (_flow_at); the samples take no part in the pass, so
-    M(T), K, sigma, rho and W are the same, bit for bit, for every
-    n_samples.
+    The winding k comes from the lift the pass already has.  W is lower
+    triangular with W11 > 0, so the first row of M(t) W starts along
+    (1, 0) and, as in PeriodPass.sample, its angle lifts to
+    alpha + wrap(angle(m W) - alpha) for the first row m of M(t).  Since
+    M W = W R(sigma), at T it points along (cos sigma, sin sigma): the
+    turn alpha_N + wrap(angle(first row of M W) - alpha_N) is
+    2 pi k + sigma, and k is the rounded (turn - sigma)/(2 pi).
     """
-    if n_samples is not None and n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    T = sched.period
-    N = _step_count(sched)
-    Ms, K, _ = _gauss_pass(sched, N)
-    M = Ms[-1]
+    flow = period_pass(sched)
+    M = flow.Ms[-1]
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-8:
         raise NonEllipticError(
             f"monodromy determinant {det} deviates from 1; integration failed")
 
     W, sigma = normal_frame(M)
-    x0 = W @ np.array([0.0, 1.0])  # normal-form angle zero
-    qp = (Ms @ x0) @ np.linalg.inv(W).T
-    theta = np.unwrap(np.arctan2(qp[:, 0], qp[:, 1]))
-    step = float(np.abs(np.diff(theta)).max())
-    if step >= 0.5 * math.pi:
-        raise IntegrationError(
-            f"normal-frame angle moved {step:.3f} rad in one of {N} steps; "
-            "windings cannot be counted", last_t=T)
-    total = float(theta[-1] - theta[0])
-    winding = int(round((total - sigma) / (2.0 * math.pi)))
-    rho = 2.0 * math.pi * winding + sigma
-    if abs(rho - total) > 0.5:
-        raise IntegrationError(
-            f"winding tracking inconsistent: unwrapped {total}, "
-            f"normal-form sigma {sigma}", last_t=T)
-
-    estimate = _pass_estimate(sched, N, M, K)
-    grid = path = None
-    if n_samples is not None:
-        # sample j at step k with offset (r/n_samples) h, exactly
-        grid = np.linspace(0.0, T, n_samples + 1)
-        k, r = np.divmod(np.arange(n_samples + 1) * N, n_samples)
-        path, _ = _flow_at(sched, Ms, None, 0.0, k, T / N * r / n_samples)
-    return Monodromy(M=M, sigma=sigma, winding=winding, rho=rho, period=T,
-                     W=W, K=K, steps=N, estimate=estimate, t=grid, path=path)
+    alpha = flow.alpha[-1]
+    turn = alpha + _wrap(_row_angle(M @ W) - alpha)
+    winding = int(round((turn - sigma) / (2.0 * math.pi)))
+    return Monodromy(M=M, sigma=sigma, winding=winding,
+                     rho=2.0 * math.pi * winding + sigma, period=sched.period,
+                     W=W, K=flow.Ks[-1], steps=flow.steps,
+                     estimate=flow.estimate, flow=flow)
 
 
 def normal_frame(M):

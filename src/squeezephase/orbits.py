@@ -5,7 +5,7 @@ under a periodic drive it continues to a unique T-periodic orbit.  The
 Gaussian of covariance (hbar/2) S, with S the M-invariant form of the
 monodromy, returns to itself after one period, so the orbit is read off
 S(t) = M(t) S M(t)^T as G = S11/2, Pi = S12/(2 S11): no root finding.
-The pass takes N Gauss steps set by the schedule alone, and M(t) at a
+M(t) comes from the sampler of the monodromy's period pass, in which a
 sample time is one partial Gauss step from the start of the step that
 covers it, so the number of samples changes neither the steps nor rho, S
 and K.
@@ -58,12 +58,15 @@ def cycle_phases(mono: Monodromy):
 def find_periodic_orbit(sched: ParameterSchedule,
                         n_samples: int = DEFAULT_SAMPLES) -> PeriodicOrbit:
     """Periodic orbit sampled at n_samples + 1 uniform times of [0, T]."""
-    mono = compute_monodromy(sched, n_samples=n_samples)
-    St = mono.path @ mono.S @ np.transpose(mono.path, (0, 2, 1))
-    G, Pi = fluctuation_point(St)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    mono = compute_monodromy(sched)
+    grid = np.linspace(0.0, mono.period, n_samples + 1)
+    M = mono.flow.sample(mono.period, grid[1:-1], mono.W).M
+    G, Pi = fluctuation_point(M @ mono.S @ np.transpose(M, (0, 2, 1)))
     residual = max(abs(G[-1] - G[0]), abs(Pi[-1] - Pi[0]))
     lam_G, lam_D = cycle_phases(mono)
     return PeriodicOrbit(
-        t=mono.t, G=G, Pi=Pi, G0=float(G[0]), Pi0=float(Pi[0]),
+        t=grid, G=G, Pi=Pi, G0=float(G[0]), Pi0=float(Pi[0]),
         residual=float(residual), lambda_G_cycle=lam_G,
         lambda_D_cycle=lam_D, monodromy=mono)

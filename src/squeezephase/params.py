@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import NonEllipticError
 
-DEFAULT_ELLIPTICITY_SAMPLES = 4096
 # the certified ellipticity test of fourier() doubles its sample count up
 # to this cap before it refuses a schedule
 _MAX_CERTIFY_SAMPLES = 1 << 20
@@ -77,12 +76,11 @@ class ParameterSchedule:
             raise ValueError(f"period must be positive and finite, got {period}")
         sched = cls(kind=FOURIER, period=float(period),
                     a_coeffs=_pairs(a), b_coeffs=_pairs(b), c_coeffs=_pairs(c))
-        bound, sampled, n = _certified_margin(sched)
-        if not bound > 0.0:
+        margin = ellipticity_margin(sched)
+        if not margin > 0.0:
             raise NonEllipticError(
                 f"schedule is not certified to keep a*b > c^2: lower bound "
-                f"{bound:.6g} from the sampled margin {sampled:.6g} on "
-                f"n={n} points")
+                f"{margin:.6g} of min(a*b - c^2)")
         return sched
 
     def eval(self, t: float):
@@ -186,21 +184,14 @@ def _exponentials(pairs, H):
     return z
 
 
-def ellipticity_margin(sched: ParameterSchedule,
-                       n_samples: int = DEFAULT_ELLIPTICITY_SAMPLES) -> float:
-    """Minimum of a*b - c^2 over a uniform sample of one period.
+def ellipticity_margin(sched: ParameterSchedule) -> float:
+    """A certified lower bound of min(a*b - c^2) over the period.
 
-    A non-positive margin means the schedule leaves the elliptic regime;
-    it is returned, not raised, so callers can probe invalid schedules.
+    The standard family has a*b - c^2 = 1 - eps^2 identically; a Fourier
+    schedule gets the bound of _certified_margin.  A schedule leaves the
+    elliptic regime only if the margin is not positive; it is returned,
+    not raised, so callers can probe invalid schedules.
     """
-    if n_samples < 16:
-        raise ValueError(f"n_samples must be >= 16, got {n_samples}")
     if sched.kind == STANDARD:
-        # a*b - c^2 = 1 - eps^2 identically; no sampling needed
         return 1.0 - sched.epsilon ** 2
-    # huge finite coefficients overflow to inf or nan, which fourier()
-    # refuses as a margin that is not positive
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = sched.sample(
-            sched.period * np.arange(n_samples) / n_samples)
-        return float(np.min(a * b - c * c))
+    return _certified_margin(sched)[0]

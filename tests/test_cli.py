@@ -280,8 +280,8 @@ def test_untyped_error_propagates(tmp_path, monkeypatch):
 
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     # each caller looks compute_monodromy up in its own namespace; calls
-    # records the n_samples each pass was asked for, and passes the step
-    # count of every Gauss pass: the pass on N steps and its estimate on 2N
+    # counts the calls of each operation, and passes the step count of
+    # every Gauss pass: the pass on N steps and its estimate on 2N
     calls, passes = [], []
 
     def counting(inner, record, arg):
@@ -292,8 +292,7 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
 
     for module in (cli, hannay, orbits, floquet):
         monkeypatch.setattr(module, "compute_monodromy", counting(
-            module.compute_monodromy, calls,
-            lambda args, kwargs: kwargs.get("n_samples")))
+            module.compute_monodromy, calls, lambda args, kwargs: module))
     monkeypatch.setattr(monodromy, "_gauss_pass", counting(
         monodromy._gauss_pass, passes, lambda args, kwargs: args[1]))
     fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
@@ -308,10 +307,10 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
             passes.clear()
             assert run(sub, cfg, out_dir=tmp_path / sub) == 0
             assert passes == [N, 2 * N], sub
-            # floquet reads no orbit samples, so its pass asks for none;
-            # simulate samples its own pass
-            assert calls == {"orbit": [64], "hannay": [None],
-                             "floquet": [None], "simulate": []}[sub]
+            # the orbit samples the pass of its one monodromy; simulate
+            # samples a pass of its own and reads no monodromy
+            assert len(calls) == {"orbit": 1, "hannay": 1, "floquet": 1,
+                                  "simulate": 0}[sub], sub
     calls.clear()
     cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0\nworkers=1")
     assert run("sweep", cfg, out_dir=tmp_path / "sweep") == 0
@@ -336,6 +335,28 @@ def test_main_config_error_exit(tmp_path):
     cfg_file.write_text("epsilon=2.0\n")
     assert main(["orbit", "--config", str(cfg_file),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_default_simulate_route_matches_the_flow_route(tmp_path):
+    # a 3-harmonic Fourier schedule over 10 periods: the default route
+    # and rk45-adaptive at rtol = atol = 1e-12 must write the same
+    # trajectory within 1e-8 relative (measured 7.7e-11)
+    linear = ("period=5.3\na_cos=1.0,0.05,0.02,0.01\na_sin=0.0,0.03,0.0,0.02\n"
+              "b_cos=1.0,-0.04,0.01\nc_sin=0.0,0.05,0.01,0.02\nhbar=0.7\n"
+              "[simulate]\nq0=0.7\np0=-0.3\ng0=0.6\npi0=0.1\nt1=53.0\n"
+              "samples=2000\n")
+    flow = "method=rk45-adaptive\nrtol=1e-12\natol=1e-12\n" + linear
+    tables = []
+    for route, text in (("linear", linear), ("flow", flow)):
+        (tmp_path / f"{route}.ini").write_text(text)
+        assert main(["simulate", "--config", str(tmp_path / f"{route}.ini"),
+                     "--out", str(tmp_path / route)]) == 0
+        tables.append(np.loadtxt(tmp_path / route / "trajectory.csv",
+                                 delimiter=",", skiprows=1))
+    a, b = tables
+    assert a.shape == b.shape == (2001, 10)
+    assert float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max()) <= 1e-8
 
 
 def test_output_directory_error(tmp_path, capsys):

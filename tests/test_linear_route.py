@@ -161,13 +161,13 @@ def test_width_rows_at_floor_are_refused():
 
 def test_coarse_pass_makes_simulate_fail(tmp_path, monkeypatch, capsys):
     # three Gauss steps per period turn the first row of M by ~1.9 rad a
-    # step: its turns cannot be counted.  Six count them but fail the
-    # N-vs-2N estimate of compute_monodromy
+    # step: its windings cannot be counted.  Six count them but fail the
+    # N-vs-2N estimate of the period pass
     cfg = cli.parse_config("epsilon=0.05\n[simulate]\nq0=1.0\nt1=20.0\n")
     state = ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     sched = cfg.schedule
     monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 3)
-    with pytest.raises(IntegrationError, match="turns cannot be counted"):
+    with pytest.raises(IntegrationError, match="windings cannot be counted"):
         integrate(state, 20.0, sched)
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
     assert "3 Gauss steps" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from squeezephase.errors import (ConvergenceError, IntegrationError,
 from squeezephase.checks import ellipse_points
 from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
+from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
 from witness import FLOW, period_end, random_fourier, rk45_period_pass
 
@@ -103,25 +104,57 @@ def test_standard_family_matches_exact_solution(eps, omega):
         c=[(0.0, 0.0), (0.02, 0.09), (-0.03, 0.0), (0.0, 0.02)]),
 ], ids=["standard", "fourier-3"])
 def test_samples_do_not_move_the_pass(sched):
-    # samples are partial steps off the pass, so M(T), K, rho and the
-    # frame are the same bit for bit
+    # orbit samples are partial steps off the pass of the orbit's own
+    # monodromy, so M(T), K, rho and the frame are those of the plain
+    # pass bit for bit, whatever the sample count
     plain = compute_monodromy(sched)
-    assert plain.t is None and plain.path is None
     for n in (8, 512, 4096):
-        mono = compute_monodromy(sched, n_samples=n)
-        assert np.array_equal(mono.M, plain.M)
-        assert np.array_equal(mono.K, plain.K)
-        assert np.array_equal(mono.W, plain.W)
+        orb = find_periodic_orbit(sched, n)
+        mono = orb.monodromy
+        for name in ("M", "K", "W"):
+            assert np.array_equal(getattr(mono, name), getattr(plain, name))
         assert (mono.rho, mono.sigma, mono.winding) == \
             (plain.rho, plain.sigma, plain.winding)
-        assert np.array_equal(mono.t, np.linspace(0.0, sched.period, n + 1))
-        assert np.array_equal(mono.path[0], np.eye(2))
-        assert np.array_equal(mono.path[-1], plain.M)
+        assert np.array_equal(orb.t, np.linspace(0.0, sched.period, n + 1))
+        assert (orb.G[0], orb.Pi[0]) == fluctuation_point(plain.S)
+        # the path ends at M: the last sample is S(T) = M S M^T
+        end = fluctuation_point(plain.M @ plain.S @ plain.M.T)
+        assert (orb.G[-1], orb.Pi[-1]) == end
+        sample = mono.flow.sample(sched.period, orb.t[1:-1], mono.W)
+        assert np.array_equal(sample.M[0], np.eye(2))
+        assert np.array_equal(sample.M[-1], plain.M)
 
 
-def test_sample_count_must_be_positive():
-    with pytest.raises(ValueError, match="n_samples must be >= 1"):
-        compute_monodromy(ParameterSchedule.standard(0.1, 1.0), n_samples=0)
+def spurious_refusal_draws():
+    # draws 0 and 40 of a seeded sweep over the standard family and
+    # random elliptic Fourier schedules: their normal frames squeeze so
+    # strongly that a solution column's angle in them moves 1.593 and
+    # 1.653 rad in one Gauss step, while the first row of M turns by much
+    # less; the winding must be counted on the row
+    rng = np.random.default_rng(7)
+    picked = {}
+    for i in range(41):
+        if i % 2:
+            ParameterSchedule.standard(rng.uniform(0, 0.95),
+                                       rng.uniform(0.1, 4.0))
+            continue
+        H = rng.integers(1, 7)
+        amp = rng.uniform(0.05, 0.6)
+        coeffs = [[(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2) / k)
+                                   for k in range(1, H + 1)]
+                  for mean in (1.0, 1.0, 0.0)]
+        period = rng.uniform(1, 30)
+        if i in (0, 40):
+            picked[i] = ParameterSchedule.fourier(period, *coeffs)
+    return picked
+
+
+@pytest.mark.parametrize("draw", [0, 40])
+def test_squeezed_frame_does_not_refuse_the_winding(draw):
+    sched = spurious_refusal_draws()[draw]
+    mono = compute_monodromy(sched)
+    _, _, rho = rk45_period_pass(sched)
+    assert abs(mono.rho - rho) <= 1e-12
 
 
 def witness_cases():

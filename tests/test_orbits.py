@@ -82,6 +82,11 @@ def test_newton_matches_covariance_oracle_at_strong_drive():
     assert np.max(np.abs(image - [G0, Pi0])) < 1e-8
 
 
+def test_sample_count_must_be_positive():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        find_periodic_orbit(ParameterSchedule.standard(0.1, 1.0), n_samples=0)
+
+
 def test_orbit_samples_positive_and_periodic():
     sched = ParameterSchedule.standard(0.2, 1.0)
     orb = find_periodic_orbit(sched)

@@ -70,8 +70,9 @@ def test_margin_matches_dense_sampling():
         a=[(1.0, 0.0), (eps, 0.0)],
         b=[(1.0, 0.0), (-eps, 0.0)],
         c=[(0.0, 0.0), (0.0, eps)])
-    assert ellipticity_margin(four, n_samples=8192) == \
-        pytest.approx(1.0 - eps ** 2, abs=1e-9)
+    a, b, c = four.sample(four.period * np.arange(8192) / 8192)
+    assert np.min(a * b - c * c) == pytest.approx(1.0 - eps ** 2, abs=1e-9)
+    assert ellipticity_margin(four) == pytest.approx(1.0 - eps ** 2, abs=1e-9)
 
 
 def _reference_coefficient(pairs, t, period):
@@ -101,7 +102,12 @@ def test_fourier_eval_with_unequal_harmonic_counts(harmonics):
     nodes = 2.0 * math.pi * np.arange(4096) / 4096
     a, b, c = (sum(ck * np.cos(k * nodes) + sk * np.sin(k * nodes)
                    for k, (ck, sk) in enumerate(pairs)) for pairs in coeffs)
-    assert abs(ellipticity_margin(sched) - np.min(a * b - c * c)) <= 1e-14
+    a2, b2, c2 = sched.sample(period * np.arange(4096) / 4096)
+    dense = a * b - c * c
+    assert np.max(np.abs(a2 * b2 - c2 * c2 - dense)) <= 1e-14
+    bound = ellipticity_margin(sched)
+    assert bound == _certified_margin(sched)[0]
+    assert 0.0 < bound < np.min(dense)
 
 
 
@@ -137,14 +143,16 @@ def test_fourier_constructor_rejects_non_elliptic():
 
 
 def test_fourier_constructor_refuses_a_dip_between_samples():
-    # a = 1 + 1.2 cos(2 pi 4096 t/T) dips to -0.2, but every one of the
-    # 4096 samples of ellipticity_margin sits on a crest
+    # a = 1 + 1.2 cos(2 pi 4096 t/T) dips to -0.2, but every one of 4096
+    # uniform samples sits on a crest, where it reads 2.2
     a = [(1.0, 0.0)] + [(0.0, 0.0)] * 4095 + [(1.2, 0.0)]
     raw = ParameterSchedule(kind=FOURIER, period=1.0, a_coeffs=tuple(a),
                             b_coeffs=((1.0, 0.0),), c_coeffs=((0.0, 0.0),))
-    assert ellipticity_margin(raw) == pytest.approx(2.2, abs=1e-9)
-    with pytest.raises(NonEllipticError,
-                       match=r"lower bound -\S+ .* on n=65552 points"):
+    a4096, b4096, c4096 = raw.sample(np.arange(4096) / 4096)
+    assert np.min(a4096 * b4096 - c4096 ** 2) == pytest.approx(2.2, abs=1e-9)
+    assert ellipticity_margin(raw) < 0.0
+    assert _certified_margin(raw)[2] == 65552
+    with pytest.raises(NonEllipticError, match=r"lower bound -\S+ of min"):
         ParameterSchedule.fourier(1.0, a, [(1.0, 0.0)], [(0.0, 0.0)])
 
 
@@ -160,9 +168,12 @@ def test_fourier_constructor_certifies_seeded_schedules(harmonics):
         sched = ParameterSchedule.fourier(rng.uniform(1.0, 8.0), *coeffs)
         bound, sampled, n = _certified_margin(sched)
         assert n == 16 * harmonics + 16
-        assert 0.0 < bound < ellipticity_margin(sched, n_samples=1 << 14)
+        assert ellipticity_margin(sched) == bound
+        dense, coarse = (sched.sample(sched.period * np.arange(m) / m)
+                         for m in (1 << 14, n))
+        assert 0.0 < bound < np.min(dense[0] * dense[1] - dense[2] ** 2)
         assert sampled == pytest.approx(
-            ellipticity_margin(sched, n_samples=n), abs=1e-14)
+            np.min(coarse[0] * coarse[1] - coarse[2] ** 2), abs=1e-14)
 
 
 def test_certified_margin_doubles_near_the_boundary():
@@ -201,11 +212,6 @@ def test_standard_constructor_rejects_large_epsilon():
         ParameterSchedule.standard(1.0, 1.0)
     with pytest.raises(NonEllipticError):
         ParameterSchedule.standard(-0.1, 1.0)
-
-
-def test_margin_requires_enough_samples():
-    with pytest.raises(ValueError):
-        ellipticity_margin(ParameterSchedule.standard(0.1, 1.0), n_samples=8)
 
 
 def test_constants_validation():
