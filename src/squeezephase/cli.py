@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -76,8 +75,7 @@ class RunConfig:
 # key -> parser kind; sections not listed reject every key
 _GLOBAL_KEYS = {
     "epsilon": "float", "omega": "float", "hbar": "float",
-    "method": "str", "rtol": "float", "atol": "float", "step": "float",
-    "max_steps": "int", "period": "float",
+    "method": "str", "step": "float", "period": "float",
     "a_cos": "float_list", "a_sin": "float_list",
     "b_cos": "float_list", "b_sin": "float_list",
     "c_cos": "float_list", "c_sin": "float_list",
@@ -382,6 +380,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, fmt: str):
     grid = [(e, w) for e in sw.eps for w in sw.omega]
     workers = sw.workers if sw.workers > 0 else min(len(grid), _cpu_count())
     if workers > 1:
+        # imported here: the pool costs the CLI import ~20 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_point, grid))

@@ -46,6 +46,10 @@ from .params import Constants, ParameterSchedule
 # refuses any returned row there.
 G_FLOOR = 1e-6
 
+# Steps one flow pass may take, rejected ones included: over 10x the
+# 9,109 of the longest pass of any check, test or benchmark workload.
+MAX_STEPS = 100_000
+
 LINEAR = "linear"
 RK45 = "rk45-adaptive"
 RK4 = "rk4-fixed"
@@ -85,16 +89,13 @@ class IntegratorOptions:
     form from M(t) and K(t) of the Gauss period pass, see _linear_path),
     or one of the flow routes that step the extended-state equations of
     motion: "rk45-adaptive" (embedded 5(4) pair) or "rk4-fixed".
-    rtol/atol control the adaptive method, step is the fixed-method step,
-    and max_steps bounds the steps of either flow route; the linear route
-    sets its own steps from the schedule and reads none of them.
+    rtol and atol steer rk45-adaptive and step rk4-fixed; linear reads none.
     """
 
     method: str = LINEAR
     rtol: float = 1e-10
     atol: float = 1e-10
     step: float = 1e-3
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.method not in (LINEAR, RK45, RK4):
@@ -103,8 +104,6 @@ class IntegratorOptions:
             raise ValueError("rtol and atol must be positive")
         if not self.step > 0.0:
             raise ValueError("step must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
 
 
 @dataclass
@@ -311,9 +310,9 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
                              0, 0, 0, None) from exc
 
     while t < t1 - hmin:
-        if accepted + rejected + walls >= opts.max_steps:
-            raise _stepper_error(f"exceeded max_steps={opts.max_steps}", t,
-                                 h, calls, accepted, rejected, walls, t)
+        if accepted + rejected + walls >= MAX_STEPS:
+            raise _stepper_error(f"exceeded MAX_STEPS={MAX_STEPS}", t, h,
+                                 calls, accepted, rejected, walls, t)
         h = min(h, t1 - t)
         # stages; a domain violation inside a stage rejects the step.
         # The state of the last stage, y7, is the 5th-order solution.
@@ -394,10 +393,14 @@ def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
     rhs(t, y) takes and returns a list of floats.  A DomainError from any
     stage ends the pass; the reported last_t is the latest time whose
     state the rhs accepted.  Returns (times, states) of every step and the
-    (len(output_times), n) array of output states."""
+    (len(output_times), n) array of output states; a pass that can take
+    more than MAX_STEPS steps is refused before its first step."""
     y = [float(v) for v in y0]
     t = float(t0)
     targets = _check_output_times(t, t1, output_times) + [float(t1)]
+    steps = math.ceil((t1 - t) / opts.step) + len(targets) - 1
+    if steps > MAX_STEPS:
+        raise IntegrationError(f"{steps} steps exceed MAX_STEPS={MAX_STEPS}")
     hmin = _hmin(t0, t1)
     # rows as packed doubles, not lists of float objects
     ts, ys = array("d", [t]), array("d", y)
@@ -408,9 +411,6 @@ def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
     for target in targets:
         while t < target - hmin:
             h = min(opts.step, target - t)
-            if accepted >= opts.max_steps:
-                raise _stepper_error(f"exceeded max_steps={opts.max_steps}",
-                                     t, h, calls, accepted, 0, 0, t)
             half = 0.5 * h
             try:
                 calls += 1
@@ -466,7 +466,7 @@ def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
     The covariance form of the start state, S0 = [[2G, 4G Pi],
     [4G Pi, 1/(2G) + 8G Pi^2]], has the lower-triangular factor
     W0 = [[r, 0], [2 Pi r, 1/r]], r = sqrt(2G).  With phi the angle of
-    the first row of M W0, unwrapped from 0 at t0 (PeriodPass.sample's
+    the first row of M W0, lifted from 0 at t0 (PeriodPass.sample's
     angle for the frame W0):
 
         (q, p) = M (q0, p0),  S = M S0 M^T,  G = S11/2,  Pi = S12/(2 S11),

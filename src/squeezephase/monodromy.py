@@ -15,8 +15,13 @@ independent of hbar.
 
 period_pass is the one period pass of the package.  Beside M(t) it
 integrates K(t) = int_t0^t M^T H M dt, H = [[a, c], [c, b]], so that
-int x^T H x dt = x0^T K x0 along any centroid solution, and it unwraps
-the angle alpha of the first row of M(t) over its steps.
+int x^T H x dt = x0^T K x0 along any centroid solution, and it lifts
+the angle alpha of the first row r of M(t) over its steps.  The row
+turns one way: r' = c r + b r2 (r2 the second row), so
+alpha' = b det M / |r|^2 = b / |r|^2, and b keeps its sign where
+a b > c^2.  A step's increment on the nearest branch stands when under
+pi/2; a larger one is read in the direction of b (_full_turns), however
+fast the row turns where |r| is small.
 compute_monodromy reads M = M(T), the normal frame W, sigma and the
 continuous rotation number rho = 2*pi*k + sigma off the pass from t = 0,
 the winding k from the lift of alpha.  The orbit, the trajectory Hannay
@@ -33,7 +38,8 @@ K, M_k^T Q_k M_k with Q_k = h sum_i b_i Z_i^T H_i Z_i, at the same order.
 Only the 2x2 prefix product M_(k+1) = P_k M_k is sequential.  Gauss
 methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, IV.2 and VI.4).  The same pass
-on 2N steps is the error estimate.
+on 2N steps is the error estimate, and its rows, lifted the same way,
+must turn as far within pi.
 
 PeriodPass.sample is the one sampler of M(t), K(t) and the turn of the
 first row of M(t) W: a time inside a step is one partial Gauss step from
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, IntegrationError, NonEllipticError
+from .errors import ConvergenceError, NonEllipticError
 from .params import STANDARD, ParameterSchedule
 
 # Below this distance from +/- identity the frame is meaningless and the
@@ -211,6 +217,15 @@ def _wrap(angle):
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _full_turns(turn, sched, t0):
+    """The full turns that row-angle increments turn of a pass of sched
+    from t0 lack when read on the nearest branch: 2 pi in the direction
+    of b where turn runs against it by pi/2 or more, else 0 (module doc)."""
+    full = math.copysign(2.0 * math.pi, float(sched.sample(t0)[1]))
+    return np.where((np.abs(turn) >= 0.5 * math.pi) & (turn * full < 0.0),
+                    full, 0.0)
+
+
 @dataclass
 class FlowSample:
     """M(t) and K(t) = int_t0^t M^T H M dt of the centroid flow from t0 at
@@ -228,8 +243,8 @@ class FlowSample:
 class PeriodPass:
     """The Gauss pass over [t0, t0 + T] (period_pass): M and K at the
     N + 1 step times t0 + k T/N, the angle alpha of the first row of M
-    there, unwrapped from 0 at t0, and the disagreement estimate of the
-    N and 2N passes."""
+    there, lifted from 0 at t0, and the disagreement estimate of the N
+    and 2N passes."""
 
     sched: ParameterSchedule
     t0: float
@@ -271,7 +286,8 @@ class PeriodPass:
             K(t) = sum_{m<k} (M_T^m)^T K(T) M_T^m + (M_T^k)^T K(tau) M_T^k.
 
         The angle of a sample's first row m of M(tau) is alpha at the
-        start of its step plus the wrapped increment of its partial step.
+        start of its step plus the increment of its partial step, read
+        as period_pass reads those of its steps (_full_turns).
         The first row of M(t) W is m B_k with B_k = M_T^k W.  A map of
         determinant 1 keeps the order of directions and turns each by
         less than pi from the angle c_k it gives the first unit row
@@ -302,7 +318,8 @@ class PeriodPass:
         B = powers[period]
         M = M_tau @ B
 
-        a = alpha[step] + _wrap(_row_angle(M_tau) - alpha[step])
+        turn = _wrap(_row_angle(M_tau) - alpha[step])
+        a = alpha[step] + turn + _full_turns(turn, self.sched, t0)
         c = _row_angle(powers @ W)
         turns = alpha[-1] + _wrap(c[1:] - alpha[-1] - c[:-1])
         before = np.concatenate([[0.0], np.cumsum(turns)])[period]
@@ -316,23 +333,26 @@ def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
     """The Gauss pass over [t0, t0 + T] on N steps, N set by the schedule
     alone (_step_count).
 
-    The angle alpha of the first row of M is unwrapped over the N steps;
-    an increment of pi/2 or more leaves its turns ambiguous and raises
-    IntegrationError before the 2N pass.  The same pass on 2N steps
-    follows: estimate is the larger of max |M_2N - M_N| / max(1, max |M_N|)
-    at t0 + T and the same for K, and ConvergenceError is raised past
-    _ESTIMATE_BOUND.
+    The angle alpha of the first row of M is lifted over the N steps:
+    np.unwrap's nearest branches plus the full turns they lack
+    (_full_turns).  The same pass on 2N steps follows and is lifted too:
+    ConvergenceError is raised when the two turn the row by pi or
+    more apart, which a step that hides a turn does, and when estimate,
+    the larger of max |M_2N - M_N| / max(1, max |M_N|) at t0 + T and the
+    same for K, is past _ESTIMATE_BOUND.
     """
     N = _step_count(sched)
     Ms, Ks = _gauss_pass(sched, N, t0)
-    alpha = np.unwrap(_row_angle(Ms))
-    moves = np.abs(np.diff(alpha))
-    i = int(np.argmax(moves))
-    if moves[i] >= 0.5 * math.pi:
-        raise IntegrationError(
-            f"row angle moved {moves[i]:.3f} rad in one of {N} Gauss steps; "
-            "windings cannot be counted", last_t=t0 + i * sched.period / N)
     Ms2, Ks2 = _gauss_pass(sched, 2 * N, t0)
+    alpha, alpha2 = np.unwrap(_row_angle(Ms)), np.unwrap(_row_angle(Ms2))
+    for lift in (alpha, alpha2):
+        lift[1:] += np.cumsum(_full_turns(np.diff(lift), sched, t0))
+    turn, turn2 = alpha[-1], alpha2[-1]
+    if not abs(turn2 - turn) < math.pi:
+        raise ConvergenceError(
+            f"period pass on N = {N} steps and on 2N = {2 * N} steps turn "
+            f"the first row of M by {turn:.6g} and {turn2:.6g} rad: the "
+            "turns of a step cannot be counted")
     estimate = max(
         float(np.abs(x2[-1] - x[-1]).max()) / max(1.0, float(
             np.abs(x[-1]).max())) for x, x2 in ((Ms, Ms2), (Ks, Ks2)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from squeezephase import cli, dynamics, floquet, hannay, monodromy, orbits
 from squeezephase.cli import main, parse_config, run
+from squeezephase.dynamics import IntegratorOptions
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD
 
@@ -67,9 +69,10 @@ def test_unknown_section_reported():
      (2, "unknown section [hannay]")),
     ("epsilon=0.1\n[floquet]\nn=1,2,1", (3, "state numbers must not repeat")),
     ("[sweep]\neps=0.1\nomega=1.0\nworkers=-3", (4, "workers must be >= 0")),
-    # an integrator or hbar error sits on the first of its keys present
-    ("rtol=-1", (1, "rtol and atol must be positive")),
-    ("epsilon=0.1\nmax_steps=0", (2, "max_steps must be positive")),
+    # an integrator or hbar error sits on the first of its keys present;
+    # the tolerances and the step bound are not config keys
+    ("rtol=-1", (1, "unknown key 'rtol'")),
+    ("epsilon=0.1\nmax_steps=0", (2, "unknown key 'max_steps'")),
     ("epsilon=0.1\nstep=0\nmethod=rk4-fixed", (2, "step must be positive")),
     ("epsilon=0.1\nhbar=-1", (2, "hbar must be positive and finite, got -1.0")),
     # a start width the right-hand side would refuse
@@ -253,7 +256,7 @@ def test_json_format_variant(tmp_path):
     assert obj["t"][0] == 0.0
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
+def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a Mathieu schedule inside the first resonance tongue is elliptic at
     # every instant (a*b > c^2) but its period map is hyperbolic
     cfg = parse_config("period=3.141592653589793\na_cos=1.0,0.3\n"
@@ -261,10 +264,10 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     for sub in ("orbit", "hannay", "floquet"):
         assert run(sub, cfg, out_dir=tmp_path / sub) == 1
         assert "|tr M| = 2.055" in capsys.readouterr().err
-    cfg = parse_config("epsilon=0.1\nmethod=rk45-adaptive\nmax_steps=10\n"
-                       "[simulate]\nq0=1.0")
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    cfg = parse_config("epsilon=0.1\nmethod=rk45-adaptive\n[simulate]\nq0=1.0")
     assert run("simulate", cfg, out_dir=tmp_path / "simulate") == 1
-    assert "max_steps=10" in capsys.readouterr().err
+    assert "exceeded MAX_STEPS=10" in capsys.readouterr().err
 
 
 def test_untyped_error_propagates(tmp_path, monkeypatch):
@@ -341,19 +344,20 @@ def test_main_config_error_exit(tmp_path):
 def test_default_simulate_route_matches_the_flow_route(tmp_path):
     # a 3-harmonic Fourier schedule over 10 periods: the default route
     # and rk45-adaptive at rtol = atol = 1e-12 must write the same
-    # trajectory within 1e-8 relative (measured 7.7e-11)
-    linear = ("period=5.3\na_cos=1.0,0.05,0.02,0.01\na_sin=0.0,0.03,0.0,0.02\n"
-              "b_cos=1.0,-0.04,0.01\nc_sin=0.0,0.05,0.01,0.02\nhbar=0.7\n"
-              "[simulate]\nq0=0.7\np0=-0.3\ng0=0.6\npi0=0.1\nt1=53.0\n"
-              "samples=2000\n")
-    flow = "method=rk45-adaptive\nrtol=1e-12\natol=1e-12\n" + linear
-    tables = []
-    for route, text in (("linear", linear), ("flow", flow)):
-        (tmp_path / f"{route}.ini").write_text(text)
-        assert main(["simulate", "--config", str(tmp_path / f"{route}.ini"),
-                     "--out", str(tmp_path / route)]) == 0
-        tables.append(np.loadtxt(tmp_path / route / "trajectory.csv",
-                                 delimiter=",", skiprows=1))
+    # trajectory within 1e-8 relative (measured 7.7e-11; 7.5e-9 at the
+    # default 1e-10, too near the bound)
+    text = ("period=5.3\na_cos=1.0,0.05,0.02,0.01\na_sin=0.0,0.03,0.0,0.02\n"
+            "b_cos=1.0,-0.04,0.01\nc_sin=0.0,0.05,0.01,0.02\nhbar=0.7\n"
+            "[simulate]\nq0=0.7\np0=-0.3\ng0=0.6\npi0=0.1\nt1=53.0\n"
+            "samples=2000\n")
+    (tmp_path / "linear.ini").write_text(text)
+    assert main(["simulate", "--config", str(tmp_path / "linear.ini"),
+                 "--out", str(tmp_path / "linear")]) == 0
+    flow = dataclasses.replace(parse_config(text), options=IntegratorOptions(
+        method=dynamics.RK45, rtol=1e-12, atol=1e-12))
+    assert run("simulate", flow, out_dir=tmp_path / "flow") == 0
+    tables = [np.loadtxt(tmp_path / route / "trajectory.csv", delimiter=",",
+                         skiprows=1) for route in ("linear", "flow")]
     a, b = tables
     assert a.shape == b.shape == (2001, 10)
     assert float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max()) <= 1e-8

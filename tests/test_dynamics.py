@@ -288,18 +288,34 @@ def _counters(err):
     return (float(t), *map(int, counts))
 
 
-@pytest.mark.parametrize("method, calls", [("rk45-adaptive", 1 + 6 * 3),
-                                           ("rk4-fixed", 4 * 3)])
-def test_max_steps_failure_names_its_counters(method, calls):
+@pytest.mark.parametrize("method, calls", [("rk45-adaptive", 1 + 6 * 3)])
+def test_max_steps_failure_names_its_counters(method, calls, monkeypatch):
     rhs, seen = _counted_decay()
-    opts = IntegratorOptions(method=method, rtol=1e-6, atol=1e-6, step=0.01,
-                             max_steps=3)
-    with pytest.raises(IntegrationError, match="exceeded max_steps=3") as err:
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+    opts = IntegratorOptions(method=method, rtol=1e-6, atol=1e-6)
+    with pytest.raises(IntegrationError, match="exceeded MAX_STEPS=3") as err:
         integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
     t, n_calls, accepted, rejected, walls = _counters(err.value)
     assert (n_calls, accepted, rejected, walls) == (calls, 3, 0, 0)
     assert len(seen) == calls
     assert t == err.value.last_t > 0.0
+
+
+def test_overlong_rk4_run_is_refused_before_its_first_step(monkeypatch):
+    # 100 steps of 0.01 to t = 1, and at most one more for each output
+    # time: 102 steps is the bound the stepper checks (it takes 101)
+    rhs, seen = _counted_decay()
+    opts = IntegratorOptions(method="rk4-fixed", step=0.01)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 101)
+    with pytest.raises(IntegrationError,
+                       match=r"^102 steps exceed MAX_STEPS=101$") as err:
+        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
+                      output_times=[0.305, 0.5])
+    assert seen == [] and err.value.last_t is None
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 102)
+    ts, _, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
+                             output_times=[0.305, 0.5])
+    assert len(ts) == 1 + 101 and len(seen) == 4 * 101
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])

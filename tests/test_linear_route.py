@@ -3,6 +3,7 @@ closed form from M(t) and K(t) of the Gauss period pass, held against
 the exact standard family and against the nonlinear flow."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,22 +161,26 @@ def test_width_rows_at_floor_are_refused():
 
 
 def test_coarse_pass_makes_simulate_fail(tmp_path, monkeypatch, capsys):
-    # three Gauss steps per period turn the first row of M by ~1.9 rad a
-    # step: its windings cannot be counted.  Six count them but fail the
-    # N-vs-2N estimate of the period pass
-    cfg = cli.parse_config("epsilon=0.05\n[simulate]\nq0=1.0\nt1=20.0\n")
+    # one Gauss step per period of 8.38 hides a full turn of the first
+    # row of M, which the two steps of the 2N pass count: the turn
+    # comparison refuses.  Six count the turns but fail the N-vs-2N
+    # estimate of the period pass
+    cfg = cli.parse_config("epsilon=0.05\nomega=0.75\n[simulate]\nq0=1.0\n"
+                           "t1=20.0\n")
     state = ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     sched = cfg.schedule
-    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 3)
-    with pytest.raises(IntegrationError, match="windings cannot be counted"):
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 1)
+    turns = (r"N = 1 steps and on 2N = 2 steps turn the first row of M by "
+             r"1\.849\d* and 8\.384\d* rad")
+    with pytest.raises(ConvergenceError, match=turns):
         integrate(state, 20.0, sched)
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
-    assert "3 Gauss steps" in capsys.readouterr().err
+    assert re.search(turns, capsys.readouterr().err)
     monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 6)
     with pytest.raises(ConvergenceError, match="N = 6 steps and on 2N = 12"):
         integrate(state, 20.0, sched)
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
     # the flow routes do not run the pass
-    flow = cli.parse_config("epsilon=0.05\nmethod=rk45-adaptive\n"
+    flow = cli.parse_config("epsilon=0.05\nomega=0.75\nmethod=rk45-adaptive\n"
                             "[simulate]\nq0=1.0\nt1=20.0\n")
     assert cli.run("simulate", flow, out_dir=tmp_path) == 0

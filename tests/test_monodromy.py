@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +8,7 @@ import pytest
 from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
-from squeezephase.errors import (ConvergenceError, IntegrationError,
-                                 NonEllipticError)
+from squeezephase.errors import ConvergenceError, NonEllipticError
 from squeezephase.checks import ellipse_points
 from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
@@ -157,6 +158,44 @@ def test_squeezed_frame_does_not_refuse_the_winding(draw):
     assert abs(mono.rho - rho) <= 1e-12
 
 
+def fast_row_draws(*picks):
+    # draws of a seeded sweep over strongly driven 1-3 harmonic Fourier
+    # schedules: the first row of M passes so near the origin that it
+    # turns by 1.6 to 3.0 rad in one Gauss step.  127 is elliptic;
+    # 63, 89 and 321 are hyperbolic
+    rng = np.random.default_rng(5)
+    picked = {}
+    for i in range(max(picks) + 1):
+        H = rng.integers(1, 4)
+        amp = rng.uniform(0.4, 0.9)
+        period = rng.uniform(3, 25)
+        coeffs = [[(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2) / k)
+                                   for k in range(1, H + 1)]
+                  for mean in (1.0, 1.0, 0.0)]
+        if i in picks:
+            picked[i] = ParameterSchedule.fourier(period, *coeffs)
+    return picked
+
+
+def test_fast_turning_row_is_counted(tmp_path):
+    # one of 170 steps turns the row by 1.605 rad; the pass is accurate
+    # (|tr M| = 0.930, N and 2N agree to 1e-14) and its winding is right
+    sched = fast_row_draws(127)[127]
+    mono = compute_monodromy(sched)
+    _, _, rho = rk45_period_pass(sched)
+    assert abs(mono.rho - rho) <= 1e-12
+    cfg = dataclasses.replace(cli.parse_config(""), schedule=sched)
+    for sub in ("orbit", "hannay", "floquet"):
+        assert cli.run(sub, cfg, out_dir=tmp_path / sub) == 0
+
+
+@pytest.mark.parametrize("draw, trace", [
+    (63, "21.638287"), (89, "3.738027"), (321, "7.676522")])
+def test_fast_turning_hyperbolic_map_is_refused_as_such(draw, trace):
+    with pytest.raises(NonEllipticError, match=rf"\|tr M\| = {trace} >= 2"):
+        compute_monodromy(fast_row_draws(draw)[draw])
+
+
 def witness_cases():
     # a standard schedule and one seeded random Fourier schedule per
     # harmonic count 1-8 (every draw of this seed has an elliptic map)
@@ -178,15 +217,35 @@ def test_gauss_pass_matches_rk45_witness():
         assert 0.0 <= mono.estimate <= 1e-13
 
 
-def test_coarse_pass_cannot_count_windings(tmp_path, monkeypatch):
-    # three Gauss steps per period move the normal-frame angle by ~2.1 rad
-    # each: the winding is ambiguous and the pass must refuse with a typed
-    # error before it runs the 2N pass
-    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 3)
-    with pytest.raises(IntegrationError, match="windings cannot be counted"):
-        compute_monodromy(ParameterSchedule.standard(0.05, 1.0))
-    cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n")
+def test_coarse_pass_cannot_count_windings(tmp_path, monkeypatch, capsys):
+    # one Gauss step over a period of 8.38 hides a full turn of the first
+    # row of M (read as 1.849 rad); the two steps of the 2N pass turn it
+    # by ~4.2 rad each, which only a reading in the direction of b counts
+    # (the nearest branch reads -2.1), and the turn comparison refuses
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 1)
+    turns = (r"N = 1 steps and on 2N = 2 steps turn the first row of M by "
+             r"1\.849\d* and 8\.384\d* rad")
+    with pytest.raises(ConvergenceError, match=turns):
+        compute_monodromy(ParameterSchedule.standard(0.05, 0.75))
+    cfg = cli.parse_config("epsilon=0.05\nomega=0.75\n")
     assert cli.run("hannay", cfg, out_dir=tmp_path) == 1
+    assert re.search(turns, capsys.readouterr().err)
+
+
+def test_partial_steps_are_read_in_the_direction_of_b(monkeypatch):
+    # with a = b = 1, c = 0 the first row of M(t) is (cos t, sin t), so
+    # its angle is t.  Three Gauss steps over T = 4 pi turn it by 4.19
+    # rad each (their error, 1.4e-3 in the angle, let past the estimate
+    # bound), and the steps and the partial steps must be read in the
+    # direction of b (the nearest branch loses 2 pi)
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 3)
+    monkeypatch.setattr(monodromy_module, "_ESTIMATE_BOUND", 1.0)
+    sched = ParameterSchedule.standard(0.0, 0.5)
+    flow = monodromy_module.period_pass(sched)
+    T = sched.period
+    times = np.linspace(0.5, T - 0.5, 24)
+    angle = flow.sample(T, times, np.eye(2)).angle
+    assert np.abs(angle - np.array([0.0, *times, T])).max() <= 1e-2
 
 
 def test_coarse_pass_fails_its_error_estimate(tmp_path, monkeypatch, capsys):
