@@ -22,6 +22,11 @@ from .params import Constants, ParameterSchedule
 # integrates a state: it shares nothing with the period pass
 _FLOW = dynamics.IntegratorOptions(method=dynamics.RK45)
 
+# the drive, frequency and hbar of the checks, unless a check names others
+EPS = 0.05
+OMEGA = 1.0
+HBAR = 1.0
+
 
 @dataclass
 class CheckResult:
@@ -51,8 +56,8 @@ def _standard_exact(eps, omega):
             math.pi * ((1.0 + 0.5 * omega) / nu - 1.0))
 
 
-def check_schedule_periodicity(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_schedule_periodicity():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     worst = 0.0
     for t in np.linspace(0.0, sched.period, 17):
         for k in (1, 7, 1001):
@@ -63,19 +68,19 @@ def check_schedule_periodicity(eps=0.05, omega=1.0):
                    f"max |eval(t+kT)-eval(t)| = {worst:.3e}")
 
 
-def check_parameter_circuit(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_parameter_circuit():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     worst = 0.0
     for t in np.linspace(0.0, sched.period, 257):
         a, b, c = sched.eval(t)
         worst = max(worst, abs(a + b - 2.0),
-                    abs((a - 1.0) ** 2 + c * c - eps * eps))
+                    abs((a - 1.0) ** 2 + c * c - EPS * EPS))
     return _result("parameter-circuit", worst < 1e-12,
                    f"max circuit deviation = {worst:.3e}")
 
 
-def check_action_conservation(omega=1.0):
-    sched = ParameterSchedule.standard(0.0, omega)
+def check_action_conservation():
+    sched = ParameterSchedule.standard(0.0, OMEGA)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=1.0, Pi=0.0)
     I0, J0 = dynamics.actions(state)
     traj = dynamics.integrate(state, 10 * sched.period, sched, opts=_FLOW)
@@ -87,19 +92,19 @@ def check_action_conservation(omega=1.0):
                    f"max |dI|,|dJ| over 10 periods = {worst:.3e}")
 
 
-def check_covariance_determinant(eps=0.05, omega=1.0, hbar=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_covariance_determinant():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=0.3, p=-0.2, G=0.7, Pi=0.1)
     traj = dynamics.integrate(state, sched.period, sched,
-                              consts=Constants(hbar=hbar), opts=_FLOW)
-    dq2, dp2, cov = dynamics.covariance(traj.y[:, 2], traj.y[:, 3], hbar)
-    worst = float(np.max(np.abs(dq2 * dp2 - cov ** 2 - hbar ** 2 / 4.0)))
+                              consts=Constants(hbar=HBAR), opts=_FLOW)
+    dq2, dp2, cov = dynamics.covariance(traj.y[:, 2], traj.y[:, 3], HBAR)
+    worst = float(np.max(np.abs(dq2 * dp2 - cov ** 2 - HBAR ** 2 / 4.0)))
     return _result("covariance-determinant", worst < 1e-10,
                    f"max |det - hbar^2/4| = {worst:.3e}")
 
 
-def check_rk4_convergence(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_rk4_convergence():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     ref = dynamics.integrate(
         state, sched.period, sched,
@@ -116,8 +121,8 @@ def check_rk4_convergence(eps=0.05, omega=1.0):
                    f"halving-step error ratio = {ratio:.2f}")
 
 
-def check_phase_additivity(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_phase_additivity():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=0.8, p=0.1, G=0.6, Pi=-0.05)
     T = sched.period
     mid = dynamics.integrate(state, 0.37 * T, sched, opts=_FLOW).final
@@ -129,8 +134,8 @@ def check_phase_additivity(eps=0.05, omega=1.0):
                    f"split-vs-single phase deviation = {dev:.3e}")
 
 
-def check_hbar_independent_fluctuations(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_hbar_independent_fluctuations():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=0.5, p=0.2, G=0.6, Pi=0.1)
     ends = []
     for hbar in (0.5, 1.0, 2.0):
@@ -142,12 +147,12 @@ def check_hbar_independent_fluctuations(eps=0.05, omega=1.0):
                    f"(G,Pi) spread across hbar = {dev:.3e}")
 
 
-def check_monodromy_symplectic(eps=0.05, omega=1.0):
+def check_monodromy_symplectic():
     # Gauss steps are symplectic, so det M = 1 holds to roundoff
     worst = estimate = 0.0
     steps = []
-    for e in (0.0, eps):
-        mono = monodromy.compute_monodromy(ParameterSchedule.standard(e, omega))
+    for e in (0.0, EPS):
+        mono = monodromy.compute_monodromy(ParameterSchedule.standard(e, OMEGA))
         worst = max(worst, abs(float(np.linalg.det(mono.M)) - 1.0))
         estimate = max(estimate, mono.estimate)
         steps.append(str(mono.steps))
@@ -156,24 +161,24 @@ def check_monodromy_symplectic(eps=0.05, omega=1.0):
                    f"steps, N-vs-2N estimate {estimate:.3e})")
 
 
-def check_rotation_number_exact(omega=1.0):
+def check_rotation_number_exact():
     worst = 0.0
     for e in (0.0, 0.0125, 0.025, 0.0375, 0.05):
         rho = monodromy.compute_monodromy(
-            ParameterSchedule.standard(e, omega)).rho
-        worst = max(worst, abs(rho - _standard_exact(e, omega)[0]))
+            ParameterSchedule.standard(e, OMEGA)).rho
+        worst = max(worst, abs(rho - _standard_exact(e, OMEGA)[0]))
     return _result("rotation-number-exact", worst < 1e-13,
                    f"max |rho - rho_exact| = {worst:.3e}")
 
 
-def check_invariant_form(eps=0.05, omega=1.0):
+def check_invariant_form():
     # M S M^T - S = (det M - 1) S + roundoff; the det M part is the pass's
     # own error, held by monodromy-symplectic, so S is held to roundoff
     # against det(M) S
-    free = monodromy.compute_monodromy(ParameterSchedule.standard(0.0, omega))
+    free = monodromy.compute_monodromy(ParameterSchedule.standard(0.0, OMEGA))
     worst_inv = worst_det = 0.0
     for mono in (free, monodromy.compute_monodromy(
-            ParameterSchedule.standard(eps, omega))):
+            ParameterSchedule.standard(EPS, OMEGA))):
         M, S = mono.M, mono.S
         worst_inv = max(worst_inv, float(np.abs(
             M @ S @ M.T - np.linalg.det(M) * S).max()))
@@ -186,10 +191,10 @@ def check_invariant_form(eps=0.05, omega=1.0):
                    f"{free_dev:.3e}")
 
 
-def check_orbit_phase_witness(eps=0.05, omega=1.0):
+def check_orbit_phase_witness():
     # the nonlinear flow from the orbit's initial point must return to it
     # and accumulate the cycle phases the period pass derives
-    sched = ParameterSchedule.standard(eps, omega)
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     orb = orbits.find_periodic_orbit(sched)
     end = dynamics.integrate(dynamics.ExtendedState(q=0.0, p=0.0, G=orb.G0,
                                                     Pi=orb.Pi0),
@@ -203,8 +208,8 @@ def check_orbit_phase_witness(eps=0.05, omega=1.0):
                    f"{phases:.3e}")
 
 
-def check_orbit_shoelace(eps=0.05, omega=1.0):
-    orb = orbits.find_periodic_orbit(ParameterSchedule.standard(eps, omega),
+def check_orbit_shoelace():
+    orb = orbits.find_periodic_orbit(ParameterSchedule.standard(EPS, OMEGA),
                                      n_samples=4096)
     x, y = orb.Pi[:-1], orb.G[:-1]
     area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -213,22 +218,22 @@ def check_orbit_shoelace(eps=0.05, omega=1.0):
                    f"|shoelace - lambda_G| = {dev:.3e}")
 
 
-def check_hannay_routes(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_hannay_routes():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     closed = hannay.hannay_closed_form(sched)
     quad = hannay.hannay_quadrature(sched)
     traj = hannay.trajectory_angle(monodromy.compute_monodromy(sched))
-    exact = _standard_exact(eps, omega)[1]
+    exact = _standard_exact(EPS, OMEGA)[1]
     ok = abs(quad - closed) < 1e-5 and abs(traj - exact) < 1e-12
     return _result(
         "hannay-routes-agree", ok,
         f"quad-closed = {quad - closed:.3e}, traj-exact = {traj - exact:.3e}")
 
 
-def check_hannay_action_independence(eps=0.05, omega=1.0):
+def check_hannay_action_independence():
     # the quadrature integrates dA/dIbar = A/Ibar; that rate must be free
     # of the action at every node of its grid, not only on average
-    sched = ParameterSchedule.standard(eps, omega)
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     rates = [hannay._mismatch_rate(sched, ib) for ib in (0.5, 1.0, 2.0)]
     spread = float(np.max(np.ptp(rates, axis=0)))
     return _result("hannay-action-independence", spread < 1e-10,
@@ -236,10 +241,10 @@ def check_hannay_action_independence(eps=0.05, omega=1.0):
                    f"{spread:.3e}")
 
 
-def check_floquet_residuals(eps=0.05, omega=1.0):
-    sched = ParameterSchedule.standard(eps, omega)
+def check_floquet_residuals():
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     reports = floquet.floquet_reports(sched, [0, 1, 2, 3])
-    tol = 5 * eps ** 3
+    tol = 5 * EPS ** 3
     worst45 = max(abs(r.residual_45) for r in reports)
     worst_tot = max(abs(r.residual_total) for r in reports)
     return _result(
@@ -248,12 +253,12 @@ def check_floquet_residuals(eps=0.05, omega=1.0):
         f"{worst_tot:.3e} (tol {tol:.2e})")
 
 
-def check_floquet_flow_witness(eps=0.05, omega=1.0):
+def check_floquet_flow_witness():
     # 4 nonlinear-flow runs on the invariant ellipse at I = n*hbar, the
     # fluctuations on the periodic orbit: a uniform-angle mean of a
     # quadratic form is exact from 3 angles on, so the means must equal
     # the trace formulas of the reports
-    sched = ParameterSchedule.standard(eps, omega)
+    sched = ParameterSchedule.standard(EPS, OMEGA)
     mono = monodromy.compute_monodromy(sched)
     G0, Pi0 = monodromy.fluctuation_point(mono.S)
     worst = 0.0

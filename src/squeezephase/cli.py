@@ -58,7 +58,9 @@ class FloquetConfig:
 class SweepConfig:
     eps: tuple = ()
     omega: tuple = ()
-    workers: int = 0             # 0 = one per grid point, capped by CPUs
+    # sweeps run in-process whatever its value: kept, 0 or 1, only until
+    # the benchmark stops writing workers=1
+    workers: int = 0
 
 
 @dataclass
@@ -202,14 +204,17 @@ def _build_config(values, lines, errors):
     # ---- constants, integrator and sections -------------------------
     def build(cls, section=None):
         # from the keys given only, so that the defaults and rules of cls
-        # are stated once, in cls; its error goes on the first key's line
+        # are stated once, in cls; each key is tried alone, so its error
+        # goes on its own line (no rule of cls spans two config keys)
         given = {f.name: values[(section, f.name)] for f in fields(cls)
                  if (section, f.name) in values}
-        try:
-            return cls(**given)
-        except ValueError as exc:
-            errors.append((min(lines[(section, k)] for k in given), str(exc)))
-            return cls()
+        for name, value in list(given.items()):
+            try:
+                cls(**{name: value})
+            except ValueError as exc:
+                errors.append((lines[(section, name)], str(exc)))
+                del given[name]
+        return cls(**given)
 
     constants = build(Constants)
     options = build(dynamics.IntegratorOptions)
@@ -238,8 +243,8 @@ def _build_config(values, lines, errors):
         complain("sweep", "eps", "sweep eps values must lie in [0, 1)")
     if any(w <= 0.0 for w in sweep.omega):
         complain("sweep", "omega", "sweep omega values must be > 0")
-    if sweep.workers < 0:
-        complain("sweep", "workers", "workers must be >= 0")
+    if sweep.workers not in (0, 1):
+        complain("sweep", "workers", "workers must be 0 or 1")
 
     return RunConfig(schedule=schedule, constants=constants, options=options,
                      simulate=simulate, orbit=orbit, floquet=floquet_cfg,
@@ -272,10 +277,6 @@ def _dump_json(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         body = ", ".join(_dump_json(v).strip() for v in obj)
         return f"{pad}[{body}]"
-    if isinstance(obj, str):
-        return f'{pad}"{obj}"'
-    if obj is None:
-        return f"{pad}null"
     return pad + _fmt(obj)
 
 
@@ -363,8 +364,7 @@ def _run_floquet(cfg: RunConfig, out_dir: Path, fmt: str):
     return paths
 
 
-def _sweep_point(args):
-    eps, omega = args
+def _sweep_point(eps, omega):
     sched = ParameterSchedule.standard(eps, omega)
     mono = compute_monodromy(sched)
     theta_closed = hannay.hannay_closed_form(sched)
@@ -377,26 +377,10 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, fmt: str):
     sw = cfg.sweep
     if not sw.eps or not sw.omega:
         raise ConfigError([(0, "sweep requires non-empty eps and omega lists")])
-    grid = [(e, w) for e in sw.eps for w in sw.omega]
-    workers = sw.workers if sw.workers > 0 else min(len(grid), _cpu_count())
-    if workers > 1:
-        # imported here: the pool costs the CLI import ~20 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_point, grid))
-        except OSError:
-            rows = [_sweep_point(point) for point in grid]
-    else:
-        rows = [_sweep_point(point) for point in grid]
+    rows = [_sweep_point(e, w) for e in sw.eps for w in sw.omega]
     header = ["eps", "omega", "theta_closed", "theta_traj", "rho",
               "lambda_G_R_n0", "residual_45_n0"]
     return [_write_table(out_dir, "sweep", header, rows, fmt)]
-
-
-def _cpu_count():
-    import os
-    return os.cpu_count() or 1
 
 
 def _run_check(cfg, out_dir, fmt):

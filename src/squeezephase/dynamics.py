@@ -293,7 +293,7 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
     t = float(t0)
     t1 = float(t1)
     tout = _check_output_times(t, t1, output_times)
-    hmin = _hmin(t0, t1)
+    hmin = _hmin(t, t1)
     # rows as packed doubles, not lists of float objects
     ts, ys = array("d", [t]), array("d", y)
     n = len(y)
@@ -301,7 +301,7 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
     j = 0
     calls = accepted = rejected = walls = 0
 
-    h = min(1e-2 * max(1.0, abs(t1 - t0)), t1 - t)
+    h = min(1e-2 * max(1.0, abs(t1 - t)), t1 - t)
     try:
         calls += 1
         k1 = rhs(t, y)
@@ -396,12 +396,12 @@ def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
     (len(output_times), n) array of output states; a pass that can take
     more than MAX_STEPS steps is refused before its first step."""
     y = [float(v) for v in y0]
-    t = float(t0)
-    targets = _check_output_times(t, t1, output_times) + [float(t1)]
+    t, t1 = float(t0), float(t1)
+    targets = _check_output_times(t, t1, output_times) + [t1]
     steps = math.ceil((t1 - t) / opts.step) + len(targets) - 1
     if steps > MAX_STEPS:
         raise IntegrationError(f"{steps} steps exceed MAX_STEPS={MAX_STEPS}")
-    hmin = _hmin(t0, t1)
+    hmin = _hmin(t, t1)
     # rows as packed doubles, not lists of float objects
     ts, ys = array("d", [t]), array("d", y)
     n = len(y)

@@ -1,6 +1,8 @@
+import concurrent.futures
+
 from squeezephase import checks
 from squeezephase.checks import CheckResult, run_builtin_checks
-from squeezephase.cli import main, parse_config, run
+from squeezephase.cli import _fmt, _sweep_point, main, parse_config, run
 
 
 def test_builtin_suite_all_pass():
@@ -32,10 +34,16 @@ def test_check_needs_no_config(tmp_path, capsys):
     assert main(["check", "--out", str(tmp_path)]) == 0
 
 
-def test_parallel_sweep_matches_serial(tmp_path):
-    text_serial = "[sweep]\neps=0.02,0.05\nomega=1.0\nworkers=1"
-    text_par = "[sweep]\neps=0.02,0.05\nomega=1.0\nworkers=2"
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert run("sweep", parse_config(text_serial), out_dir=out1) == 0
-    assert run("sweep", parse_config(text_par), out_dir=out2) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+def test_sweep_rows_are_its_points_in_process(tmp_path, monkeypatch):
+    # every grid point runs in the calling process, in order: a process
+    # pool would fail the run
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    eps, omega = (0.02, 0.05), (0.5, 1.0, 2.0)
+    text = "[sweep]\neps=0.02,0.05\nomega=0.5,1.0,2.0"
+    assert run("sweep", parse_config(text), out_dir=tmp_path) == 0
+    lines = (tmp_path / "sweep.csv").read_bytes().decode().split("\n")
+    assert lines[1:] == [",".join(map(_fmt, _sweep_point(e, w)))
+                         for e in eps for w in omega] + [""]

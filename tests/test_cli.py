@@ -68,22 +68,52 @@ def test_unknown_section_reported():
     ("epsilon=0.1\n[hannay]\nn_t=128\ni_bar=2.0",
      (2, "unknown section [hannay]")),
     ("epsilon=0.1\n[floquet]\nn=1,2,1", (3, "state numbers must not repeat")),
-    ("[sweep]\neps=0.1\nomega=1.0\nworkers=-3", (4, "workers must be >= 0")),
-    # an integrator or hbar error sits on the first of its keys present;
-    # the tolerances and the step bound are not config keys
+    ("[floquet]\nn=0,-1", (2, "state numbers must be >= 0")),
+    # sweeps run in-process: workers takes only 0 or 1
+    ("[sweep]\neps=0.1\nomega=1.0\nworkers=-3", (4, "workers must be 0 or 1")),
+    ("[sweep]\neps=0.1\nomega=1.0\nworkers=2", (4, "workers must be 0 or 1")),
+    ("[sweep]\neps=0.1,1.0\nomega=1.0",
+     (2, "sweep eps values must lie in [0, 1)")),
+    ("[sweep]\neps=-0.1\nomega=1.0", (2, "sweep eps values must lie in [0, 1)")),
+    ("[sweep]\neps=0.1\nomega=1.0,0.0", (3, "sweep omega values must be > 0")),
+    # an integrator or hbar error sits on the line of its own key; the
+    # tolerances and the step bound are not config keys
     ("rtol=-1", (1, "unknown key 'rtol'")),
     ("epsilon=0.1\nmax_steps=0", (2, "unknown key 'max_steps'")),
     ("epsilon=0.1\nstep=0\nmethod=rk4-fixed", (2, "step must be positive")),
+    ("epsilon=0.1\nmethod=rk4-fixed\nstep=0", (3, "step must be positive")),
     ("epsilon=0.1\nhbar=-1", (2, "hbar must be positive and finite, got -1.0")),
+    ("epsilon=0.1\nomega=0.0", (2, "omega must be > 0")),
+    ("period=0.0\na_cos=1.0", (1, "period must be > 0")),
+    ("a_cos=1.0\nb_cos=1.0", (0, "fourier schedule requires period")),
+    ("epsilon=0.1\nomega", (2, "expected key=value, got 'omega'")),
     # a start width the right-hand side would refuse
     ("epsilon=0.1\n[simulate]\nq0=1.0\ng0=1e-7",
      (4, "g0 must be > 1e-06, the width floor")),
-], ids=["hannay-section", "repeated-state", "negative-workers", "rtol",
-        "max-steps", "rk4-step", "hbar", "g0-floor"])
+    ("[simulate]\nsamples=0", (2, "samples must be >= 1")),
+    ("[simulate]\nt1=0.0", (2, "t1 must be > 0")),
+    ("[orbit]\nsamples=7", (2, "samples must be >= 8")),
+], ids=["hannay-section", "repeated-state", "negative-state", "negative-workers",
+        "two-workers", "sweep-eps-one", "sweep-eps-negative", "sweep-omega",
+        "rtol", "max-steps", "rk4-step", "step-after-method", "hbar", "omega",
+        "period", "period-missing", "no-equals", "g0-floor",
+        "simulate-samples", "simulate-t1", "orbit-samples"])
 def test_rejected_with_line(text, error):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.errors == [error]
+
+
+@pytest.mark.parametrize("text, errors", [
+    ("method=bogus\nstep=-1",
+     [(1, "unknown method 'bogus'"), (2, "step must be positive")]),
+    ("step=-1\nmethod=bogus",
+     [(1, "step must be positive"), (2, "unknown method 'bogus'")]),
+])
+def test_each_integrator_error_on_its_own_line(text, errors):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == errors
 
 
 @pytest.mark.parametrize("text, line", [
@@ -222,7 +252,7 @@ def test_csv_rows_match_cell_formatter(tmp_path):
 
 
 def test_sweep_table(tmp_path):
-    cfg = parse_config("[sweep]\neps=0.0,0.05\nomega=1.0\nworkers=1")
+    cfg = parse_config("[sweep]\neps=0.0,0.05\nomega=1.0")
     assert run("sweep", cfg, out_dir=tmp_path) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == ("eps,omega,theta_closed,theta_traj,rho,"
@@ -315,7 +345,7 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
             assert len(calls) == {"orbit": 1, "hannay": 1, "floquet": 1,
                                   "simulate": 0}[sub], sub
     calls.clear()
-    cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0\nworkers=1")
+    cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0")
     assert run("sweep", cfg, out_dir=tmp_path / "sweep") == 0
     assert len(calls) == 3
 
@@ -338,6 +368,20 @@ def test_main_config_error_exit(tmp_path):
     cfg_file.write_text("epsilon=2.0\n")
     assert main(["orbit", "--config", str(cfg_file),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_main_config_errors_found_at_run_or_read(tmp_path, capsys):
+    # a sweep with no omega list parses, and is refused when it runs
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("[sweep]\neps=0.1\n")
+    assert main(["sweep", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "sweep")]) == 2
+    assert ("config error (line 0): sweep requires non-empty eps and omega "
+            "lists") in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
+    assert main(["orbit", "--config", str(tmp_path / "missing.cfg"),
+                 "--out", str(tmp_path)]) == 2
+    assert "error: cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

@@ -225,6 +225,28 @@ def test_steps_reuse_last_stage():
     assert len(calls) == 1 + 6 * (len(ts) - 1)
 
 
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_numpy_start_time_steps_on_python_floats(method):
+    # Trajectory.final hands back an np.float64 time: a pass started from
+    # it must step Python floats, and give the rows of the pass from the
+    # same time as a float, bit for bit
+    def recording(times):
+        def rhs(t, y):
+            times.append(t)
+            return -y
+        return rhs
+
+    opts = IntegratorOptions(method=method, rtol=1e-8, atol=1e-8, step=0.01)
+    plain, from_numpy = [], []
+    ts, ys, _ = integrate_ode(recording(plain), 0.0, np.array([1.0]), 5.0,
+                              opts)
+    ts_n, ys_n, _ = integrate_ode(recording(from_numpy), np.float64(0.0),
+                                  np.array([1.0]), 5.0, opts)
+    assert {type(t) for t in from_numpy} == {float}
+    assert from_numpy == plain
+    assert np.array_equal(ts_n, ts) and np.array_equal(ys_n, ys)
+
+
 def test_dense_output_matches_exact_decay():
     # the continuous extension is 4th-order accurate inside each step
     grid = np.linspace(0.0, 1.0, 101)

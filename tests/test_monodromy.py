@@ -37,6 +37,17 @@ def test_unperturbed_monodromy_is_identity():
     assert mono.rho == pytest.approx(TWO_PI, abs=1e-12)
 
 
+def test_free_half_period_monodromy_is_minus_identity():
+    # the free oscillator over T = pi turns by pi: M = -I, whose normal
+    # frame is the identity at sigma = pi exactly
+    W, sigma = normal_frame(-np.eye(2))
+    assert sigma == math.pi and np.array_equal(W, np.eye(2))
+    mono = compute_monodromy(ParameterSchedule.standard(0.0, 2.0))
+    assert np.max(np.abs(mono.M + np.eye(2))) < 1e-10
+    assert mono.sigma == mono.rho == math.pi
+    assert np.array_equal(mono.W, np.eye(2))
+
+
 def test_rotation_number_matches_meanfield_frequency():
     mono = compute_monodromy(ParameterSchedule.standard(0.1, 1.0))
     assert mono.rho == pytest.approx(TWO_PI * (1 - 0.01 / 3), abs=5e-3 ** 1)
