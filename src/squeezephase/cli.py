@@ -284,29 +284,45 @@ def _write_json(path: Path, obj):
     path.write_text(_dump_json(obj) + "\n", encoding="utf-8", newline="\n")
 
 
+# rows of a float table formatted by one %-format
+_CSV_BLOCK = 256
+
+
+def _csv_lines(table):
+    """The lines of a 2-D float array, a block of rows at a time: a block
+    of finite rows is one %-format, which spells each cell as _fmt does;
+    a row with a nan or an infinity is spelled by _fmt."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    finite = np.isfinite(table).all(axis=1)
+    for i in range(0, len(table), _CSV_BLOCK):
+        block, ok = table[i:i + _CSV_BLOCK], finite[i:i + _CSV_BLOCK]
+        if ok.all():
+            yield line * len(block) % tuple(block.ravel().tolist())
+            continue
+        for row, fine in zip(block.tolist(), ok):
+            yield (line % tuple(row) if fine
+                   else ",".join(map(_fmt, row)) + "\n")
+
+
 def _write_csv(path: Path, header, rows):
-    # a row of finite Python floats is one %-format, which spells each as
-    # _fmt does; a row with another cell type or an "n" (nan, inf) falls
-    # back to _fmt
-    fmt = ",".join(["%.17g"] * len(header))
-    out = [",".join(header)]
-    for row in rows:
-        line = None
-        if all(type(v) is float for v in row):
-            line = fmt % tuple(row)
-        if line is None or "n" in line:
-            line = ",".join(map(_fmt, row))
-        out.append(line)
-    path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
+    """A table as CSV: rows is a 2-D float array (_csv_lines) or a
+    sequence of rows whose cells _fmt spells."""
+    if isinstance(rows, np.ndarray):
+        lines = _csv_lines(rows)
+    else:
+        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
-def _write_table(out_dir: Path, stem: str, header, rows, fmt: str):
+def _write_table(out_dir: Path, stem: str, header, table, fmt: str):
+    """A 2-D float array as {stem}.csv, or as {stem}.json of columns."""
     if fmt == "json":
-        cols = list(zip(*rows)) if rows else [[] for _ in header]
-        obj = {name: list(col) for name, col in zip(header, cols)}
+        obj = dict(zip(header, table.T.tolist()))
         _write_json(out_dir / f"{stem}.json", obj)
         return out_dir / f"{stem}.json"
-    _write_csv(out_dir / f"{stem}.csv", header, rows)
+    _write_csv(out_dir / f"{stem}.csv", header, table)
     return out_dir / f"{stem}.csv"
 
 
@@ -328,16 +344,16 @@ def _run_simulate(cfg: RunConfig, out_dir: Path, fmt: str):
     H = dynamics.h_eff(q, p, G, Pi, a, b, c, cfg.constants.hbar)
     header = ["t", "q", "p", "G", "Pi", "lambda_G", "lambda_D",
               "I", "J", "H_eff"]
-    rows = np.column_stack([t, q, p, G, Pi, lam_G, lam_D, I, J, H]).tolist()
-    path = _write_table(out_dir, "trajectory", header, rows, fmt)
+    table = np.column_stack([t, q, p, G, Pi, lam_G, lam_D, I, J, H])
+    path = _write_table(out_dir, "trajectory", header, table, fmt)
     return [path]
 
 
 def _run_orbit(cfg: RunConfig, out_dir: Path, fmt: str):
     orb = orbits.find_periodic_orbit(cfg.schedule,
                                      n_samples=cfg.orbit.samples)
-    rows = [[t, g, pi] for t, g, pi in zip(orb.t, orb.G, orb.Pi)]
-    paths = [_write_table(out_dir, "orbit", ["t", "G", "Pi"], rows, fmt)]
+    table = np.column_stack([orb.t, orb.G, orb.Pi])
+    paths = [_write_table(out_dir, "orbit", ["t", "G", "Pi"], table, fmt)]
     summary = {
         "G0": orb.G0, "Pi0": orb.Pi0, "residual": orb.residual,
         "lambda_G": orb.lambda_G_cycle, "lambda_D": orb.lambda_D_cycle,
@@ -377,10 +393,10 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, fmt: str):
     sw = cfg.sweep
     if not sw.eps or not sw.omega:
         raise ConfigError([(0, "sweep requires non-empty eps and omega lists")])
-    rows = [_sweep_point(e, w) for e in sw.eps for w in sw.omega]
+    table = np.array([_sweep_point(e, w) for e in sw.eps for w in sw.omega])
     header = ["eps", "omega", "theta_closed", "theta_traj", "rho",
               "lambda_G_R_n0", "residual_45_n0"]
-    return [_write_table(out_dir, "sweep", header, rows, fmt)]
+    return [_write_table(out_dir, "sweep", header, table, fmt)]
 
 
 def _run_check(cfg, out_dir, fmt):

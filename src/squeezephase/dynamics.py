@@ -18,10 +18,14 @@ the Gauss period pass of monodromy.period_pass.  The flow routes,
 "rk45-adaptive" and "rk4-fixed", integrate the six components above, the
 phases in the same pass as the state, so that state and phase share one
 error control; they are the independent witness of the linear route and
-of the period pass.  The flow steppers run on Python floats: the state and
-the stages of a step are lists, and numpy enters only to build the dense
-output of a step that covers an output time.  integrate_ode takes a
-generic numpy right-hand side and adapts it at its boundary.
+of the period pass.  Both call one copy of the equations of motion,
+_rates, with the coefficients (a, b, c) of each stage, and run on Python
+floats: the adaptive stepper keeps the state and its stages in lists, and
+numpy enters only to build the dense output of a step that covers an
+output time; the fixed stepper keeps the six components in local floats
+and evaluates the schedule once per distinct stage time.  integrate_ode
+runs the adaptive stepper on a generic numpy right-hand side, adapted at
+its boundary.
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
 or below it, so the steppers reject every stage that reaches it, and
@@ -42,7 +46,7 @@ from .monodromy import fluctuation_point, period_pass
 from .params import Constants, ParameterSchedule
 
 # The flow preserves G > 0, so a width at or below this floor signals
-# integration failure: _extended_rhs raises DomainError there and integrate
+# integration failure: _rates raises DomainError there and integrate
 # refuses any returned row there.
 G_FLOOR = 1e-6
 
@@ -176,14 +180,26 @@ def _require_positive_width(G):
 def eom_rhs(state: ExtendedState, sched: ParameterSchedule,
             consts: Constants = Constants()) -> np.ndarray:
     """Time derivative of (q, p, G, Pi, lambda_G, lambda_D) at the state."""
-    return np.array(_extended_rhs(state.t, state.as_array(), sched,
-                                  consts.hbar))
+    rhs = _extended_rhs(sched, consts.hbar)
+    return np.array(rhs(state.t, state.as_array()))
 
 
-def _extended_rhs(t, y, sched, hbar):
-    """The derivative of the 6-sequence y at t, as a list of floats."""
-    a, b, c = sched.eval(t)
-    q, p, G, Pi, _, _ = y
+def _extended_rhs(sched, hbar):
+    """rhs(t, y): the derivative of the 6-sequence y at t under sched, as
+    a list of floats (_rates, as it is when rhs is made)."""
+    coeffs, rates = sched.eval, _rates
+
+    def rhs(t, y):
+        a, b, c = coeffs(t)
+        q, p, G, Pi, _, _ = y
+        return rates(a, b, c, q, p, G, Pi, hbar)
+    return rhs
+
+
+def _rates(a, b, c, q, p, G, Pi, hbar):
+    """The derivative of (q, p, G, Pi, lambda_G, lambda_D) under the
+    coefficients (a, b, c), as a list: the equations of motion of both
+    flow steppers.  Refuses a width at or below G_FLOOR."""
     if not G > G_FLOOR:
         raise DomainError(
             f"fluctuation width G = {G} is at or below the floor {G_FLOOR}")
@@ -386,77 +402,99 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
     return np.array(ts), np.array(ys).reshape(-1, n), dense
 
 
-def _rk4_path(rhs, t0, y0, t1, opts, output_times=None):
-    """Fixed-step classical Runge-Kutta pass on Python floats, clipping
-    steps to land on every output time.
+def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
+    """Fixed-step classical Runge-Kutta pass of the extended state on six
+    Python floats, clipping steps to land on every output time.
 
-    rhs(t, y) takes and returns a list of floats.  A DomainError from any
-    stage ends the pass; the reported last_t is the latest time whose
-    state the rhs accepted.  Returns (times, states) of every step and the
-    (len(output_times), n) array of output states; a pass that can take
-    more than MAX_STEPS steps is refused before its first step."""
-    y = [float(v) for v in y0]
+    Each stage calls _rates with the coefficients of its time, and the
+    schedule is evaluated once per distinct stage time: the two middle
+    stages share t + h/2, and the coefficients at t + h start the next
+    step unless the step landed on an output time.  A DomainError from
+    any stage ends the pass; the reported last_t is the latest time
+    whose state _rates accepted.  Returns the times and rows of every
+    step, or with output_times those at (t0, *output_times, t1); a pass
+    that can take more than MAX_STEPS steps is refused before its first
+    step."""
+    q, p, G, Pi, lG, lD = (float(v) for v in y0)
     t, t1 = float(t0), float(t1)
     targets = _check_output_times(t, t1, output_times) + [t1]
-    steps = math.ceil((t1 - t) / opts.step) + len(targets) - 1
+    steps = math.ceil((t1 - t) / step) + len(targets) - 1
     if steps > MAX_STEPS:
         raise IntegrationError(f"{steps} steps exceed MAX_STEPS={MAX_STEPS}")
     hmin = _hmin(t, t1)
+    every = output_times is None
     # rows as packed doubles, not lists of float objects
-    ts, ys = array("d", [t]), array("d", y)
-    n = len(y)
-    landed_states = []
+    ts, ys = array("d", [t]), array("d", (q, p, G, Pi, lG, lD))
+    coeffs, rates = sched.eval, _rates       # looked up per pass
     calls = accepted = 0
-    good_t = None
+    good_t = start = None
     for target in targets:
         while t < target - hmin:
-            h = min(opts.step, target - t)
+            h = min(step, target - t)
             half = 0.5 * h
             try:
+                if start is None:
+                    start = coeffs(t)
+                a, b, c = start
                 calls += 1
-                k1 = rhs(t, y)
+                q1, p1, G1, Pi1, lG1, lD1 = rates(a, b, c, q, p, G, Pi, hbar)
                 good_t = t
+                a, b, c = coeffs(t + half)
                 calls += 1
-                k2 = rhs(t + half, [y_ + half * d for y_, d in zip(y, k1)])
+                q2, p2, G2, Pi2, lG2, lD2 = rates(
+                    a, b, c, q + half * q1, p + half * p1, G + half * G1,
+                    Pi + half * Pi1, hbar)
                 calls += 1
-                k3 = rhs(t + half, [y_ + half * d for y_, d in zip(y, k2)])
+                q3, p3, G3, Pi3, lG3, lD3 = rates(
+                    a, b, c, q + half * q2, p + half * p2, G + half * G2,
+                    Pi + half * Pi2, hbar)
+                start = a, b, c = coeffs(t + h)
                 calls += 1
-                k4 = rhs(t + h, [y_ + h * d for y_, d in zip(y, k3)])
+                q4, p4, G4, Pi4, lG4, lD4 = rates(
+                    a, b, c, q + h * q3, p + h * p3, G + h * G3,
+                    Pi + h * Pi3, hbar)
             except DomainError as exc:
                 raise _stepper_error(f"state left the domain: {exc}", t, h,
                                      calls, accepted, 0, 0, good_t) from exc
             # the operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
             sixth = h / 6.0
-            y = [y_ + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                 for y_, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+            q = q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            p = p + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            G = G + sixth * (G1 + 2.0 * G2 + 2.0 * G3 + G4)
+            Pi = Pi + sixth * (Pi1 + 2.0 * Pi2 + 2.0 * Pi3 + Pi4)
+            lG = lG + sixth * (lG1 + 2.0 * lG2 + 2.0 * lG3 + lG4)
+            lD = lD + sixth * (lD1 + 2.0 * lD2 + 2.0 * lD3 + lD4)
             accepted += 1
-            landed = abs((t + h) - target) <= hmin
-            t = target if landed else t + h
-            ts.append(t)
-            ys.fromlist(y)
+            if abs((t + h) - target) <= hmin:
+                t, start = target, None
+            else:
+                t = t + h
+            if every:
+                ts.append(t)
+                ys.extend((q, p, G, Pi, lG, lD))
         t = target
-        landed_states.append(y)
-    dense = np.array(landed_states[:-1]).reshape(-1, n)
-    return np.array(ts), np.array(ys).reshape(-1, n), dense
+        if not every:
+            ts.append(t)
+            ys.extend((q, p, G, Pi, lG, lD))
+    return np.array(ts), np.array(ys).reshape(-1, 6)
 
 
 def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
                   output_times=None):
-    """Dispatch a generic ODE pass through the configured flow stepper.
+    """A generic ODE pass of the adaptive stepper.
 
     rhs(t, y) takes the state as an ndarray and returns an array-like;
-    the steppers run on Python floats and adapt it at this boundary.  A
-    generic right-hand side has no linear route, so opts.method must name
-    rk45-adaptive or rk4-fixed.  Returns (times, states) of every
-    accepted step and the states at output_times, which must increase
-    strictly inside (t0, t1).
+    the stepper runs on Python floats and adapts it at this boundary.
+    The linear and the rk4-fixed routes step the extended state of
+    integrate only, so opts.method must name rk45-adaptive.  Returns
+    (times, states) of every accepted step and the states at
+    output_times, which must increase strictly inside (t0, t1).
     """
-    if opts.method == LINEAR:
-        raise ValueError("a generic right-hand side has no linear route: "
-                         f"name {RK45!r} or {RK4!r}")
-    path = _rk4_path if opts.method == RK4 else _rk45_path
-    return path(lambda t, y: np.asarray(rhs(t, np.array(y))).tolist(),
-                t0, y0, t1, opts, output_times)
+    if opts.method != RK45:
+        raise ValueError(f"a generic right-hand side has no {opts.method} "
+                         f"route: name {RK45!r}")
+    return _rk45_path(lambda t, y: np.asarray(rhs(t, np.array(y))).tolist(),
+                      t0, y0, t1, opts, output_times)
 
 
 def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
@@ -527,11 +565,12 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
 
     if opts.method == LINEAR:
         t_out, y_out = _linear_path(state0, t1, sched, hbar, output_times)
+    elif opts.method == RK4:
+        t_out, y_out = _rk4_path(sched, hbar, state0.t, state0.as_array(),
+                                 t1, opts.step, output_times)
     else:
-        rhs = _extended_rhs      # looked up per call of integrate
-        path = _rk4_path if opts.method == RK4 else _rk45_path
-        ts, ys, dense = path(lambda t, y: rhs(t, y, sched, hbar), state0.t,
-                             state0.as_array(), t1, opts, output_times)
+        ts, ys, dense = _rk45_path(_extended_rhs(sched, hbar), state0.t,
+                                   state0.as_array(), t1, opts, output_times)
         if output_times is None:
             t_out, y_out = ts, ys
         else:

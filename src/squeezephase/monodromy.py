@@ -42,8 +42,9 @@ on 2N steps is the error estimate, and its rows, lifted the same way,
 must turn as far within pi.
 
 PeriodPass.sample is the one sampler of M(t), K(t) and the turn of the
-first row of M(t) W: a time inside a step is one partial Gauss step from
-its start, and a time in a later period takes the powers of M(T).  The
+first row of M(t) W: an in-period offset inside a step is one partial
+Gauss step from its start, taken once however many periods repeat the
+offset, and a time in a later period takes the powers of M(T).  The
 samples take no part in the pass, so they never move M(T), K, rho or W.
 """
 
@@ -78,6 +79,11 @@ _ESTIMATE_BOUND = 1e-11
 # Samples of the pass are taken this many at a time, which bounds the
 # memory of their batched partial steps whatever the sample count.
 _SAMPLE_CHUNK = 256
+
+# In-period offsets closer than this fraction of T share one partial
+# step: 2^8 ulps of T, over the rounding of t - t0 - k T within the first
+# ~2^7 periods, and far finer than any sample spacing.
+_OFFSET_RESOLUTION = 2.0 ** -44
 
 
 def _gauss_legendre():
@@ -257,12 +263,20 @@ class PeriodPass:
     def steps(self) -> int:
         return self.Ms.shape[0] - 1
 
-    def _partial(self, step, offset):
-        """M and K at the times t0 + step h + offset, h = T/N, step in
-        [0, N): a nonzero offset is one Gauss step of that size from the
-        step time, which maps M and adds M^T Q M to K.  The partial steps
-        are taken _SAMPLE_CHUNK at a time."""
-        h = self.sched.period / self.steps
+    def _partial(self, tau):
+        """M and K at the in-period offsets tau in [0, T), and the lifted
+        angle of the first row of M there.
+
+        With h = T/N and the step k = floor(tau / h), a nonzero
+        tau - k h is one Gauss step of that size from the step time,
+        which maps M and adds M^T Q M to K; the partial steps are taken
+        _SAMPLE_CHUNK at a time.  The angle is alpha at the step time
+        plus the increment of the partial step, read as period_pass reads
+        those of its steps (_full_turns)."""
+        N = self.steps
+        h = self.sched.period / N
+        step = np.clip(np.floor(tau / h), 0, N - 1).astype(int)
+        offset = tau - step * h
         M, K = self.Ms[step], self.Ks[step]
         inside = np.flatnonzero(offset)
         for i in range(0, inside.size, _SAMPLE_CHUNK):
@@ -270,7 +284,9 @@ class PeriodPass:
             P, Q = _gauss_steps(self.sched, self.t0 + h * step[j], offset[j])
             K[j] += np.einsum("npq,npr->nqr", M[j], Q @ M[j])
             M[j] = P @ M[j]
-        return M, K
+        start = self.alpha[step]
+        turn = _wrap(_row_angle(M) - start)
+        return M, K, start + turn + _full_turns(turn, self.sched, self.t0)
 
     def sample(self, t1: float, times, W) -> FlowSample:
         """M(t), K(t) and the turn of the first row of M(t) W of the flow
@@ -285,10 +301,15 @@ class PeriodPass:
             M(t) = M(tau) M_T^k,
             K(t) = sum_{m<k} (M_T^m)^T K(T) M_T^m + (M_T^k)^T K(tau) M_T^k.
 
-        The angle of a sample's first row m of M(tau) is alpha at the
-        start of its step plus the increment of its partial step, read
-        as period_pass reads those of its steps (_full_turns).
-        The first row of M(t) W is m B_k with B_k = M_T^k W.  A map of
+        Samples whose offsets differ only by the rounding of tau (a
+        uniform grid commensurate with T repeats its offsets in every
+        period) share one partial step: sorted offsets no farther apart
+        than _OFFSET_RESOLUTION T form a group, which takes the offset of
+        its first sample.  Each sample keeps its own k, so the partial steps
+        cost what the distinct offsets cost, whatever the horizon.
+
+        The first row m of M(tau) has the lifted angle of _partial.  The
+        first row of M(t) W is m B_k with B_k = M_T^k W.  A map of
         determinant 1 keeps the order of directions and turns each by
         less than pi from the angle c_k it gives the first unit row
         (1, 0), so the angle of m B_k lifts to
@@ -297,17 +318,22 @@ class PeriodPass:
         less c_k.  There is no normal frame: a hyperbolic period map (a
         schedule inside a resonance tongue) is sampled like any other.
         """
-        t0, alpha, T, N = self.t0, self.alpha, self.sched.period, self.steps
-        h = T / N
+        t0, alpha, T = self.t0, self.alpha, self.sched.period
         if times is None:
+            h = T / self.steps
             times = t0 + h * np.arange(1, math.ceil((t1 - t0) / h))
             times = times[times < t1]
         t = np.concatenate([[t0], times, [t1]]).astype(float)
         s = t - t0
         period = np.maximum(np.floor(s / T), 0.0).astype(int)
         tau = s - period * T
-        step = np.clip(np.floor(tau / h), 0, N - 1).astype(int)
-        M_tau, K_tau = self._partial(step, tau - step * h)
+        # groups of offsets, sorted, that no gap over the resolution splits
+        order = np.argsort(tau, kind="stable")
+        new = np.diff(tau[order], prepend=-T) > _OFFSET_RESOLUTION * T
+        shared = np.empty_like(order)
+        shared[order] = np.cumsum(new) - 1
+        first = np.minimum.reduceat(order, np.flatnonzero(new))
+        M_tau, K_tau, a = (x[shared] for x in self._partial(tau[first]))
         # M_T^k and the sums of K over k whole periods, k = 0 .. max
         powers, sums = [np.eye(2)], [np.zeros((2, 2))]
         for _ in range(int(period.max())):
@@ -318,8 +344,6 @@ class PeriodPass:
         B = powers[period]
         M = M_tau @ B
 
-        turn = _wrap(_row_angle(M_tau) - alpha[step])
-        a = alpha[step] + turn + _full_turns(turn, self.sched, t0)
         c = _row_angle(powers @ W)
         turns = alpha[-1] + _wrap(c[1:] - alpha[-1] - c[:-1])
         before = np.concatenate([[0.0], np.cumsum(turns)])[period]
@@ -369,6 +393,10 @@ def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
     """The period pass from t = 0 (period_pass), then (sigma, k, rho) and
     the normal frame W of M = M(T).
 
+    A map normal_frame refuses (a schedule in or next to a resonance
+    tongue) is reported with the half-turns of the row lift over the
+    period, their rounded count k, and the pass's estimate.
+
     The winding k comes from the lift the pass already has.  W is lower
     triangular with W11 > 0, so the first row of M(t) W starts along
     (1, 0) and, as in PeriodPass.sample, its angle lifts to
@@ -384,8 +412,17 @@ def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
         raise NonEllipticError(
             f"monodromy determinant {det} deviates from 1; integration failed")
 
-    W, sigma = normal_frame(M)
     alpha = flow.alpha[-1]
+    try:
+        W, sigma = normal_frame(M)
+    except NonEllipticError as exc:
+        # a map at or past the boundary sits in (or next to) the resonance
+        # tongue of k half-turns: the row turns by about k pi per period
+        raise NonEllipticError(
+            f"{exc}; over the period the first row of M turns "
+            f"alpha_T/pi = {alpha / math.pi:.3f} half-turns, resonance "
+            f"k = {round(alpha / math.pi)}; pass estimate "
+            f"{flow.estimate:.1e} on N = {flow.steps} steps") from exc
     turn = alpha + _wrap(_row_angle(M @ W) - alpha)
     winding = int(round((turn - sigma) / (2.0 * math.pi)))
     return Monodromy(M=M, sigma=sigma, winding=winding,

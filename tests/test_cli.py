@@ -251,6 +251,25 @@ def test_csv_rows_match_cell_formatter(tmp_path):
     assert want[3] == "1,true,false,-7,100000000000000000000,0.5"
 
 
+def test_csv_array_blocks_match_cell_formatter(tmp_path, monkeypatch):
+    # a float array is formatted a block of rows at a time; a row with a
+    # nan or an infinity is spelled by _fmt, and a block that holds one
+    # formats its finite rows as any other
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((11, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                                (11, 3))
+    table[0] = [0.1, -0.0, 5e-324]
+    table[5, 1], table[6, 2], table[10, 0] = np.nan, np.inf, -np.inf
+    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+    want = ["a,b,c"] + [",".join(map(cli._fmt, r)) for r in table.tolist()]
+    assert (tmp_path / "t.csv").read_bytes() == \
+        ("\n".join(want) + "\n").encode()
+    assert want[6].split(",")[1] == "null" and want[7].endswith(",inf")
+    cli._write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
 def test_sweep_table(tmp_path):
     cfg = parse_config("[sweep]\neps=0.0,0.05\nomega=1.0")
     assert run("sweep", cfg, out_dir=tmp_path) == 0
@@ -298,6 +317,25 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = parse_config("epsilon=0.1\nmethod=rk45-adaptive\n[simulate]\nq0=1.0")
     assert run("simulate", cfg, out_dir=tmp_path / "simulate") == 1
     assert "exceeded MAX_STEPS=10" in capsys.readouterr().err
+
+
+def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
+                                                             capsys):
+    # a = 1 + 0.5 cos 2t, b = 1 inside the first Mathieu tongue: the row
+    # of M turns 0.892 half-turns over the period, so k = 1 (tr M < 0),
+    # and the refusal names that count and the pass's N-vs-2N estimate
+    path = tmp_path / "tongue.cfg"
+    path.write_text("period=3.141592653589793\na_cos=1.0,0.5\nb_cos=1.0\n"
+                    "c_cos=0.0\n")
+    flow = monodromy.period_pass(parse_config(path.read_text()).schedule)
+    assert round(flow.alpha[-1] / np.pi, 3) == 0.892
+    for sub in ("orbit", "hannay", "floquet"):
+        code = main([sub, "--config", str(path), "--out", str(tmp_path / sub)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: |tr M| = 2.153935 >= 2, not elliptic;")
+        assert "alpha_T/pi = 0.892 half-turns, resonance k = 1;" in err
+        assert f"pass estimate {flow.estimate:.1e} on N = 32 steps" in err
 
 
 def test_untyped_error_propagates(tmp_path, monkeypatch):

@@ -230,21 +230,18 @@ def test_numpy_start_time_steps_on_python_floats(method):
     # Trajectory.final hands back an np.float64 time: a pass started from
     # it must step Python floats, and give the rows of the pass from the
     # same time as a float, bit for bit
-    def recording(times):
-        def rhs(t, y):
-            times.append(t)
-            return -y
-        return rhs
-
     opts = IntegratorOptions(method=method, rtol=1e-8, atol=1e-8, step=0.01)
-    plain, from_numpy = [], []
-    ts, ys, _ = integrate_ode(recording(plain), 0.0, np.array([1.0]), 5.0,
-                              opts)
-    ts_n, ys_n, _ = integrate_ode(recording(from_numpy), np.float64(0.0),
-                                  np.array([1.0]), 5.0, opts)
+    runs = []
+    for t0 in (0.0, np.float64(0.0)):
+        sched = _counting(ParameterSchedule.standard(0.3, 1.3))
+        runs.append((sched.evals, integrate(
+            ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1, t=t0), 5.0, sched,
+            opts=opts)))
+    (plain, traj), (from_numpy, traj_n) = runs
     assert {type(t) for t in from_numpy} == {float}
     assert from_numpy == plain
-    assert np.array_equal(ts_n, ts) and np.array_equal(ys_n, ys)
+    assert np.array_equal(traj_n.t, traj.t)
+    assert np.array_equal(traj_n.y, traj.y)
 
 
 def test_dense_output_matches_exact_decay():
@@ -273,20 +270,26 @@ def test_output_time_on_a_step_gives_its_state():
     assert np.array_equal(dense, ys[1:-1])
 
 
-def test_fixed_steps_make_four_calls():
-    # one rhs call per stage, and each call of the extended rhs evaluates
-    # the schedule once
-    rhs, calls = _counted_decay()
-    ts, _, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                             IntegratorOptions(method="rk4-fixed", step=0.03),
-                             output_times=[0.1, 0.55])
-    assert len(calls) == 4 * (len(ts) - 1)
-    sched = _CountingSchedule(kind=FOURIER, period=5.3,
-                              a_coeffs=((1.0, 0.0), (0.05, 0.03)),
-                              b_coeffs=((1.0, 0.0),), c_coeffs=((0.0, 0.0),))
-    traj = integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 1.0, sched,
-                     opts=IntegratorOptions(method="rk4-fixed", step=0.03))
-    assert len(sched.evals) == 4 * (len(traj.t) - 1)
+def test_fixed_steps_make_four_calls(rates_calls):
+    # one call of the equations of motion per stage, and one evaluation of
+    # the schedule per distinct stage time: a step adds its middle, which
+    # two stages share, and its end, which starts the next step unless the
+    # step landed on an output time.  34 steps of 0.03 reach t = 1; with
+    # the marks 0.1 and 0.5 it takes 4 + 14 + 17 = 35
+    opts = IntegratorOptions(method="rk4-fixed", step=0.03)
+    for marks, steps in ((None, 34), ([0.1, 0.5], 35)):
+        rates_calls.clear()
+        sched = _counting(ParameterSchedule(
+            kind=FOURIER, period=5.3, a_coeffs=((1.0, 0.0), (0.05, 0.03)),
+            b_coeffs=((1.0, 0.0),), c_coeffs=((0.0, 0.0),)))
+        traj = integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 1.0,
+                         sched, opts=opts, output_times=marks)
+        landings = len(marks or ())
+        assert len(traj.t) == 1 + (steps if marks is None else landings + 1)
+        assert len(rates_calls) == 4 * steps
+        assert len(sched.evals) == 1 + 2 * steps + landings
+        # a time is evaluated twice only where a landing restarts
+        assert len(set(sched.evals)) == len(sched.evals) - landings
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,6 +299,34 @@ class _CountingSchedule(ParameterSchedule):
     def eval(self, t):
         self.evals.append(t)
         return super().eval(t)
+
+
+def _counting(sched):
+    """Copy of sched that records the time of every eval call."""
+    return _CountingSchedule(**{f.name: getattr(sched, f.name)
+                                for f in dataclasses.fields(sched)})
+
+
+@pytest.fixture
+def rates_calls(monkeypatch):
+    """The arguments (a, b, c, q, p, G, Pi, hbar) of every call of the
+    equations of motion, in order."""
+    calls = []
+    rates = dynamics._rates
+
+    def recording(*args):
+        calls.append(args)
+        return rates(*args)
+    monkeypatch.setattr(dynamics, "_rates", recording)
+    return calls
+
+
+# a = b = 1, c = 0 from (G, Pi) = (1, 0): G = cos^2 t + sin^2 t / 4 falls
+# from 1 to 1/4, and crosses the wall WALL_G at WALL_T
+WALL_G = 0.9
+WALL_T = math.asin(math.sqrt((1.0 - WALL_G) / 0.75))
+WALL_START = ExtendedState(q=0.0, p=0.0, G=1.0, Pi=0.0)
+FREE = ParameterSchedule.standard(0.0, 1.0)
 
 
 _COUNTERS = re.compile(r"\(t=(.+), h=\S+; (\d+) rhs calls, (\d+) accepted "
@@ -323,44 +354,40 @@ def test_max_steps_failure_names_its_counters(method, calls, monkeypatch):
     assert t == err.value.last_t > 0.0
 
 
-def test_overlong_rk4_run_is_refused_before_its_first_step(monkeypatch):
+def test_overlong_rk4_run_is_refused_before_its_first_step(monkeypatch,
+                                                           rates_calls):
     # 100 steps of 0.01 to t = 1, and at most one more for each output
     # time: 102 steps is the bound the stepper checks (it takes 101)
-    rhs, seen = _counted_decay()
+    sched = _counting(ParameterSchedule.standard(0.1, 1.0))
+    state = ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     opts = IntegratorOptions(method="rk4-fixed", step=0.01)
     monkeypatch.setattr(dynamics, "MAX_STEPS", 101)
     with pytest.raises(IntegrationError,
                        match=r"^102 steps exceed MAX_STEPS=101$") as err:
-        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
-                      output_times=[0.305, 0.5])
-    assert seen == [] and err.value.last_t is None
+        integrate(state, 1.0, sched, opts=opts, output_times=[0.305, 0.5])
+    assert rates_calls == [] and sched.evals == []
+    assert err.value.last_t is None
     monkeypatch.setattr(dynamics, "MAX_STEPS", 102)
-    ts, _, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
-                             output_times=[0.305, 0.5])
-    assert len(ts) == 1 + 101 and len(seen) == 4 * 101
+    traj = integrate(state, 1.0, sched, opts=opts, output_times=[0.305, 0.5])
+    assert traj.t.tolist() == [0.0, 0.305, 0.5, 1.0]
+    assert len(rates_calls) == 4 * 101
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
-def test_domain_failure_names_its_counters(method):
-    # y' = -y with a DomainError wall past t = 0.25: the adaptive stepper
-    # halves the step at the wall until it falls below the minimum step,
-    # the fixed stepper stops at the first stage past the wall
-    seen = []
-
-    def rhs(t, y):
-        seen.append(t)
-        if t > 0.25:
-            raise DomainError("past the wall")
-        return -y
-
+def test_domain_failure_names_its_counters(method, monkeypatch, rates_calls):
+    # the width floor raised to WALL_G is a wall the width crosses near
+    # WALL_T: the adaptive stepper halves the step at the wall until it
+    # falls below the minimum step, the fixed stepper stops at the first
+    # stage past the wall
+    monkeypatch.setattr(dynamics, "G_FLOOR", WALL_G)
     with pytest.raises(IntegrationError, match="left the domain") as err:
-        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                      IntegratorOptions(method=method, step=0.01))
+        integrate(WALL_START, 1.0, FREE,
+                  opts=IntegratorOptions(method=method, step=0.01))
     t, calls, accepted, rejected, walls = _counters(err.value)
-    assert calls == len(seen)
-    assert accepted >= 1 and t <= 0.25
+    assert calls == len(rates_calls)
+    assert accepted >= 1 and 0.0 < t < WALL_T + 1e-6
     # each refused step stops at its first stage past the wall
-    past = sum(1 for s in seen if s > 0.25)
+    past = sum(1 for args in rates_calls if args[5] <= WALL_G)
     if method == "rk45-adaptive":
         assert walls == past >= 40      # from h ~ 0.01 to below 1e-14
     else:
@@ -372,7 +399,7 @@ def _numpy_rk4(sched, y0, t1, step, marks, hbar=1.0):
     """rk4-fixed as a numpy vector pass, landing on every mark: the rows
     at (0, *marks, t1)."""
     def f(t, y):
-        return np.array(dynamics._extended_rhs(t, y, sched, hbar))
+        return np.array(dynamics._extended_rhs(sched, hbar)(t, y))
 
     hmin = dynamics._hmin(0.0, t1)
     y, t, rows = np.array(y0, dtype=float), 0.0, [np.array(y0, dtype=float)]
@@ -431,10 +458,10 @@ def test_adaptive_step_equals_the_tableau():
     h = 0.01
 
     def f(t, y):
-        return np.array(dynamics._extended_rhs(t, y, sched, 1.0))
+        return np.array(dynamics._extended_rhs(sched, 1.0)(t, y))
 
     ts, ys, _ = dynamics._rk45_path(
-        lambda t, y: dynamics._extended_rhs(t, y, sched, 1.0), 0.0, y0, h,
+        dynamics._extended_rhs(sched, 1.0), 0.0, y0, h,
         IntegratorOptions(method="rk45-adaptive", rtol=1e-6, atol=1e-6))
     assert ts.tolist() == [0.0, h]
     K = np.zeros((6, 6))
@@ -447,8 +474,8 @@ def test_adaptive_step_equals_the_tableau():
 def test_extended_rhs_takes_a_list_or_an_array():
     sched = ParameterSchedule.standard(0.3, 1.3)
     y = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
-    from_list = dynamics._extended_rhs(0.4, y, sched, 0.7)
-    from_array = dynamics._extended_rhs(0.4, np.array(y), sched, 0.7)
+    rhs = dynamics._extended_rhs(sched, 0.7)
+    from_list, from_array = rhs(0.4, y), rhs(0.4, np.array(y))
     assert isinstance(from_list, list) and len(from_list) == 6
     assert from_list == from_array
 
@@ -469,29 +496,33 @@ def test_output_times_must_increase_inside_the_horizon():
 
 
 def test_generic_pass_has_no_linear_route():
+    # the linear and the fixed-step routes step only the extended state
     rhs, calls = _counted_decay()
     with pytest.raises(ValueError, match="no linear route"):
         integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, IntegratorOptions())
+    with pytest.raises(ValueError, match="no rk4-fixed route"):
+        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
+                      IntegratorOptions(method="rk4-fixed"))
     assert calls == []
 
 
 def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
-    # the rhs vets every stage; with an rhs that has no floor and the floor
-    # raised above part of the orbit, integrate must still refuse the
-    # accepted and the interpolated rows at or below the floor
+    # the rhs vets every stage; with equations of motion that have no
+    # floor and the floor raised above part of the orbit, integrate must
+    # still refuse the accepted and the interpolated rows at or below it
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=0, p=0, G=1.0, Pi=0.0)  # G swings 1 -> 1/4 -> 1
-    floored = dynamics._extended_rhs
+    floored = dynamics._rates
 
-    def rhs_without_floor(t, y, sched, hbar):
+    def rates_without_floor(*args):
         with monkeypatch.context() as m:
             m.setattr(dynamics, "G_FLOOR", 0.0)
-            return floored(t, y, sched, hbar)
+            return floored(*args)
 
-    monkeypatch.setattr(dynamics, "_extended_rhs", rhs_without_floor)
+    monkeypatch.setattr(dynamics, "_rates", rates_without_floor)
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
-    _, ys, _ = integrate_ode(lambda t, y: rhs_without_floor(t, y, sched, 1.0),
-                             0.0, state.as_array(), math.pi, FLOW)
+    _, ys, _ = integrate_ode(dynamics._extended_rhs(sched, 1.0), 0.0,
+                             state.as_array(), math.pi, FLOW)
     assert ys[:, 2].min() < 0.3  # the swapped rhs let the steps through
     for output_times in (None, np.linspace(0.0, math.pi, 33)[1:-1]):
         with pytest.raises(IntegrationError, match="width G = .* at t=") as err:
@@ -533,7 +564,7 @@ def test_width_guard_reports_failure():
     assert last_good.G > dynamics.G_FLOOR
 
 
-def test_fixed_step_final_row_at_floor_is_reported(tmp_path):
+def test_fixed_step_final_row_at_floor_is_reported(tmp_path, rates_calls):
     # one rk4 step with b = 0 and c = 0 at the step's start and middle
     # keeps every stage at the start width, which the rhs accepts; c = -6
     # at its end takes the final row to G0 (1 - 0.5 * 6 / 3) = 0, which
@@ -543,13 +574,11 @@ def test_fixed_step_final_row_at_floor_is_reported(tmp_path):
         b_coeffs=((0.0, 0.0),), c_coeffs=((-3.0, 0.0), (3.0, 3.0)))
     opts = IntegratorOptions(method="rk4-fixed", step=0.5)
     state = ExtendedState(q=0, p=0, G=0.5, Pi=0.0)
-    _, ys, _ = integrate_ode(
-        lambda t, y: dynamics._extended_rhs(t, y, sched, 1.0),
-        0.0, state.as_array(), 0.5, opts)
-    assert len(ys) == 2 and ys[-1, 2] <= dynamics.G_FLOOR
     with pytest.raises(IntegrationError, match="width G = .* at t=0.5") as err:
         integrate(state, 0.5, sched, opts=opts)
     assert err.value.last_t == 0.0
+    # the pass took its four stages at the start width, all accepted
+    assert [args[5] for args in rates_calls] == [0.5] * 4
     # a step further, the pass itself meets that row at the next step's
     # first stage; last_t is still the last time the rhs accepted
     with pytest.raises(IntegrationError, match="left the domain") as err:
@@ -576,26 +605,27 @@ def test_start_width_at_floor_is_reported(method):
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
-def test_only_domain_errors_reject_steps(method):
-    # a DomainError raised in the rhs is a state leaving the domain: the
-    # adaptive stepper halves the step and reports an IntegrationError at
-    # the wall; any other ValueError is a bug and must propagate unchanged
+def test_only_domain_errors_reject_steps(method, monkeypatch):
+    # a DomainError raised by the equations of motion is a state leaving
+    # the domain: the stepper reports an IntegrationError at the wall;
+    # any other ValueError is a bug and must propagate unchanged
     opts = IntegratorOptions(method=method, step=0.01)
+    rates = dynamics._rates
 
-    def rhs_raising(exc):
-        def rhs(t, y):
-            if t > 0.25:
+    def rates_raising(exc):
+        def walled(a, b, c, q, p, G, Pi, hbar):
+            if G <= WALL_G:
                 raise exc("past the wall")
-            return -y
-        return rhs
+            return rates(a, b, c, q, p, G, Pi, hbar)
+        return walled
 
+    monkeypatch.setattr(dynamics, "_rates", rates_raising(DomainError))
     with pytest.raises(IntegrationError) as err:
-        integrate_ode(rhs_raising(DomainError), 0.0, np.array([1.0]), 1.0,
-                      opts)
-    assert 0.0 < err.value.last_t <= 0.25
+        integrate(WALL_START, 1.0, FREE, opts=opts)
+    assert 0.0 < err.value.last_t < WALL_T + 1e-6
+    monkeypatch.setattr(dynamics, "_rates", rates_raising(ValueError))
     with pytest.raises(ValueError, match="past the wall") as err:
-        integrate_ode(rhs_raising(ValueError), 0.0, np.array([1.0]), 1.0,
-                      opts)
+        integrate(WALL_START, 1.0, FREE, opts=opts)
     assert type(err.value) is ValueError
 
 

@@ -62,6 +62,73 @@ def test_standard_family_matches_exact_solution(eps, omega):
     assert np.all(relative_gap(traj.y[:, :4], exact) <= 1e-11)
 
 
+def exact_standard_rows(eps, omega, state, hbar, t):
+    """Rows (q, p, G, Pi, lambda_G, lambda_D) of the standard family at the
+    times t from the exact M(t) = R(-omega t/2) exp(tB) and
+    K(t) = int_0^t exp(sB)^T H(0) exp(sB) ds (R(omega s/2)^T H(s)
+    R(omega s/2) is H(0)), with the phases of the linear route's formula
+    and the row angle unwrapped over 64 points per period."""
+    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
+    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
+                  [-(1.0 + eps + omega / 2.0), 0.0]])
+    H0 = np.diag([1.0 + eps, 1.0 - eps])
+
+    def flow(t):
+        E = (np.cos(nu * t)[:, None, None] * np.eye(2)
+             + (np.sin(nu * t) / nu)[:, None, None] * B)
+        c, s = np.cos(-0.5 * omega * t), np.sin(-0.5 * omega * t)
+        R = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+        return R @ E
+
+    # int_0^t of cos^2, cos sin and sin^2 of nu s
+    half, twice = t / 2.0, np.sin(2.0 * nu * t) / (4.0 * nu)
+    cc, cs, ss = half + twice, np.sin(nu * t) ** 2 / (2.0 * nu), half - twice
+    K = (cc[:, None, None] * H0
+         + (cs / nu)[:, None, None] * (B.T @ H0 + H0 @ B)
+         + (ss / nu ** 2)[:, None, None] * (B.T @ H0 @ B))
+    r = math.sqrt(2.0 * state.G)
+    W0 = np.array([[r, 0.0], [2.0 * state.Pi * r, 1.0 / r]])
+    dense = np.linspace(0.0, t[-1], 64 * math.ceil(t[-1] * omega) + 1)
+    both = np.concatenate([t, dense])
+    order = np.argsort(both, kind="stable")
+    rows = flow(both[order])[:, 0] @ W0
+    turns = np.arctan2(rows[:, 1], rows[:, 0])
+    assert np.abs(np.diff(np.unwrap(turns))).max() < 1.0
+    angle = np.empty_like(both)
+    angle[order] = np.unwrap(turns)
+    angle = angle[:t.size]
+    M = flow(t)
+    x0 = np.array([state.q, state.p])
+    S = M @ (W0 @ W0.T) @ np.transpose(M, (0, 2, 1))
+    centroid = np.einsum("p,npq,q->n", x0, K, x0) / (2.0 * hbar)
+    width = 0.25 * np.einsum("npq,pq->n", K, W0 @ W0.T)
+    return np.column_stack([
+        M @ x0, 0.5 * S[:, 0, 0], S[:, 0, 1] / (2.0 * S[:, 0, 0]),
+        state.lambda_G + centroid + width - 0.5 * angle,
+        state.lambda_D - centroid - width])
+
+
+@pytest.mark.parametrize("eps, omega", [(0.3, 1.2), (0.75, 0.5)])
+@pytest.mark.parametrize("periods, samples", [(25, 25 * 48), (25.37, 1000)],
+                         ids=["commensurate", "incommensurate"])
+def test_long_runs_match_the_exact_standard_family(eps, omega, periods,
+                                                   samples):
+    # over 25 periods every column, the phases too, within 1e-11 of the
+    # exact solution: on the commensurate grid each in-period offset's
+    # partial step serves 25 samples, on the other nearly every sample
+    # has its own
+    sched = ParameterSchedule.standard(eps, omega)
+    state = ExtendedState(q=0.6, p=-0.4, G=0.35, Pi=0.15, lambda_G=0.5,
+                          lambda_D=-0.25)
+    t1 = periods * sched.period
+    t = np.linspace(0.0, t1, samples + 1)
+    traj = integrate(state, t1, sched, Constants(hbar=0.7),
+                     output_times=t[1:-1])
+    assert np.array_equal(traj.t, t)
+    exact = exact_standard_rows(eps, omega, state, 0.7, t)
+    assert np.all(relative_gap(traj.y, exact) <= 1e-11)
+
+
 def flow_cases():
     # a standard schedule and seeded random Fourier ones, 1-4 harmonics
     rng = np.random.default_rng(9807)

@@ -137,6 +137,33 @@ def test_samples_do_not_move_the_pass(sched):
         assert np.array_equal(sample.M[-1], plain.M)
 
 
+def test_repeated_offsets_share_one_partial_step(monkeypatch):
+    # 20 periods of 205 samples each, at the offsets (j + 1/2) T/205: none
+    # is a step time of the 39-step pass (410 and 39 are coprime), and t1
+    # = 20.5 T repeats the offset of j = 102.  The sampler takes exactly
+    # one partial step per offset, and the first period's samples are
+    # those of a one-period sample bit for bit
+    sched = ParameterSchedule.standard(0.05, 1.0)
+    mono = compute_monodromy(sched)
+    flow, W = mono.flow, mono.W
+    assert flow.steps == 39
+    T = sched.period
+    times = T * (np.arange(20 * 205) + 0.5) / 205
+    rows = []
+    gauss_steps = monodromy_module._gauss_steps
+
+    def counted(sched, t0, h):
+        rows.append(t0.size)
+        return gauss_steps(sched, t0, h)
+    monkeypatch.setattr(monodromy_module, "_gauss_steps", counted)
+    many = flow.sample(20.5 * T, times, W)
+    assert sum(rows) == 205
+    one = flow.sample(T, times[:205], W)
+    for name in ("M", "K", "angle"):
+        assert np.array_equal(getattr(many, name)[:206],
+                              getattr(one, name)[:206])
+
+
 def spurious_refusal_draws():
     # draws 0 and 40 of a seeded sweep over the standard family and
     # random elliptic Fourier schedules: their normal frames squeeze so
