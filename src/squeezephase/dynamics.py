@@ -19,13 +19,10 @@ the Gauss period pass of monodromy.period_pass.  The flow routes,
 phases in the same pass as the state, so that state and phase share one
 error control; they are the independent witness of the linear route and
 of the period pass.  Both call one copy of the equations of motion,
-_rates, with the coefficients (a, b, c) of each stage, and run on Python
-floats: the adaptive stepper keeps the state and its stages in lists, and
-numpy enters only to build the dense output of a step that covers an
-output time; the fixed stepper keeps the six components in local floats
-and evaluates the schedule once per distinct stage time.  integrate_ode
-runs the adaptive stepper on a generic numpy right-hand side, adapted at
-its boundary.
+_rates, with the coefficients (a, b, c) of each stage, keep the six
+components in local Python floats, and evaluate the schedule once per
+distinct stage time; numpy enters only to build the dense output of an
+adaptive step that covers an output time.
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
 or below it, so the steppers reject every stage that reaches it, and
@@ -203,12 +200,19 @@ def _rates(a, b, c, q, p, G, Pi, hbar):
     if not G > G_FLOOR:
         raise DomainError(
             f"fluctuation width G = {G} is at or below the floor {G_FLOOR}")
-    qd = b * p + c * q
-    pd = -(a * q + c * p)
-    Gd = 4.0 * b * G * Pi + 2.0 * c * G
-    Pid = -0.5 * (a - b / (4.0 * G * G) + 4.0 * b * Pi * Pi + 4.0 * c * Pi)
-    hcl = 0.5 * (a * q * q + b * p * p + 2.0 * c * q * p)
-    hfl = 0.5 * (a * G + b * (0.25 / G + 4.0 * Pi * Pi * G) + 4.0 * c * G * Pi)
+    # shared products, in the association written out: ((4*b)*G)*Pi; one
+    # statement each, as a tuple assignment costs more than it saves
+    aq = a * q
+    bp = b * p
+    b4 = 4.0 * b
+    c4 = 4.0 * c
+    c2 = 2.0 * c
+    qd = bp + c * q
+    pd = -(aq + c * p)
+    Gd = b4 * G * Pi + c2 * G
+    Pid = -0.5 * (a - b / (4.0 * G * G) + b4 * Pi * Pi + c4 * Pi)
+    hcl = 0.5 * (aq * q + bp * p + c2 * q * p)
+    hfl = 0.5 * (a * G + b * (0.25 / G + 4.0 * Pi * Pi * G) + c4 * G * Pi)
     lGd = (p * qd - q * pd) / (2.0 * hbar) - Pid * G
     lDd = -(hcl / hbar + hfl)
     return [qd, pd, Gd, Pid, lGd, lDd]
@@ -287,40 +291,42 @@ def _stepper_error(what, t, h, calls, accepted, rejected, walls, last_t):
         f"the domain)", last_t=last_t)
 
 
-def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
-    """Adaptive embedded 5(4) pass from t0 to t1 on Python floats.
+def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
+    """Adaptive embedded 5(4) pass of the extended state on six Python
+    floats, each in the operation order of the tableau on a whole state.
 
-    rhs(t, y) takes and returns a list of floats.  Steps are chosen by
-    error control alone and land on t1 only; the states at output_times
-    come from the continuous extension of the step that covers each time
-    (a time equal to a step's start gives that step's state exactly).  A
-    DomainError from any stage, the trial solution's included, rejects
-    the step and halves it.  Returns (times, states) of every accepted
-    step and the (len(output_times), n) array of output states.  A
-    DomainError at the start state is reported as IntegrationError with
-    last_t None, as _rk4_path reports it.
+    Steps are chosen by error control alone and land on t1 only; the
+    states at output_times come from the continuous extension of the step
+    that covers each time (a time equal to a step's start gives that
+    step's state exactly).  Stages 2 to 6 build only (q, p, G, Pi), all
+    that _rates reads, and the last two stages share one evaluation of the
+    schedule at t + h.  A DomainError from any stage, the trial
+    solution's included, rejects the step and halves it; at the start
+    state it is an IntegrationError with last_t None, as in _rk4_path.
+    Returns the times and rows of every accepted step and the
+    (len(output_times), 6) array of output rows.
     """
     _, c2, c3, c4, c5, _, _ = _DP_C
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
     e1, _, e3, e4, e5, e6, e7 = _DP_E
     atol, rtol = opts.atol, opts.rtol
-    y = [float(v) for v in y0]
-    t = float(t0)
-    t1 = float(t1)
+    q, p, G, Pi, lG, lD = (float(v) for v in y0)
+    t, t1 = float(t0), float(t1)
     tout = _check_output_times(t, t1, output_times)
     hmin = _hmin(t, t1)
     # rows as packed doubles, not lists of float objects
-    ts, ys = array("d", [t]), array("d", y)
-    n = len(y)
-    dense = np.empty((len(tout), n))
+    ts, ys = array("d", [t]), array("d", (q, p, G, Pi, lG, lD))
+    dense = np.empty((len(tout), 6))
     j = 0
+    coeffs, rates = sched.eval, _rates       # looked up per pass
     calls = accepted = rejected = walls = 0
 
     h = min(1e-2 * max(1.0, abs(t1 - t)), t1 - t)
     try:
         calls += 1
-        k1 = rhs(t, y)
+        a, b, c = coeffs(t)
+        k1 = rates(a, b, c, q, p, G, Pi, hbar)
     except DomainError as exc:
         raise _stepper_error(f"state left the domain: {exc}", t, h, calls,
                              0, 0, 0, None) from exc
@@ -330,34 +336,60 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
             raise _stepper_error(f"exceeded MAX_STEPS={MAX_STEPS}", t, h,
                                  calls, accepted, rejected, walls, t)
         h = min(h, t1 - t)
+        q1, p1, G1, Pi1, lG1, lD1 = k1
         # stages; a domain violation inside a stage rejects the step.
-        # The state of the last stage, y7, is the 5th-order solution.
+        # The state of the last stage is the 5th-order solution.
         try:
+            a, b, c = coeffs(t + c2 * h)
             calls += 1
-            k2 = rhs(t + c2 * h, [
-                y_ + h * (a21 * d1) for y_, d1 in zip(y, k1)])
+            k2 = rates(a, b, c, q + h * (a21 * q1), p + h * (a21 * p1),
+                       G + h * (a21 * G1), Pi + h * (a21 * Pi1), hbar)
+            q2, p2, G2, Pi2, _, _ = k2
+            a, b, c = coeffs(t + c3 * h)
             calls += 1
-            k3 = rhs(t + c3 * h, [
-                y_ + h * (a31 * d1 + a32 * d2)
-                for y_, d1, d2 in zip(y, k1, k2)])
+            k3 = rates(a, b, c, q + h * (a31 * q1 + a32 * q2),
+                       p + h * (a31 * p1 + a32 * p2),
+                       G + h * (a31 * G1 + a32 * G2),
+                       Pi + h * (a31 * Pi1 + a32 * Pi2), hbar)
+            q3, p3, G3, Pi3, lG3, lD3 = k3
+            a, b, c = coeffs(t + c4 * h)
             calls += 1
-            k4 = rhs(t + c4 * h, [
-                y_ + h * (a41 * d1 + a42 * d2 + a43 * d3)
-                for y_, d1, d2, d3 in zip(y, k1, k2, k3)])
+            k4 = rates(a, b, c, q + h * (a41 * q1 + a42 * q2 + a43 * q3),
+                       p + h * (a41 * p1 + a42 * p2 + a43 * p3),
+                       G + h * (a41 * G1 + a42 * G2 + a43 * G3),
+                       Pi + h * (a41 * Pi1 + a42 * Pi2 + a43 * Pi3), hbar)
+            q4, p4, G4, Pi4, lG4, lD4 = k4
+            a, b, c = coeffs(t + c5 * h)
             calls += 1
-            k5 = rhs(t + c5 * h, [
-                y_ + h * (a51 * d1 + a52 * d2 + a53 * d3 + a54 * d4)
-                for y_, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+            k5 = rates(
+                a, b, c, q + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
+                p + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
+                G + h * (a51 * G1 + a52 * G2 + a53 * G3 + a54 * G4),
+                Pi + h * (a51 * Pi1 + a52 * Pi2 + a53 * Pi3 + a54 * Pi4),
+                hbar)
+            q5, p5, G5, Pi5, lG5, lD5 = k5
+            a, b, c = coeffs(t + h)
             calls += 1
-            k6 = rhs(t + h, [
-                y_ + h * (a61 * d1 + a62 * d2 + a63 * d3 + a64 * d4
-                          + a65 * d5)
-                for y_, d1, d2, d3, d4, d5 in zip(y, k1, k2, k3, k4, k5)])
-            y7 = [y_ + h * (a71 * d1 + a73 * d3 + a74 * d4 + a75 * d5
-                            + a76 * d6)
-                  for y_, d1, d3, d4, d5, d6 in zip(y, k1, k3, k4, k5, k6)]
+            k6 = rates(
+                a, b, c, q + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4
+                                  + a65 * q5),
+                p + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
+                         + a65 * p5),
+                G + h * (a61 * G1 + a62 * G2 + a63 * G3 + a64 * G4
+                         + a65 * G5),
+                Pi + h * (a61 * Pi1 + a62 * Pi2 + a63 * Pi3 + a64 * Pi4
+                          + a65 * Pi5), hbar)
+            q6, p6, G6, Pi6, lG6, lD6 = k6
+            qn = q + h * (a71 * q1 + a73 * q3 + a74 * q4 + a75 * q5
+                          + a76 * q6)
+            pn = p + h * (a71 * p1 + a73 * p3 + a74 * p4 + a75 * p5
+                          + a76 * p6)
+            Gn = G + h * (a71 * G1 + a73 * G3 + a74 * G4 + a75 * G5
+                          + a76 * G6)
+            Pin = Pi + h * (a71 * Pi1 + a73 * Pi3 + a74 * Pi4 + a75 * Pi5
+                            + a76 * Pi6)
             calls += 1
-            k7 = rhs(t + h, y7)
+            k7 = rates(a, b, c, qn, pn, Gn, Pin, hbar)
         except DomainError:
             walls += 1
             h *= 0.5
@@ -366,13 +398,34 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
                     "state left the domain below minimum step", t, h, calls,
                     accepted, rejected, walls, t)
             continue
-        sq = 0.0
-        for y_, z, d1, d3, d4, d5, d6, d7 in zip(y, y7, k1, k3, k4, k5, k6,
-                                                  k7):
-            r = h * (e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6
-                     + e7 * d7) / (atol + rtol * max(abs(y_), abs(z)))
-            sq += r * r
-        err = math.sqrt(sq / n)
+        q7, p7, G7, Pi7, lG7, lD7 = k7
+        lGn = lG + h * (a71 * lG1 + a73 * lG3 + a74 * lG4 + a75 * lG5
+                        + a76 * lG6)
+        lDn = lD + h * (a71 * lD1 + a73 * lD3 + a74 * lD4 + a75 * lD5
+                        + a76 * lD6)
+        # the RMS of the scaled error, summed in component order; each
+        # scale is max(|y|, |y7|), the first unless the second is larger
+        y, z = abs(q), abs(qn)
+        rq = h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6
+                  + e7 * q7) / (atol + rtol * (z if z > y else y))
+        y, z = abs(p), abs(pn)
+        rp = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
+                  + e7 * p7) / (atol + rtol * (z if z > y else y))
+        y, z = abs(G), abs(Gn)
+        rG = h * (e1 * G1 + e3 * G3 + e4 * G4 + e5 * G5 + e6 * G6
+                  + e7 * G7) / (atol + rtol * (z if z > y else y))
+        y, z = abs(Pi), abs(Pin)
+        rPi = h * (e1 * Pi1 + e3 * Pi3 + e4 * Pi4 + e5 * Pi5 + e6 * Pi6
+                   + e7 * Pi7) / (atol + rtol * (z if z > y else y))
+        y, z = abs(lG), abs(lGn)
+        rlG = h * (e1 * lG1 + e3 * lG3 + e4 * lG4 + e5 * lG5 + e6 * lG6
+                   + e7 * lG7) / (atol + rtol * (z if z > y else y))
+        y, z = abs(lD), abs(lDn)
+        rlD = h * (e1 * lD1 + e3 * lD3 + e4 * lD4 + e5 * lD5 + e6 * lD6
+                   + e7 * lD7) / (atol + rtol * (z if z > y else y))
+        sq = (rq * rq + rp * rp + rG * rG + rPi * rPi + rlG * rlG
+              + rlD * rlD)
+        err = math.sqrt(sq / 6)
         if err > 1.0:
             rejected += 1
             h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
@@ -387,19 +440,19 @@ def _rk45_path(rhs, t0, y0, t1, opts, output_times=None):
             k = bisect.bisect_left(tout, t_next, j)
             theta = (np.array(tout[j:k]) - t) / h
             K = np.array((k1, k2, k3, k4, k5, k6, k7))
-            dense[j:k] = np.array(y) + h * ((theta[:, None] ** _POWERS)
-                                            @ (_DP_DENSE @ K))
+            dense[j:k] = np.array((q, p, G, Pi, lG, lD)) + h * (
+                (theta[:, None] ** _POWERS) @ (_DP_DENSE @ K))
             j = k
         t = t_next
-        y = y7
+        q, p, G, Pi, lG, lD = qn, pn, Gn, Pin, lGn, lDn
         # FSAL: the last stage is the rhs at (t + h, y7)
         k1 = k7
         ts.append(t)
-        ys.fromlist(y)
+        ys.extend((q, p, G, Pi, lG, lD))
         factor = _MAX_GROW if err == 0.0 else min(
             _MAX_GROW, _SAFETY * err ** -0.2)
         h = h * max(_MIN_SHRINK, factor)
-    return np.array(ts), np.array(ys).reshape(-1, n), dense
+    return np.array(ts), np.array(ys).reshape(-1, 6), dense
 
 
 def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
@@ -466,7 +519,10 @@ def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
             lD = lD + sixth * (lD1 + 2.0 * lD2 + 2.0 * lD3 + lD4)
             accepted += 1
             if abs((t + h) - target) <= hmin:
-                t, start = target, None
+                # only an exact landing keeps the coefficients at t + h
+                if t + h != target:
+                    start = None
+                t = target
             else:
                 t = t + h
             if every:
@@ -477,24 +533,6 @@ def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
             ts.append(t)
             ys.extend((q, p, G, Pi, lG, lD))
     return np.array(ts), np.array(ys).reshape(-1, 6)
-
-
-def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
-                  output_times=None):
-    """A generic ODE pass of the adaptive stepper.
-
-    rhs(t, y) takes the state as an ndarray and returns an array-like;
-    the stepper runs on Python floats and adapts it at this boundary.
-    The linear and the rk4-fixed routes step the extended state of
-    integrate only, so opts.method must name rk45-adaptive.  Returns
-    (times, states) of every accepted step and the states at
-    output_times, which must increase strictly inside (t0, t1).
-    """
-    if opts.method != RK45:
-        raise ValueError(f"a generic right-hand side has no {opts.method} "
-                         f"route: name {RK45!r}")
-    return _rk45_path(lambda t, y: np.asarray(rhs(t, np.array(y))).tolist(),
-                      t0, y0, t1, opts, output_times)
 
 
 def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
@@ -569,8 +607,8 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
         t_out, y_out = _rk4_path(sched, hbar, state0.t, state0.as_array(),
                                  t1, opts.step, output_times)
     else:
-        ts, ys, dense = _rk45_path(_extended_rhs(sched, hbar), state0.t,
-                                   state0.as_array(), t1, opts, output_times)
+        ts, ys, dense = _rk45_path(sched, hbar, state0.t, state0.as_array(),
+                                   t1, opts, output_times)
         if output_times is None:
             t_out, y_out = ts, ys
         else:

@@ -8,10 +8,10 @@ import pytest
 from squeezephase import cli, dynamics
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    actions, covariance, eom_rhs, h_cl, h_eff,
-                                   h_fl, integrate, integrate_ode)
+                                   h_fl, integrate)
 from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
-from witness import FLOW
+from witness import FLOW, integrate_ode, random_fourier, rk45_lists
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,6 +120,25 @@ def test_rhs_against_finite_difference_of_flow():
     assert rhs[3] == pytest.approx(-0.1 / 3.0, abs=0.01)
 
 
+def test_rates_equal_the_written_out_equations():
+    # _rates shares the products of several terms; every rate keeps the
+    # association of the equations written out in full, bit for bit
+    args = np.random.default_rng(11).uniform(-2.0, 2.0, (200, 8))
+    args[:, [5, 7]] = np.abs(args[:, [5, 7]]) + 0.1    # G and hbar
+    for a, b, c, q, p, G, Pi, hbar in args.tolist():
+        qd = b * p + c * q
+        pd = -(a * q + c * p)
+        Pid = -0.5 * (a - b / (4.0 * G * G) + 4.0 * b * Pi * Pi
+                      + 4.0 * c * Pi)
+        hcl = 0.5 * (a * q * q + b * p * p + 2.0 * c * q * p)
+        hfl = 0.5 * (a * G + b * (0.25 / G + 4.0 * Pi * Pi * G)
+                     + 4.0 * c * G * Pi)
+        assert dynamics._rates(a, b, c, q, p, G, Pi, hbar) == [
+            qd, pd, 4.0 * b * G * Pi + 2.0 * c * G, Pid,
+            (p * qd - q * pd) / (2.0 * hbar) - Pid * G,
+            -(hcl / hbar + hfl)]
+
+
 def test_rhs_rejects_collapsed_width():
     sched = ParameterSchedule.standard(0.0, 1.0)
     with pytest.raises(ValueError):
@@ -194,7 +213,7 @@ def _counted_decay():
     return rhs, calls
 
 
-def test_output_times_do_not_move_steps():
+def test_output_times_do_not_move_steps(rates_calls):
     # the adaptive stepper chooses its steps by error control alone: with
     # and without output times it makes the same rhs calls at the same
     # times and accepts the same steps, bit for bit
@@ -210,6 +229,19 @@ def test_output_times_do_not_move_steps():
     assert none.shape == (0, 1) and dense.shape == (99, 1)
     # fewer steps than samples: the steps were not clipped to the grid
     assert len(ts) - 1 < 99
+    # integrate's own kernel: the same schedule times and the same
+    # equations-of-motion calls, and the rows of the plain run at its ends
+    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
+    runs = []
+    for marks in (None, grid[1:-1]):
+        rates_calls.clear()
+        sched = _counting(ParameterSchedule.standard(0.3, 1.3))
+        traj = integrate(state, 1.0, sched, opts=opts, output_times=marks)
+        runs.append((sched.evals, list(rates_calls), traj))
+    (plain_evals, plain_rates, plain), (evals, rates, marked) = runs
+    assert evals == plain_evals and rates == plain_rates
+    assert len(plain.t) - 1 < 99 and len(marked.t) == 101
+    assert np.array_equal(marked.y[[0, -1]], plain.y[[0, -1]])
 
 
 def test_steps_reuse_last_stage():
@@ -223,6 +255,22 @@ def test_steps_reuse_last_stage():
                               output_times=np.linspace(0.0, 1.0, 101)[1:-1])
     assert ts[-1] == 1.0
     assert len(calls) == 1 + 6 * (len(ts) - 1)
+
+
+def test_adaptive_steps_share_the_end_coefficients(rates_calls):
+    # integrate's kernel makes the same six calls of the equations of
+    # motion per step as the reference, but evaluates the schedule once per
+    # distinct stage time: the last two stages share t + h, so a step
+    # costs five evaluations, and its last stage is the next one's first
+    sched = _counting(ParameterSchedule.standard(0.3, 1.3))
+    traj = integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0, sched,
+                     opts=IntegratorOptions(method="rk45-adaptive"))
+    steps = len(traj.t) - 1
+    assert steps > 100 and traj.t[-1] == 5.0
+    # no step was rejected, for error or for the domain
+    assert len(rates_calls) == 1 + 6 * steps
+    assert len(sched.evals) == 1 + 5 * steps
+    assert len(set(sched.evals)) == len(sched.evals)
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
@@ -268,14 +316,23 @@ def test_output_time_on_a_step_gives_its_state():
     _, _, dense = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts,
                                 output_times=inner)
     assert np.array_equal(dense, ys[1:-1])
+    # and so does integrate's own kernel
+    sched = ParameterSchedule.standard(0.3, 1.3)
+    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
+    steps = integrate(state, 3.0, sched, opts=opts)
+    assert steps.t.size >= 5
+    marked = integrate(state, 3.0, sched, opts=opts,
+                       output_times=steps.t[1:-1])
+    assert np.array_equal(marked.t, steps.t)
+    assert np.array_equal(marked.y, steps.y)
 
 
 def test_fixed_steps_make_four_calls(rates_calls):
     # one call of the equations of motion per stage, and one evaluation of
     # the schedule per distinct stage time: a step adds its middle, which
-    # two stages share, and its end, which starts the next step unless the
-    # step landed on an output time.  34 steps of 0.03 reach t = 1; with
-    # the marks 0.1 and 0.5 it takes 4 + 14 + 17 = 35
+    # two stages share, and its end, which starts the next step, also
+    # after a step that lands exactly on an output time.  34 steps of 0.03
+    # reach t = 1; with the marks 0.1 and 0.5 it takes 4 + 14 + 17 = 35
     opts = IntegratorOptions(method="rk4-fixed", step=0.03)
     for marks, steps in ((None, 34), ([0.1, 0.5], 35)):
         rates_calls.clear()
@@ -287,9 +344,10 @@ def test_fixed_steps_make_four_calls(rates_calls):
         landings = len(marks or ())
         assert len(traj.t) == 1 + (steps if marks is None else landings + 1)
         assert len(rates_calls) == 4 * steps
-        assert len(sched.evals) == 1 + 2 * steps + landings
-        # a time is evaluated twice only where a landing restarts
-        assert len(set(sched.evals)) == len(sched.evals) - landings
+        assert len(sched.evals) == 1 + 2 * steps
+        # no time is evaluated twice
+        assert len(set(sched.evals)) == len(sched.evals)
+        assert set(marks or ()) <= set(sched.evals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,16 +400,23 @@ def _counters(err):
 
 
 @pytest.mark.parametrize("method, calls", [("rk45-adaptive", 1 + 6 * 3)])
-def test_max_steps_failure_names_its_counters(method, calls, monkeypatch):
-    rhs, seen = _counted_decay()
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+def test_max_steps_failure_names_its_counters(method, calls, monkeypatch,
+                                              rates_calls):
     opts = IntegratorOptions(method=method, rtol=1e-6, atol=1e-6)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+    rhs, seen = _counted_decay()
     with pytest.raises(IntegrationError, match="exceeded MAX_STEPS=3") as err:
         integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
-    t, n_calls, accepted, rejected, walls = _counters(err.value)
-    assert (n_calls, accepted, rejected, walls) == (calls, 3, 0, 0)
-    assert len(seen) == calls
-    assert t == err.value.last_t > 0.0
+    # and integrate's own kernel, counting its calls of _rates
+    with pytest.raises(IntegrationError,
+                       match="exceeded MAX_STEPS=3") as kernel_err:
+        integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0,
+                  ParameterSchedule.standard(0.3, 1.3), opts=opts)
+    for error, made in ((err.value, seen), (kernel_err.value, rates_calls)):
+        t, n_calls, accepted, rejected, walls = _counters(error)
+        assert (n_calls, accepted, rejected, walls) == (calls, 3, 0, 0)
+        assert len(made) == calls
+        assert t == error.last_t > 0.0
 
 
 def test_overlong_rk4_run_is_refused_before_its_first_step(monkeypatch,
@@ -437,6 +502,25 @@ def test_fixed_steps_equal_the_numpy_vector_formula(sched):
     assert np.array_equal(traj.y, want)
 
 
+def test_inexact_landing_restarts_from_the_output_time(rates_calls):
+    # the third step of 0.1 ends at 0.2 + 0.1, a rounding short of the mark
+    # just past 0.3 but within the minimum step: the pass lands on the
+    # mark, and the next step starts from the coefficients there, not at
+    # the end of the step
+    mark = 0.3000000000000001
+    assert 0.2 + 0.1 < mark and mark - 0.2 > 0.1
+    sched = _counting(ParameterSchedule.standard(0.3, 1.3))
+    y0 = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
+    traj = integrate(ExtendedState.from_array(y0, 0.0), 1.0, sched,
+                     opts=IntegratorOptions(method="rk4-fixed", step=0.1),
+                     output_times=[mark])
+    assert traj.t.tolist() == [0.0, mark, 1.0]
+    assert len(rates_calls) == 4 * 10
+    assert len(sched.evals) == 1 + 2 * 10 + 1
+    assert sched.evals.count(mark) == 1 and 0.2 + 0.1 in sched.evals
+    assert np.array_equal(traj.y, _numpy_rk4(sched, y0, 1.0, 0.1, [mark]))
+
+
 # Dormand-Prince 5(4), Hairer, Norsett & Wanner, Solving ODEs I, II.5
 _DP_TABLEAU = np.array([
     [0, 0, 0, 0, 0, 0],
@@ -451,7 +535,7 @@ _DP_WEIGHTS = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784,
 
 
 def test_adaptive_step_equals_the_tableau():
-    # one accepted step of the scalar kernel against the Dormand-Prince
+    # one accepted step of the six-float kernel against the Dormand-Prince
     # tableau evaluated with numpy
     sched = ParameterSchedule.standard(0.3, 1.3)
     y0 = np.array([0.7, -0.3, 0.6, 0.1, 0.2, -0.4])
@@ -461,7 +545,7 @@ def test_adaptive_step_equals_the_tableau():
         return np.array(dynamics._extended_rhs(sched, 1.0)(t, y))
 
     ts, ys, _ = dynamics._rk45_path(
-        dynamics._extended_rhs(sched, 1.0), 0.0, y0, h,
+        sched, 1.0, 0.0, y0, h,
         IntegratorOptions(method="rk45-adaptive", rtol=1e-6, atol=1e-6))
     assert ts.tolist() == [0.0, h]
     K = np.zeros((6, 6))
@@ -469,6 +553,73 @@ def test_adaptive_step_equals_the_tableau():
         K[i] = f(_DP_NODES[i] * h, y0 + h * (_DP_TABLEAU[i] @ K))
     want = y0 + h * (_DP_WEIGHTS @ K)
     assert np.max(np.abs(ys[1] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+_FOURIER3 = random_fourier(np.random.default_rng(5), 3)
+_Y0 = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
+
+
+def _both_rk45_passes(sched, hbar, t0, y0, t1, opts, output_times):
+    """(times, rows, dense rows) of integrate's kernel and of the
+    reference list stepper on the extended right-hand side."""
+    return (dynamics._rk45_path(sched, hbar, t0, y0, t1, opts, output_times),
+            rk45_lists(dynamics._extended_rhs(sched, hbar), t0, y0, t1, opts,
+                       output_times))
+
+
+@pytest.mark.parametrize("sched, hbar, t0, marks", [
+    (ParameterSchedule.standard(0.3, 1.3), 1.0, 0.0, None),
+    (ParameterSchedule.standard(0.3, 1.3), 0.7, 0.0, 97),
+    (ParameterSchedule.standard(0.75, 2.5), 2.0, np.float64(0.4), 33),
+    (_FOURIER3, 1.0, 0.0, None),
+    (_FOURIER3, 0.5, np.float64(1.1), 511)],
+    ids=["standard", "standard-hbar-marks", "strong-numpy-t0",
+         "fourier3", "fourier3-numpy-t0-marks"])
+def test_adaptive_kernel_equals_the_reference_stepper(sched, hbar, t0, marks):
+    # the six-float kernel keeps the operation order of the list stepper
+    # in every stage, the error norm, the step control and the dense
+    # output, so the two passes agree bit for bit
+    t1 = t0 + 2.0 * sched.period
+    out = None if marks is None else np.linspace(t0, t1, marks + 2)[1:-1]
+    (ts, ys, dense), (ts_r, ys_r, dense_r) = _both_rk45_passes(
+        sched, hbar, t0, _Y0, t1, FLOW, out)
+    assert len(ts) > 50
+    assert np.array_equal(ts, ts_r) and np.array_equal(ys, ys_r)
+    assert dense.shape == dense_r.shape == (marks or 0, 6)
+    assert np.array_equal(dense, dense_r)
+
+
+def test_adaptive_kernel_halves_as_the_reference(monkeypatch):
+    # a floor raised to the orbit's lowest width: at a loose tolerance a
+    # stage dips below it and the step is halved, and the pass goes on
+    rates, walls = dynamics._rates, []
+
+    def counting_walls(*args):
+        try:
+            return rates(*args)
+        except DomainError:
+            walls.append(args)
+            raise
+    monkeypatch.setattr(dynamics, "_rates", counting_walls)
+    monkeypatch.setattr(dynamics, "G_FLOOR", 0.25)
+    loose = IntegratorOptions(method="rk45-adaptive", rtol=1e-4, atol=1e-4)
+    y0 = WALL_START.as_array()
+    (ts, ys, dense), (ts_r, ys_r, dense_r) = _both_rk45_passes(
+        FREE, 1.0, 0.0, y0, math.pi, loose, np.linspace(0.1, 3.0, 30))
+    assert len(walls) == 2
+    assert np.array_equal(ts, ts_r) and np.array_equal(ys, ys_r)
+    assert np.array_equal(dense, dense_r)
+    # raised into the orbit, the floor stops both passes at the same wall
+    # with the same counters
+    monkeypatch.setattr(dynamics, "G_FLOOR", WALL_G)
+    errors = []
+    for run in (lambda: dynamics._rk45_path(FREE, 1.0, 0.0, y0, 1.0, FLOW),
+                lambda: rk45_lists(dynamics._extended_rhs(FREE, 1.0), 0.0,
+                                   y0, 1.0, FLOW)):
+        with pytest.raises(IntegrationError, match="left the domain") as err:
+            run()
+        errors.append((str(err.value), err.value.last_t))
+    assert errors[0] == errors[1]
 
 
 def test_extended_rhs_takes_a_list_or_an_array():
@@ -487,12 +638,21 @@ def test_eom_rhs_returns_an_array():
     assert rhs.dtype == float
 
 
-def test_output_times_must_increase_inside_the_horizon():
-    rhs, _ = _counted_decay()
+def test_output_times_must_increase_inside_the_horizon(rates_calls):
+    rhs, calls = _counted_decay()
+    sched = _counting(ParameterSchedule.standard(0.3, 1.3))
+    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
     for bad in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3]):
         with pytest.raises(ValueError, match="output times"):
             integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, FLOW,
                           output_times=bad)
+        # every route of integrate refuses them before its first step
+        for method in ("rk45-adaptive", "rk4-fixed", "linear"):
+            with pytest.raises(ValueError, match="output times"):
+                integrate(state, 1.0, sched,
+                          opts=IntegratorOptions(method=method),
+                          output_times=bad)
+    assert calls == rates_calls == sched.evals == []
 
 
 def test_generic_pass_has_no_linear_route():
@@ -523,6 +683,11 @@ def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
     _, ys, _ = integrate_ode(dynamics._extended_rhs(sched, 1.0), 0.0,
                              state.as_array(), math.pi, FLOW)
+    # integrate's kernel looks _rates up per pass, so it takes the swap
+    # too; only its row check refuses the steps below the floor
+    _, ys_kernel, _ = dynamics._rk45_path(sched, 1.0, 0.0, state.as_array(),
+                                          math.pi, FLOW)
+    assert np.array_equal(ys_kernel, ys)
     assert ys[:, 2].min() < 0.3  # the swapped rhs let the steps through
     for output_times in (None, np.linspace(0.0, math.pi, 33)[1:-1]):
         with pytest.raises(IntegrationError, match="width G = .* at t=") as err:

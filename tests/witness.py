@@ -8,14 +8,25 @@ squeezephase.checks.ellipse_points, which the built-in checks share.
 
 The pass witness integrates M(t) and K(t) of the period pass by the
 adaptive Dormand-Prince stepper instead of Gauss-Legendre collocation.
+
+That stepper, integrate_ode, is the reference of the rk45-adaptive route
+too: it applies the tableau of squeezephase.dynamics to a state held as a
+list, on any right-hand side, where dynamics._rk45_path writes the same
+pass out on the six floats of the extended state.  Run on
+dynamics._extended_rhs, the two give the same steps, rows and dense
+output bit for bit.
 """
 
+import bisect
 import math
+from array import array
 
 import numpy as np
 
-from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
-                                   integrate, integrate_ode)
+from squeezephase import dynamics
+from squeezephase.dynamics import (RK45, ExtendedState, IntegratorOptions,
+                                   integrate)
+from squeezephase.errors import DomainError
 from squeezephase.monodromy import normal_frame
 from squeezephase.params import Constants, ParameterSchedule
 
@@ -25,6 +36,141 @@ _PASS_OPTS = IntegratorOptions(method="rk45-adaptive", rtol=3e-13,
                                atol=3e-13)
 # named, since the default linear route shares the Gauss pass
 FLOW = IntegratorOptions(method="rk45-adaptive")
+
+
+def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
+                  output_times=None):
+    """A generic ODE pass of the adaptive stepper.
+
+    rhs(t, y) takes the state as an ndarray and returns an array-like;
+    the stepper runs on Python floats and adapts it at this boundary.
+    The linear and the rk4-fixed routes step the extended state of
+    integrate only, so opts.method must name rk45-adaptive.  Returns
+    (times, states) of every accepted step and the states at
+    output_times, which must increase strictly inside (t0, t1).
+    """
+    if opts.method != RK45:
+        raise ValueError(f"a generic right-hand side has no {opts.method} "
+                         f"route: name {RK45!r}")
+    return rk45_lists(lambda t, y: np.asarray(rhs(t, np.array(y))).tolist(),
+                      t0, y0, t1, opts, output_times)
+
+
+def rk45_lists(rhs, t0, y0, t1, opts, output_times=None):
+    """Adaptive embedded 5(4) pass from t0 to t1 on a list of floats.
+
+    rhs(t, y) takes and returns a list of floats.  Steps are chosen by
+    error control alone and land on t1 only; the states at output_times
+    come from the continuous extension of the step that covers each time
+    (a time equal to a step's start gives that step's state exactly).  A
+    DomainError from any stage, the trial solution's included, rejects
+    the step and halves it.  Returns (times, states) of every accepted
+    step and the (len(output_times), n) array of output states.  A
+    DomainError at the start state is reported as IntegrationError with
+    last_t None.  Failures raise dynamics' IntegrationError with its
+    counters, and dynamics.MAX_STEPS is read at each call.
+    """
+    _, c2, c3, c4, c5, _, _ = dynamics._DP_C
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = dynamics._DP_A
+    e1, _, e3, e4, e5, e6, e7 = dynamics._DP_E
+    shrink, safety, grow = (dynamics._MIN_SHRINK, dynamics._SAFETY,
+                            dynamics._MAX_GROW)
+    powers, weights = dynamics._POWERS, dynamics._DP_DENSE
+    fail = dynamics._stepper_error
+    atol, rtol = opts.atol, opts.rtol
+    y = [float(v) for v in y0]
+    t = float(t0)
+    t1 = float(t1)
+    tout = dynamics._check_output_times(t, t1, output_times)
+    hmin = dynamics._hmin(t, t1)
+    ts, ys = array("d", [t]), array("d", y)
+    n = len(y)
+    dense = np.empty((len(tout), n))
+    j = 0
+    calls = accepted = rejected = walls = 0
+
+    h = min(1e-2 * max(1.0, abs(t1 - t)), t1 - t)
+    try:
+        calls += 1
+        k1 = rhs(t, y)
+    except DomainError as exc:
+        raise fail(f"state left the domain: {exc}", t, h, calls,
+                   0, 0, 0, None) from exc
+
+    while t < t1 - hmin:
+        if accepted + rejected + walls >= dynamics.MAX_STEPS:
+            raise fail(f"exceeded MAX_STEPS={dynamics.MAX_STEPS}", t, h,
+                       calls, accepted, rejected, walls, t)
+        h = min(h, t1 - t)
+        # stages; a domain violation inside a stage rejects the step.
+        # The state of the last stage, y7, is the 5th-order solution.
+        try:
+            calls += 1
+            k2 = rhs(t + c2 * h, [
+                y_ + h * (a21 * d1) for y_, d1 in zip(y, k1)])
+            calls += 1
+            k3 = rhs(t + c3 * h, [
+                y_ + h * (a31 * d1 + a32 * d2)
+                for y_, d1, d2 in zip(y, k1, k2)])
+            calls += 1
+            k4 = rhs(t + c4 * h, [
+                y_ + h * (a41 * d1 + a42 * d2 + a43 * d3)
+                for y_, d1, d2, d3 in zip(y, k1, k2, k3)])
+            calls += 1
+            k5 = rhs(t + c5 * h, [
+                y_ + h * (a51 * d1 + a52 * d2 + a53 * d3 + a54 * d4)
+                for y_, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+            calls += 1
+            k6 = rhs(t + h, [
+                y_ + h * (a61 * d1 + a62 * d2 + a63 * d3 + a64 * d4
+                          + a65 * d5)
+                for y_, d1, d2, d3, d4, d5 in zip(y, k1, k2, k3, k4, k5)])
+            y7 = [y_ + h * (a71 * d1 + a73 * d3 + a74 * d4 + a75 * d5
+                            + a76 * d6)
+                  for y_, d1, d3, d4, d5, d6 in zip(y, k1, k3, k4, k5, k6)]
+            calls += 1
+            k7 = rhs(t + h, y7)
+        except DomainError:
+            walls += 1
+            h *= 0.5
+            if h < hmin:
+                raise fail("state left the domain below minimum step", t, h,
+                           calls, accepted, rejected, walls, t)
+            continue
+        sq = 0.0
+        for y_, z, d1, d3, d4, d5, d6, d7 in zip(y, y7, k1, k3, k4, k5, k6,
+                                                  k7):
+            r = h * (e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6
+                     + e7 * d7) / (atol + rtol * max(abs(y_), abs(z)))
+            sq += r * r
+        err = math.sqrt(sq / n)
+        if err > 1.0:
+            rejected += 1
+            h *= max(shrink, safety * err ** -0.2)
+            if h < hmin:
+                raise fail("cannot meet tolerance", t, h, calls, accepted,
+                           rejected, walls, t)
+            continue
+
+        accepted += 1
+        t_next = t1 if abs((t + h) - t1) <= hmin else t + h
+        if j < len(tout) and tout[j] < t_next:
+            k = bisect.bisect_left(tout, t_next, j)
+            theta = (np.array(tout[j:k]) - t) / h
+            K = np.array((k1, k2, k3, k4, k5, k6, k7))
+            dense[j:k] = np.array(y) + h * ((theta[:, None] ** powers)
+                                            @ (weights @ K))
+            j = k
+        t = t_next
+        y = y7
+        # FSAL: the last stage is the rhs at (t + h, y7)
+        k1 = k7
+        ts.append(t)
+        ys.fromlist(y)
+        factor = grow if err == 0.0 else min(grow, safety * err ** -0.2)
+        h = h * max(shrink, factor)
+    return np.array(ts), np.array(ys).reshape(-1, n), dense
 
 
 def random_fourier(rng, harmonics):
