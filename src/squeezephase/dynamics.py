@@ -462,7 +462,8 @@ def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
     Each stage calls _rates with the coefficients of its time, and the
     schedule is evaluated once per distinct stage time: the two middle
     stages share t + h/2, and the coefficients at t + h start the next
-    step unless the step landed on an output time.  A DomainError from
+    step unless it lands within the minimum step of an output time other
+    than t + h, where the next step starts.  A DomainError from
     any stage ends the pass; the reported last_t is the latest time
     whose state _rates accepted.  Returns the times and rows of every
     step, or with output_times those at (t0, *output_times, t1); a pass
