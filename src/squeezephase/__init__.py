@@ -7,8 +7,8 @@ verifies that the Floquet cyclic states obey
 lambda_G_R = -(n + 1/2) * Theta_H.
 """
 
-from .dynamics import (ExtendedState, IntegratorOptions, Trajectory, actions,
-                       covariance, eom_rhs, h_cl, h_eff, h_fl, integrate)
+from .dynamics import (ExtendedState, IntegratorOptions, Trajectory, h_cl,
+                       h_eff, integrate)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      IntegrationError, NonEllipticError)
 from .floquet import FloquetPhaseReport, floquet_reports, pert_floquet_phases
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constants", "ParameterSchedule", "ellipticity_margin",
-    "ExtendedState", "Trajectory", "IntegratorOptions", "h_cl", "h_fl",
-    "h_eff", "eom_rhs", "integrate", "actions", "covariance",
+    "ExtendedState", "Trajectory", "IntegratorOptions", "h_cl", "h_eff",
+    "integrate",
     "Monodromy", "compute_monodromy", "normal_frame",
     "PeriodicOrbit", "find_periodic_orbit",
     "HannayResult", "pert_transform", "pert_new_hamiltonian",

@@ -3,8 +3,9 @@
 Each check exercises one structural property the computations rely on
 (symplecticity, conservation, quadrature consistency, hbar independence)
 or holds a result of the period pass against an independent witness: the
-nonlinear extended-state flow, or the exact solution of the standard
-family.  They run at desk scale and are shared with the test suite.
+nonlinear extended-state flow (dynamics.flow), or the exact solution of
+the standard family.  They run at desk scale and are shared with the test
+suite.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ import numpy as np
 from . import dynamics, floquet, hannay, monodromy, orbits
 from .params import Constants, ParameterSchedule
 
-
-# the nonlinear extended-state flow, the witness of every check that
-# integrates a state: it shares nothing with the period pass
-_FLOW = dynamics.IntegratorOptions(method=dynamics.RK45)
 
 # the drive, frequency and hbar of the checks, unless a check names others
 EPS = 0.05
@@ -83,7 +80,7 @@ def check_action_conservation():
     sched = ParameterSchedule.standard(0.0, OMEGA)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=1.0, Pi=0.0)
     I0, J0 = dynamics.actions(state)
-    traj = dynamics.integrate(state, 10 * sched.period, sched, opts=_FLOW)
+    traj = dynamics.flow(state, 10 * sched.period, sched)
     worst = 0.0
     for i in range(0, len(traj.t), max(1, len(traj.t) // 64)):
         I, J = dynamics.actions(traj.state_at_index(i))
@@ -95,8 +92,7 @@ def check_action_conservation():
 def check_covariance_determinant():
     sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=0.3, p=-0.2, G=0.7, Pi=0.1)
-    traj = dynamics.integrate(state, sched.period, sched,
-                              consts=Constants(hbar=HBAR), opts=_FLOW)
+    traj = dynamics.flow(state, sched.period, sched, Constants(hbar=HBAR))
     dq2, dp2, cov = dynamics.covariance(traj.y[:, 2], traj.y[:, 3], HBAR)
     worst = float(np.max(np.abs(dq2 * dp2 - cov ** 2 - HBAR ** 2 / 4.0)))
     return _result("covariance-determinant", worst < 1e-10,
@@ -106,10 +102,7 @@ def check_covariance_determinant():
 def check_rk4_convergence():
     sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
-    ref = dynamics.integrate(
-        state, sched.period, sched,
-        opts=dynamics.IntegratorOptions(method=dynamics.RK45, rtol=1e-13,
-                                        atol=1e-13)).final
+    ref = dynamics.flow(state, sched.period, sched, tol=1e-13).final
     errs = []
     for h in (8e-3, 4e-3):
         end = dynamics.integrate(
@@ -125,9 +118,9 @@ def check_phase_additivity():
     sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=0.8, p=0.1, G=0.6, Pi=-0.05)
     T = sched.period
-    mid = dynamics.integrate(state, 0.37 * T, sched, opts=_FLOW).final
-    two = dynamics.integrate(mid, T, sched, opts=_FLOW).final
-    one = dynamics.integrate(state, T, sched, opts=_FLOW).final
+    mid = dynamics.flow(state, 0.37 * T, sched).final
+    two = dynamics.flow(mid, T, sched).final
+    one = dynamics.flow(state, T, sched).final
     dev = max(abs(two.lambda_G - one.lambda_G),
               abs(two.lambda_D - one.lambda_D))
     return _result("phase-additivity", dev < 1e-9,
@@ -139,8 +132,8 @@ def check_hbar_independent_fluctuations():
     state = dynamics.ExtendedState(q=0.5, p=0.2, G=0.6, Pi=0.1)
     ends = []
     for hbar in (0.5, 1.0, 2.0):
-        end = dynamics.integrate(state, sched.period, sched,
-                                 consts=Constants(hbar=hbar), opts=_FLOW).final
+        end = dynamics.flow(state, sched.period, sched,
+                            Constants(hbar=hbar)).final
         ends.append((end.G, end.Pi))
     dev = max(abs(g - ends[0][0]) + abs(pi - ends[0][1]) for g, pi in ends)
     return _result("hbar-independent-fluctuations", dev < 1e-8,
@@ -196,9 +189,9 @@ def check_orbit_phase_witness():
     # and accumulate the cycle phases the period pass derives
     sched = ParameterSchedule.standard(EPS, OMEGA)
     orb = orbits.find_periodic_orbit(sched)
-    end = dynamics.integrate(dynamics.ExtendedState(q=0.0, p=0.0, G=orb.G0,
-                                                    Pi=orb.Pi0),
-                             sched.period, sched, opts=_FLOW).final
+    end = dynamics.flow(dynamics.ExtendedState(q=0.0, p=0.0, G=orb.G0,
+                                               Pi=orb.Pi0),
+                        sched.period, sched).final
     periodic = max(abs(end.G - orb.G0), abs(end.Pi - orb.Pi0))
     phases = max(abs(end.lambda_G - orb.lambda_G_cycle),
                  abs(end.lambda_D - orb.lambda_D_cycle))
@@ -265,9 +258,9 @@ def check_floquet_flow_witness():
     for n, hbar in ((1, 0.5), (3, 2.0)):
         consts = Constants(hbar=hbar)
         rep = floquet.floquet_reports(sched, [n], consts=consts)[0]
-        ends = [dynamics.integrate(
+        ends = [dynamics.flow(
             dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0), sched.period,
-            sched, consts=consts, opts=_FLOW).final
+            sched, consts).final
             for q, p in ellipse_points(mono.W, rep.I_bar0, 4)]
         mean_G = np.mean([end.lambda_G for end in ends])
         mean_D = np.mean([end.lambda_D for end in ends])

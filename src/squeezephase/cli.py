@@ -304,26 +304,18 @@ def _csv_lines(table):
                    else ",".join(map(_fmt, row)) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
-    """A table as CSV: rows is a 2-D float array (_csv_lines) or a
-    sequence of rows whose cells _fmt spells."""
-    if isinstance(rows, np.ndarray):
-        lines = _csv_lines(rows)
-    else:
-        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-
-
 def _write_table(out_dir: Path, stem: str, header, table, fmt: str):
-    """A 2-D float array as {stem}.csv, or as {stem}.json of columns."""
+    """A 2-D float array as {stem}.csv (_csv_lines), or as {stem}.json of
+    columns."""
     if fmt == "json":
         obj = dict(zip(header, table.T.tolist()))
         _write_json(out_dir / f"{stem}.json", obj)
         return out_dir / f"{stem}.json"
-    _write_csv(out_dir / f"{stem}.csv", header, table)
-    return out_dir / f"{stem}.csv"
+    path = out_dir / f"{stem}.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_csv_lines(table))
+    return path
 
 
 # ----------------------------------------------------------------------

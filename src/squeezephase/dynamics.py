@@ -9,29 +9,29 @@ accumulated geometric and dynamical phases obey
     d(lambda_G)/dt = (p*dq/dt - q*dp/dt)/(2*hbar) - (dPi/dt)*G
     d(lambda_D)/dt = -H_eff/hbar
 
-integrate takes one of three routes (IntegratorOptions.method).  The
+integrate takes one of two routes (IntegratorOptions.method).  The
 default, "linear", needs no stepping of these equations: the centroid
 follows x = M x0 and the covariance form S = M S0 M^T, with M(t) the flow
 matrix of the centroid system, and both phases are quadratic forms of
 K(t) = int M^T H M plus the angle of the complex width; M and K come from
-the Gauss period pass of monodromy.period_pass.  The flow routes,
-"rk45-adaptive" and "rk4-fixed", integrate the six components above, the
-phases in the same pass as the state, so that state and phase share one
-error control; they are the independent witness of the linear route and
-of the period pass.  Both call one copy of the equations of motion,
-_rates, with the coefficients (a, b, c) of each stage, keep the six
-components in local Python floats, and evaluate the schedule once per
-distinct stage time; numpy enters only to build the dense output of an
-adaptive step that covers an output time.
+the Gauss period pass of monodromy.period_pass.  "rk4-fixed" integrates
+the six components above with fixed steps.
+
+flow is the independent witness of the linear route and of the period
+pass: an adaptive embedded 5(4) pass of the six components, the phases in
+the same pass as the state, so that state and phase share one error
+control.  Both steppers call one copy of the equations of motion, _rates,
+with the coefficients (a, b, c) of each stage, keep the six components in
+local Python floats, and evaluate the schedule once per distinct stage
+time.
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
 or below it, so the steppers reject every stage that reaches it, and
-integrate refuses any row it would return at or below it, on every route.
+integrate refuses any row it would return at or below it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -44,7 +44,7 @@ from .params import Constants, ParameterSchedule
 
 # The flow preserves G > 0, so a width at or below this floor signals
 # integration failure: _rates raises DomainError there and integrate
-# refuses any returned row there.
+# refuses any returned row there (flow returns only rows _rates accepted).
 G_FLOOR = 1e-6
 
 # Steps one flow pass may take, rejected ones included: over 10x the
@@ -52,7 +52,6 @@ G_FLOOR = 1e-6
 MAX_STEPS = 100_000
 
 LINEAR = "linear"
-RK45 = "rk45-adaptive"
 RK4 = "rk4-fixed"
 
 
@@ -88,30 +87,25 @@ class IntegratorOptions:
 
     method is "linear" (the default: the state and the phases in closed
     form from M(t) and K(t) of the Gauss period pass, see _linear_path),
-    or one of the flow routes that step the extended-state equations of
-    motion: "rk45-adaptive" (embedded 5(4) pair) or "rk4-fixed".
-    rtol and atol steer rk45-adaptive and step rk4-fixed; linear reads none.
+    or "rk4-fixed", which steps the extended-state equations of motion
+    with steps of at most step; linear reads no step.
     """
 
     method: str = LINEAR
-    rtol: float = 1e-10
-    atol: float = 1e-10
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.method not in (LINEAR, RK45, RK4):
+        if self.method not in (LINEAR, RK4):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("rtol and atol must be positive")
         if not self.step > 0.0:
             raise ValueError("step must be positive")
 
 
 @dataclass
 class Trajectory:
-    """Integration samples: every step (an accepted step of a flow route,
-    a Gauss node of the linear route) or the requested output times; rows
-    of y are (q, p, G, Pi, lG, lD)."""
+    """Integration samples: every step (an accepted step of flow or
+    rk4-fixed, a step time t0 + kT/N of the linear route) or the requested
+    output times; rows of y are (q, p, G, Pi, lG, lD)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -195,8 +189,8 @@ def _extended_rhs(sched, hbar):
 
 def _rates(a, b, c, q, p, G, Pi, hbar):
     """The derivative of (q, p, G, Pi, lambda_G, lambda_D) under the
-    coefficients (a, b, c), as a list: the equations of motion of both
-    flow steppers.  Refuses a width at or below G_FLOOR."""
+    coefficients (a, b, c), as a list: the equations of motion of flow
+    and of rk4-fixed.  Refuses a width at or below G_FLOOR."""
     if not G > G_FLOOR:
         raise DomainError(
             f"fluctuation width G = {G} is at or below the floor {G_FLOOR}")
@@ -239,28 +233,6 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 # 5th- minus 4th-order weights over all seven stages
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
-# Shampine's 4th-order continuous extension of the pair: inside an accepted
-# step, y(t + theta h) = y + h (theta, theta^2, theta^3, theta^4) @ _DP_DENSE
-# @ K.  Row j holds the theta^(j+1) coefficient of each stage weight; the
-# columns sum to the 5th-order weights, so theta = 1 is the step's solution
-# (Shampine, Math. Comp. 46, 135 (1986); Hairer, Norsett & Wanner,
-# Solving ODEs I, II.6).
-_DP_DENSE = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423,
-     69997945 / 29380423],
-]).T
-_POWERS = np.arange(1, 5)
 
 _SAFETY = 0.9
 _MIN_SHRINK = 0.2
@@ -291,34 +263,39 @@ def _stepper_error(what, t, h, calls, accepted, rejected, walls, last_t):
         f"the domain)", last_t=last_t)
 
 
-def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
-    """Adaptive embedded 5(4) pass of the extended state on six Python
-    floats, each in the operation order of the tableau on a whole state.
+def flow(state0: ExtendedState, t1: float, sched: ParameterSchedule,
+         consts: Constants = Constants(), tol: float = 1e-10) -> Trajectory:
+    """The witness flow: an adaptive embedded 5(4) (Dormand-Prince) pass of
+    the extended state from state0 (its own t is the start time) to t1,
+    the phases accumulated in the same pass.
 
-    Steps are chosen by error control alone and land on t1 only; the
-    states at output_times come from the continuous extension of the step
-    that covers each time (a time equal to a step's start gives that
-    step's state exactly).  Stages 2 to 6 build only (q, p, G, Pi), all
-    that _rates reads, and the last two stages share one evaluation of the
-    schedule at t + h.  A DomainError from any stage, the trial
+    tol is both the relative and the absolute tolerance of the RMS error
+    norm.  Steps are chosen by error control alone and land on t1 only.
+    The kernel steps six Python floats, each in the operation order of
+    the tableau on a whole state.  Stages 2 to 6 build only (q, p, G, Pi),
+    all that _rates reads, and the last two stages share one evaluation
+    of the schedule at t + h.  A DomainError from any stage, the trial
     solution's included, rejects the step and halves it; at the start
     state it is an IntegrationError with last_t None, as in _rk4_path.
-    Returns the times and rows of every accepted step and the
-    (len(output_times), 6) array of output rows.
+    A pass that meets G_FLOOR is refused: every row returned has passed
+    the floor test of _rates, the start row as the first stage and each
+    accepted row as the last stage of its step, which is evaluated at the
+    accepted state.  Returns the times and rows of every accepted step.
     """
+    if not t1 > state0.t:
+        raise ValueError(f"t1={t1} must exceed start time {state0.t}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    hbar = consts.hbar
     _, c2, c3, c4, c5, _, _ = _DP_C
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
     e1, _, e3, e4, e5, e6, e7 = _DP_E
-    atol, rtol = opts.atol, opts.rtol
-    q, p, G, Pi, lG, lD = (float(v) for v in y0)
-    t, t1 = float(t0), float(t1)
-    tout = _check_output_times(t, t1, output_times)
+    q, p, G, Pi, lG, lD = (float(v) for v in state0.as_array())
+    t, t1 = float(state0.t), float(t1)
     hmin = _hmin(t, t1)
     # rows as packed doubles, not lists of float objects
     ts, ys = array("d", [t]), array("d", (q, p, G, Pi, lG, lD))
-    dense = np.empty((len(tout), 6))
-    j = 0
     coeffs, rates = sched.eval, _rates       # looked up per pass
     calls = accepted = rejected = walls = 0
 
@@ -342,35 +319,34 @@ def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
         try:
             a, b, c = coeffs(t + c2 * h)
             calls += 1
-            k2 = rates(a, b, c, q + h * (a21 * q1), p + h * (a21 * p1),
-                       G + h * (a21 * G1), Pi + h * (a21 * Pi1), hbar)
-            q2, p2, G2, Pi2, _, _ = k2
+            q2, p2, G2, Pi2, _, _ = rates(
+                a, b, c, q + h * (a21 * q1), p + h * (a21 * p1),
+                G + h * (a21 * G1), Pi + h * (a21 * Pi1), hbar)
             a, b, c = coeffs(t + c3 * h)
             calls += 1
-            k3 = rates(a, b, c, q + h * (a31 * q1 + a32 * q2),
-                       p + h * (a31 * p1 + a32 * p2),
-                       G + h * (a31 * G1 + a32 * G2),
-                       Pi + h * (a31 * Pi1 + a32 * Pi2), hbar)
-            q3, p3, G3, Pi3, lG3, lD3 = k3
+            q3, p3, G3, Pi3, lG3, lD3 = rates(
+                a, b, c, q + h * (a31 * q1 + a32 * q2),
+                p + h * (a31 * p1 + a32 * p2),
+                G + h * (a31 * G1 + a32 * G2),
+                Pi + h * (a31 * Pi1 + a32 * Pi2), hbar)
             a, b, c = coeffs(t + c4 * h)
             calls += 1
-            k4 = rates(a, b, c, q + h * (a41 * q1 + a42 * q2 + a43 * q3),
-                       p + h * (a41 * p1 + a42 * p2 + a43 * p3),
-                       G + h * (a41 * G1 + a42 * G2 + a43 * G3),
-                       Pi + h * (a41 * Pi1 + a42 * Pi2 + a43 * Pi3), hbar)
-            q4, p4, G4, Pi4, lG4, lD4 = k4
+            q4, p4, G4, Pi4, lG4, lD4 = rates(
+                a, b, c, q + h * (a41 * q1 + a42 * q2 + a43 * q3),
+                p + h * (a41 * p1 + a42 * p2 + a43 * p3),
+                G + h * (a41 * G1 + a42 * G2 + a43 * G3),
+                Pi + h * (a41 * Pi1 + a42 * Pi2 + a43 * Pi3), hbar)
             a, b, c = coeffs(t + c5 * h)
             calls += 1
-            k5 = rates(
+            q5, p5, G5, Pi5, lG5, lD5 = rates(
                 a, b, c, q + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
                 p + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
                 G + h * (a51 * G1 + a52 * G2 + a53 * G3 + a54 * G4),
                 Pi + h * (a51 * Pi1 + a52 * Pi2 + a53 * Pi3 + a54 * Pi4),
                 hbar)
-            q5, p5, G5, Pi5, lG5, lD5 = k5
             a, b, c = coeffs(t + h)
             calls += 1
-            k6 = rates(
+            q6, p6, G6, Pi6, lG6, lD6 = rates(
                 a, b, c, q + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4
                                   + a65 * q5),
                 p + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
@@ -379,7 +355,6 @@ def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
                          + a65 * G5),
                 Pi + h * (a61 * Pi1 + a62 * Pi2 + a63 * Pi3 + a64 * Pi4
                           + a65 * Pi5), hbar)
-            q6, p6, G6, Pi6, lG6, lD6 = k6
             qn = q + h * (a71 * q1 + a73 * q3 + a74 * q4 + a75 * q5
                           + a76 * q6)
             pn = p + h * (a71 * p1 + a73 * p3 + a74 * p4 + a75 * p5
@@ -404,25 +379,26 @@ def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
         lDn = lD + h * (a71 * lD1 + a73 * lD3 + a74 * lD4 + a75 * lD5
                         + a76 * lD6)
         # the RMS of the scaled error, summed in component order; each
-        # scale is max(|y|, |y7|), the first unless the second is larger
+        # scale is max(|y|, |y7|), the first unless the second is larger,
+        # weighted as tol + tol * scale, the rounding of the reference
         y, z = abs(q), abs(qn)
         rq = h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6
-                  + e7 * q7) / (atol + rtol * (z if z > y else y))
+                  + e7 * q7) / (tol + tol * (z if z > y else y))
         y, z = abs(p), abs(pn)
         rp = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
-                  + e7 * p7) / (atol + rtol * (z if z > y else y))
+                  + e7 * p7) / (tol + tol * (z if z > y else y))
         y, z = abs(G), abs(Gn)
         rG = h * (e1 * G1 + e3 * G3 + e4 * G4 + e5 * G5 + e6 * G6
-                  + e7 * G7) / (atol + rtol * (z if z > y else y))
+                  + e7 * G7) / (tol + tol * (z if z > y else y))
         y, z = abs(Pi), abs(Pin)
         rPi = h * (e1 * Pi1 + e3 * Pi3 + e4 * Pi4 + e5 * Pi5 + e6 * Pi6
-                   + e7 * Pi7) / (atol + rtol * (z if z > y else y))
+                   + e7 * Pi7) / (tol + tol * (z if z > y else y))
         y, z = abs(lG), abs(lGn)
         rlG = h * (e1 * lG1 + e3 * lG3 + e4 * lG4 + e5 * lG5 + e6 * lG6
-                   + e7 * lG7) / (atol + rtol * (z if z > y else y))
+                   + e7 * lG7) / (tol + tol * (z if z > y else y))
         y, z = abs(lD), abs(lDn)
         rlD = h * (e1 * lD1 + e3 * lD3 + e4 * lD4 + e5 * lD5 + e6 * lD6
-                   + e7 * lD7) / (atol + rtol * (z if z > y else y))
+                   + e7 * lD7) / (tol + tol * (z if z > y else y))
         sq = (rq * rq + rp * rp + rG * rG + rPi * rPi + rlG * rlG
               + rlD * rlD)
         err = math.sqrt(sq / 6)
@@ -435,15 +411,7 @@ def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
             continue
 
         accepted += 1
-        t_next = t1 if abs((t + h) - t1) <= hmin else t + h
-        if j < len(tout) and tout[j] < t_next:
-            k = bisect.bisect_left(tout, t_next, j)
-            theta = (np.array(tout[j:k]) - t) / h
-            K = np.array((k1, k2, k3, k4, k5, k6, k7))
-            dense[j:k] = np.array((q, p, G, Pi, lG, lD)) + h * (
-                (theta[:, None] ** _POWERS) @ (_DP_DENSE @ K))
-            j = k
-        t = t_next
+        t = t1 if abs((t + h) - t1) <= hmin else t + h
         q, p, G, Pi, lG, lD = qn, pn, Gn, Pin, lGn, lDn
         # FSAL: the last stage is the rhs at (t + h, y7)
         k1 = k7
@@ -452,7 +420,7 @@ def _rk45_path(sched, hbar, t0, y0, t1, opts, output_times=None):
         factor = _MAX_GROW if err == 0.0 else min(
             _MAX_GROW, _SAFETY * err ** -0.2)
         h = h * max(_MIN_SHRINK, factor)
-    return np.array(ts), np.array(ys).reshape(-1, 6), dense
+    return Trajectory(t=np.array(ts), y=np.array(ys).reshape(-1, 6))
 
 
 def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
@@ -555,17 +523,17 @@ def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
     W0 = np.array([[r, 0.0], [2.0 * state0.Pi * r, 1.0 / r]])
     if output_times is not None:
         output_times = _check_output_times(state0.t, t1, output_times)
-    flow = period_pass(sched, state0.t).sample(t1, output_times, W0)
-    Z = flow.M @ W0
+    sample = period_pass(sched, state0.t).sample(t1, output_times, W0)
+    Z = sample.M @ W0
     G, Pi = fluctuation_point(Z @ np.transpose(Z, (0, 2, 1)))
-    centroid = np.einsum("p,npq,q->n", x0, flow.K, x0) / (2.0 * hbar)
-    width = 0.25 * np.einsum("npq,pq->n", flow.K, W0 @ W0.T)
+    centroid = np.einsum("p,npq,q->n", x0, sample.K, x0) / (2.0 * hbar)
+    width = 0.25 * np.einsum("npq,pq->n", sample.K, W0 @ W0.T)
     y = np.column_stack([
-        flow.M @ x0, G, Pi,
-        state0.lambda_G + centroid + width - 0.5 * flow.angle,
+        sample.M @ x0, G, Pi,
+        state0.lambda_G + centroid + width - 0.5 * sample.angle,
         state0.lambda_D - centroid - width])
     y[0] = state0.as_array()
-    return flow.t, y
+    return sample.t, y
 
 
 def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
@@ -582,18 +550,15 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
         Final time, must exceed state0.t.
     output_times : sequence of float, optional
         Times strictly increasing inside (t0, t1).  The linear route
-        samples M(t) and K(t) at them by partial Gauss steps, the
-        adaptive method evaluates them by the continuous extension of the
-        step covering each (neither moves its steps), and rk4-fixed lands
-        on them.
+        samples M(t) and K(t) at them by partial Gauss steps, and
+        rk4-fixed lands on them.
 
     Returns
     -------
     Trajectory
-        Without output_times, every step (every Gauss node of the linear
-        route, every accepted step of a flow route); with them, exactly
-        the rows at (t0, *output_times, t1).  The flow routes accumulate
-        the phases within the same pass.
+        Without output_times, every step (the step times t0 + kT/N of the
+        linear route, every step of rk4-fixed); with them, exactly the
+        rows at (t0, *output_times, t1).
 
     Raises IntegrationError if any returned row has its width at or below
     G_FLOOR; its last_t is then the time of the row before.
@@ -604,19 +569,11 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
 
     if opts.method == LINEAR:
         t_out, y_out = _linear_path(state0, t1, sched, hbar, output_times)
-    elif opts.method == RK4:
+    else:
         t_out, y_out = _rk4_path(sched, hbar, state0.t, state0.as_array(),
                                  t1, opts.step, output_times)
-    else:
-        ts, ys, dense = _rk45_path(sched, hbar, state0.t, state0.as_array(),
-                                   t1, opts, output_times)
-        if output_times is None:
-            t_out, y_out = ts, ys
-        else:
-            t_out = np.array([ts[0], *output_times, ts[-1]], dtype=float)
-            y_out = np.vstack([ys[:1], dense, ys[-1:]])
-    # the rhs vets every stage, but not an interpolated row, nor the final
-    # row of a fixed step, nor any row of the linear route
+    # the rhs vets every stage, but not the final row of a fixed step, nor
+    # any row of the linear route
     low = np.flatnonzero(y_out[:, 2] <= G_FLOOR)
     if low.size:
         i = int(low[0])

@@ -293,8 +293,8 @@ class PeriodPass:
         from t0, at t0, the times and t1.
 
         times must lie strictly inside (t0, t1) and increase; when times
-        is None the samples are t0, every Gauss node strictly inside
-        (t0, t1), and t1.  The pass gives M(tau) and K(tau) at
+        is None the samples are t0, every step time t0 + kT/N strictly
+        inside (t0, t1), and t1.  The pass gives M(tau) and K(tau) at
         tau = t - t0 - kT inside the period (_partial), and since the
         schedule is T-periodic, with M_T = M(T):
 

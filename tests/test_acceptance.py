@@ -9,14 +9,13 @@ import math
 import numpy as np
 
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions, actions,
-                                   covariance, integrate)
+                                   covariance, flow, integrate)
 from squeezephase.floquet import floquet_reports
 from squeezephase.hannay import (_mismatch_rate, hannay_closed_form,
                                  hannay_quadrature)
 from squeezephase.monodromy import compute_monodromy, fluctuation_point
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
-from witness import FLOW
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,9 +116,8 @@ def test_criterion_7_hbar_invariance():
     for hbar in (0.5, 1.0, 2.0):
         rep = floquet_reports(sched, [n], consts=Constants(hbar=hbar))[0]
         lams.append(rep.lambda_G_R)
-        final = integrate(ExtendedState(q=0, p=0, G=0.6, Pi=0.1),
-                          sched.period, sched,
-                          consts=Constants(hbar=hbar), opts=FLOW).final
+        final = flow(ExtendedState(q=0, p=0, G=0.6, Pi=0.1), sched.period,
+                     sched, Constants(hbar=hbar)).final
         orbs.append((final.G, final.Pi))
     lam_spread = max(lams) - min(lams)
     orb_spread = max(abs(g - orbs[0][0]) + abs(p - orbs[0][1])
@@ -139,8 +137,8 @@ def test_criterion_8_oracle_equivalence():
         sched = ParameterSchedule.standard(eps, 1.0)
         G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
         orb = find_periodic_orbit(sched)
-        end = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
-                        sched.period, sched, opts=FLOW).final
+        end = flow(ExtendedState(q=0, p=0, G=G0, Pi=Pi0), sched.period,
+                   sched).final
         dev = max(abs(end.G - G0), abs(end.Pi - Pi0),
                   abs(G0 - orb.G0), abs(Pi0 - orb.Pi0))
         quad_dev = max(abs(end.lambda_G - orb.lambda_G_cycle),
@@ -156,23 +154,21 @@ def test_criterion_9_structural_invariants():
     det_dev = abs(np.linalg.det(compute_monodromy(sched).M) - 1.0)
 
     hbar = 1.0
-    traj = integrate(ExtendedState(q=0.4, p=0.2, G=0.7, Pi=0.1),
-                     sched.period, sched, opts=FLOW)
+    traj = flow(ExtendedState(q=0.4, p=0.2, G=0.7, Pi=0.1), sched.period,
+                sched)
     dq2, dp2, cov = covariance(traj.y[:, 2], traj.y[:, 3], hbar)
     cov_dev = float(np.max(np.abs(dq2 * dp2 - cov ** 2 - hbar ** 2 / 4)))
 
     free = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=1.0, p=0.0, G=1.0, Pi=0.0)
     I0, J0 = actions(state)
-    traj0 = integrate(state, 10 * TWO_PI, free, opts=FLOW)
+    traj0 = flow(state, 10 * TWO_PI, free)
     act_dev = 0.0
     for i in range(0, len(traj0.t), 25):
         I, J = actions(traj0.state_at_index(i))
         act_dev = max(act_dev, abs(I - I0), abs(J - J0))
 
-    ref = integrate(state, TWO_PI, free,
-                    opts=IntegratorOptions(method="rk45-adaptive",
-                                           rtol=1e-13, atol=1e-13)).final
+    ref = flow(state, TWO_PI, free, tol=1e-13).final
     errs = [np.max(np.abs(integrate(
         state, TWO_PI, free,
         opts=IntegratorOptions(method="rk4-fixed", step=h)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from squeezephase import cli, dynamics, floquet, hannay, monodromy, orbits
 from squeezephase.cli import main, parse_config, run
-from squeezephase.dynamics import IntegratorOptions
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD
 
@@ -82,6 +80,9 @@ def test_unknown_section_reported():
     ("epsilon=0.1\nmax_steps=0", (2, "unknown key 'max_steps'")),
     ("epsilon=0.1\nstep=0\nmethod=rk4-fixed", (2, "step must be positive")),
     ("epsilon=0.1\nmethod=rk4-fixed\nstep=0", (3, "step must be positive")),
+    # the adaptive stepper is the witness flow, not a route of simulate
+    ("epsilon=0.1\nmethod=rk45-adaptive\n[simulate]\nq0=1.0",
+     (2, "unknown method 'rk45-adaptive'")),
     ("epsilon=0.1\nhbar=-1", (2, "hbar must be positive and finite, got -1.0")),
     ("epsilon=0.1\nomega=0.0", (2, "omega must be > 0")),
     ("period=0.0\na_cos=1.0", (1, "period must be > 0")),
@@ -95,7 +96,8 @@ def test_unknown_section_reported():
     ("[orbit]\nsamples=7", (2, "samples must be >= 8")),
 ], ids=["hannay-section", "repeated-state", "negative-state", "negative-workers",
         "two-workers", "sweep-eps-one", "sweep-eps-negative", "sweep-omega",
-        "rtol", "max-steps", "rk4-step", "step-after-method", "hbar", "omega",
+        "rtol", "max-steps", "rk4-step", "step-after-method", "rk45-method",
+        "hbar", "omega",
         "period", "period-missing", "no-equals", "g0-floor",
         "simulate-samples", "simulate-t1", "orbit-samples"])
 def test_rejected_with_line(text, error):
@@ -232,23 +234,24 @@ def test_simulate_columns_match_scalar_helpers(tmp_path, schedule):
         assert [cells[0], *cells[7:]] == [cli._fmt(v) for v in want]
 
 
-def test_csv_rows_match_cell_formatter(tmp_path):
-    # the writer formats a row of floats in one go; every row must read
-    # as the per-cell formatter spells it, special values and other cell
-    # types included
+def test_cell_formatter_spellings():
+    # the spelling of each cell type the writers meet: floats to 17
+    # significant digits, special values, and the ints and bools that
+    # _dump_json writes
     rows = [
         [0.1, -0.0, 1e-300, -1e300, 2.0 / 3.0, 5e-324],
         [float("nan"), 1.0, float("inf"), -float("inf"), 0.0, 3.0],
         [1, True, False, -7, 10 ** 20, 0.5],
         [np.float64(0.1), np.float64("nan"), np.int64(3), 2.5, -2.5, 1e16],
     ]
-    header = ["a", "b", "c", "d", "e", "f"]
-    cli._write_csv(tmp_path / "t.csv", header, rows)
-    want = [",".join(header)] + [",".join(map(cli._fmt, r)) for r in rows]
-    assert (tmp_path / "t.csv").read_bytes() == \
-        ("\n".join(want) + "\n").encode()
-    assert want[2] == "null,1,inf,-inf,0,3"
-    assert want[3] == "1,true,false,-7,100000000000000000000,0.5"
+    spelled = [",".join(map(cli._fmt, r)) for r in rows]
+    assert spelled[0] == ("0.10000000000000001,-0,1e-300,"
+                          "-1.0000000000000001e+300,0.66666666666666663,"
+                          "4.9406564584124654e-324")
+    assert spelled[1] == "null,1,inf,-inf,0,3"
+    assert spelled[2] == "1,true,false,-7,100000000000000000000,0.5"
+    assert spelled[3] == ("0.10000000000000001,null,3,2.5,-2.5,"
+                          "10000000000000000")
 
 
 def test_csv_array_blocks_match_cell_formatter(tmp_path, monkeypatch):
@@ -261,12 +264,12 @@ def test_csv_array_blocks_match_cell_formatter(tmp_path, monkeypatch):
                                                                 (11, 3))
     table[0] = [0.1, -0.0, 5e-324]
     table[5, 1], table[6, 2], table[10, 0] = np.nan, np.inf, -np.inf
-    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+    cli._write_table(tmp_path, "t", ["a", "b", "c"], table, "csv")
     want = ["a,b,c"] + [",".join(map(cli._fmt, r)) for r in table.tolist()]
     assert (tmp_path / "t.csv").read_bytes() == \
         ("\n".join(want) + "\n").encode()
     assert want[6].split(",")[1] == "null" and want[7].endswith(",inf")
-    cli._write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
+    cli._write_table(tmp_path, "empty", ["a", "b"], np.empty((0, 2)), "csv")
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
@@ -283,18 +286,22 @@ def test_sweep_table(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    # the flow route and the default linear route
-    for method in ("rk45-adaptive", "linear"):
-        text = (f"epsilon=0.08\nomega=1.0\nmethod={method}\n"
-                "[simulate]\nq0=0.3\nsamples=32")
-        cfg = parse_config(text)
-        out1, out2 = tmp_path / method / "a", tmp_path / method / "b"
-        assert run("simulate", cfg, out_dir=out1) == 0
-        assert run("orbit", cfg, out_dir=out1) == 0
-        assert run("simulate", parse_config(text), out_dir=out2) == 0
-        assert run("orbit", parse_config(text), out_dir=out2) == 0
-        for name in ("trajectory.csv", "orbit.csv", "orbit_summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the default linear route through the CLI
+    text = "epsilon=0.08\nomega=1.0\n[simulate]\nq0=0.3\nsamples=32"
+    cfg = parse_config(text)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run("simulate", cfg, out_dir=out1) == 0
+    assert run("orbit", cfg, out_dir=out1) == 0
+    assert run("simulate", parse_config(text), out_dir=out2) == 0
+    assert run("orbit", parse_config(text), out_dir=out2) == 0
+    for name in ("trajectory.csv", "orbit.csv", "orbit_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # and the witness flow over the same period, bit for bit
+    state = dynamics.ExtendedState(q=0.3, p=0.0, G=0.5, Pi=0.0)
+    runs = [dynamics.flow(state, cfg.schedule.period, cfg.schedule)
+            for _ in range(2)]
+    assert runs[0].t.tobytes() == runs[1].t.tobytes()
+    assert runs[0].y.tobytes() == runs[1].y.tobytes()
 
 
 def test_json_format_variant(tmp_path):
@@ -313,10 +320,13 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     for sub in ("orbit", "hannay", "floquet"):
         assert run(sub, cfg, out_dir=tmp_path / sub) == 1
         assert "|tr M| = 2.055" in capsys.readouterr().err
+    # a flow pass over its step bound: one period of 0.001 steps, 6284,
+    # and at most one more for each of the 255 inner output times
     monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
-    cfg = parse_config("epsilon=0.1\nmethod=rk45-adaptive\n[simulate]\nq0=1.0")
+    cfg = parse_config("epsilon=0.1\nmethod=rk4-fixed\n[simulate]\nq0=1.0")
     assert run("simulate", cfg, out_dir=tmp_path / "simulate") == 1
-    assert "exceeded MAX_STEPS=10" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: 6539 steps exceed MAX_STEPS=10\n")
 
 
 def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
@@ -423,26 +433,22 @@ def test_main_config_errors_found_at_run_or_read(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_default_simulate_route_matches_the_flow_route(tmp_path):
-    # a 3-harmonic Fourier schedule over 10 periods: the default route
-    # and rk45-adaptive at rtol = atol = 1e-12 must write the same
-    # trajectory within 1e-8 relative (measured 7.7e-11; 7.5e-9 at the
-    # default 1e-10, too near the bound)
+def test_default_simulate_route_matches_the_flow_route():
+    # a 3-harmonic Fourier schedule over 10 periods: the default route of
+    # a simulate config, read at the accepted steps of the witness flow at
+    # tol 1e-12, must give the flow's rows within 1e-9 relative
+    # (measured 7.7e-11 on 3993 rows)
     text = ("period=5.3\na_cos=1.0,0.05,0.02,0.01\na_sin=0.0,0.03,0.0,0.02\n"
-            "b_cos=1.0,-0.04,0.01\nc_sin=0.0,0.05,0.01,0.02\nhbar=0.7\n"
-            "[simulate]\nq0=0.7\np0=-0.3\ng0=0.6\npi0=0.1\nt1=53.0\n"
-            "samples=2000\n")
-    (tmp_path / "linear.ini").write_text(text)
-    assert main(["simulate", "--config", str(tmp_path / "linear.ini"),
-                 "--out", str(tmp_path / "linear")]) == 0
-    flow = dataclasses.replace(parse_config(text), options=IntegratorOptions(
-        method=dynamics.RK45, rtol=1e-12, atol=1e-12))
-    assert run("simulate", flow, out_dir=tmp_path / "flow") == 0
-    tables = [np.loadtxt(tmp_path / route / "trajectory.csv", delimiter=",",
-                         skiprows=1) for route in ("linear", "flow")]
-    a, b = tables
-    assert a.shape == b.shape == (2001, 10)
-    assert float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max()) <= 1e-8
+            "b_cos=1.0,-0.04,0.01\nc_sin=0.0,0.05,0.01,0.02\nhbar=0.7\n")
+    cfg = parse_config(text)
+    assert cfg.options.method == dynamics.LINEAR
+    state = dynamics.ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
+    flow = dynamics.flow(state, 53.0, cfg.schedule, cfg.constants, tol=1e-12)
+    linear = dynamics.integrate(state, 53.0, cfg.schedule, cfg.constants,
+                                cfg.options, output_times=flow.t[1:-1])
+    assert len(flow.t) > 2000 and np.array_equal(linear.t, flow.t)
+    gap = np.abs(linear.y - flow.y) / np.maximum(1.0, np.abs(flow.y))
+    assert float(gap.max()) <= 1e-9
 
 
 def test_output_directory_error(tmp_path, capsys):

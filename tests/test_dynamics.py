@@ -7,13 +7,22 @@ import pytest
 
 from squeezephase import cli, dynamics
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
-                                   actions, covariance, eom_rhs, h_cl, h_eff,
-                                   h_fl, integrate)
+                                   actions, covariance, eom_rhs, flow, h_cl,
+                                   h_eff, h_fl, integrate)
 from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
-from witness import FLOW, integrate_ode, random_fourier, rk45_lists
+from witness import integrate_ode, random_fourier, rk45_lists
 
 TWO_PI = 2.0 * math.pi
+
+
+def _route(method, state, t1, sched, tol=1e-10, step=1e-3):
+    """The witness flow (its stepper named rk45-adaptive) at tol, or
+    integrate's rk4-fixed route at step, from state to t1."""
+    if method == "rk45-adaptive":
+        return flow(state, t1, sched, tol=tol)
+    return integrate(state, t1, sched,
+                     opts=IntegratorOptions(method=method, step=step))
 
 
 def fluct_from_action_angle(J, theta):
@@ -110,10 +119,9 @@ def test_rhs_against_finite_difference_of_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
     state = ExtendedState(q=0, p=0, G=0.46667, Pi=0)
     rhs = eom_rhs(state, sched)
-    opts = IntegratorOptions(rtol=1e-12, atol=1e-12)
     d = 1e-4
-    y1 = integrate(state, d, sched, opts=opts).final.as_array()
-    y2 = integrate(state, 2 * d, sched, opts=opts).final.as_array()
+    y1 = integrate(state, d, sched).final.as_array()
+    y2 = integrate(state, 2 * d, sched).final.as_array()
     fd = (4.0 * y1 - 3.0 * state.as_array() - y2) / (2.0 * d)
     assert fd[:4] == pytest.approx(rhs[:4], abs=1e-6)
     # slope of the first-order periodic orbit at t=0 within O(eps^2)
@@ -155,16 +163,14 @@ def test_rhs_rejects_collapsed_width():
 
 def test_centroid_period_return():
     sched = ParameterSchedule.standard(0.0, 1.0)
-    final = integrate(ExtendedState(q=1, p=0, G=0.5, Pi=0),
-                      TWO_PI, sched, opts=FLOW).final
+    final = flow(ExtendedState(q=1, p=0, G=0.5, Pi=0), TWO_PI, sched).final
     assert abs(final.q - 1.0) < 1e-8
     assert abs(final.p) < 1e-8
 
 
 def test_fluctuation_half_period_return():
     sched = ParameterSchedule.standard(0.0, 1.0)
-    final = integrate(ExtendedState(q=0, p=0, G=1.0, Pi=0),
-                      math.pi, sched, opts=FLOW).final
+    final = flow(ExtendedState(q=0, p=0, G=1.0, Pi=0), math.pi, sched).final
     assert abs(final.G - 1.0) < 1e-8
     assert abs(final.Pi) < 1e-8
 
@@ -172,9 +178,7 @@ def test_fluctuation_half_period_return():
 def test_fixed_and_adaptive_methods_agree():
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
-    ref = integrate(state, TWO_PI, sched,
-                    opts=IntegratorOptions(method="rk45-adaptive",
-                                           rtol=1e-12, atol=1e-12)).final
+    ref = flow(state, TWO_PI, sched, tol=1e-12).final
     rk4 = integrate(state, TWO_PI, sched,
                     opts=IntegratorOptions(method="rk4-fixed",
                                            step=1e-3)).final
@@ -185,7 +189,7 @@ def test_trajectory_structure():
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
     marks = [1.0, 2.5]
-    traj = integrate(state, TWO_PI, sched, opts=FLOW, output_times=marks)
+    traj = integrate(state, TWO_PI, sched, output_times=marks)
     assert traj.t[0] == 0.0
     assert np.all(np.diff(traj.t) > 0)
     assert np.all(traj.y[:, 2] > 0)
@@ -198,8 +202,9 @@ def test_requested_times_match_untargeted_run():
     # landing exactly on interior output times must not disturb accuracy
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
-    plain = integrate(state, TWO_PI, sched, opts=FLOW).final
-    marked = integrate(state, TWO_PI, sched, opts=FLOW,
+    rk4 = IntegratorOptions(method="rk4-fixed")
+    plain = integrate(state, TWO_PI, sched, opts=rk4).final
+    marked = integrate(state, TWO_PI, sched, opts=rk4,
                        output_times=np.linspace(0.3, 6.0, 23)).final
     assert np.max(np.abs(plain.as_array() - marked.as_array())) < 1e-9
 
@@ -213,58 +218,23 @@ def _counted_decay():
     return rhs, calls
 
 
-def test_output_times_do_not_move_steps(rates_calls):
-    # the adaptive stepper chooses its steps by error control alone: with
-    # and without output times it makes the same rhs calls at the same
-    # times and accepts the same steps, bit for bit
-    grid = np.linspace(0.0, 1.0, 101)
-    opts = IntegratorOptions(method="rk45-adaptive", rtol=1e-6, atol=1e-6)
-    rhs, plain_calls = _counted_decay()
-    ts, ys, none = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
-    rhs, dense_calls = _counted_decay()
-    ts_d, ys_d, dense = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts,
-                                      output_times=grid[1:-1])
-    assert dense_calls == plain_calls
-    assert np.array_equal(ts_d, ts) and np.array_equal(ys_d, ys)
-    assert none.shape == (0, 1) and dense.shape == (99, 1)
-    # fewer steps than samples: the steps were not clipped to the grid
-    assert len(ts) - 1 < 99
-    # integrate's own kernel: the same schedule times and the same
-    # equations-of-motion calls, and the rows of the plain run at its ends
-    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
-    runs = []
-    for marks in (None, grid[1:-1]):
-        rates_calls.clear()
-        sched = _counting(ParameterSchedule.standard(0.3, 1.3))
-        traj = integrate(state, 1.0, sched, opts=opts, output_times=marks)
-        runs.append((sched.evals, list(rates_calls), traj))
-    (plain_evals, plain_rates, plain), (evals, rates, marked) = runs
-    assert evals == plain_evals and rates == plain_rates
-    assert len(plain.t) - 1 < 99 and len(marked.t) == 101
-    assert np.array_equal(marked.y[[0, -1]], plain.y[[0, -1]])
-
-
 def test_steps_reuse_last_stage():
     # at a tolerance that rejects no step, each accepted step costs the six
     # new stages of the 5(4) pair: its last stage is the next step's first
     # (first-same-as-last), also for the step that lands on t1
     rhs, calls = _counted_decay()
-    ts, ys, _ = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                              IntegratorOptions(method="rk45-adaptive",
-                                                rtol=1e-6, atol=1e-6),
-                              output_times=np.linspace(0.0, 1.0, 101)[1:-1])
+    ts, ys = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, 1e-6)
     assert ts[-1] == 1.0
     assert len(calls) == 1 + 6 * (len(ts) - 1)
 
 
 def test_adaptive_steps_share_the_end_coefficients(rates_calls):
-    # integrate's kernel makes the same six calls of the equations of
+    # the witness flow makes the same six calls of the equations of
     # motion per step as the reference, but evaluates the schedule once per
     # distinct stage time: the last two stages share t + h, so a step
     # costs five evaluations, and its last stage is the next one's first
     sched = _counting(ParameterSchedule.standard(0.3, 1.3))
-    traj = integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0, sched,
-                     opts=IntegratorOptions(method="rk45-adaptive"))
+    traj = flow(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0, sched)
     steps = len(traj.t) - 1
     assert steps > 100 and traj.t[-1] == 5.0
     # no step was rejected, for error or for the domain
@@ -278,53 +248,17 @@ def test_numpy_start_time_steps_on_python_floats(method):
     # Trajectory.final hands back an np.float64 time: a pass started from
     # it must step Python floats, and give the rows of the pass from the
     # same time as a float, bit for bit
-    opts = IntegratorOptions(method=method, rtol=1e-8, atol=1e-8, step=0.01)
     runs = []
     for t0 in (0.0, np.float64(0.0)):
         sched = _counting(ParameterSchedule.standard(0.3, 1.3))
-        runs.append((sched.evals, integrate(
-            ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1, t=t0), 5.0, sched,
-            opts=opts)))
+        runs.append((sched.evals, _route(
+            method, ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1, t=t0), 5.0,
+            sched, tol=1e-8, step=0.01)))
     (plain, traj), (from_numpy, traj_n) = runs
     assert {type(t) for t in from_numpy} == {float}
     assert from_numpy == plain
     assert np.array_equal(traj_n.t, traj.t)
     assert np.array_equal(traj_n.y, traj.y)
-
-
-def test_dense_output_matches_exact_decay():
-    # the continuous extension is 4th-order accurate inside each step
-    grid = np.linspace(0.0, 1.0, 101)
-    rhs, _ = _counted_decay()
-    ts, ys, dense = integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                                  IntegratorOptions(method="rk45-adaptive",
-                                                    rtol=1e-10, atol=1e-10),
-                                  output_times=grid[1:-1])
-    assert len(ts) - 1 < 99
-    assert np.max(np.abs(dense[:, 0] - np.exp(-grid[1:-1]))) <= 1e-9
-
-
-def test_output_time_on_a_step_gives_its_state():
-    # a requested time equal to an accepted step's time reads that step's
-    # state exactly (theta = 0 of the step it starts)
-    opts = IntegratorOptions(method="rk45-adaptive", rtol=1e-8, atol=1e-8)
-    rhs, _ = _counted_decay()
-    ts, ys, _ = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts)
-    inner = ts[1:-1]
-    assert inner.size >= 3
-    rhs, _ = _counted_decay()
-    _, _, dense = integrate_ode(rhs, 0.0, np.array([1.0, -2.0]), 3.0, opts,
-                                output_times=inner)
-    assert np.array_equal(dense, ys[1:-1])
-    # and so does integrate's own kernel
-    sched = ParameterSchedule.standard(0.3, 1.3)
-    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
-    steps = integrate(state, 3.0, sched, opts=opts)
-    assert steps.t.size >= 5
-    marked = integrate(state, 3.0, sched, opts=opts,
-                       output_times=steps.t[1:-1])
-    assert np.array_equal(marked.t, steps.t)
-    assert np.array_equal(marked.y, steps.y)
 
 
 def test_fixed_steps_make_four_calls(rates_calls):
@@ -402,16 +336,15 @@ def _counters(err):
 @pytest.mark.parametrize("method, calls", [("rk45-adaptive", 1 + 6 * 3)])
 def test_max_steps_failure_names_its_counters(method, calls, monkeypatch,
                                               rates_calls):
-    opts = IntegratorOptions(method=method, rtol=1e-6, atol=1e-6)
     monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
     rhs, seen = _counted_decay()
     with pytest.raises(IntegrationError, match="exceeded MAX_STEPS=3") as err:
-        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, opts)
-    # and integrate's own kernel, counting its calls of _rates
+        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, 1e-6)
+    # and the witness flow's own kernel, counting its calls of _rates
     with pytest.raises(IntegrationError,
                        match="exceeded MAX_STEPS=3") as kernel_err:
-        integrate(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0,
-                  ParameterSchedule.standard(0.3, 1.3), opts=opts)
+        _route(method, ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0,
+               ParameterSchedule.standard(0.3, 1.3), tol=1e-6)
     for error, made in ((err.value, seen), (kernel_err.value, rates_calls)):
         t, n_calls, accepted, rejected, walls = _counters(error)
         assert (n_calls, accepted, rejected, walls) == (calls, 3, 0, 0)
@@ -446,8 +379,7 @@ def test_domain_failure_names_its_counters(method, monkeypatch, rates_calls):
     # stage past the wall
     monkeypatch.setattr(dynamics, "G_FLOOR", WALL_G)
     with pytest.raises(IntegrationError, match="left the domain") as err:
-        integrate(WALL_START, 1.0, FREE,
-                  opts=IntegratorOptions(method=method, step=0.01))
+        _route(method, WALL_START, 1.0, FREE, step=0.01)
     t, calls, accepted, rejected, walls = _counters(err.value)
     assert calls == len(rates_calls)
     assert accepted >= 1 and 0.0 < t < WALL_T + 1e-6
@@ -544,9 +476,8 @@ def test_adaptive_step_equals_the_tableau():
     def f(t, y):
         return np.array(dynamics._extended_rhs(sched, 1.0)(t, y))
 
-    ts, ys, _ = dynamics._rk45_path(
-        sched, 1.0, 0.0, y0, h,
-        IntegratorOptions(method="rk45-adaptive", rtol=1e-6, atol=1e-6))
+    traj = flow(ExtendedState.from_array(y0, 0.0), h, sched, tol=1e-6)
+    ts, ys = traj.t, traj.y
     assert ts.tolist() == [0.0, h]
     K = np.zeros((6, 6))
     for i in range(6):
@@ -559,34 +490,31 @@ _FOURIER3 = random_fourier(np.random.default_rng(5), 3)
 _Y0 = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
 
 
-def _both_rk45_passes(sched, hbar, t0, y0, t1, opts, output_times):
-    """(times, rows, dense rows) of integrate's kernel and of the
-    reference list stepper on the extended right-hand side."""
-    return (dynamics._rk45_path(sched, hbar, t0, y0, t1, opts, output_times),
-            rk45_lists(dynamics._extended_rhs(sched, hbar), t0, y0, t1, opts,
-                       output_times))
+def _both_rk45_passes(sched, hbar, t0, y0, t1, tol=1e-10):
+    """(times, rows) of the witness flow and of the reference list
+    stepper on the extended right-hand side."""
+    traj = flow(ExtendedState.from_array(y0, t0), t1, sched,
+                Constants(hbar=hbar), tol)
+    return ((traj.t, traj.y),
+            rk45_lists(dynamics._extended_rhs(sched, hbar), t0, y0, t1, tol))
 
 
-@pytest.mark.parametrize("sched, hbar, t0, marks", [
-    (ParameterSchedule.standard(0.3, 1.3), 1.0, 0.0, None),
-    (ParameterSchedule.standard(0.3, 1.3), 0.7, 0.0, 97),
-    (ParameterSchedule.standard(0.75, 2.5), 2.0, np.float64(0.4), 33),
-    (_FOURIER3, 1.0, 0.0, None),
-    (_FOURIER3, 0.5, np.float64(1.1), 511)],
-    ids=["standard", "standard-hbar-marks", "strong-numpy-t0",
-         "fourier3", "fourier3-numpy-t0-marks"])
-def test_adaptive_kernel_equals_the_reference_stepper(sched, hbar, t0, marks):
+@pytest.mark.parametrize("sched, hbar, t0", [
+    (ParameterSchedule.standard(0.3, 1.3), 1.0, 0.0),
+    (ParameterSchedule.standard(0.3, 1.3), 0.7, 0.0),
+    (ParameterSchedule.standard(0.75, 2.5), 2.0, np.float64(0.4)),
+    (_FOURIER3, 1.0, 0.0),
+    (_FOURIER3, 0.5, np.float64(1.1))],
+    ids=["standard", "standard-hbar", "strong-numpy-t0", "fourier3",
+         "fourier3-numpy-t0"])
+def test_adaptive_kernel_equals_the_reference_stepper(sched, hbar, t0):
     # the six-float kernel keeps the operation order of the list stepper
-    # in every stage, the error norm, the step control and the dense
-    # output, so the two passes agree bit for bit
+    # in every stage, the error norm and the step control, so the two
+    # passes agree bit for bit
     t1 = t0 + 2.0 * sched.period
-    out = None if marks is None else np.linspace(t0, t1, marks + 2)[1:-1]
-    (ts, ys, dense), (ts_r, ys_r, dense_r) = _both_rk45_passes(
-        sched, hbar, t0, _Y0, t1, FLOW, out)
+    (ts, ys), (ts_r, ys_r) = _both_rk45_passes(sched, hbar, t0, _Y0, t1)
     assert len(ts) > 50
     assert np.array_equal(ts, ts_r) and np.array_equal(ys, ys_r)
-    assert dense.shape == dense_r.shape == (marks or 0, 6)
-    assert np.array_equal(dense, dense_r)
 
 
 def test_adaptive_kernel_halves_as_the_reference(monkeypatch):
@@ -602,20 +530,18 @@ def test_adaptive_kernel_halves_as_the_reference(monkeypatch):
             raise
     monkeypatch.setattr(dynamics, "_rates", counting_walls)
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.25)
-    loose = IntegratorOptions(method="rk45-adaptive", rtol=1e-4, atol=1e-4)
     y0 = WALL_START.as_array()
-    (ts, ys, dense), (ts_r, ys_r, dense_r) = _both_rk45_passes(
-        FREE, 1.0, 0.0, y0, math.pi, loose, np.linspace(0.1, 3.0, 30))
+    (ts, ys), (ts_r, ys_r) = _both_rk45_passes(FREE, 1.0, 0.0, y0, math.pi,
+                                               tol=1e-4)
     assert len(walls) == 2
     assert np.array_equal(ts, ts_r) and np.array_equal(ys, ys_r)
-    assert np.array_equal(dense, dense_r)
     # raised into the orbit, the floor stops both passes at the same wall
     # with the same counters
     monkeypatch.setattr(dynamics, "G_FLOOR", WALL_G)
     errors = []
-    for run in (lambda: dynamics._rk45_path(FREE, 1.0, 0.0, y0, 1.0, FLOW),
+    for run in (lambda: flow(WALL_START, 1.0, FREE),
                 lambda: rk45_lists(dynamics._extended_rhs(FREE, 1.0), 0.0,
-                                   y0, 1.0, FLOW)):
+                                   y0, 1.0, 1e-10)):
         with pytest.raises(IntegrationError, match="left the domain") as err:
             run()
         errors.append((str(err.value), err.value.last_t))
@@ -639,37 +565,69 @@ def test_eom_rhs_returns_an_array():
 
 
 def test_output_times_must_increase_inside_the_horizon(rates_calls):
-    rhs, calls = _counted_decay()
     sched = _counting(ParameterSchedule.standard(0.3, 1.3))
     state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
     for bad in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3]):
-        with pytest.raises(ValueError, match="output times"):
-            integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, FLOW,
-                          output_times=bad)
         # every route of integrate refuses them before its first step
-        for method in ("rk45-adaptive", "rk4-fixed", "linear"):
+        for method in ("rk4-fixed", "linear"):
             with pytest.raises(ValueError, match="output times"):
                 integrate(state, 1.0, sched,
                           opts=IntegratorOptions(method=method),
                           output_times=bad)
-    assert calls == rates_calls == sched.evals == []
+    assert rates_calls == sched.evals == []
 
 
-def test_generic_pass_has_no_linear_route():
-    # the linear and the fixed-step routes step only the extended state
+def test_integrator_options_are_the_method_and_the_step():
+    # the adaptive stepper is the witness flow alone: no route of
+    # integrate, and its tolerance is an argument of flow
+    assert [f.name for f in dataclasses.fields(IntegratorOptions)] == [
+        "method", "step"]
+    with pytest.raises(ValueError, match="unknown method 'rk45-adaptive'"):
+        IntegratorOptions(method="rk45-adaptive")
+
+
+def test_flow_refuses_a_nonpositive_tolerance(rates_calls):
+    # tol is both tolerances of the error norm; the witness flow and its
+    # reference refuse it before the first step
     rhs, calls = _counted_decay()
-    with pytest.raises(ValueError, match="no linear route"):
-        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, IntegratorOptions())
-    with pytest.raises(ValueError, match="no rk4-fixed route"):
-        integrate_ode(rhs, 0.0, np.array([1.0]), 1.0,
-                      IntegratorOptions(method="rk4-fixed"))
-    assert calls == []
+    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
+    for tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            flow(state, 1.0, FREE, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, tol)
+    assert calls == rates_calls == []
+
+
+def test_every_flow_row_passed_the_floor_test(monkeypatch):
+    # flow has no row check: the floor raised to the orbit's lowest width
+    # refuses the stages that dip below it, and every row returned is a
+    # state _rates accepted, the start as the first stage and each
+    # accepted row as the last stage of its step (raised into the orbit,
+    # the floor refuses the pass: test_adaptive_kernel_halves_as_the_reference)
+    rates, accepted, refused = dynamics._rates, set(), []
+
+    def recording(a, b, c, q, p, G, Pi, hbar):
+        try:
+            out = rates(a, b, c, q, p, G, Pi, hbar)
+        except DomainError:
+            refused.append(G)
+            raise
+        accepted.add((q, p, G, Pi))
+        return out
+    monkeypatch.setattr(dynamics, "_rates", recording)
+    monkeypatch.setattr(dynamics, "G_FLOOR", 0.25)
+    traj = flow(WALL_START, math.pi, FREE, tol=1e-4)
+    assert refused and traj.t[-1] == math.pi
+    assert {tuple(row) for row in traj.y[:, :4].tolist()} <= accepted
+    assert traj.y[:, 2].min() > 0.25
 
 
 def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
     # the rhs vets every stage; with equations of motion that have no
     # floor and the floor raised above part of the orbit, integrate must
-    # still refuse the accepted and the interpolated rows at or below it
+    # still refuse the rk4-fixed rows at or below it, every step's and
+    # those landed on output times
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=0, p=0, G=1.0, Pi=0.0)  # G swings 1 -> 1/4 -> 1
     floored = dynamics._rates
@@ -681,22 +639,21 @@ def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rates", rates_without_floor)
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
-    _, ys, _ = integrate_ode(dynamics._extended_rhs(sched, 1.0), 0.0,
-                             state.as_array(), math.pi, FLOW)
-    # integrate's kernel looks _rates up per pass, so it takes the swap
-    # too; only its row check refuses the steps below the floor
-    _, ys_kernel, _ = dynamics._rk45_path(sched, 1.0, 0.0, state.as_array(),
-                                          math.pi, FLOW)
-    assert np.array_equal(ys_kernel, ys)
+    _, ys = integrate_ode(dynamics._extended_rhs(sched, 1.0), 0.0,
+                          state.as_array(), math.pi, 1e-10)
+    # the witness flow looks _rates up per pass, so it takes the swap too,
+    # and it has no row check: it returns the steps below the floor
+    assert np.array_equal(flow(state, math.pi, sched).y, ys)
     assert ys[:, 2].min() < 0.3  # the swapped rhs let the steps through
+    rk4 = IntegratorOptions(method="rk4-fixed", step=0.01)
     for output_times in (None, np.linspace(0.0, math.pi, 33)[1:-1]):
         with pytest.raises(IntegrationError, match="width G = .* at t=") as err:
-            integrate(state, math.pi, sched, opts=FLOW,
+            integrate(state, math.pi, sched, opts=rk4,
                       output_times=output_times)
         t = err.value.last_t
         assert 0.0 < t < math.pi
         assert math.cos(t) ** 2 + math.sin(t) ** 2 / 4 > 0.3
-    cfg = cli.parse_config("epsilon=0.0\nmethod=rk45-adaptive\n"
+    cfg = cli.parse_config("epsilon=0.0\nmethod=rk4-fixed\nstep=0.01\n"
                            "[simulate]\ng0=1.0\n"
                            f"t1={math.pi!r}\nsamples=32\n")
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
@@ -705,8 +662,10 @@ def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
 def test_integrate_rejects_bad_horizon():
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0, t=1.0)
-    with pytest.raises(ValueError):
-        integrate(state, 0.5, sched, opts=FLOW)
+    with pytest.raises(ValueError, match="must exceed start time"):
+        integrate(state, 0.5, sched)
+    with pytest.raises(ValueError, match="must exceed start time"):
+        flow(state, 0.5, sched)
 
 
 def test_width_guard_reports_failure():
@@ -717,7 +676,7 @@ def test_width_guard_reports_failure():
         b_coeffs=((0.0, 0.0),), c_coeffs=((-1.0, 0.0),))
     state = ExtendedState(q=0, p=0, G=1e-4, Pi=0.0)
     with pytest.raises(IntegrationError) as err:
-        integrate(state, 10.0, sched, opts=FLOW)
+        flow(state, 10.0, sched)
     assert err.value.last_t is not None
     assert 0.0 < err.value.last_t < 10.0
     # rk4-fixed meets the floor in a stage of the step that crosses it:
@@ -764,8 +723,8 @@ def test_start_width_at_floor_is_reported(method):
         with pytest.raises(IntegrationError,
                            match="left the domain: .* at or below the floor"
                            ) as err:
-            integrate(ExtendedState(q=1.0, p=0.0, G=G, Pi=0.0), 1.0, sched,
-                      opts=IntegratorOptions(method=method))
+            _route(method, ExtendedState(q=1.0, p=0.0, G=G, Pi=0.0), 1.0,
+                   sched)
         assert err.value.last_t is None
 
 
@@ -774,7 +733,6 @@ def test_only_domain_errors_reject_steps(method, monkeypatch):
     # a DomainError raised by the equations of motion is a state leaving
     # the domain: the stepper reports an IntegrationError at the wall;
     # any other ValueError is a bug and must propagate unchanged
-    opts = IntegratorOptions(method=method, step=0.01)
     rates = dynamics._rates
 
     def rates_raising(exc):
@@ -786,11 +744,11 @@ def test_only_domain_errors_reject_steps(method, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rates", rates_raising(DomainError))
     with pytest.raises(IntegrationError) as err:
-        integrate(WALL_START, 1.0, FREE, opts=opts)
+        _route(method, WALL_START, 1.0, FREE, step=0.01)
     assert 0.0 < err.value.last_t < WALL_T + 1e-6
     monkeypatch.setattr(dynamics, "_rates", rates_raising(ValueError))
     with pytest.raises(ValueError, match="past the wall") as err:
-        integrate(WALL_START, 1.0, FREE, opts=opts)
+        _route(method, WALL_START, 1.0, FREE, step=0.01)
     assert type(err.value) is ValueError
 
 
@@ -802,7 +760,7 @@ def test_actions_conserved_without_drive():
     sched = ParameterSchedule.standard(0.0, 1.0)
     state = ExtendedState(q=1.0, p=0.0, G=1.0, Pi=0.0)
     I0, J0 = actions(state)
-    traj = integrate(state, 10 * TWO_PI, sched, opts=FLOW)
+    traj = flow(state, 10 * TWO_PI, sched)
     for i in range(0, len(traj.t), 40):
         I, J = actions(traj.state_at_index(i))
         assert abs(I - I0) < 1e-8
@@ -812,8 +770,8 @@ def test_actions_conserved_without_drive():
 def test_covariance_determinant_along_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
     hbar = 2.0
-    traj = integrate(ExtendedState(q=0.3, p=-0.1, G=0.8, Pi=0.2),
-                     TWO_PI, sched, consts=Constants(hbar=hbar), opts=FLOW)
+    traj = flow(ExtendedState(q=0.3, p=-0.1, G=0.8, Pi=0.2), TWO_PI, sched,
+                Constants(hbar=hbar))
     dq2, dp2, cov = covariance(traj.y[:, 2], traj.y[:, 3], hbar)
     assert np.max(np.abs(dq2 * dp2 - cov ** 2 - hbar ** 2 / 4)) < 1e-10
 
@@ -821,8 +779,7 @@ def test_covariance_determinant_along_flow():
 def test_fluctuation_flow_is_hbar_independent():
     sched = ParameterSchedule.standard(0.1, 1.0)
     state = ExtendedState(q=0.4, p=0.3, G=0.7, Pi=-0.1)
-    finals = [integrate(state, TWO_PI, sched,
-                        consts=Constants(hbar=h), opts=FLOW).final
+    finals = [flow(state, TWO_PI, sched, Constants(hbar=h)).final
               for h in (0.5, 1.0, 2.0)]
     for f in finals[1:]:
         assert abs(f.G - finals[0].G) < 1e-8
@@ -832,9 +789,7 @@ def test_fluctuation_flow_is_hbar_independent():
 def test_rk4_fourth_order_convergence():
     sched = ParameterSchedule.standard(0.05, 1.0)
     state = ExtendedState(q=1, p=0, G=0.5, Pi=0)
-    ref = integrate(state, TWO_PI, sched,
-                    opts=IntegratorOptions(method="rk45-adaptive",
-                                           rtol=1e-13, atol=1e-13)).final
+    ref = flow(state, TWO_PI, sched, tol=1e-13).final
     errs = [np.max(np.abs(
         integrate(state, TWO_PI, sched,
                   opts=IntegratorOptions(method="rk4-fixed", step=h)
@@ -846,9 +801,9 @@ def test_rk4_fourth_order_convergence():
 def test_phase_additivity():
     sched = ParameterSchedule.standard(0.1, 1.0)
     state = ExtendedState(q=0.8, p=0.1, G=0.6, Pi=-0.05)
-    mid = integrate(state, 2.3, sched, opts=FLOW).final
-    split = integrate(mid, TWO_PI, sched, opts=FLOW).final
-    whole = integrate(state, TWO_PI, sched, opts=FLOW).final
+    mid = flow(state, 2.3, sched).final
+    split = flow(mid, TWO_PI, sched).final
+    whole = flow(state, TWO_PI, sched).final
     assert abs(split.lambda_G - whole.lambda_G) < 1e-9
     assert abs(split.lambda_D - whole.lambda_D) < 1e-9
 

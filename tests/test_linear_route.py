@@ -1,6 +1,7 @@
 """The linear route of dynamics.integrate: every column of a trajectory in
 closed form from M(t) and K(t) of the Gauss period pass, held against
-the exact standard family and against the nonlinear flow."""
+the exact standard family and against the nonlinear flow, read at the
+flow's own accepted steps."""
 
 import math
 import re
@@ -10,25 +11,38 @@ import pytest
 
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
-from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
+from squeezephase.dynamics import ExtendedState, Trajectory, flow, integrate
 from squeezephase.errors import ConvergenceError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
 from witness import random_fourier
 
 TWO_PI = 2.0 * math.pi
-# the flow route, tight enough that its own error stays under 1e-11
-REFERENCE = IntegratorOptions(method="rk45-adaptive", rtol=1e-13, atol=1e-13)
+# the tolerance of the witness flow, tight enough that its own error
+# stays under 1e-11
+REFERENCE = 1e-13
 # a Mathieu schedule inside the first resonance tongue: elliptic at every
 # instant (a b > c^2), hyperbolic period map (|tr M(T)| = 2.055)
 MATHIEU = ParameterSchedule.fourier(
     math.pi, [(1.0, 0.0), (0.5, 0.0)], [(1.0, 0.0)], [(0.0, 0.0)])
 
 
-def linear_and_flow(sched, state, t1, n, hbar):
-    grid = np.linspace(state.t, t1, n + 1)[1:-1]
+def linear_and_flow(sched, state, t1, hbar, n=None):
+    """The linear route and the witness flow at the same times, with no
+    interpolation error: the flow's accepted steps, or with n the n + 1
+    uniform times of [t0, t1], each the end of a flow leg from the one
+    before."""
     consts = Constants(hbar=hbar)
-    return (integrate(state, t1, sched, consts, output_times=grid),
-            integrate(state, t1, sched, consts, REFERENCE, output_times=grid))
+    if n is None:
+        witness = flow(state, t1, sched, consts, tol=REFERENCE)
+    else:
+        times = np.linspace(state.t, t1, n + 1)
+        ends = [state]
+        for t in times[1:]:
+            ends.append(flow(ends[-1], t, sched, consts, tol=REFERENCE).final)
+        witness = Trajectory(t=times,
+                             y=np.array([end.as_array() for end in ends]))
+    return (integrate(state, t1, sched, consts,
+                      output_times=witness.t[1:-1]), witness)
 
 
 def relative_gap(got, want):
@@ -140,10 +154,10 @@ def flow_cases():
 def test_matches_flow_over_ten_periods(case):
     sched = flow_cases()[case]
     state = ExtendedState(q=0.8, p=-0.5, G=0.45, Pi=-0.12)
-    linear, flow = linear_and_flow(sched, state, 10.5 * sched.period, 420,
-                                   hbar=0.6)
-    assert np.array_equal(linear.t, flow.t)
-    assert np.all(relative_gap(linear.y, flow.y) <= 1e-10)
+    linear, witness = linear_and_flow(sched, state, 10.5 * sched.period,
+                                      hbar=0.6)
+    assert np.array_equal(linear.t, witness.t)
+    assert np.all(relative_gap(linear.y, witness.y) <= 1e-10)
 
 
 def test_start_time_and_start_phases_carry_over():
@@ -152,10 +166,10 @@ def test_start_time_and_start_phases_carry_over():
     sched = random_fourier(np.random.default_rng(3), 3)
     state = ExtendedState(q=-0.3, p=0.9, G=0.8, Pi=0.2, lambda_G=1.25,
                           lambda_D=-0.75, t=2.2)
-    linear, flow = linear_and_flow(sched, state, 2.2 + 6.3 * sched.period,
-                                   200, hbar=1.7)
+    linear, witness = linear_and_flow(sched, state, 2.2 + 6.3 * sched.period,
+                                      hbar=1.7)
     assert np.array_equal(linear.y[0], state.as_array())
-    assert np.all(relative_gap(linear.y, flow.y) <= 1e-10)
+    assert np.all(relative_gap(linear.y, witness.y) <= 1e-10)
     # and split at any time, the two legs give the one-leg rows
     mid = integrate(state, 7.0, sched, Constants(hbar=1.7)).final
     split = integrate(mid, linear.t[-1], sched, Constants(hbar=1.7)).final
@@ -165,22 +179,28 @@ def test_start_time_and_start_phases_carry_over():
 @pytest.mark.parametrize("G0", [1e-3, 0.02, 4.0])
 def test_squeezed_start_states_match_flow(G0):
     # a strongly squeezed width turns its angle by nearly pi within one
-    # Gauss step where G is small; the phase must still be counted exactly
+    # Gauss step where G is small; the phase must still be counted
+    # exactly.  Read on a grid: at its accepted steps near the width's
+    # minimum the flow's own error in Pi reaches 1.9e-9 (G0 = 1e-3), where
+    # the linear route is within 2.1e-11 of the exact solution
     sched = ParameterSchedule.standard(0.2, 1.3)
     state = ExtendedState(q=0.2, p=0.1, G=G0, Pi=0.3)
-    linear, flow = linear_and_flow(sched, state, 2.2 * sched.period, 61,
-                                   hbar=1.4)
-    assert np.all(relative_gap(linear.y, flow.y) <= 1e-10)
+    linear, witness = linear_and_flow(sched, state, 2.2 * sched.period,
+                                      hbar=1.4, n=61)
+    assert np.all(relative_gap(linear.y, witness.y) <= 1e-10)
 
 
 def test_hyperbolic_period_map_simulates():
     # no normal frame: the growing solution of a resonance tongue is
-    # sampled like any other, where orbit/hannay/floquet exit 1
+    # sampled like any other, where orbit/hannay/floquet exit 1.  Read on
+    # a grid: the width falls to 4.8e-3, and at the flow's accepted steps
+    # there the routes differ by up to 2.4e-10 in Pi, 3.5e-11 with the
+    # flow at tol 1e-14: the flow's own error, as in the squeezed case
     state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
-    linear, flow = linear_and_flow(MATHIEU, state, 7.0 * math.pi, 140,
-                                   hbar=1.0)
+    linear, witness = linear_and_flow(MATHIEU, state, 7.0 * math.pi,
+                                      hbar=1.0, n=140)
     assert np.abs(linear.y[:, 0]).max() > 5.0     # it grows
-    assert np.all(relative_gap(linear.y, flow.y) <= 1e-10)
+    assert np.all(relative_gap(linear.y, witness.y) <= 1e-10)
 
 
 def test_one_sample_gives_the_dense_run_final_phase(tmp_path):
@@ -247,7 +267,7 @@ def test_coarse_pass_makes_simulate_fail(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConvergenceError, match="N = 6 steps and on 2N = 12"):
         integrate(state, 20.0, sched)
     assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
-    # the flow routes do not run the pass
-    flow = cli.parse_config("epsilon=0.05\nomega=0.75\nmethod=rk45-adaptive\n"
-                            "[simulate]\nq0=1.0\nt1=20.0\n")
-    assert cli.run("simulate", flow, out_dir=tmp_path) == 0
+    # the fixed-step route does not run the pass
+    rk4 = cli.parse_config("epsilon=0.05\nomega=0.75\nmethod=rk4-fixed\n"
+                           "step=0.01\n[simulate]\nq0=1.0\nt1=20.0\n")
+    assert cli.run("simulate", rk4, out_dir=tmp_path) == 0

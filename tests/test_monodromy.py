@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from squeezephase.dynamics import ExtendedState, IntegratorOptions, integrate
+from squeezephase.dynamics import ExtendedState, flow
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
 from squeezephase.errors import ConvergenceError, NonEllipticError
@@ -14,7 +14,7 @@ from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
-from witness import FLOW, period_end, random_fourier, rk45_period_pass
+from witness import period_end, random_fourier, rk45_period_pass
 
 TWO_PI = 2.0 * math.pi
 
@@ -468,11 +468,9 @@ def test_oracle_first_order_location():
 def newton_fixed_point(sched, x, tol=1e-11, fd_step=1e-6):
     """Fixed point of the time-T fluctuation map by Newton iteration with a
     central-difference Jacobian, the map taken from the nonlinear flow."""
-    opts = IntegratorOptions(method="rk45-adaptive", rtol=1e-12, atol=1e-12)
-
     def residual(pt):
-        end = integrate(ExtendedState(q=0.0, p=0.0, G=pt[0], Pi=pt[1]),
-                        sched.period, sched, opts=opts).final
+        end = flow(ExtendedState(q=0.0, p=0.0, G=pt[0], Pi=pt[1]),
+                   sched.period, sched, tol=1e-12).final
         return np.array([end.G, end.Pi]) - pt
 
     x = np.asarray(x, dtype=float)
@@ -499,7 +497,7 @@ def test_oracle_matches_newton_solver(eps):
 def test_oracle_point_is_periodic_under_flow():
     sched = ParameterSchedule.standard(0.1, 1.0)
     G0, Pi0 = fluctuation_point(compute_monodromy(sched).S)
-    final = integrate(ExtendedState(q=0, p=0, G=G0, Pi=Pi0),
-                      sched.period, sched, opts=FLOW).final
+    final = flow(ExtendedState(q=0, p=0, G=G0, Pi=Pi0), sched.period,
+                 sched).final
     assert abs(final.G - G0) < 1e-7
     assert abs(final.Pi - Pi0) < 1e-7

@@ -1,74 +1,61 @@
 """Independent witnesses for quantities derived from the period pass.
 
-The flow witness is the nonlinear extended-state flow of
-dynamics.integrate under rk45-adaptive (FLOW): it carries (q, p, G, Pi)
-and accumulates lambda_G and lambda_D in its own right-hand side, sharing
-nothing with compute_monodromy.  Its start points on the invariant ellipse come from
-squeezephase.checks.ellipse_points, which the built-in checks share.
+The flow witness is the nonlinear extended-state flow, dynamics.flow: it
+carries (q, p, G, Pi) and accumulates lambda_G and lambda_D in its own
+right-hand side, sharing nothing with compute_monodromy.  Its start
+points on the invariant ellipse come from squeezephase.checks.ellipse_points,
+which the built-in checks share.
 
 The pass witness integrates M(t) and K(t) of the period pass by the
 adaptive Dormand-Prince stepper instead of Gauss-Legendre collocation.
 
-That stepper, integrate_ode, is the reference of the rk45-adaptive route
-too: it applies the tableau of squeezephase.dynamics to a state held as a
-list, on any right-hand side, where dynamics._rk45_path writes the same
-pass out on the six floats of the extended state.  Run on
-dynamics._extended_rhs, the two give the same steps, rows and dense
-output bit for bit.
+That stepper, integrate_ode, is the reference of dynamics.flow too: it
+applies the tableau of squeezephase.dynamics to a state held as a list,
+on any right-hand side, where flow writes the same pass out on the six
+floats of the extended state.  Run on dynamics._extended_rhs, the two
+give the same steps and rows bit for bit.
 """
 
-import bisect
 import math
 from array import array
 
 import numpy as np
 
 from squeezephase import dynamics
-from squeezephase.dynamics import (RK45, ExtendedState, IntegratorOptions,
-                                   integrate)
+from squeezephase.dynamics import ExtendedState, flow
 from squeezephase.errors import DomainError
 from squeezephase.monodromy import normal_frame
 from squeezephase.params import Constants, ParameterSchedule
 
 # tight enough that the witness's own error (~1e-12 in M, ~1e-11 in K over
 # a slow drive's period) stays under the bounds it is held to
-_PASS_OPTS = IntegratorOptions(method="rk45-adaptive", rtol=3e-13,
-                               atol=3e-13)
-# named, since the default linear route shares the Gauss pass
-FLOW = IntegratorOptions(method="rk45-adaptive")
+_PASS_TOL = 3e-13
 
 
-def integrate_ode(rhs, t0, y0, t1, opts: IntegratorOptions,
-                  output_times=None):
-    """A generic ODE pass of the adaptive stepper.
+def integrate_ode(rhs, t0, y0, t1, tol):
+    """A generic ODE pass of the adaptive stepper at the relative and
+    absolute tolerance tol, which must be positive, as in dynamics.flow.
 
     rhs(t, y) takes the state as an ndarray and returns an array-like;
     the stepper runs on Python floats and adapts it at this boundary.
-    The linear and the rk4-fixed routes step the extended state of
-    integrate only, so opts.method must name rk45-adaptive.  Returns
-    (times, states) of every accepted step and the states at
-    output_times, which must increase strictly inside (t0, t1).
+    Returns (times, states) of every accepted step.
     """
-    if opts.method != RK45:
-        raise ValueError(f"a generic right-hand side has no {opts.method} "
-                         f"route: name {RK45!r}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     return rk45_lists(lambda t, y: np.asarray(rhs(t, np.array(y))).tolist(),
-                      t0, y0, t1, opts, output_times)
+                      t0, y0, t1, tol)
 
 
-def rk45_lists(rhs, t0, y0, t1, opts, output_times=None):
+def rk45_lists(rhs, t0, y0, t1, tol):
     """Adaptive embedded 5(4) pass from t0 to t1 on a list of floats.
 
     rhs(t, y) takes and returns a list of floats.  Steps are chosen by
-    error control alone and land on t1 only; the states at output_times
-    come from the continuous extension of the step that covers each time
-    (a time equal to a step's start gives that step's state exactly).  A
-    DomainError from any stage, the trial solution's included, rejects
-    the step and halves it.  Returns (times, states) of every accepted
-    step and the (len(output_times), n) array of output states.  A
-    DomainError at the start state is reported as IntegrationError with
-    last_t None.  Failures raise dynamics' IntegrationError with its
-    counters, and dynamics.MAX_STEPS is read at each call.
+    error control alone and land on t1 only.  A DomainError from any
+    stage, the trial solution's included, rejects the step and halves
+    it.  Returns (times, states) of every accepted step.  A DomainError
+    at the start state is reported as IntegrationError with last_t None.
+    Failures raise dynamics' IntegrationError with its counters, and
+    dynamics.MAX_STEPS is read at each call.
     """
     _, c2, c3, c4, c5, _, _ = dynamics._DP_C
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
@@ -76,18 +63,13 @@ def rk45_lists(rhs, t0, y0, t1, opts, output_times=None):
     e1, _, e3, e4, e5, e6, e7 = dynamics._DP_E
     shrink, safety, grow = (dynamics._MIN_SHRINK, dynamics._SAFETY,
                             dynamics._MAX_GROW)
-    powers, weights = dynamics._POWERS, dynamics._DP_DENSE
     fail = dynamics._stepper_error
-    atol, rtol = opts.atol, opts.rtol
     y = [float(v) for v in y0]
     t = float(t0)
     t1 = float(t1)
-    tout = dynamics._check_output_times(t, t1, output_times)
     hmin = dynamics._hmin(t, t1)
     ts, ys = array("d", [t]), array("d", y)
     n = len(y)
-    dense = np.empty((len(tout), n))
-    j = 0
     calls = accepted = rejected = walls = 0
 
     h = min(1e-2 * max(1.0, abs(t1 - t)), t1 - t)
@@ -142,7 +124,7 @@ def rk45_lists(rhs, t0, y0, t1, opts, output_times=None):
         for y_, z, d1, d3, d4, d5, d6, d7 in zip(y, y7, k1, k3, k4, k5, k6,
                                                   k7):
             r = h * (e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6
-                     + e7 * d7) / (atol + rtol * max(abs(y_), abs(z)))
+                     + e7 * d7) / (tol + tol * max(abs(y_), abs(z)))
             sq += r * r
         err = math.sqrt(sq / n)
         if err > 1.0:
@@ -154,15 +136,7 @@ def rk45_lists(rhs, t0, y0, t1, opts, output_times=None):
             continue
 
         accepted += 1
-        t_next = t1 if abs((t + h) - t1) <= hmin else t + h
-        if j < len(tout) and tout[j] < t_next:
-            k = bisect.bisect_left(tout, t_next, j)
-            theta = (np.array(tout[j:k]) - t) / h
-            K = np.array((k1, k2, k3, k4, k5, k6, k7))
-            dense[j:k] = np.array(y) + h * ((theta[:, None] ** powers)
-                                            @ (weights @ K))
-            j = k
-        t = t_next
+        t = t1 if abs((t + h) - t1) <= hmin else t + h
         y = y7
         # FSAL: the last stage is the rhs at (t + h, y7)
         k1 = k7
@@ -170,7 +144,7 @@ def rk45_lists(rhs, t0, y0, t1, opts, output_times=None):
         ys.fromlist(y)
         factor = grow if err == 0.0 else min(grow, safety * err ** -0.2)
         h = h * max(shrink, factor)
-    return np.array(ts), np.array(ys).reshape(-1, n), dense
+    return np.array(ts), np.array(ys).reshape(-1, n)
 
 
 def random_fourier(rng, harmonics):
@@ -188,8 +162,8 @@ def random_fourier(rng, harmonics):
 
 def period_end(sched, q, p, G, Pi, hbar=1.0):
     """Extended state after one period of the flow started at t = 0."""
-    return integrate(ExtendedState(q=q, p=p, G=G, Pi=Pi), sched.period,
-                     sched, consts=Constants(hbar=hbar), opts=FLOW).final
+    return flow(ExtendedState(q=q, p=p, G=G, Pi=Pi), sched.period, sched,
+                Constants(hbar=hbar)).final
 
 
 def _period_rhs(sched):
@@ -211,9 +185,9 @@ def rk45_period_pass(sched):
     rho = 2 pi k + sigma with k from the normal-frame angle of one
     solution column, unwrapped over the accepted steps.
     """
-    ts, ys, _ = integrate_ode(_period_rhs(sched), 0.0,
-                              np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
-                              sched.period, _PASS_OPTS)
+    ts, ys = integrate_ode(_period_rhs(sched), 0.0,
+                           np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+                           sched.period, _PASS_TOL)
     Ms = ys[:, :4].reshape(-1, 2, 2)
     W, sigma = normal_frame(Ms[-1])
     qp = (Ms @ (W @ np.array([0.0, 1.0]))) @ np.linalg.inv(W).T
