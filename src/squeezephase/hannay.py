@@ -6,8 +6,9 @@ a = 1 + eps*cos(omega t), b = 2 - a, c = eps*sin(omega t):
 * ``hannay_closed_form``:    2*pi*eps^2/(omega+2)^2.
 * ``hannay_quadrature``:     the torus-averaged quadrature of the energy
   mismatch A = Hbar(Ibar) - H_cl under the explicit second-order
-  action-angle transform, on one fixed Simpson grid of ``GRID`` intervals
-  per axis.
+  action-angle transform: the plain mean over one fixed periodic grid of
+  ``GRID`` nodes per axis (the trapezoid rule, which converges
+  geometrically on this periodic analytic integrand).
 * ``trajectory_angle``:   a schedule-agnostic estimator, the rotation
   number minus the torus-averaged dynamical angle advance, read off the
   period pass (``trajectory_angle(compute_monodromy(sched))``) and usable
@@ -82,15 +83,17 @@ def hannay_closed_form(sched: ParameterSchedule) -> float:
     return 2.0 * math.pi * sched.epsilon ** 2 / (sched.omega + 2.0) ** 2
 
 
-# Simpson intervals per axis of the quadrature grid (even); the integrand
-# is periodic and analytic, so 64 is already converged to roundoff
-GRID = 64
+# nodes per axis of the periodic quadrature grid; the integrand is
+# periodic and analytic, so the plain mean (trapezoid rule) converges
+# geometrically and 32 nodes are already at roundoff
+GRID = 32
 
 
 def _mismatch_rate(sched, I_bar):
-    """Grid of dA/dIbar = A/Ibar over (t, phi_bar), A = Hbar - H_cl."""
-    t = np.linspace(0.0, sched.period, GRID + 1)
-    phib = np.linspace(0.0, 2.0 * math.pi, GRID + 1)
+    """GRID x GRID array of dA/dIbar = A/Ibar, A = Hbar - H_cl, at the
+    uniform periodic nodes t = kT/GRID, phi_bar = 2 pi j/GRID."""
+    t = np.arange(GRID) * (sched.period / GRID)
+    phib = np.arange(GRID) * (2.0 * math.pi / GRID)
     tt, pp = np.meshgrid(t, phib, indexing="ij")
     phi, I = pert_transform(pp, I_bar, tt, sched)
     q = np.sqrt(2.0 * I) * np.sin(phi)
@@ -99,25 +102,18 @@ def _mismatch_rate(sched, I_bar):
     return A / I_bar
 
 
-def _simpson_weights(n):
-    # composite Simpson over n intervals (n even), n+1 nodes
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
 def hannay_quadrature(sched: ParameterSchedule) -> float:
     """Torus-averaged quadrature of dA/dIbar over one period.
 
-    Composite Simpson on both axes of the fixed ``GRID`` x ``GRID`` grid.
-    dA/dIbar is evaluated analytically as A/Ibar at Ibar = 1: A is linear
-    in the action for this family because the old action is proportional
-    to the new one and H_cl is degree-1 homogeneous.  The linearity is
-    checked on the grid against Ibar = 2; a violation raises
-    ConvergenceError.  The even spurious quartic of the truncated
-    transform is removed by a single Richardson step over eps and eps/2
-    (see module docstring).
+    The period times the plain mean of dA/dIbar over the fixed periodic
+    ``GRID`` x ``GRID`` grid of (t, phi_bar): the trapezoid rule, exact to
+    roundoff on this periodic analytic integrand.  dA/dIbar is evaluated
+    analytically as A/Ibar at Ibar = 1: A is linear in the action for this
+    family because the old action is proportional to the new one and H_cl
+    is degree-1 homogeneous.  The linearity is checked on the grid against
+    Ibar = 2; a violation raises ConvergenceError.  The even spurious
+    quartic of the truncated transform is removed by a single Richardson
+    step over eps and eps/2 (see module docstring).
     """
     _require_standard(sched)
 
@@ -128,10 +124,7 @@ def hannay_quadrature(sched: ParameterSchedule) -> float:
             raise ConvergenceError(
                 f"A/Ibar varies with the action by {lin_dev:.3e}; "
                 "homogeneity assumption violated")
-        w = _simpson_weights(GRID)
-        wt = w * (part.period / GRID)
-        wp = w * (2.0 * math.pi / GRID)
-        return float(wt @ rate @ wp) / (2.0 * math.pi)
+        return part.period * float(rate.mean())
 
     full = averaged(sched)
     half = averaged(ParameterSchedule.standard(0.5 * sched.epsilon,

@@ -1,6 +1,10 @@
+import collections
 import concurrent.futures
+import dataclasses
 
-from squeezephase import checks
+import numpy as np
+
+from squeezephase import checks, dynamics, orbits
 from squeezephase.checks import CheckResult, run_builtin_checks
 from squeezephase.cli import _fmt, _sweep_point, main, parse_config, run
 
@@ -32,6 +36,72 @@ def test_check_subcommand_reports_failure(tmp_path, capsys, monkeypatch):
 
 def test_check_needs_no_config(tmp_path, capsys):
     assert main(["check", "--out", str(tmp_path)]) == 0
+
+
+def test_only_the_witness_checks_run_the_flow(monkeypatch):
+    # every other check holds its property on the route that computes it
+    calls = collections.Counter()
+    running = [None]
+    flow = dynamics.flow
+
+    def counted(*args, **kwargs):
+        calls[running[0]] += 1
+        return flow(*args, **kwargs)
+
+    def named(fn):
+        def run_one():
+            running[0] = fn.__name__
+            return fn()
+        return run_one
+
+    monkeypatch.setattr(dynamics, "flow", counted)
+    monkeypatch.setattr(checks, "ALL_CHECKS",
+                        tuple(named(fn) for fn in checks.ALL_CHECKS))
+    assert len(run_builtin_checks()) == 15
+    assert set(calls) == {"check_orbit_phase_witness",
+                          "check_floquet_flow_witness"}
+
+
+def _fails(check):
+    result = check()
+    assert not result.passed, result.detail
+
+
+def test_phase_additivity_catches_lost_start_phases(monkeypatch):
+    # a linear route that restarts the phases at a start time t0 != 0
+    linear_path = dynamics._linear_path
+
+    def drop_start_phases(state0, *args):
+        if state0.t != 0.0:
+            state0 = dataclasses.replace(state0, lambda_G=0.0, lambda_D=0.0)
+        return linear_path(state0, *args)
+
+    monkeypatch.setattr(dynamics, "_linear_path", drop_start_phases)
+    _fails(checks.check_phase_additivity)
+
+
+def test_orbit_loop_area_catches_a_scaled_cycle_phase(monkeypatch):
+    cycle_phases = orbits.cycle_phases
+
+    def scaled(mono):
+        lam_G, lam_D = cycle_phases(mono)
+        return lam_G * (1.0 + 1e-10), lam_D
+
+    monkeypatch.setattr(orbits, "cycle_phases", scaled)
+    _fails(checks.check_orbit_loop_area)
+
+
+def test_hbar_check_catches_a_one_ulp_width_shift(monkeypatch):
+    linear_path = dynamics._linear_path
+
+    def hbar_width(state0, t1, sched, hbar, output_times):
+        t, y = linear_path(state0, t1, sched, hbar, output_times)
+        if hbar != 1.0:
+            y[:, 2] = np.nextafter(y[:, 2], np.inf)
+        return t, y
+
+    monkeypatch.setattr(dynamics, "_linear_path", hbar_width)
+    _fails(checks.check_hbar_independent_fluctuations)
 
 
 def test_sweep_rows_are_its_points_in_process(tmp_path, monkeypatch):

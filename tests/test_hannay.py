@@ -115,7 +115,7 @@ def test_mismatch_rate_linear_in_action(monkeypatch):
     sched = ParameterSchedule.standard(0.1, 1.0)
     r1 = _mismatch_rate(sched, 1.0)
     r2 = _mismatch_rate(sched, 2.0)
-    assert r1.shape == (129, 129)
+    assert r1.shape == (128, 128)
     assert np.max(np.abs(r2 - r1)) < 1e-10
 
 
@@ -125,7 +125,7 @@ def test_homogeneity_violation_is_typed(tmp_path, monkeypatch):
     from squeezephase import cli
     monkeypatch.setattr(hannay, "_mismatch_rate",
                         lambda sched, I_bar:
-                        np.full((hannay.GRID + 1,) * 2, I_bar))
+                        np.full((hannay.GRID,) * 2, I_bar))
     with pytest.raises(ConvergenceError, match="homogeneity"):
         hannay_quadrature(ParameterSchedule.standard(0.1, 1.0))
     cfg = cli.parse_config("epsilon=0.1\nomega=1.0")
