@@ -8,6 +8,11 @@ against an independent witness: the exact solution of the standard
 family, or, in orbit-phase-witness and floquet-flow-witness only, the
 nonlinear extended-state flow (dynamics.flow).  They run at desk scale
 and are shared with the test suite.
+
+One run computes each distinct period pass once: run_builtin_checks
+shares the passes of its seven (schedule, t0) inputs among all the
+checks that read them (monodromy.shared_passes), and keeps none of them
+after it returns.
 """
 
 from __future__ import annotations
@@ -177,15 +182,17 @@ def check_invariant_form():
 
 def check_orbit_phase_witness():
     # the nonlinear flow from the orbit's initial point must return to it
-    # and accumulate the cycle phases the period pass derives
+    # and accumulate the cycle phases the period pass derives; the point
+    # and the phases are those of find_periodic_orbit, which reads them
+    # off the same pass (its t = 0 sample has M = I exactly)
     sched = ParameterSchedule.standard(EPS, OMEGA)
-    orb = orbits.find_periodic_orbit(sched)
-    end = dynamics.flow(dynamics.ExtendedState(q=0.0, p=0.0, G=orb.G0,
-                                               Pi=orb.Pi0),
+    mono = monodromy.compute_monodromy(sched)
+    G0, Pi0 = monodromy.fluctuation_point(mono.S)
+    lam_G, lam_D = orbits.cycle_phases(mono)
+    end = dynamics.flow(dynamics.ExtendedState(q=0.0, p=0.0, G=G0, Pi=Pi0),
                         sched.period, sched).final
-    periodic = max(abs(end.G - orb.G0), abs(end.Pi - orb.Pi0))
-    phases = max(abs(end.lambda_G - orb.lambda_G_cycle),
-                 abs(end.lambda_D - orb.lambda_D_cycle))
+    periodic = max(abs(end.G - G0), abs(end.Pi - Pi0))
+    phases = max(abs(end.lambda_G - lam_G), abs(end.lambda_D - lam_D))
     return _result("orbit-phase-witness", periodic < 1e-7 and phases < 1e-8,
                    f"|Phi_T(G0, Pi0) - (G0, Pi0)| = {periodic:.3e}, "
                    f"flow-accumulated vs period-pass cycle phases differ by "
@@ -298,5 +305,7 @@ ALL_CHECKS = (
 
 
 def run_builtin_checks():
-    """Run the whole suite (drive strengths 0 and 0.05 where relevant)."""
-    return [fn() for fn in ALL_CHECKS]
+    """Run the whole suite (drive strengths 0 and 0.05 where relevant),
+    each distinct period pass computed once (monodromy.shared_passes)."""
+    with monodromy.shared_passes():
+        return [fn() for fn in ALL_CHECKS]

@@ -243,12 +243,12 @@ def _check_output_times(t0, t1, output_times):
     """Output times as a list, required strictly increasing in (t0, t1)."""
     if output_times is None:
         return []
-    out = [float(t) for t in output_times]
-    if out and not (t0 < out[0] and out[-1] < t1 and all(
-            a < b for a, b in zip(out, out[1:]))):
+    out = np.asarray(output_times, dtype=float)
+    if out.size and not (t0 < out[0] and out[-1] < t1
+                         and np.all(np.diff(out) > 0.0)):
         raise ValueError(
             f"output times must increase strictly inside ({t0}, {t1})")
-    return out
+    return out.tolist()
 
 
 def _hmin(t0, t1):

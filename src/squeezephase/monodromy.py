@@ -41,6 +41,11 @@ Wanner, Geometric Numerical Integration, IV.2 and VI.4).  The same pass
 on 2N steps is the error estimate, and its rows, lifted the same way,
 must turn as far within pi.
 
+Inside shared_passes(), period_pass computes each distinct (schedule,
+t0) once and hands every later caller the same PeriodPass: the built-in
+checks read seven passes through many consumers.  Nothing is kept after
+the block closes.  The arrays of a pass are read-only, shared or not.
+
 PeriodPass.sample is the one sampler of M(t), K(t) and the turn of the
 first row of M(t) W: an in-period offset inside a step is one partial
 Gauss step from its start, taken once however many periods repeat the
@@ -50,6 +55,8 @@ samples take no part in the pass, so they never move M(T), K, rho or W.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -84,6 +91,9 @@ _SAMPLE_CHUNK = 256
 # step: 2^8 ulps of T, over the rounding of t - t0 - k T within the first
 # ~2^7 periods, and far finer than any sample spacing.
 _OFFSET_RESOLUTION = 2.0 ** -44
+
+# (schedule, t0) -> PeriodPass while a shared_passes() block is open
+_SHARED = contextvars.ContextVar("shared_passes", default=None)
 
 
 def _gauss_legendre():
@@ -353,9 +363,25 @@ class PeriodPass:
             @ K_tau @ B, angle=angle)
 
 
+@contextlib.contextmanager
+def shared_passes():
+    """Within the block, period_pass computes each distinct (schedule,
+    float(t0)) once and returns that PeriodPass to every later call.  The
+    passes are dropped when the block closes."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
     """The Gauss pass over [t0, t0 + T] on N steps, N set by the schedule
-    alone (_step_count).
+    alone (_step_count); inside shared_passes() the pass already computed
+    for (sched, t0), if any.
+
+    Ms, Ks and alpha are read-only, so that no caller can move a pass
+    another caller reads.
 
     The angle alpha of the first row of M is lifted over the N steps:
     np.unwrap's nearest branches plus the full turns they lack
@@ -365,6 +391,17 @@ def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
     the larger of max |M_2N - M_N| / max(1, max |M_N|) at t0 + T and the
     same for K, is past _ESTIMATE_BOUND.
     """
+    shared = _SHARED.get()
+    if shared is None:
+        return _period_pass(sched, t0)
+    key = (sched, float(t0))
+    if key not in shared:
+        shared[key] = _period_pass(sched, t0)
+    return shared[key]
+
+
+def _period_pass(sched: ParameterSchedule, t0: float) -> PeriodPass:
+    """The pass of period_pass, computed afresh."""
     N = _step_count(sched)
     Ms, Ks = _gauss_pass(sched, N, t0)
     Ms2, Ks2 = _gauss_pass(sched, 2 * N, t0)
@@ -385,6 +422,8 @@ def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
             f"period pass on N = {N} steps and on 2N = {2 * N} steps "
             f"disagree by {estimate:.3e} (relative), over the bound "
             f"{_ESTIMATE_BOUND:.0e}")
+    for x in (Ms, Ks, alpha):
+        x.flags.writeable = False
     return PeriodPass(sched=sched, t0=t0, Ms=Ms, Ks=Ks, alpha=alpha,
                       estimate=estimate)
 

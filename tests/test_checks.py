@@ -3,10 +3,13 @@ import concurrent.futures
 import dataclasses
 
 import numpy as np
+import pytest
 
-from squeezephase import checks, dynamics, orbits
+from squeezephase import checks, dynamics, monodromy, orbits
 from squeezephase.checks import CheckResult, run_builtin_checks
 from squeezephase.cli import _fmt, _sweep_point, main, parse_config, run
+from squeezephase.params import ParameterSchedule
+from witness import random_fourier
 
 
 def test_builtin_suite_all_pass():
@@ -89,6 +92,31 @@ def test_orbit_loop_area_catches_a_scaled_cycle_phase(monkeypatch):
 
     monkeypatch.setattr(orbits, "cycle_phases", scaled)
     _fails(checks.check_orbit_loop_area)
+
+
+@pytest.mark.parametrize("sched", [
+    ParameterSchedule.standard(checks.EPS, checks.OMEGA),
+    random_fourier(np.random.default_rng(7), 3),
+], ids=["standard", "fourier-3"])
+def test_orbit_witness_reads_the_orbit_off_the_pass(sched):
+    # the witness starts from fluctuation_point(S) with the cycle phases
+    # of the monodromy: the orbit's start point and phases, bit for bit
+    mono = monodromy.compute_monodromy(sched)
+    orb = orbits.find_periodic_orbit(sched)
+    assert monodromy.fluctuation_point(mono.S) == (orb.G0, orb.Pi0)
+    assert orbits.cycle_phases(mono) == (orb.lambda_G_cycle,
+                                         orb.lambda_D_cycle)
+
+
+def test_orbit_witness_catches_a_shifted_dynamical_phase(monkeypatch):
+    cycle_phases = orbits.cycle_phases
+
+    def shifted(mono):
+        lam_G, lam_D = cycle_phases(mono)
+        return lam_G, lam_D + 1e-7
+
+    monkeypatch.setattr(orbits, "cycle_phases", shifted)
+    _fails(checks.check_orbit_phase_witness)
 
 
 def test_hbar_check_catches_a_one_ulp_width_shift(monkeypatch):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from squeezephase import cli, dynamics, floquet, hannay, monodromy, orbits
+from squeezephase import (checks, cli, dynamics, floquet, hannay, monodromy,
+                          orbits)
 from squeezephase.cli import main, parse_config, run
 from squeezephase.errors import ConfigError
-from squeezephase.params import STANDARD
+from squeezephase.params import STANDARD, ParameterSchedule
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +397,32 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     cfg = parse_config("[sweep]\neps=0.0,0.05,0.1\nomega=1.0")
     assert run("sweep", cfg, out_dir=tmp_path / "sweep") == 0
     assert len(calls) == 3
+
+
+def test_one_period_pass_per_schedule_per_check_run(monkeypatch):
+    # the checks read 7 distinct (schedule, t0) passes through many
+    # consumers; one run computes each once, as the pass on N steps and
+    # its estimate on 2N, and the next run computes all 7 again
+    passes = []
+    gauss_pass = monodromy._gauss_pass
+
+    def counted(sched, N, t0=0.0):
+        passes.append((sched, float(t0), N))
+        return gauss_pass(sched, N, t0)
+
+    monkeypatch.setattr(monodromy, "_gauss_pass", counted)
+    for _ in range(2):
+        passes.clear()
+        assert all(r.passed for r in checks.run_builtin_checks())
+        inputs = [(sched, t0) for sched, t0, _ in passes[::2]]
+        assert len(set(inputs)) == len(inputs) == 7
+        N = [monodromy._step_count(sched) for sched, _ in inputs]
+        assert passes == [(sched, t0, n) for (sched, t0), n0 in
+                          zip(inputs, N) for n in (n0, 2 * n0)]
+        # no pass outlives the run
+        assert monodromy._SHARED.get() is None
+    sched = ParameterSchedule.standard(0.05, 1.0)
+    assert monodromy.period_pass(sched) is not monodromy.period_pass(sched)
 
 
 # ----------------------------------------------------------------------

@@ -567,7 +567,8 @@ def test_eom_rhs_returns_an_array():
 def test_output_times_must_increase_inside_the_horizon(rates_calls):
     sched = _counting(ParameterSchedule.standard(0.3, 1.3))
     state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
-    for bad in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3]):
+    for bad in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3],
+                [0.2, math.nan, 0.5], [math.nan]):
         # every route of integrate refuses them before its first step
         for method in ("rk4-fixed", "linear"):
             with pytest.raises(ValueError, match="output times"):

@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from squeezephase.dynamics import ExtendedState, flow
+from squeezephase.dynamics import ExtendedState, flow, integrate
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
 from squeezephase.errors import ConvergenceError, NonEllipticError
+from squeezephase.floquet import floquet_reports
 from squeezephase.checks import ellipse_points
 from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
@@ -135,6 +136,41 @@ def test_samples_do_not_move_the_pass(sched):
         sample = mono.flow.sample(sched.period, orb.t[1:-1], mono.W)
         assert np.array_equal(sample.M[0], np.eye(2))
         assert np.array_equal(sample.M[-1], plain.M)
+
+
+def test_shared_passes_serve_every_consumer_within_the_block(monkeypatch):
+    sched = ParameterSchedule.standard(0.1, 1.0)
+    period_pass = monodromy_module.period_pass
+    with monodromy_module.shared_passes():
+        first = period_pass(sched)
+
+        def no_pass(*args):
+            raise AssertionError("a shared pass was computed again")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(monodromy_module, "_gauss_pass", no_pass)
+            assert compute_monodromy(sched).flow is first
+            assert find_periodic_orbit(sched, 8).monodromy.flow is first
+            floquet_reports(sched, [0, 1])
+            integrate(ExtendedState(q=0.3, p=0.1, G=0.6, Pi=0.05),
+                      3.5 * sched.period, sched)
+            # t0 is keyed as a float
+            assert period_pass(sched, 0) is first
+        assert period_pass(sched, 0.5) is not first
+        assert period_pass(sched) is first
+    assert monodromy_module._SHARED.get() is None
+    assert period_pass(sched) is not first
+
+
+def test_pass_arrays_are_read_only():
+    # a pass may be shared, so no caller may write into it; M and K of the
+    # monodromy are views of the pass
+    mono = compute_monodromy(ParameterSchedule.standard(0.1, 1.0))
+    for x in (mono.flow.Ms, mono.flow.Ks, mono.flow.alpha, mono.M, mono.K):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1.0
 
 
 def test_repeated_offsets_share_one_partial_step(monkeypatch):
