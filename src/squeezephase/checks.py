@@ -6,8 +6,10 @@ it: the linear route of `simulate`, or the period pass behind `orbit`,
 `hannay` and `floquet`.  The others hold a result of the period pass
 against an independent witness: the exact solution of the standard
 family, or, in orbit-phase-witness and floquet-flow-witness only, the
-nonlinear extended-state flow (dynamics.flow).  They run at desk scale
-and are shared with the test suite.
+nonlinear extended-state equations stepped by the rk4-fixed route over
+one period (rk4_period_end: the Richardson value of the steps T/160 and
+T/320, whose 4th-order regime rk4-self-convergence holds).  They run at
+desk scale and are shared with the test suite.
 
 One run computes each distinct period pass once: run_builtin_checks
 shares the passes of its seven (schedule, t0) inputs among all the
@@ -96,19 +98,36 @@ def check_action_conservation():
                    f"max |dI|,|dJ| over 10 periods = {worst:.3e}")
 
 
+def _rk4_ends(state, sched, consts):
+    """The rk4-fixed ends, as arrays, of one period from state at the
+    steps T/160 and T/320: the pair whose Richardson value rk4_period_end
+    returns, and whose error ratio rk4-self-convergence holds."""
+    t1 = state.t + sched.period
+    return [dynamics.integrate(
+        state, t1, sched, consts, dynamics.IntegratorOptions(
+            method="rk4-fixed", step=sched.period / n)).final.as_array()
+        for n in (160, 320)]
+
+
+def rk4_period_end(state, sched, consts=Constants()):
+    """The extended state one period after state by the rk4-fixed route:
+    the Richardson value (16 y_320 - y_160)/15 of the runs at T/160 and
+    T/320, whose 4th-order regime rk4-self-convergence certifies."""
+    coarse, fine = _rk4_ends(state, sched, consts)
+    return dynamics.ExtendedState.from_array((16.0 * fine - coarse) / 15.0,
+                                             state.t + sched.period)
+
+
 def check_rk4_convergence():
     sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
-    ref = dynamics.integrate(state, sched.period, sched).final
-    errs = []
-    for h in (8e-3, 4e-3):
-        end = dynamics.integrate(
-            state, sched.period, sched,
-            opts=dynamics.IntegratorOptions(method="rk4-fixed", step=h)).final
-        errs.append(np.max(np.abs(end.as_array() - ref.as_array())))
-    ratio = errs[0] / errs[1]
+    ref = dynamics.integrate(state, sched.period, sched).final.as_array()
+    coarse, fine = (np.max(np.abs(end - ref))
+                    for end in _rk4_ends(state, sched, Constants()))
+    ratio = coarse / fine
     return _result("rk4-self-convergence", 12.0 <= ratio <= 20.0,
-                   f"halving-step error ratio = {ratio:.2f}")
+                   f"halving-step error ratio (T/160 to T/320) = "
+                   f"{ratio:.2f}")
 
 
 def check_phase_additivity():
@@ -181,7 +200,7 @@ def check_invariant_form():
 
 
 def check_orbit_phase_witness():
-    # the nonlinear flow from the orbit's initial point must return to it
+    # the RK4 route from the orbit's initial point must return to it
     # and accumulate the cycle phases the period pass derives; the point
     # and the phases are those of find_periodic_orbit, which reads them
     # off the same pass (its t = 0 sample has M = I exactly)
@@ -189,13 +208,13 @@ def check_orbit_phase_witness():
     mono = monodromy.compute_monodromy(sched)
     G0, Pi0 = monodromy.fluctuation_point(mono.S)
     lam_G, lam_D = orbits.cycle_phases(mono)
-    end = dynamics.flow(dynamics.ExtendedState(q=0.0, p=0.0, G=G0, Pi=Pi0),
-                        sched.period, sched).final
+    end = rk4_period_end(dynamics.ExtendedState(q=0.0, p=0.0, G=G0, Pi=Pi0),
+                         sched)
     periodic = max(abs(end.G - G0), abs(end.Pi - Pi0))
     phases = max(abs(end.lambda_G - lam_G), abs(end.lambda_D - lam_D))
     return _result("orbit-phase-witness", periodic < 1e-7 and phases < 1e-8,
                    f"|Phi_T(G0, Pi0) - (G0, Pi0)| = {periodic:.3e}, "
-                   f"flow-accumulated vs period-pass cycle phases differ by "
+                   f"RK4-accumulated vs period-pass cycle phases differ by "
                    f"{phases:.3e}")
 
 
@@ -261,7 +280,7 @@ def check_floquet_residuals():
 
 
 def check_floquet_flow_witness():
-    # 4 nonlinear-flow runs on the invariant ellipse at I = n*hbar, the
+    # 4 RK4 runs on the invariant ellipse at I = n*hbar, the
     # fluctuations on the periodic orbit: a uniform-angle mean of a
     # quadratic form is exact from 3 angles on, so the means must equal
     # the trace formulas of the reports
@@ -272,16 +291,15 @@ def check_floquet_flow_witness():
     for n, hbar in ((1, 0.5), (3, 2.0)):
         consts = Constants(hbar=hbar)
         rep = floquet.floquet_reports(sched, [n], consts=consts)[0]
-        ends = [dynamics.flow(
-            dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0), sched.period,
-            sched, consts).final
+        ends = [rk4_period_end(
+            dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0), sched, consts)
             for q, p in ellipse_points(mono.W, rep.I_bar0, 4)]
         mean_G = np.mean([end.lambda_G for end in ends])
         mean_D = np.mean([end.lambda_D for end in ends])
         worst = max(worst, abs(mean_G - n * rep.rho - rep.lambda_G_R),
                     abs(mean_D - rep.lambda_D_R))
     return _result("floquet-flow-witness", worst < 1e-8,
-                   f"max |flow mean - report| over (n, hbar) in "
+                   f"max |RK4 mean - report| over (n, hbar) in "
                    f"{{(1, 0.5), (3, 2)}} = {worst:.3e}")
 
 

@@ -15,19 +15,15 @@ follows x = M x0 and the covariance form S = M S0 M^T, with M(t) the flow
 matrix of the centroid system, and both phases are quadratic forms of
 K(t) = int M^T H M plus the angle of the complex width; M and K come from
 the Gauss period pass of monodromy.period_pass.  "rk4-fixed" integrates
-the six components above with fixed steps.
-
-flow is the independent witness of the linear route and of the period
-pass: an adaptive embedded 5(4) pass of the six components, the phases in
-the same pass as the state, so that state and phase share one error
-control.  Both steppers call one copy of the equations of motion, _rates,
-with the coefficients (a, b, c) of each stage, keep the six components in
-local Python floats, and evaluate the schedule once per distinct stage
-time.
+the six components above with fixed steps, the phases in the same pass
+as the state, on local Python floats through one copy of the equations
+of motion, _rates, evaluating the schedule once per distinct stage time.
+It is the one time stepper of the package: the built-in checks hold the
+period pass against it (checks.rk4_period_end).
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
-or below it, so the steppers reject every stage that reaches it, and
-integrate refuses any row it would return at or below it.
+or below it, so rk4-fixed ends its pass at the first stage that reaches
+it, and integrate refuses any row it would return at or below it.
 """
 
 from __future__ import annotations
@@ -44,11 +40,14 @@ from .params import Constants, ParameterSchedule
 
 # The flow preserves G > 0, so a width at or below this floor signals
 # integration failure: _rates raises DomainError there and integrate
-# refuses any returned row there (flow returns only rows _rates accepted).
+# refuses any returned row there.
 G_FLOOR = 1e-6
 
-# Steps one flow pass may take, rejected ones included: over 10x the
-# 9,109 of the longest pass of any check, test or benchmark workload.
+# Steps one rk4-fixed pass may take, counted before its first step: over
+# 10x the ~7,400 of the longest pass of any check, test or benchmark
+# workload (~27 time units at step 0.004, landing on ~510 output times).
+# The adaptive stepper of the tests reads it too (longest pass 9,109
+# steps, rejected ones included).
 MAX_STEPS = 100_000
 
 LINEAR = "linear"
@@ -103,9 +102,9 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Integration samples: every step (an accepted step of flow or
-    rk4-fixed, a step time t0 + kT/N of the linear route) or the requested
-    output times; rows of y are (q, p, G, Pi, lG, lD)."""
+    """Integration samples: every step (a step of rk4-fixed, a step time
+    t0 + kT/N of the linear route) or the requested output times; rows of
+    y are (q, p, G, Pi, lG, lD)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -189,8 +188,8 @@ def _extended_rhs(sched, hbar):
 
 def _rates(a, b, c, q, p, G, Pi, hbar):
     """The derivative of (q, p, G, Pi, lambda_G, lambda_D) under the
-    coefficients (a, b, c), as a list: the equations of motion of flow
-    and of rk4-fixed.  Refuses a width at or below G_FLOOR."""
+    coefficients (a, b, c), as a list: the one copy of the equations of
+    motion.  Refuses a width at or below G_FLOOR."""
     if not G > G_FLOOR:
         raise DomainError(
             f"fluctuation width G = {G} is at or below the floor {G_FLOOR}")
@@ -216,39 +215,14 @@ def _rates(a, b, c, q, p, G, Pi, hbar):
 # Steppers
 # ----------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau (7 stages, first-same-as-last).  The last
-# row of A holds the 5th-order weights, so the last stage state is the
-# step's solution and its rhs is the next step's first stage.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-# 5th- minus 4th-order weights over all seven stages
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
-
-_SAFETY = 0.9
-_MIN_SHRINK = 0.2
-_MAX_GROW = 5.0
-
-
 def _check_output_times(t0, t1, output_times):
-    """Output times as a list, required strictly increasing in (t0, t1)."""
-    if output_times is None:
-        return []
+    """Output times as an array, required strictly increasing in (t0, t1)."""
     out = np.asarray(output_times, dtype=float)
     if out.size and not (t0 < out[0] and out[-1] < t1
                          and np.all(np.diff(out) > 0.0)):
         raise ValueError(
             f"output times must increase strictly inside ({t0}, {t1})")
-    return out.tolist()
+    return out
 
 
 def _hmin(t0, t1):
@@ -261,166 +235,6 @@ def _stepper_error(what, t, h, calls, accepted, rejected, walls, last_t):
         f"{what} (t={t!r}, h={h:.3e}; {calls} rhs calls, {accepted} "
         f"accepted steps, rejected {rejected} for error and {walls} for "
         f"the domain)", last_t=last_t)
-
-
-def flow(state0: ExtendedState, t1: float, sched: ParameterSchedule,
-         consts: Constants = Constants(), tol: float = 1e-10) -> Trajectory:
-    """The witness flow: an adaptive embedded 5(4) (Dormand-Prince) pass of
-    the extended state from state0 (its own t is the start time) to t1,
-    the phases accumulated in the same pass.
-
-    tol is both the relative and the absolute tolerance of the RMS error
-    norm.  Steps are chosen by error control alone and land on t1 only.
-    The kernel steps six Python floats, each in the operation order of
-    the tableau on a whole state.  Stages 2 to 6 build only (q, p, G, Pi),
-    all that _rates reads, and the last two stages share one evaluation
-    of the schedule at t + h.  A DomainError from any stage, the trial
-    solution's included, rejects the step and halves it; at the start
-    state it is an IntegrationError with last_t None, as in _rk4_path.
-    A pass that meets G_FLOOR is refused: every row returned has passed
-    the floor test of _rates, the start row as the first stage and each
-    accepted row as the last stage of its step, which is evaluated at the
-    accepted state.  Returns the times and rows of every accepted step.
-    """
-    if not t1 > state0.t:
-        raise ValueError(f"t1={t1} must exceed start time {state0.t}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    hbar = consts.hbar
-    _, c2, c3, c4, c5, _, _ = _DP_C
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
-    q, p, G, Pi, lG, lD = (float(v) for v in state0.as_array())
-    t, t1 = float(state0.t), float(t1)
-    hmin = _hmin(t, t1)
-    # rows as packed doubles, not lists of float objects
-    ts, ys = array("d", [t]), array("d", (q, p, G, Pi, lG, lD))
-    coeffs, rates = sched.eval, _rates       # looked up per pass
-    calls = accepted = rejected = walls = 0
-
-    h = min(1e-2 * max(1.0, abs(t1 - t)), t1 - t)
-    try:
-        calls += 1
-        a, b, c = coeffs(t)
-        k1 = rates(a, b, c, q, p, G, Pi, hbar)
-    except DomainError as exc:
-        raise _stepper_error(f"state left the domain: {exc}", t, h, calls,
-                             0, 0, 0, None) from exc
-
-    while t < t1 - hmin:
-        if accepted + rejected + walls >= MAX_STEPS:
-            raise _stepper_error(f"exceeded MAX_STEPS={MAX_STEPS}", t, h,
-                                 calls, accepted, rejected, walls, t)
-        h = min(h, t1 - t)
-        q1, p1, G1, Pi1, lG1, lD1 = k1
-        # stages; a domain violation inside a stage rejects the step.
-        # The state of the last stage is the 5th-order solution.
-        try:
-            a, b, c = coeffs(t + c2 * h)
-            calls += 1
-            q2, p2, G2, Pi2, _, _ = rates(
-                a, b, c, q + h * (a21 * q1), p + h * (a21 * p1),
-                G + h * (a21 * G1), Pi + h * (a21 * Pi1), hbar)
-            a, b, c = coeffs(t + c3 * h)
-            calls += 1
-            q3, p3, G3, Pi3, lG3, lD3 = rates(
-                a, b, c, q + h * (a31 * q1 + a32 * q2),
-                p + h * (a31 * p1 + a32 * p2),
-                G + h * (a31 * G1 + a32 * G2),
-                Pi + h * (a31 * Pi1 + a32 * Pi2), hbar)
-            a, b, c = coeffs(t + c4 * h)
-            calls += 1
-            q4, p4, G4, Pi4, lG4, lD4 = rates(
-                a, b, c, q + h * (a41 * q1 + a42 * q2 + a43 * q3),
-                p + h * (a41 * p1 + a42 * p2 + a43 * p3),
-                G + h * (a41 * G1 + a42 * G2 + a43 * G3),
-                Pi + h * (a41 * Pi1 + a42 * Pi2 + a43 * Pi3), hbar)
-            a, b, c = coeffs(t + c5 * h)
-            calls += 1
-            q5, p5, G5, Pi5, lG5, lD5 = rates(
-                a, b, c, q + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
-                p + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
-                G + h * (a51 * G1 + a52 * G2 + a53 * G3 + a54 * G4),
-                Pi + h * (a51 * Pi1 + a52 * Pi2 + a53 * Pi3 + a54 * Pi4),
-                hbar)
-            a, b, c = coeffs(t + h)
-            calls += 1
-            q6, p6, G6, Pi6, lG6, lD6 = rates(
-                a, b, c, q + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4
-                                  + a65 * q5),
-                p + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
-                         + a65 * p5),
-                G + h * (a61 * G1 + a62 * G2 + a63 * G3 + a64 * G4
-                         + a65 * G5),
-                Pi + h * (a61 * Pi1 + a62 * Pi2 + a63 * Pi3 + a64 * Pi4
-                          + a65 * Pi5), hbar)
-            qn = q + h * (a71 * q1 + a73 * q3 + a74 * q4 + a75 * q5
-                          + a76 * q6)
-            pn = p + h * (a71 * p1 + a73 * p3 + a74 * p4 + a75 * p5
-                          + a76 * p6)
-            Gn = G + h * (a71 * G1 + a73 * G3 + a74 * G4 + a75 * G5
-                          + a76 * G6)
-            Pin = Pi + h * (a71 * Pi1 + a73 * Pi3 + a74 * Pi4 + a75 * Pi5
-                            + a76 * Pi6)
-            calls += 1
-            k7 = rates(a, b, c, qn, pn, Gn, Pin, hbar)
-        except DomainError:
-            walls += 1
-            h *= 0.5
-            if h < hmin:
-                raise _stepper_error(
-                    "state left the domain below minimum step", t, h, calls,
-                    accepted, rejected, walls, t)
-            continue
-        q7, p7, G7, Pi7, lG7, lD7 = k7
-        lGn = lG + h * (a71 * lG1 + a73 * lG3 + a74 * lG4 + a75 * lG5
-                        + a76 * lG6)
-        lDn = lD + h * (a71 * lD1 + a73 * lD3 + a74 * lD4 + a75 * lD5
-                        + a76 * lD6)
-        # the RMS of the scaled error, summed in component order; each
-        # scale is max(|y|, |y7|), the first unless the second is larger,
-        # weighted as tol + tol * scale, the rounding of the reference
-        y, z = abs(q), abs(qn)
-        rq = h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6
-                  + e7 * q7) / (tol + tol * (z if z > y else y))
-        y, z = abs(p), abs(pn)
-        rp = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
-                  + e7 * p7) / (tol + tol * (z if z > y else y))
-        y, z = abs(G), abs(Gn)
-        rG = h * (e1 * G1 + e3 * G3 + e4 * G4 + e5 * G5 + e6 * G6
-                  + e7 * G7) / (tol + tol * (z if z > y else y))
-        y, z = abs(Pi), abs(Pin)
-        rPi = h * (e1 * Pi1 + e3 * Pi3 + e4 * Pi4 + e5 * Pi5 + e6 * Pi6
-                   + e7 * Pi7) / (tol + tol * (z if z > y else y))
-        y, z = abs(lG), abs(lGn)
-        rlG = h * (e1 * lG1 + e3 * lG3 + e4 * lG4 + e5 * lG5 + e6 * lG6
-                   + e7 * lG7) / (tol + tol * (z if z > y else y))
-        y, z = abs(lD), abs(lDn)
-        rlD = h * (e1 * lD1 + e3 * lD3 + e4 * lD4 + e5 * lD5 + e6 * lD6
-                   + e7 * lD7) / (tol + tol * (z if z > y else y))
-        sq = (rq * rq + rp * rp + rG * rG + rPi * rPi + rlG * rlG
-              + rlD * rlD)
-        err = math.sqrt(sq / 6)
-        if err > 1.0:
-            rejected += 1
-            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
-            if h < hmin:
-                raise _stepper_error("cannot meet tolerance", t, h, calls,
-                                     accepted, rejected, walls, t)
-            continue
-
-        accepted += 1
-        t = t1 if abs((t + h) - t1) <= hmin else t + h
-        q, p, G, Pi, lG, lD = qn, pn, Gn, Pin, lGn, lDn
-        # FSAL: the last stage is the rhs at (t + h, y7)
-        k1 = k7
-        ts.append(t)
-        ys.extend((q, p, G, Pi, lG, lD))
-        factor = _MAX_GROW if err == 0.0 else min(
-            _MAX_GROW, _SAFETY * err ** -0.2)
-        h = h * max(_MIN_SHRINK, factor)
-    return Trajectory(t=np.array(ts), y=np.array(ys).reshape(-1, 6))
 
 
 def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
@@ -439,12 +253,13 @@ def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
     step."""
     q, p, G, Pi, lG, lD = (float(v) for v in y0)
     t, t1 = float(t0), float(t1)
-    targets = _check_output_times(t, t1, output_times) + [t1]
+    every = output_times is None
+    targets = [t1] if every else [
+        *_check_output_times(t, t1, output_times).tolist(), t1]
     steps = math.ceil((t1 - t) / step) + len(targets) - 1
     if steps > MAX_STEPS:
         raise IntegrationError(f"{steps} steps exceed MAX_STEPS={MAX_STEPS}")
     hmin = _hmin(t, t1)
-    every = output_times is None
     # rows as packed doubles, not lists of float objects
     ts, ys = array("d", [t]), array("d", (q, p, G, Pi, lG, lD))
     coeffs, rates = sched.eval, _rates       # looked up per pass

@@ -9,8 +9,10 @@ class DomainError(ValueError):
     """A state left the domain of the equations of motion (its width G is
     not positive, or in a right-hand side at or below dynamics.G_FLOOR).
 
-    Raised inside a right-hand side, it tells the adaptive stepper to
-    retry with a smaller step; any other exception propagates.
+    Raised inside a right-hand side, it ends an rk4-fixed pass with an
+    IntegrationError at the last good time; only the adaptive stepper of
+    the tests (tests/witness.py) rejects the step and retries it halved.
+    Any other exception propagates.
     """
 
 

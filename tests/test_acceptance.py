@@ -9,13 +9,14 @@ import math
 import numpy as np
 
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions, actions,
-                                   covariance, flow, integrate)
+                                   covariance, integrate)
 from squeezephase.floquet import floquet_reports
 from squeezephase.hannay import (_mismatch_rate, hannay_closed_form,
                                  hannay_quadrature)
 from squeezephase.monodromy import compute_monodromy, fluctuation_point
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
+from witness import flow
 
 TWO_PI = 2.0 * math.pi
 

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from squeezephase import checks, dynamics, monodromy, orbits
+from squeezephase import checks, dynamics, floquet, monodromy, orbits
 from squeezephase.checks import CheckResult, run_builtin_checks
 from squeezephase.cli import _fmt, _sweep_point, main, parse_config, run
-from squeezephase.params import ParameterSchedule
+from squeezephase.params import Constants, ParameterSchedule
 from witness import random_fourier
 
 
@@ -41,15 +41,17 @@ def test_check_needs_no_config(tmp_path, capsys):
     assert main(["check", "--out", str(tmp_path)]) == 0
 
 
-def test_only_the_witness_checks_run_the_flow(monkeypatch):
-    # every other check holds its property on the route that computes it
+def test_only_the_rk4_checks_step_the_equations_of_motion(monkeypatch):
+    # every other check holds its property on the route that computes it,
+    # and the package has no other time stepper
+    assert not hasattr(dynamics, "flow")
     calls = collections.Counter()
     running = [None]
-    flow = dynamics.flow
+    rk4_path = dynamics._rk4_path
 
     def counted(*args, **kwargs):
         calls[running[0]] += 1
-        return flow(*args, **kwargs)
+        return rk4_path(*args, **kwargs)
 
     def named(fn):
         def run_one():
@@ -57,12 +59,16 @@ def test_only_the_witness_checks_run_the_flow(monkeypatch):
             return fn()
         return run_one
 
-    monkeypatch.setattr(dynamics, "flow", counted)
+    monkeypatch.setattr(dynamics, "_rk4_path", counted)
     monkeypatch.setattr(checks, "ALL_CHECKS",
                         tuple(named(fn) for fn in checks.ALL_CHECKS))
     assert len(run_builtin_checks()) == 15
-    assert set(calls) == {"check_orbit_phase_witness",
-                          "check_floquet_flow_witness"}
+    # two rk4-fixed passes (T/160 and T/320) per end: one end for the
+    # convergence ratio, one for the orbit, and one per ellipse point (four
+    # for each of two (n, hbar) pairs)
+    assert calls == {"check_rk4_convergence": 2,
+                     "check_orbit_phase_witness": 2,
+                     "check_floquet_flow_witness": 16}
 
 
 def _fails(check):
@@ -117,6 +123,31 @@ def test_orbit_witness_catches_a_shifted_dynamical_phase(monkeypatch):
 
     monkeypatch.setattr(orbits, "cycle_phases", shifted)
     _fails(checks.check_orbit_phase_witness)
+
+
+def test_floquet_witness_catches_a_shifted_dynamical_phase(monkeypatch):
+    # the reports take lambda_D from the cycle phases: + 1e-7 reads 1.0e-7
+    cycle_phases = floquet.cycle_phases
+
+    def shifted(mono):
+        lam_G, lam_D = cycle_phases(mono)
+        return lam_G, lam_D + 1e-7
+
+    monkeypatch.setattr(floquet, "cycle_phases", shifted)
+    _fails(checks.check_floquet_flow_witness)
+
+
+def test_floquet_witness_needs_the_richardson_step(monkeypatch):
+    # the T/320 run alone is off by 6.0e-8: the bound 1e-8 holds only the
+    # extrapolated end
+    def fine_run_only(state, sched, consts=Constants()):
+        return dynamics.integrate(
+            state, state.t + sched.period, sched, consts,
+            dynamics.IntegratorOptions(method="rk4-fixed",
+                                       step=sched.period / 320)).final
+
+    monkeypatch.setattr(checks, "rk4_period_end", fine_run_only)
+    _fails(checks.check_floquet_flow_witness)
 
 
 def test_hbar_check_catches_a_one_ulp_width_shift(monkeypatch):

@@ -8,6 +8,7 @@ from squeezephase import (checks, cli, dynamics, floquet, hannay, monodromy,
 from squeezephase.cli import main, parse_config, run
 from squeezephase.errors import ConfigError
 from squeezephase.params import STANDARD, ParameterSchedule
+import witness
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +300,7 @@ def test_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     # and the witness flow over the same period, bit for bit
     state = dynamics.ExtendedState(q=0.3, p=0.0, G=0.5, Pi=0.0)
-    runs = [dynamics.flow(state, cfg.schedule.period, cfg.schedule)
+    runs = [witness.flow(state, cfg.schedule.period, cfg.schedule)
             for _ in range(2)]
     assert runs[0].t.tobytes() == runs[1].t.tobytes()
     assert runs[0].y.tobytes() == runs[1].y.tobytes()
@@ -470,7 +471,7 @@ def test_default_simulate_route_matches_the_flow_route():
     cfg = parse_config(text)
     assert cfg.options.method == dynamics.LINEAR
     state = dynamics.ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1)
-    flow = dynamics.flow(state, 53.0, cfg.schedule, cfg.constants, tol=1e-12)
+    flow = witness.flow(state, 53.0, cfg.schedule, cfg.constants, tol=1e-12)
     linear = dynamics.integrate(state, 53.0, cfg.schedule, cfg.constants,
                                 cfg.options, output_times=flow.t[1:-1])
     assert len(flow.t) > 2000 and np.array_equal(linear.t, flow.t)

@@ -7,11 +7,11 @@ import pytest
 
 from squeezephase import cli, dynamics
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
-                                   actions, covariance, eom_rhs, flow, h_cl,
-                                   h_eff, h_fl, integrate)
+                                   actions, covariance, eom_rhs, h_cl, h_eff,
+                                   h_fl, integrate)
 from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
-from witness import integrate_ode, random_fourier, rk45_lists
+from witness import flow, integrate_ode
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,21 +228,6 @@ def test_steps_reuse_last_stage():
     assert len(calls) == 1 + 6 * (len(ts) - 1)
 
 
-def test_adaptive_steps_share_the_end_coefficients(rates_calls):
-    # the witness flow makes the same six calls of the equations of
-    # motion per step as the reference, but evaluates the schedule once per
-    # distinct stage time: the last two stages share t + h, so a step
-    # costs five evaluations, and its last stage is the next one's first
-    sched = _counting(ParameterSchedule.standard(0.3, 1.3))
-    traj = flow(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0, sched)
-    steps = len(traj.t) - 1
-    assert steps > 100 and traj.t[-1] == 5.0
-    # no step was rejected, for error or for the domain
-    assert len(rates_calls) == 1 + 6 * steps
-    assert len(sched.evals) == 1 + 5 * steps
-    assert len(set(sched.evals)) == len(sched.evals)
-
-
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
 def test_numpy_start_time_steps_on_python_floats(method):
     # Trajectory.final hands back an np.float64 time: a pass started from
@@ -340,12 +325,12 @@ def test_max_steps_failure_names_its_counters(method, calls, monkeypatch,
     rhs, seen = _counted_decay()
     with pytest.raises(IntegrationError, match="exceeded MAX_STEPS=3") as err:
         integrate_ode(rhs, 0.0, np.array([1.0]), 1.0, 1e-6)
-    # and the witness flow's own kernel, counting its calls of _rates
+    # and the witness flow, counting its calls of _rates
     with pytest.raises(IntegrationError,
-                       match="exceeded MAX_STEPS=3") as kernel_err:
+                       match="exceeded MAX_STEPS=3") as flow_err:
         _route(method, ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1), 5.0,
                ParameterSchedule.standard(0.3, 1.3), tol=1e-6)
-    for error, made in ((err.value, seen), (kernel_err.value, rates_calls)):
+    for error, made in ((err.value, seen), (flow_err.value, rates_calls)):
         t, n_calls, accepted, rejected, walls = _counters(error)
         assert (n_calls, accepted, rejected, walls) == (calls, 3, 0, 0)
         assert len(made) == calls
@@ -467,7 +452,7 @@ _DP_WEIGHTS = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784,
 
 
 def test_adaptive_step_equals_the_tableau():
-    # one accepted step of the six-float kernel against the Dormand-Prince
+    # one accepted step of the witness flow against the Dormand-Prince
     # tableau evaluated with numpy
     sched = ParameterSchedule.standard(0.3, 1.3)
     y0 = np.array([0.7, -0.3, 0.6, 0.1, 0.2, -0.4])
@@ -484,68 +469,6 @@ def test_adaptive_step_equals_the_tableau():
         K[i] = f(_DP_NODES[i] * h, y0 + h * (_DP_TABLEAU[i] @ K))
     want = y0 + h * (_DP_WEIGHTS @ K)
     assert np.max(np.abs(ys[1] - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-_FOURIER3 = random_fourier(np.random.default_rng(5), 3)
-_Y0 = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
-
-
-def _both_rk45_passes(sched, hbar, t0, y0, t1, tol=1e-10):
-    """(times, rows) of the witness flow and of the reference list
-    stepper on the extended right-hand side."""
-    traj = flow(ExtendedState.from_array(y0, t0), t1, sched,
-                Constants(hbar=hbar), tol)
-    return ((traj.t, traj.y),
-            rk45_lists(dynamics._extended_rhs(sched, hbar), t0, y0, t1, tol))
-
-
-@pytest.mark.parametrize("sched, hbar, t0", [
-    (ParameterSchedule.standard(0.3, 1.3), 1.0, 0.0),
-    (ParameterSchedule.standard(0.3, 1.3), 0.7, 0.0),
-    (ParameterSchedule.standard(0.75, 2.5), 2.0, np.float64(0.4)),
-    (_FOURIER3, 1.0, 0.0),
-    (_FOURIER3, 0.5, np.float64(1.1))],
-    ids=["standard", "standard-hbar", "strong-numpy-t0", "fourier3",
-         "fourier3-numpy-t0"])
-def test_adaptive_kernel_equals_the_reference_stepper(sched, hbar, t0):
-    # the six-float kernel keeps the operation order of the list stepper
-    # in every stage, the error norm and the step control, so the two
-    # passes agree bit for bit
-    t1 = t0 + 2.0 * sched.period
-    (ts, ys), (ts_r, ys_r) = _both_rk45_passes(sched, hbar, t0, _Y0, t1)
-    assert len(ts) > 50
-    assert np.array_equal(ts, ts_r) and np.array_equal(ys, ys_r)
-
-
-def test_adaptive_kernel_halves_as_the_reference(monkeypatch):
-    # a floor raised to the orbit's lowest width: at a loose tolerance a
-    # stage dips below it and the step is halved, and the pass goes on
-    rates, walls = dynamics._rates, []
-
-    def counting_walls(*args):
-        try:
-            return rates(*args)
-        except DomainError:
-            walls.append(args)
-            raise
-    monkeypatch.setattr(dynamics, "_rates", counting_walls)
-    monkeypatch.setattr(dynamics, "G_FLOOR", 0.25)
-    y0 = WALL_START.as_array()
-    (ts, ys), (ts_r, ys_r) = _both_rk45_passes(FREE, 1.0, 0.0, y0, math.pi,
-                                               tol=1e-4)
-    assert len(walls) == 2
-    assert np.array_equal(ts, ts_r) and np.array_equal(ys, ys_r)
-    # raised into the orbit, the floor stops both passes at the same wall
-    # with the same counters
-    monkeypatch.setattr(dynamics, "G_FLOOR", WALL_G)
-    errors = []
-    for run in (lambda: flow(WALL_START, 1.0, FREE),
-                lambda: rk45_lists(dynamics._extended_rhs(FREE, 1.0), 0.0,
-                                   y0, 1.0, 1e-10)):
-        with pytest.raises(IntegrationError, match="left the domain") as err:
-            run()
-        errors.append((str(err.value), err.value.last_t))
-    assert errors[0] == errors[1]
 
 
 def test_extended_rhs_takes_a_list_or_an_array():
@@ -605,7 +528,7 @@ def test_every_flow_row_passed_the_floor_test(monkeypatch):
     # refuses the stages that dip below it, and every row returned is a
     # state _rates accepted, the start as the first stage and each
     # accepted row as the last stage of its step (raised into the orbit,
-    # the floor refuses the pass: test_adaptive_kernel_halves_as_the_reference)
+    # the floor refuses the pass: test_domain_failure_names_its_counters)
     rates, accepted, refused = dynamics._rates, set(), []
 
     def recording(a, b, c, q, p, G, Pi, hbar):

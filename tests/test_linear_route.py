@@ -11,10 +11,10 @@ import pytest
 
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
-from squeezephase.dynamics import ExtendedState, Trajectory, flow, integrate
+from squeezephase.dynamics import ExtendedState, Trajectory, integrate
 from squeezephase.errors import ConvergenceError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
-from witness import random_fourier
+from witness import flow, random_fourier
 
 TWO_PI = 2.0 * math.pi
 # the tolerance of the witness flow, tight enough that its own error

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from squeezephase.dynamics import ExtendedState, flow, integrate
+from squeezephase.dynamics import ExtendedState, integrate
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
 from squeezephase.errors import ConvergenceError, NonEllipticError
@@ -15,7 +15,7 @@ from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
-from witness import period_end, random_fourier, rk45_period_pass
+from witness import flow, period_end, random_fourier, rk45_period_pass
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,19 +1,18 @@
 """Independent witnesses for quantities derived from the period pass.
 
-The flow witness is the nonlinear extended-state flow, dynamics.flow: it
-carries (q, p, G, Pi) and accumulates lambda_G and lambda_D in its own
-right-hand side, sharing nothing with compute_monodromy.  Its start
-points on the invariant ellipse come from squeezephase.checks.ellipse_points,
-which the built-in checks share.
+The flow witness, flow, steps the nonlinear extended-state equations by
+an adaptive embedded 5(4) (Dormand-Prince) pass: it carries (q, p, G, Pi)
+and accumulates lambda_G and lambda_D through the right-hand side of
+squeezephase.dynamics, sharing nothing with compute_monodromy.  Its
+start points on the invariant ellipse come from
+squeezephase.checks.ellipse_points, which the built-in checks share.
 
-The pass witness integrates M(t) and K(t) of the period pass by the
-adaptive Dormand-Prince stepper instead of Gauss-Legendre collocation.
+The pass witness integrates M(t) and K(t) of the period pass by the same
+stepper instead of Gauss-Legendre collocation.
 
-That stepper, integrate_ode, is the reference of dynamics.flow too: it
-applies the tableau of squeezephase.dynamics to a state held as a list,
-on any right-hand side, where flow writes the same pass out on the six
-floats of the extended state.  Run on dynamics._extended_rhs, the two
-give the same steps and rows bit for bit.
+The stepper, rk45_lists, runs on a state held as a list of floats, on any
+right-hand side; integrate_ode adapts it to numpy right-hand sides, and
+flow runs it on dynamics._extended_rhs.
 """
 
 import math
@@ -22,7 +21,7 @@ from array import array
 import numpy as np
 
 from squeezephase import dynamics
-from squeezephase.dynamics import ExtendedState, flow
+from squeezephase.dynamics import ExtendedState, Trajectory
 from squeezephase.errors import DomainError
 from squeezephase.monodromy import normal_frame
 from squeezephase.params import Constants, ParameterSchedule
@@ -31,10 +30,51 @@ from squeezephase.params import Constants, ParameterSchedule
 # a slow drive's period) stays under the bounds it is held to
 _PASS_TOL = 3e-13
 
+# Dormand-Prince 5(4) tableau (7 stages, first-same-as-last).  The last
+# row of A holds the 5th-order weights, so the last stage state is the
+# step's solution and its rhs is the next step's first stage.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+# 5th- minus 4th-order weights over all seven stages
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
+
+_SAFETY = 0.9
+_MIN_SHRINK = 0.2
+_MAX_GROW = 5.0
+
+
+def flow(state0: ExtendedState, t1, sched: ParameterSchedule,
+         consts: Constants = Constants(), tol: float = 1e-10) -> Trajectory:
+    """The witness flow: the adaptive 5(4) pass of the extended state
+    from state0 (its own t is the start time) to t1, the phases in the
+    same pass, at the relative and absolute tolerance tol.
+
+    It calls dynamics._rates, as it is when flow is called, once per
+    stage, so every row returned has passed its floor test: the start row
+    as the first stage, each accepted row as the last stage of its step.
+    Returns the times and rows of every accepted step.
+    """
+    if not t1 > state0.t:
+        raise ValueError(f"t1={t1} must exceed start time {state0.t}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    return Trajectory(*rk45_lists(dynamics._extended_rhs(sched, consts.hbar),
+                                  state0.t, state0.as_array(), t1, tol))
+
 
 def integrate_ode(rhs, t0, y0, t1, tol):
     """A generic ODE pass of the adaptive stepper at the relative and
-    absolute tolerance tol, which must be positive, as in dynamics.flow.
+    absolute tolerance tol, which must be positive, as in flow.
 
     rhs(t, y) takes the state as an ndarray and returns an array-like;
     the stepper runs on Python floats and adapts it at this boundary.
@@ -57,12 +97,11 @@ def rk45_lists(rhs, t0, y0, t1, tol):
     Failures raise dynamics' IntegrationError with its counters, and
     dynamics.MAX_STEPS is read at each call.
     """
-    _, c2, c3, c4, c5, _, _ = dynamics._DP_C
+    _, c2, c3, c4, c5, _, _ = _DP_C
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = dynamics._DP_A
-    e1, _, e3, e4, e5, e6, e7 = dynamics._DP_E
-    shrink, safety, grow = (dynamics._MIN_SHRINK, dynamics._SAFETY,
-                            dynamics._MAX_GROW)
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    shrink, safety, grow = _MIN_SHRINK, _SAFETY, _MAX_GROW
     fail = dynamics._stepper_error
     y = [float(v) for v in y0]
     t = float(t0)
