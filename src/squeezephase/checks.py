@@ -147,8 +147,10 @@ def check_phase_additivity():
 def check_hbar_independent_fluctuations():
     sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=0.5, p=0.2, G=0.6, Pi=0.1)
+    times = np.linspace(0.0, sched.period, 64)[1:-1]
     rows = [dynamics.integrate(state, sched.period, sched,
-                               Constants(hbar=hbar)).y[:, 2:4]
+                               Constants(hbar=hbar),
+                               output_times=times).y[:, 2:4]
             for hbar in (0.5, 1.0, 2.0)]
     same = all(r.tobytes() == rows[0].tobytes() for r in rows)
     return _result("hbar-independent-fluctuations", same,

@@ -289,19 +289,14 @@ _CSV_BLOCK = 256
 
 
 def _csv_lines(table):
-    """The lines of a 2-D float array, a block of rows at a time: a block
-    of finite rows is one %-format, which spells each cell as _fmt does;
-    a row with a nan or an infinity is spelled by _fmt."""
+    """The lines of a 2-D float array, a block of rows at a time: each
+    block is one %-format, which spells each cell as _fmt does once nan
+    is spelled null (no finite %.17g number contains "nan")."""
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    finite = np.isfinite(table).all(axis=1)
     for i in range(0, len(table), _CSV_BLOCK):
-        block, ok = table[i:i + _CSV_BLOCK], finite[i:i + _CSV_BLOCK]
-        if ok.all():
-            yield line * len(block) % tuple(block.ravel().tolist())
-            continue
-        for row, fine in zip(block.tolist(), ok):
-            yield (line % tuple(row) if fine
-                   else ",".join(map(_fmt, row)) + "\n")
+        block = table[i:i + _CSV_BLOCK]
+        yield (line * len(block) % tuple(block.ravel().tolist())).replace(
+            "nan", "null")
 
 
 def _write_table(out_dir: Path, stem: str, header, table, fmt: str):

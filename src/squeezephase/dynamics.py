@@ -102,9 +102,8 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Integration samples: every step (a step of rk4-fixed, a step time
-    t0 + kT/N of the linear route) or the requested output times; rows of
-    y are (q, p, G, Pi, lG, lD)."""
+    """Integration samples at the start time, the output times asked for
+    and the end time; rows of y are (q, p, G, Pi, lG, lD)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -216,8 +215,12 @@ def _rates(a, b, c, q, p, G, Pi, hbar):
 # ----------------------------------------------------------------------
 
 def _check_output_times(t0, t1, output_times):
-    """Output times as an array, required strictly increasing in (t0, t1)."""
+    """Output times as a 1-D array, required strictly increasing in
+    (t0, t1); None and any value that is not 1-D are refused."""
     out = np.asarray(output_times, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(
+            f"output times must be a 1-D sequence, got {out.ndim} dimensions")
     if out.size and not (t0 < out[0] and out[-1] < t1
                          and np.all(np.diff(out) > 0.0)):
         raise ValueError(
@@ -229,33 +232,24 @@ def _hmin(t0, t1):
     return 1e-14 * max(1.0, abs(t1 - t0), abs(t0), abs(t1))
 
 
-def _stepper_error(what, t, h, calls, accepted, rejected, walls, last_t):
-    """IntegrationError naming where the pass stopped and what it did."""
-    return IntegrationError(
-        f"{what} (t={t!r}, h={h:.3e}; {calls} rhs calls, {accepted} "
-        f"accepted steps, rejected {rejected} for error and {walls} for "
-        f"the domain)", last_t=last_t)
-
-
 def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
     """Fixed-step classical Runge-Kutta pass of the extended state on six
-    Python floats, clipping steps to land on every output time.
+    Python floats, clipping steps to land on every output time, a
+    checked array (_check_output_times).
 
     Each stage calls _rates with the coefficients of its time, and the
     schedule is evaluated once per distinct stage time: the two middle
     stages share t + h/2, and the coefficients at t + h start the next
     step unless it lands within the minimum step of an output time other
     than t + h, where the next step starts.  A DomainError from
-    any stage ends the pass; the reported last_t is the latest time
-    whose state _rates accepted.  Returns the times and rows of every
-    step, or with output_times those at (t0, *output_times, t1); a pass
-    that can take more than MAX_STEPS steps is refused before its first
-    step."""
+    any stage ends the pass with an IntegrationError naming t, h, the
+    rhs calls and the accepted steps; its last_t is the latest time
+    whose state _rates accepted.  Returns the times and rows at
+    (t0, *output_times, t1); a pass that can take more than MAX_STEPS
+    steps is refused before its first step."""
     q, p, G, Pi, lG, lD = (float(v) for v in y0)
     t, t1 = float(t0), float(t1)
-    every = output_times is None
-    targets = [t1] if every else [
-        *_check_output_times(t, t1, output_times).tolist(), t1]
+    targets = [*output_times.tolist(), t1]
     steps = math.ceil((t1 - t) / step) + len(targets) - 1
     if steps > MAX_STEPS:
         raise IntegrationError(f"{steps} steps exceed MAX_STEPS={MAX_STEPS}")
@@ -291,8 +285,10 @@ def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
                     a, b, c, q + h * q3, p + h * p3, G + h * G3,
                     Pi + h * Pi3, hbar)
             except DomainError as exc:
-                raise _stepper_error(f"state left the domain: {exc}", t, h,
-                                     calls, accepted, 0, 0, good_t) from exc
+                raise IntegrationError(
+                    f"state left the domain: {exc} (t={t!r}, h={h:.3e}; "
+                    f"{calls} rhs calls, {accepted} accepted steps)",
+                    last_t=good_t) from exc
             # the operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
             sixth = h / 6.0
             q = q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
@@ -309,19 +305,16 @@ def _rk4_path(sched, hbar, t0, y0, t1, step, output_times):
                 t = target
             else:
                 t = t + h
-            if every:
-                ts.append(t)
-                ys.extend((q, p, G, Pi, lG, lD))
         t = target
-        if not every:
-            ts.append(t)
-            ys.extend((q, p, G, Pi, lG, lD))
+        ts.append(t)
+        ys.extend((q, p, G, Pi, lG, lD))
     return np.array(ts), np.array(ys).reshape(-1, 6)
 
 
 def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
     """Rows (t, q, p, G, Pi, lG, lD) in closed form from the flow matrix
-    M(t) and K(t) = int_t0^t M^T H M of the Gauss period pass.
+    M(t) and K(t) = int_t0^t M^T H M of the Gauss period pass, at t0,
+    the checked output_times (_check_output_times) and t1.
 
     The covariance form of the start state, S0 = [[2G, 4G Pi],
     [4G Pi, 1/(2G) + 8G Pi^2]], has the lower-triangular factor
@@ -336,8 +329,6 @@ def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
     x0 = np.array([state0.q, state0.p])
     r = math.sqrt(2.0 * state0.G)
     W0 = np.array([[r, 0.0], [2.0 * state0.Pi * r, 1.0 / r]])
-    if output_times is not None:
-        output_times = _check_output_times(state0.t, t1, output_times)
     sample = period_pass(sched, state0.t).sample(t1, output_times, W0)
     Z = sample.M @ W0
     G, Pi = fluctuation_point(Z @ np.transpose(Z, (0, 2, 1)))
@@ -354,7 +345,7 @@ def _linear_path(state0: ExtendedState, t1, sched, hbar, output_times):
 def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
               consts: Constants = Constants(),
               opts: IntegratorOptions = IntegratorOptions(),
-              output_times=None) -> Trajectory:
+              output_times=()) -> Trajectory:
     """Propagate an extended state to time t1.
 
     Parameters
@@ -363,17 +354,16 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
         Initial condition; its own t is the start time.
     t1 : float
         Final time, must exceed state0.t.
-    output_times : sequence of float, optional
-        Times strictly increasing inside (t0, t1).  The linear route
-        samples M(t) and K(t) at them by partial Gauss steps, and
-        rk4-fixed lands on them.
+    output_times : 1-D sequence of float, optional
+        Times strictly increasing inside (t0, t1), none by default.  The
+        linear route samples M(t) and K(t) at them by partial Gauss
+        steps, and rk4-fixed lands on them.  None, a scalar or an array
+        of more dimensions is refused with ValueError.
 
     Returns
     -------
     Trajectory
-        Without output_times, every step (the step times t0 + kT/N of the
-        linear route, every step of rk4-fixed); with them, exactly the
-        rows at (t0, *output_times, t1).
+        Exactly the rows at (t0, *output_times, t1), on either route.
 
     Raises IntegrationError if any returned row has its width at or below
     G_FLOOR; its last_t is then the time of the row before.
@@ -381,12 +371,13 @@ def integrate(state0: ExtendedState, t1: float, sched: ParameterSchedule,
     if not t1 > state0.t:
         raise ValueError(f"t1={t1} must exceed start time {state0.t}")
     hbar = consts.hbar
+    times = _check_output_times(state0.t, t1, output_times)
 
     if opts.method == LINEAR:
-        t_out, y_out = _linear_path(state0, t1, sched, hbar, output_times)
+        t_out, y_out = _linear_path(state0, t1, sched, hbar, times)
     else:
         t_out, y_out = _rk4_path(sched, hbar, state0.t, state0.as_array(),
-                                 t1, opts.step, output_times)
+                                 t1, opts.step, times)
     # the rhs vets every stage, but not the final row of a fixed step, nor
     # any row of the linear route
     low = np.flatnonzero(y_out[:, 2] <= G_FLOOR)

@@ -302,9 +302,8 @@ class PeriodPass:
         """M(t), K(t) and the turn of the first row of M(t) W of the flow
         from t0, at t0, the times and t1.
 
-        times must lie strictly inside (t0, t1) and increase; when times
-        is None the samples are t0, every step time t0 + kT/N strictly
-        inside (t0, t1), and t1.  The pass gives M(tau) and K(tau) at
+        times, a 1-D array that may be empty, must lie strictly inside
+        (t0, t1) and increase.  The pass gives M(tau) and K(tau) at
         tau = t - t0 - kT inside the period (_partial), and since the
         schedule is T-periodic, with M_T = M(T):
 
@@ -329,10 +328,6 @@ class PeriodPass:
         schedule inside a resonance tongue) is sampled like any other.
         """
         t0, alpha, T = self.t0, self.alpha, self.sched.period
-        if times is None:
-            h = T / self.steps
-            times = t0 + h * np.arange(1, math.ceil((t1 - t0) / h))
-            times = times[times < t1]
         t = np.concatenate([[t0], times, [t1]]).astype(float)
         s = t - t0
         period = np.maximum(np.floor(s / T), 0.0).astype(int)

@@ -11,7 +11,8 @@ import pytest
 
 from squeezephase import cli
 from squeezephase import monodromy as monodromy_module
-from squeezephase.dynamics import ExtendedState, Trajectory, integrate
+from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
+                                   Trajectory, integrate)
 from squeezephase.errors import ConvergenceError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
 from witness import flow, random_fourier
@@ -222,15 +223,24 @@ def test_one_sample_gives_the_dense_run_final_phase(tmp_path):
     assert np.all(np.abs(one - dense) <= 1e-13 * np.abs(dense))
 
 
-def test_rows_without_output_times_are_the_gauss_nodes():
+def test_rows_are_t0_the_output_times_and_t1():
+    # one row contract on both routes: without output times, exactly the
+    # rows at t0 and t1; None, a scalar and a 2-D array are refused
     sched = ParameterSchedule.standard(0.1, 1.0)
-    N = monodromy_module._step_count(sched)
     state = ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0, t=0.3)
-    traj = integrate(state, 0.3 + 2.5 * sched.period, sched)
-    h = sched.period / N
-    assert len(traj.t) == math.ceil(2.5 * N) + 1
-    assert np.allclose(np.diff(traj.t[:-1]), h, rtol=0.0, atol=1e-12)
-    assert traj.t[-1] == 0.3 + 2.5 * sched.period
+    t1 = 0.3 + 2.5 * sched.period
+    marks = [1.0, 4.5, 12.0]
+    for method in ("linear", "rk4-fixed"):
+        opts = IntegratorOptions(method=method, step=0.01)
+        traj = integrate(state, t1, sched, opts=opts)
+        assert traj.t.tolist() == [0.3, t1] and traj.y.shape == (2, 6)
+        assert np.array_equal(traj.y[0], state.as_array())
+        traj = integrate(state, t1, sched, opts=opts, output_times=marks)
+        assert traj.t.tolist() == [0.3, *marks, t1]
+        assert traj.y.shape == (5, 6)
+        for bad in (None, 4.5, np.array([marks]), np.array([marks]).T):
+            with pytest.raises(ValueError, match="1-D sequence"):
+                integrate(state, t1, sched, opts=opts, output_times=bad)
 
 
 def test_width_rows_at_floor_are_refused():

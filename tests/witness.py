@@ -22,7 +22,7 @@ import numpy as np
 
 from squeezephase import dynamics
 from squeezephase.dynamics import ExtendedState, Trajectory
-from squeezephase.errors import DomainError
+from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.monodromy import normal_frame
 from squeezephase.params import Constants, ParameterSchedule
 
@@ -86,6 +86,14 @@ def integrate_ode(rhs, t0, y0, t1, tol):
                       t0, y0, t1, tol)
 
 
+def _stepper_error(what, t, h, calls, accepted, rejected, walls, last_t):
+    """IntegrationError naming where the pass stopped and what it did."""
+    return IntegrationError(
+        f"{what} (t={t!r}, h={h:.3e}; {calls} rhs calls, {accepted} "
+        f"accepted steps, rejected {rejected} for error and {walls} for "
+        f"the domain)", last_t=last_t)
+
+
 def rk45_lists(rhs, t0, y0, t1, tol):
     """Adaptive embedded 5(4) pass from t0 to t1 on a list of floats.
 
@@ -94,15 +102,15 @@ def rk45_lists(rhs, t0, y0, t1, tol):
     stage, the trial solution's included, rejects the step and halves
     it.  Returns (times, states) of every accepted step.  A DomainError
     at the start state is reported as IntegrationError with last_t None.
-    Failures raise dynamics' IntegrationError with its counters, and
-    dynamics.MAX_STEPS is read at each call.
+    Failures raise the package's IntegrationError with its counters
+    (_stepper_error), and dynamics.MAX_STEPS is read at each call.
     """
     _, c2, c3, c4, c5, _, _ = _DP_C
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
     e1, _, e3, e4, e5, e6, e7 = _DP_E
     shrink, safety, grow = _MIN_SHRINK, _SAFETY, _MAX_GROW
-    fail = dynamics._stepper_error
+    fail = _stepper_error
     y = [float(v) for v in y0]
     t = float(t0)
     t1 = float(t1)
