@@ -5,11 +5,13 @@ hbar independence, quadrature consistency) on the route that computes
 it: the linear route of `simulate`, or the period pass behind `orbit`,
 `hannay` and `floquet`.  The others hold a result of the period pass
 against an independent witness: the exact solution of the standard
-family, or, in orbit-phase-witness and floquet-flow-witness only, the
-nonlinear extended-state equations stepped by the rk4-fixed route over
-one period (rk4_period_end: the Richardson value of the steps T/160 and
-T/320, whose 4th-order regime rk4-self-convergence holds).  They run at
-desk scale and are shared with the test suite.
+family.  orbit-phase-witness and floquet-flow-witness follow it over one
+period as the extended state (exact_path_end): the state in closed form,
+its phases as quadratures of the equations of motion along it, which
+it is held to solve at every quadrature node.  Only
+rk4-self-convergence steps the equations of motion, on the rk4-fixed
+route of simulate.  The checks run at desk scale and are shared with the
+test suite.
 
 One run computes each distinct period pass once: run_builtin_checks
 shares the passes of its seven (schedule, t0) inputs among all the
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, floquet, hannay, monodromy, orbits
-from .params import Constants, ParameterSchedule
+from .monodromy import _GL_B, _GL_C
+from .params import STANDARD, Constants, ParameterSchedule
 
 
 # the drive, frequency and hbar of the checks, unless a check names others
@@ -53,11 +56,17 @@ def ellipse_points(W, I_bar, n):
     return np.column_stack([r * np.sin(phis), r * np.cos(phis)]) @ W.T
 
 
+def _nu(eps, omega):
+    """The frequency nu = sqrt((1 + omega/2)^2 - eps^2) of the standard
+    family's exact solution in the frame rotating at omega/2."""
+    return math.sqrt((1.0 + 0.5 * omega) ** 2 - eps * eps)
+
+
 def _standard_exact(eps, omega):
     """(rho, Theta_H) of the standard family to all orders in eps, from
-    its exact solution: with nu = sqrt((1 + omega/2)^2 - eps^2),
-    rho = 2 pi nu/omega - pi and Theta_H = pi ((1 + omega/2)/nu - 1)."""
-    nu = math.sqrt((1.0 + 0.5 * omega) ** 2 - eps * eps)
+    its exact solution: rho = 2 pi nu/omega - pi and
+    Theta_H = pi ((1 + omega/2)/nu - 1), nu = _nu(eps, omega)."""
+    nu = _nu(eps, omega)
     return (2.0 * math.pi * nu / omega - math.pi,
             math.pi * ((1.0 + 0.5 * omega) / nu - 1.0))
 
@@ -98,32 +107,73 @@ def check_action_conservation():
                    f"max |dI|,|dJ| over 10 periods = {worst:.3e}")
 
 
-def _rk4_ends(state, sched, consts):
-    """The rk4-fixed ends, as arrays, of one period from state at the
-    steps T/160 and T/320: the pair whose Richardson value rk4_period_end
-    returns, and whose error ratio rk4-self-convergence holds."""
-    t1 = state.t + sched.period
-    return [dynamics.integrate(
-        state, t1, sched, consts, dynamics.IntegratorOptions(
-            method="rk4-fixed", step=sched.period / n)).final.as_array()
-        for n in (160, 320)]
+def exact_path_end(state, t1, sched, consts=Constants(), panels=8):
+    """(the extended state at t1, the rate gap) on the exact path of the
+    standard family from state, which must start at t = 0.
 
+    The flow is M(t) = R(-omega t/2)(cos(nu t) I + sin(nu t) B/nu), with
+    B = A(0) + (omega/2) J, nu = _nu(eps, omega) and R(phi) = exp(phi J).
+    The centroid is x = M x0, the covariance form S = M S0 M^T with
+    S0 = [[2G, 4G Pi], [4G Pi, 1/(2G) + 8G Pi^2]], and G = S11/2,
+    Pi = S12/(2 S11).  lambda_G and lambda_D add the quadratures of the
+    phase rates of dynamics._rates along the path, by the 5-node
+    Gauss-Legendre rule of the period pass on equal panels of [0, t1],
+    `panels` a period (rounded up): no Gauss step, no K, no trace formula
+    and no angle lift of the period pass.  8 panels a period put the
+    T-periodic integrands of the witnesses at roundoff at the checks'
+    drive (0.05, 1).  The strongly squeezed orbit at (0.8, 0.55) needs
+    24, and a start off the orbit over several periods 128 there.
 
-def rk4_period_end(state, sched, consts=Constants()):
-    """The extended state one period after state by the rk4-fixed route:
-    the Richardson value (16 y_320 - y_160)/15 of the runs at T/160 and
-    T/320, whose 4th-order regime rk4-self-convergence certifies."""
-    coarse, fine = _rk4_ends(state, sched, consts)
-    return dynamics.ExtendedState.from_array((16.0 * fine - coarse) / 15.0,
-                                             state.t + sched.period)
+    The rate gap is the largest |(G', Pi') of _rates - the derivative of
+    the closed form| at the nodes, with S' = A S + S A^T, A = J H(t): the
+    path solves the nonlinear width equations to that gap.
+    """
+    if sched.kind != STANDARD or state.t != 0.0:
+        raise ValueError("the exact path starts at t = 0 on the standard "
+                         "family")
+    eps, omega = sched.epsilon, sched.omega
+    nu = _nu(eps, omega)
+    n = math.ceil(panels * t1 / sched.period)
+    h = t1 / n
+    t = np.append(h * (np.arange(n)[:, None] + _GL_C).ravel(), t1)
+    B = np.array([[0.0, 1.0 - eps + 0.5 * omega],
+                  [-(1.0 + eps + 0.5 * omega), 0.0]])
+    cr, sr = np.cos(0.5 * omega * t), np.sin(0.5 * omega * t)
+    R = np.stack([np.stack([cr, -sr], -1), np.stack([sr, cr], -1)], -2)
+    M = R @ (np.cos(nu * t)[:, None, None] * np.eye(2)
+             + (np.sin(nu * t) / nu)[:, None, None] * B)
+    G0, Pi0 = state.G, state.Pi
+    S0 = np.array([[2.0 * G0, 4.0 * G0 * Pi0],
+                   [4.0 * G0 * Pi0, 0.5 / G0 + 8.0 * G0 * Pi0 * Pi0]])
+    x = M @ np.array([state.q, state.p])
+    S = M @ S0 @ np.transpose(M, (0, 2, 1))
+    G, Pi = 0.5 * S[:, 0, 0], S[:, 0, 1] / (2.0 * S[:, 0, 0])
+    a, b, c = sched.sample(t)
+    A = np.stack([np.stack([c, b], -1), np.stack([-a, -c], -1)], -2)
+    AS = A @ S
+    dS = AS + np.transpose(AS, (0, 2, 1))
+    dG = 0.5 * dS[:, 0, 0]
+    dPi = (dS[:, 0, 1] * S[:, 0, 0] - S[:, 0, 1] * dS[:, 0, 0]) / (
+        2.0 * S[:, 0, 0] ** 2)
+    rows = np.column_stack([a, b, c, x, G, Pi])[:-1].tolist()
+    rates = np.array([dynamics._rates(*row, consts.hbar) for row in rows])
+    gap = float(max(np.abs(rates[:, 2] - dG[:-1]).max(),
+                    np.abs(rates[:, 3] - dPi[:-1]).max()))
+    lam_G, lam_D = h * (np.tile(_GL_B, n) @ rates[:, 4:])
+    return dynamics.ExtendedState(
+        q=x[-1, 0], p=x[-1, 1], G=G[-1], Pi=Pi[-1],
+        lambda_G=state.lambda_G + lam_G, lambda_D=state.lambda_D + lam_D,
+        t=t1), gap
 
 
 def check_rk4_convergence():
     sched = ParameterSchedule.standard(EPS, OMEGA)
     state = dynamics.ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     ref = dynamics.integrate(state, sched.period, sched).final.as_array()
-    coarse, fine = (np.max(np.abs(end - ref))
-                    for end in _rk4_ends(state, sched, Constants()))
+    coarse, fine = (np.max(np.abs(dynamics.integrate(
+        state, sched.period, sched, opts=dynamics.IntegratorOptions(
+            method="rk4-fixed", step=sched.period / n)).final.as_array()
+        - ref)) for n in (160, 320))
     ratio = coarse / fine
     return _result("rk4-self-convergence", 12.0 <= ratio <= 20.0,
                    f"halving-step error ratio (T/160 to T/320) = "
@@ -201,23 +251,30 @@ def check_invariant_form():
                    f"{free_dev:.3e}")
 
 
-def check_orbit_phase_witness():
-    # the RK4 route from the orbit's initial point must return to it
-    # and accumulate the cycle phases the period pass derives; the point
-    # and the phases are those of find_periodic_orbit, which reads them
-    # off the same pass (its t = 0 sample has M = I exactly)
-    sched = ParameterSchedule.standard(EPS, OMEGA)
+def orbit_witness(sched, panels=8):
+    """(periodicity gap, phase gap, rate gap) of the exact path over one
+    period from the periodic orbit's initial point: it must return to
+    the point and accumulate the cycle phases the period pass derives.
+    The point and the phases are those of find_periodic_orbit, which
+    reads them off the same pass (its t = 0 sample has M = I exactly)."""
     mono = monodromy.compute_monodromy(sched)
     G0, Pi0 = monodromy.fluctuation_point(mono.S)
     lam_G, lam_D = orbits.cycle_phases(mono)
-    end = rk4_period_end(dynamics.ExtendedState(q=0.0, p=0.0, G=G0, Pi=Pi0),
-                         sched)
-    periodic = max(abs(end.G - G0), abs(end.Pi - Pi0))
-    phases = max(abs(end.lambda_G - lam_G), abs(end.lambda_D - lam_D))
-    return _result("orbit-phase-witness", periodic < 1e-7 and phases < 1e-8,
+    end, rates = exact_path_end(
+        dynamics.ExtendedState(q=0.0, p=0.0, G=G0, Pi=Pi0), sched.period,
+        sched, panels=panels)
+    return (max(abs(end.G - G0), abs(end.Pi - Pi0)),
+            max(abs(end.lambda_G - lam_G), abs(end.lambda_D - lam_D)),
+            rates)
+
+
+def check_orbit_phase_witness():
+    periodic, phases, rates = orbit_witness(
+        ParameterSchedule.standard(EPS, OMEGA))
+    return _result("orbit-phase-witness", max(periodic, phases, rates) < 1e-12,
                    f"|Phi_T(G0, Pi0) - (G0, Pi0)| = {periodic:.3e}, "
-                   f"RK4-accumulated vs period-pass cycle phases differ by "
-                   f"{phases:.3e}")
+                   f"exact-path vs period-pass cycle phases differ by "
+                   f"{phases:.3e}, (G, Pi) rates by {rates:.3e}")
 
 
 def loop_phase(sched, n):
@@ -281,28 +338,39 @@ def check_floquet_residuals():
         f"{worst_tot:.3e} (tol {tol:.2e})")
 
 
-def check_floquet_flow_witness():
-    # 4 RK4 runs on the invariant ellipse at I = n*hbar, the
-    # fluctuations on the periodic orbit: a uniform-angle mean of a
-    # quadratic form is exact from 3 angles on, so the means must equal
-    # the trace formulas of the reports
-    sched = ParameterSchedule.standard(EPS, OMEGA)
+def floquet_witness(sched, panels=8):
+    """(largest mean gap, rate gap) of the exact path over one period
+    from 4 points of the invariant ellipse at I = n*hbar, the
+    fluctuations on the periodic orbit, for (n, hbar) in ((1, 0.5),
+    (3, 2)): a uniform-angle mean of a quadratic form is exact from 3
+    angles on, so the means of the phases must equal the trace formulas
+    of the Floquet reports."""
     mono = monodromy.compute_monodromy(sched)
     G0, Pi0 = monodromy.fluctuation_point(mono.S)
-    worst = 0.0
+    worst = gap = 0.0
     for n, hbar in ((1, 0.5), (3, 2.0)):
         consts = Constants(hbar=hbar)
         rep = floquet.floquet_reports(sched, [n], consts=consts)[0]
-        ends = [rk4_period_end(
-            dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0), sched, consts)
-            for q, p in ellipse_points(mono.W, rep.I_bar0, 4)]
+        ends = []
+        for q, p in ellipse_points(mono.W, rep.I_bar0, 4):
+            end, rates = exact_path_end(
+                dynamics.ExtendedState(q=q, p=p, G=G0, Pi=Pi0),
+                sched.period, sched, consts, panels)
+            ends.append(end)
+            gap = max(gap, rates)
         mean_G = np.mean([end.lambda_G for end in ends])
         mean_D = np.mean([end.lambda_D for end in ends])
         worst = max(worst, abs(mean_G - n * rep.rho - rep.lambda_G_R),
                     abs(mean_D - rep.lambda_D_R))
-    return _result("floquet-flow-witness", worst < 1e-8,
-                   f"max |RK4 mean - report| over (n, hbar) in "
-                   f"{{(1, 0.5), (3, 2)}} = {worst:.3e}")
+    return worst, gap
+
+
+def check_floquet_flow_witness():
+    worst, rates = floquet_witness(ParameterSchedule.standard(EPS, OMEGA))
+    return _result("floquet-flow-witness", max(worst, rates) < 1e-12,
+                   f"max |exact-path mean - report| over (n, hbar) in "
+                   f"{{(1, 0.5), (3, 2)}} = {worst:.3e}, (G, Pi) rates "
+                   f"differ by {rates:.3e}")
 
 
 ALL_CHECKS = (

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, dynamics, floquet, hannay, orbits
+from . import dynamics, floquet, hannay, orbits
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      IntegrationError, NonEllipticError)
 from .monodromy import compute_monodromy
@@ -387,6 +387,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, fmt: str):
 
 
 def _run_check(cfg, out_dir, fmt):
+    # imported here: no other subcommand pays for the check suite
+    from . import checks
     results = checks.run_builtin_checks()
     for res in results:
         mark = "PASS" if res.passed else "FAIL"

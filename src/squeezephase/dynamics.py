@@ -18,8 +18,8 @@ the Gauss period pass of monodromy.period_pass.  "rk4-fixed" integrates
 the six components above with fixed steps, the phases in the same pass
 as the state, on local Python floats through one copy of the equations
 of motion, _rates, evaluating the schedule once per distinct stage time.
-It is the one time stepper of the package: the built-in checks hold the
-period pass against it (checks.rk4_period_end).
+It is the one time stepper of the package, and the built-in check
+rk4-self-convergence holds its 4th-order regime.
 
 The width has one floor, G_FLOOR: the right-hand side refuses any state at
 or below it, so rk4-fixed ends its pass at the first stage that reaches

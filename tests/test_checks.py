@@ -8,8 +8,8 @@ import pytest
 from squeezephase import checks, dynamics, floquet, monodromy, orbits
 from squeezephase.checks import CheckResult, run_builtin_checks
 from squeezephase.cli import _fmt, _sweep_point, main, parse_config, run
-from squeezephase.params import Constants, ParameterSchedule
-from witness import random_fourier
+from squeezephase.params import ParameterSchedule
+from witness import random_fourier, standard_flow
 
 
 def test_builtin_suite_all_pass():
@@ -17,6 +17,29 @@ def test_builtin_suite_all_pass():
     failed = [r for r in results if not r.passed]
     assert not failed, f"failed checks: {[(r.name, r.detail) for r in failed]}"
     assert len(results) >= 15
+
+
+@pytest.mark.parametrize("eps, omega", [(0.05, 1.0), (0.8, 0.55)])
+def test_exact_path_is_the_exact_flow(eps, omega):
+    # the state half of the witnesses' exact path against the tests' own
+    # M(t): x = M x0 and S = M S0 M^T give q, p, G and Pi; the path must
+    # start at t = 0 on the standard family
+    sched = ParameterSchedule.standard(eps, omega)
+    state = dynamics.ExtendedState(q=0.6, p=-0.4, G=0.35, Pi=0.15)
+    t = np.array([0.3, 1.0, 2.45]) * sched.period
+    S0 = np.array([[0.7, 0.21], [0.21, 0.5 / 0.35 + 8.0 * 0.35 * 0.15 ** 2]])
+    for M, t1 in zip(standard_flow(eps, omega, t), t):
+        end, gap = checks.exact_path_end(state, t1, sched)
+        S = M @ S0 @ M.T
+        want = [*(M @ [0.6, -0.4]), S[0, 0] / 2.0, S[0, 1] / (2.0 * S[0, 0])]
+        assert np.allclose([end.q, end.p, end.G, end.Pi], want, rtol=0.0,
+                           atol=1e-13)
+        assert end.t == t1 and gap <= 1e-12
+    with pytest.raises(ValueError, match="starts at t = 0"):
+        checks.exact_path_end(dataclasses.replace(state, t=1.0), 2.0, sched)
+    with pytest.raises(ValueError, match="standard family"):
+        checks.exact_path_end(state, 2.0, random_fourier(
+            np.random.default_rng(7), 2))
 
 
 def test_check_subcommand_exit_and_output(tmp_path, capsys):
@@ -63,12 +86,9 @@ def test_only_the_rk4_checks_step_the_equations_of_motion(monkeypatch):
     monkeypatch.setattr(checks, "ALL_CHECKS",
                         tuple(named(fn) for fn in checks.ALL_CHECKS))
     assert len(run_builtin_checks()) == 15
-    # two rk4-fixed passes (T/160 and T/320) per end: one end for the
-    # convergence ratio, one for the orbit, and one per ellipse point (four
-    # for each of two (n, hbar) pairs)
-    assert calls == {"check_rk4_convergence": 2,
-                     "check_orbit_phase_witness": 2,
-                     "check_floquet_flow_witness": 16}
+    # the rk4-fixed passes at T/160 and T/320 of the convergence ratio;
+    # the two witnesses follow the exact path and step nothing
+    assert calls == {"check_rk4_convergence": 2}
 
 
 def _fails(check):
@@ -137,17 +157,32 @@ def test_floquet_witness_catches_a_shifted_dynamical_phase(monkeypatch):
     _fails(checks.check_floquet_flow_witness)
 
 
-def test_floquet_witness_needs_the_richardson_step(monkeypatch):
-    # the T/320 run alone is off by 6.0e-8: the bound 1e-8 holds only the
-    # extrapolated end
-    def fine_run_only(state, sched, consts=Constants()):
-        return dynamics.integrate(
-            state, state.t + sched.period, sched, consts,
-            dynamics.IntegratorOptions(method="rk4-fixed",
-                                       step=sched.period / 320)).final
+@pytest.mark.parametrize("check", [checks.check_orbit_phase_witness,
+                                   checks.check_floquet_flow_witness])
+def test_witnesses_catch_a_perturbed_exact_path(check, monkeypatch):
+    # nu (1 + 1e-9) moves the orbit's phases by 3.1e-9 and the Floquet
+    # means by 2.2e-8, and leaves a (G, Pi) rate gap of 2.0e-9: each is
+    # over the bound 1e-12
+    nu = checks._nu
+    monkeypatch.setattr(checks, "_nu",
+                        lambda eps, omega: nu(eps, omega) * (1.0 + 1e-9))
+    _fails(check)
 
-    monkeypatch.setattr(checks, "rk4_period_end", fine_run_only)
-    _fails(checks.check_floquet_flow_witness)
+
+@pytest.mark.parametrize("check", [checks.check_orbit_phase_witness,
+                                   checks.check_floquet_flow_witness])
+def test_witnesses_hold_the_width_equations(check, monkeypatch):
+    # a dPi/dt of the equations of motion off by 1e-9 where the phase
+    # rates are not: only the (G, Pi) rate gap can see it
+    rates = dynamics._rates
+
+    def shifted(*args):
+        out = rates(*args)
+        out[3] += 1e-9
+        return out
+
+    monkeypatch.setattr(dynamics, "_rates", shifted)
+    _fails(check)
 
 
 def test_hbar_check_catches_a_one_ulp_width_shift(monkeypatch):

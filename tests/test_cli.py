@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +481,19 @@ def test_default_simulate_route_matches_the_flow_route():
     assert len(flow.t) > 2000 and np.array_equal(linear.t, flow.t)
     gap = np.abs(linear.y - flow.y) / np.maximum(1.0, np.abs(flow.y))
     assert float(gap.max()) <= 1e-9
+
+
+def test_cli_import_leaves_the_check_suite_out():
+    # only the check subcommand imports squeezephase.checks, so a fresh
+    # interpreter importing the CLI has not loaded it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, squeezephase.cli; "
+            "print('squeezephase.cli' in sys.modules, "
+            "'squeezephase.checks' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_output_directory_error(tmp_path, capsys):

@@ -9,13 +9,14 @@ import re
 import numpy as np
 import pytest
 
-from squeezephase import cli
+from squeezephase import checks, cli
 from squeezephase import monodromy as monodromy_module
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    Trajectory, integrate)
 from squeezephase.errors import ConvergenceError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
-from witness import flow, random_fourier
+from witness import (flow, random_fourier, standard_flow,
+                     standard_generator)
 
 TWO_PI = 2.0 * math.pi
 # the tolerance of the witness flow, tight enough that its own error
@@ -60,14 +61,7 @@ def test_standard_family_matches_exact_solution(eps, omega):
     t = np.linspace(0.0, t1, 301)
     traj = integrate(ExtendedState(q=q0, p=p0, G=G0, Pi=Pi0), t1, sched,
                      Constants(hbar=0.7), output_times=t[1:-1])
-    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
-    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
-                  [-(1.0 + eps + omega / 2.0), 0.0]])
-    E = (np.cos(nu * t)[:, None, None] * np.eye(2)
-         + (np.sin(nu * t) / nu)[:, None, None] * B)
-    c, s = np.cos(-0.5 * omega * t), np.sin(-0.5 * omega * t)
-    R = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
-    M = R @ E
+    M = standard_flow(eps, omega, t)
     S0 = np.array([[2.0 * G0, 4.0 * G0 * Pi0],
                    [4.0 * G0 * Pi0, 0.5 / G0 + 8.0 * G0 * Pi0 ** 2]])
     S = M @ S0 @ np.transpose(M, (0, 2, 1))
@@ -83,18 +77,8 @@ def exact_standard_rows(eps, omega, state, hbar, t):
     K(t) = int_0^t exp(sB)^T H(0) exp(sB) ds (R(omega s/2)^T H(s)
     R(omega s/2) is H(0)), with the phases of the linear route's formula
     and the row angle unwrapped over 64 points per period."""
-    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
-    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
-                  [-(1.0 + eps + omega / 2.0), 0.0]])
+    B, nu = standard_generator(eps, omega)
     H0 = np.diag([1.0 + eps, 1.0 - eps])
-
-    def flow(t):
-        E = (np.cos(nu * t)[:, None, None] * np.eye(2)
-             + (np.sin(nu * t) / nu)[:, None, None] * B)
-        c, s = np.cos(-0.5 * omega * t), np.sin(-0.5 * omega * t)
-        R = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
-        return R @ E
-
     # int_0^t of cos^2, cos sin and sin^2 of nu s
     half, twice = t / 2.0, np.sin(2.0 * nu * t) / (4.0 * nu)
     cc, cs, ss = half + twice, np.sin(nu * t) ** 2 / (2.0 * nu), half - twice
@@ -106,13 +90,13 @@ def exact_standard_rows(eps, omega, state, hbar, t):
     dense = np.linspace(0.0, t[-1], 64 * math.ceil(t[-1] * omega) + 1)
     both = np.concatenate([t, dense])
     order = np.argsort(both, kind="stable")
-    rows = flow(both[order])[:, 0] @ W0
+    rows = standard_flow(eps, omega, both[order])[:, 0] @ W0
     turns = np.arctan2(rows[:, 1], rows[:, 0])
     assert np.abs(np.diff(np.unwrap(turns))).max() < 1.0
     angle = np.empty_like(both)
     angle[order] = np.unwrap(turns)
     angle = angle[:t.size]
-    M = flow(t)
+    M = standard_flow(eps, omega, t)
     x0 = np.array([state.q, state.p])
     S = M @ (W0 @ W0.T) @ np.transpose(M, (0, 2, 1))
     centroid = np.einsum("p,npq,q->n", x0, K, x0) / (2.0 * hbar)
@@ -142,6 +126,38 @@ def test_long_runs_match_the_exact_standard_family(eps, omega, periods,
     assert np.array_equal(traj.t, t)
     exact = exact_standard_rows(eps, omega, state, 0.7, t)
     assert np.all(relative_gap(traj.y, exact) <= 1e-11)
+
+
+@pytest.mark.parametrize("eps, omega", [(0.05, 1.0), (0.4, 0.7), (0.8, 0.55)])
+def test_matches_the_exact_quadrature_path(eps, omega):
+    # the trajectory oracle: every column, the phases too, against the
+    # exact path of the built-in checks (the state in closed form, the
+    # phases as quadratures of the equations of motion along it) from a
+    # seeded general start over 3.37 periods.  128 panels a period put the
+    # quadrature at roundoff (64 leave 9.5e-12 in lambda_G at (0.8, 0.55))
+    rng = np.random.default_rng(2601)
+    q, p, Pi, lam_G, lam_D = rng.uniform(-1.0, 1.0, 5)
+    state = ExtendedState(q=q, p=p, G=rng.uniform(0.2, 2.0), Pi=Pi,
+                          lambda_G=lam_G, lambda_D=lam_D)
+    sched = ParameterSchedule.standard(eps, omega)
+    consts = Constants(hbar=0.7)
+    t1 = 3.37 * sched.period
+    times = np.sort(rng.uniform(0.0, t1, 11))
+    traj = integrate(state, t1, sched, consts, output_times=times)
+    exact = np.array([checks.exact_path_end(state, t, sched, consts,
+                                            panels=128)[0].as_array()
+                      for t in traj.t[1:]])
+    assert np.all(relative_gap(traj.y[1:], exact) <= 1e-12)
+
+
+@pytest.mark.parametrize("eps, omega", [(0.4, 0.7), (0.8, 0.55)])
+def test_witnesses_hold_the_pass_at_strong_drive(eps, omega):
+    # the two witness computations of check away from its drive (0.05, 1):
+    # the strongly squeezed orbit at (0.8, 0.55) needs 24 panels a period
+    # for the phase quadratures (8 leave 2.0e-8), so these run 32
+    sched = ParameterSchedule.standard(eps, omega)
+    assert max(checks.orbit_witness(sched, panels=32)) <= 1e-12
+    assert max(checks.floquet_witness(sched, panels=32)) <= 1e-12
 
 
 def flow_cases():

@@ -8,7 +8,8 @@ from squeezephase.errors import NonEllipticError
 from squeezephase.monodromy import compute_monodromy, fluctuation_point
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
-from witness import period_end, random_fourier
+from witness import (period_end, random_fourier, standard_flow,
+                     standard_generator)
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,14 +160,9 @@ def test_orbit_samples_match_exact_solution(eps, omega):
     # S = diag(B12, -B21)/nu; every sample of the orbit, a partial Gauss
     # step off the pass, must match S(t) = M(t) S M(t)^T
     orb = find_periodic_orbit(ParameterSchedule.standard(eps, omega))
-    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
-    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
-                  [-(1.0 + eps + omega / 2.0), 0.0]])
+    B, nu = standard_generator(eps, omega)
     S = np.diag([B[0, 1], -B[1, 0]]) / nu
-    for t, G, Pi in zip(orb.t, orb.G, orb.Pi):
-        c, s = math.cos(omega * t / 2.0), math.sin(omega * t / 2.0)
-        M = np.array([[c, -s], [s, c]]) @ (
-            math.cos(nu * t) * np.eye(2) + math.sin(nu * t) * B / nu)
+    for M, G, Pi in zip(standard_flow(eps, omega, orb.t), orb.G, orb.Pi):
         St = M @ S @ M.T
         G_exact, Pi_exact = fluctuation_point(St)
         scale = np.max(np.abs(St))

@@ -13,6 +13,10 @@ stepper instead of Gauss-Legendre collocation.
 The stepper, rk45_lists, runs on a state held as a list of floats, on any
 right-hand side; integrate_ode adapts it to numpy right-hand sides, and
 flow runs it on dynamics._extended_rhs.
+
+standard_flow is the exact flow matrix of the standard family, which the
+tests hold the linear route, the orbit and the exact path of the
+built-in checks against.
 """
 
 import math
@@ -205,6 +209,27 @@ def random_fourier(rng, harmonics):
     return ParameterSchedule.fourier(
         rng.uniform(2.0, 8.0), coeff(rng.uniform(0.8, 1.2)),
         coeff(rng.uniform(0.8, 1.2)), coeff(rng.uniform(-0.05, 0.05)))
+
+
+def standard_generator(eps, omega):
+    """(B, nu) of the standard family's exact solution:
+    B = A(0) + (omega/2) J, with B^2 = -nu^2 I."""
+    nu = math.sqrt((1.0 + omega / 2.0) ** 2 - eps ** 2)
+    B = np.array([[0.0, 1.0 - eps + omega / 2.0],
+                  [-(1.0 + eps + omega / 2.0), 0.0]])
+    return B, nu
+
+
+def standard_flow(eps, omega, t):
+    """The flow matrices M(t) = R(-omega t/2) exp(tB) of the standard
+    family at the 1-D array of times t, with R(phi) = exp(phi J) and
+    exp(tB) = cos(nu t) I + sin(nu t) B/nu (standard_generator)."""
+    B, nu = standard_generator(eps, omega)
+    E = (np.cos(nu * t)[:, None, None] * np.eye(2)
+         + (np.sin(nu * t) / nu)[:, None, None] * B)
+    c, s = np.cos(-0.5 * omega * t), np.sin(-0.5 * omega * t)
+    R = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+    return R @ E
 
 
 def period_end(sched, q, p, G, Pi, hbar=1.0):
