@@ -210,15 +210,17 @@ def check_hbar_independent_fluctuations():
 def check_monodromy_symplectic():
     # Gauss steps are symplectic, so det M = 1 holds to roundoff
     worst = estimate = 0.0
-    steps = []
+    steps, estimators = [], set()
     for e in (0.0, EPS):
         mono = monodromy.compute_monodromy(ParameterSchedule.standard(e, OMEGA))
         worst = max(worst, abs(float(np.linalg.det(mono.M)) - 1.0))
         estimate = max(estimate, mono.estimate)
         steps.append(str(mono.steps))
+        estimators.add(mono.flow.estimator)
     return _result("monodromy-symplectic", worst < 1e-13,
                    f"max |det M - 1| = {worst:.3e} (N = {', '.join(steps)} "
-                   f"steps, N-vs-2N estimate {estimate:.3e})")
+                   f"steps, N-vs-{'/'.join(sorted(estimators))} estimate "
+                   f"{estimate:.3e})")
 
 
 def check_rotation_number_exact():

@@ -46,7 +46,7 @@ class SimulateConfig:
 
 @dataclass
 class OrbitConfig:
-    samples: int = 1024
+    samples: int = orbits.DEFAULT_SAMPLES
 
 
 @dataclass

@@ -37,9 +37,19 @@ call at all N s nodes.  The same stage solutions give the step's share of
 K, M_k^T Q_k M_k with Q_k = h sum_i b_i Z_i^T H_i Z_i, at the same order.
 Only the 2x2 prefix product M_(k+1) = P_k M_k is sequential.  Gauss
 methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
-Wanner, Geometric Numerical Integration, IV.2 and VI.4).  The same pass
-on 2N steps is the error estimate, and its rows, lifted the same way,
-must turn as far within pi.
+Wanner, Geometric Numerical Integration, IV.2 and VI.4).
+
+The lift of the N pass is certified from the pass itself.  With B the
+step rule's bound on |a|, |b| and |c|, h = T/N and e = expm1(2 h B) < 1,
+Gronwall bounds the flow P over a step by |P - I| <= e (|A| <= 2B), and
+det M = 1 gives sigma_min(M) >= 1/|M|_F; so on step k the first row has
+|r| >= rho_k = max over its two ends j of
+max(|r_j| - e |M_j|_F, (1 - e)/|M_j|_F), and the step turns it by at
+most h B / rho_k^2.  Where every such bound is under pi the nearest
+branches are exact, on every partial step too, and the pass on ceil(N/2)
+steps is the error estimate: it bounds a pass far less accurate than
+the N pass.  Otherwise, or where it is past the bound, the pass on 2N
+steps is, and its rows, lifted the same way, must turn as far within pi.
 
 Inside shared_passes(), period_pass computes each distinct (schedule,
 t0) once and hands every later caller the same PeriodPass: the built-in
@@ -79,8 +89,8 @@ _PARABOLIC_TOL = 1e-12
 # leaves the truncation error under roundoff.
 _STEP_RATE = 0.5
 
-# Largest accepted disagreement of the N and 2N passes, in M relative to
-# max(1, max |M|) and in K relative to max(1, max |K|).
+# Largest accepted disagreement of the N pass and its N/2 or 2N pass, in M
+# relative to max(1, max |M|) and in K relative to max(1, max |K|).
 _ESTIMATE_BOUND = 1e-11
 
 # Samples of the pass are taken this many at a time, which bounds the
@@ -132,9 +142,9 @@ class Monodromy:
 
     W is the normal frame (W^-1 M W = R(sigma), det W = 1) and
     K = int_0^T M^T H M dt with H = [[a, c], [c, b]].  steps is the number
-    N of Gauss steps and estimate the disagreement of the N and 2N passes
-    (relative, see period_pass); flow is the pass itself, whose sample
-    gives M(t) and K(t) at any time.
+    N of Gauss steps and estimate the disagreement of the N pass and its
+    estimator pass (relative, see period_pass); flow is the pass itself,
+    whose sample gives M(t) and K(t) at any time.
     """
 
     M: np.ndarray
@@ -160,18 +170,36 @@ class Monodromy:
         return float(np.sum(self.K * self.S))
 
 
+def _bound(sched: ParameterSchedule):
+    """B, a bound on |a|, |b| and |c| over the period, and the highest
+    harmonic H."""
+    if sched.kind == STANDARD:
+        return 1.0 + sched.epsilon, 1
+    coeffs = (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs)
+    return (max(sum(abs(c) + abs(s) for c, s in pairs) for pairs in coeffs),
+            max(len(pairs) for pairs in coeffs) - 1)
+
+
 def _step_count(sched: ParameterSchedule) -> int:
     """N of the step rule: the smallest N with
     (T/N) (2 B + 2 pi H / T) <= _STEP_RATE."""
-    if sched.kind == STANDARD:
-        bound, harmonics = 1.0 + sched.epsilon, 1
-    else:
-        coeffs = (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs)
-        bound = max(sum(abs(c) + abs(s) for c, s in pairs)
-                    for pairs in coeffs)
-        harmonics = max(len(pairs) for pairs in coeffs) - 1
+    bound, harmonics = _bound(sched)
     rate = 2.0 * bound * sched.period + 2.0 * math.pi * harmonics
     return max(1, math.ceil(rate / _STEP_RATE))
+
+
+def _turn_bounds(sched: ParameterSchedule, Ms):
+    """Bounds on the turn of the first row of M over each step of a pass
+    with M = Ms at its step times (module doc); inf without a certificate."""
+    B = _bound(sched)[0]
+    h = sched.period / (Ms.shape[0] - 1)
+    e = math.expm1(2.0 * h * B)
+    if not e < 1.0:
+        return np.full(Ms.shape[0] - 1, math.inf)
+    norm = np.sqrt(np.einsum("kpq,kpq->k", Ms, Ms))
+    rho = np.maximum(np.hypot(Ms[:, 0, 0], Ms[:, 0, 1]) - e * norm,
+                     (1.0 - e) / norm)
+    return h * B / np.maximum(rho[:-1], rho[1:]) ** 2
 
 
 def _gauss_steps(sched: ParameterSchedule, t0, h):
@@ -242,6 +270,22 @@ def _full_turns(turn, sched, t0):
                     full, 0.0)
 
 
+def _lift(Ms, sched, t0):
+    """The angle of the first row of each M of a pass of sched from t0,
+    lifted over its steps: the nearest branches and the full turns they
+    lack (_full_turns)."""
+    alpha = np.unwrap(_row_angle(Ms))
+    alpha[1:] += np.cumsum(_full_turns(np.diff(alpha), sched, t0))
+    return alpha
+
+
+def _disagreement(Ms, Ks, Ms2, Ks2):
+    """max |M' - M| / max(1, max |M|) at the end of two passes, or the
+    same for K if larger."""
+    return max(float(np.abs(x2[-1] - x[-1]).max()) / max(
+        1.0, float(np.abs(x[-1]).max())) for x, x2 in ((Ms, Ms2), (Ks, Ks2)))
+
+
 @dataclass
 class FlowSample:
     """M(t) and K(t) = int_t0^t M^T H M dt of the centroid flow from t0 at
@@ -259,8 +303,10 @@ class FlowSample:
 class PeriodPass:
     """The Gauss pass over [t0, t0 + T] (period_pass): M and K at the
     N + 1 step times t0 + k T/N, the angle alpha of the first row of M
-    there, lifted from 0 at t0, and the disagreement estimate of the N
-    and 2N passes."""
+    there, lifted from 0 at t0, the disagreement estimate of the N pass
+    and the pass on estimator ("N/2" or "2N") steps, and turn_bound,
+    the largest bound of the turn certificate on the turn of a step (pi
+    or more where it fails, inf where it gives none)."""
 
     sched: ParameterSchedule
     t0: float
@@ -268,6 +314,8 @@ class PeriodPass:
     Ks: np.ndarray
     alpha: np.ndarray
     estimate: float
+    estimator: str
+    turn_bound: float
 
     @property
     def steps(self) -> int:
@@ -380,11 +428,15 @@ def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
 
     The angle alpha of the first row of M is lifted over the N steps:
     np.unwrap's nearest branches plus the full turns they lack
-    (_full_turns).  The same pass on 2N steps follows and is lifted too:
-    ConvergenceError is raised when the two turn the row by pi or
-    more apart, which a step that hides a turn does, and when estimate,
-    the larger of max |M_2N - M_N| / max(1, max |M_N|) at t0 + T and the
-    same for K, is past _ESTIMATE_BOUND.
+    (_full_turns).  estimate is the larger of
+    max |M' - M_N| / max(1, max |M_N|) at t0 + T and the same for K, M'
+    the end of a second pass.  Where N >= 2 and the turn certificate
+    (_turn_bounds, module doc) bounds every step's turn under pi, the
+    lift is exact and the second pass is on ceil(N/2) steps.  Otherwise,
+    or when that estimate is past _ESTIMATE_BOUND, it is on 2N steps and
+    is lifted too: ConvergenceError is raised when the two turn the row
+    by pi or more apart, which a step that hides a turn does, and when
+    estimate is past _ESTIMATE_BOUND.
     """
     shared = _SHARED.get()
     if shared is None:
@@ -399,28 +451,31 @@ def _period_pass(sched: ParameterSchedule, t0: float) -> PeriodPass:
     """The pass of period_pass, computed afresh."""
     N = _step_count(sched)
     Ms, Ks = _gauss_pass(sched, N, t0)
-    Ms2, Ks2 = _gauss_pass(sched, 2 * N, t0)
-    alpha, alpha2 = np.unwrap(_row_angle(Ms)), np.unwrap(_row_angle(Ms2))
-    for lift in (alpha, alpha2):
-        lift[1:] += np.cumsum(_full_turns(np.diff(lift), sched, t0))
-    turn, turn2 = alpha[-1], alpha2[-1]
-    if not abs(turn2 - turn) < math.pi:
-        raise ConvergenceError(
-            f"period pass on N = {N} steps and on 2N = {2 * N} steps turn "
-            f"the first row of M by {turn:.6g} and {turn2:.6g} rad: the "
-            "turns of a step cannot be counted")
-    estimate = max(
-        float(np.abs(x2[-1] - x[-1]).max()) / max(1.0, float(
-            np.abs(x[-1]).max())) for x, x2 in ((Ms, Ms2), (Ks, Ks2)))
+    alpha = _lift(Ms, sched, t0)
+    turn_bound = float(_turn_bounds(sched, Ms).max())
+    estimator, estimate = "N/2", math.inf
+    if N >= 2 and turn_bound < math.pi:
+        estimate = _disagreement(Ms, Ks, *_gauss_pass(sched, (N + 1) // 2, t0))
     if not estimate <= _ESTIMATE_BOUND:
-        raise ConvergenceError(
-            f"period pass on N = {N} steps and on 2N = {2 * N} steps "
-            f"disagree by {estimate:.3e} (relative), over the bound "
-            f"{_ESTIMATE_BOUND:.0e}")
+        estimator = "2N"
+        Ms2, Ks2 = _gauss_pass(sched, 2 * N, t0)
+        turn, turn2 = alpha[-1], _lift(Ms2, sched, t0)[-1]
+        if not abs(turn2 - turn) < math.pi:
+            raise ConvergenceError(
+                f"period pass on N = {N} steps and on 2N = {2 * N} steps "
+                f"turn the first row of M by {turn:.6g} and {turn2:.6g} "
+                "rad: the turns of a step cannot be counted")
+        estimate = _disagreement(Ms, Ks, Ms2, Ks2)
+        if not estimate <= _ESTIMATE_BOUND:
+            raise ConvergenceError(
+                f"period pass on N = {N} steps and on 2N = {2 * N} steps "
+                f"disagree by {estimate:.3e} (relative), over the bound "
+                f"{_ESTIMATE_BOUND:.0e}")
     for x in (Ms, Ks, alpha):
         x.flags.writeable = False
     return PeriodPass(sched=sched, t0=t0, Ms=Ms, Ks=Ks, alpha=alpha,
-                      estimate=estimate)
+                      estimate=estimate, estimator=estimator,
+                      turn_bound=turn_bound)
 
 
 def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
@@ -455,8 +510,8 @@ def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
         raise NonEllipticError(
             f"{exc}; over the period the first row of M turns "
             f"alpha_T/pi = {alpha / math.pi:.3f} half-turns, resonance "
-            f"k = {round(alpha / math.pi)}; pass estimate "
-            f"{flow.estimate:.1e} on N = {flow.steps} steps") from exc
+            f"k = {round(alpha / math.pi)}; pass N-vs-{flow.estimator} "
+            f"estimate {flow.estimate:.1e} on N = {flow.steps} steps") from exc
     turn = alpha + _wrap(_row_angle(M @ W) - alpha)
     winding = int(round((turn - sigma) / (2.0 * math.pi)))
     return Monodromy(M=M, sigma=sigma, winding=winding,

@@ -96,6 +96,17 @@ def _fails(check):
     assert not result.passed, result.detail
 
 
+def test_symplectic_check_names_the_estimator(monkeypatch):
+    # both of its passes are certified and estimated on N/2 steps; without
+    # a certificate they take the 2N route, and the detail says so
+    result = checks.check_monodromy_symplectic()
+    assert result.passed and "steps, N-vs-N/2 estimate " in result.detail
+    monkeypatch.setattr(monodromy, "_turn_bounds",
+                        lambda sched, Ms: np.full(len(Ms) - 1, np.inf))
+    result = checks.check_monodromy_symplectic()
+    assert result.passed and "steps, N-vs-2N estimate " in result.detail
+
+
 def test_phase_additivity_catches_lost_start_phases(monkeypatch):
     # a linear route that restarts the phases at a start time t0 != 0
     linear_path = dynamics._linear_path

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -339,7 +340,8 @@ def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
                                                              capsys):
     # a = 1 + 0.5 cos 2t, b = 1 inside the first Mathieu tongue: the row
     # of M turns 0.892 half-turns over the period, so k = 1 (tr M < 0),
-    # and the refusal names that count and the pass's N-vs-2N estimate
+    # and the refusal names that count and the pass's estimate, N-vs-N/2
+    # since the turn certificate holds
     path = tmp_path / "tongue.cfg"
     path.write_text("period=3.141592653589793\na_cos=1.0,0.5\nb_cos=1.0\n"
                     "c_cos=0.0\n")
@@ -351,7 +353,8 @@ def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
         assert code == 1
         assert err.startswith("error: |tr M| = 2.153935 >= 2, not elliptic;")
         assert "alpha_T/pi = 0.892 half-turns, resonance k = 1;" in err
-        assert f"pass estimate {flow.estimate:.1e} on N = 32 steps" in err
+        assert (f"pass N-vs-N/2 estimate {flow.estimate:.1e} on N = 32 steps"
+                in err)
 
 
 def test_untyped_error_propagates(tmp_path, monkeypatch):
@@ -365,10 +368,21 @@ def test_untyped_error_propagates(tmp_path, monkeypatch):
         run("orbit", parse_config(""), out_dir=tmp_path)
 
 
+def expected_passes(sched, t0=0.0):
+    """Step counts of the Gauss passes period_pass takes for sched: the
+    pass on N steps, then its estimate on ceil(N/2) where the turn
+    certificate holds and on 2N where it does not."""
+    N = monodromy._step_count(sched)
+    Ms = monodromy._gauss_pass(sched, N, t0)[0]
+    certified = N >= 2 and monodromy._turn_bounds(sched, Ms).max() < np.pi
+    return [N, (N + 1) // 2 if certified else 2 * N]
+
+
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     # each caller looks compute_monodromy up in its own namespace; calls
     # counts the calls of each operation, and passes the step count of
-    # every Gauss pass: the pass on N steps and its estimate on 2N
+    # every Gauss pass: the pass on N steps and its estimate on N/2 or 2N.
+    # The strongly squeezed point takes the 2N route, the others N/2
     calls, passes = [], []
 
     def counting(inner, record, arg):
@@ -384,16 +398,20 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
         monodromy._gauss_pass, passes, lambda args, kwargs: args[1]))
     fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
                "b_cos=1.0,-0.05\nc_sin=0.0,0.05\n")
-    for schedule in ("epsilon=0.1\nomega=1.0\n", fourier):
+    for schedule, route in (("epsilon=0.1\nomega=1.0\n", 0.5),
+                            (fourier, 0.5),
+                            ("epsilon=0.8\nomega=0.55\n", 2)):
         cfg = parse_config(schedule + "[orbit]\nsamples=64\n"
                            "[floquet]\nn=0,1,2\n[simulate]\nt1=20.0\n"
                            "samples=500\n")
         N = monodromy._step_count(cfg.schedule)
+        expected = expected_passes(cfg.schedule)
+        assert expected == [N, math.ceil(route * N)]
         for sub in ("orbit", "hannay", "floquet", "simulate"):
             calls.clear()
             passes.clear()
             assert run(sub, cfg, out_dir=tmp_path / sub) == 0
-            assert passes == [N, 2 * N], sub
+            assert passes == expected, sub
             # the orbit samples the pass of its one monodromy; simulate
             # samples a pass of its own and reads no monodromy
             assert len(calls) == {"orbit": 1, "hannay": 1, "floquet": 1,
@@ -407,7 +425,7 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
 def test_one_period_pass_per_schedule_per_check_run(monkeypatch):
     # the checks read 7 distinct (schedule, t0) passes through many
     # consumers; one run computes each once, as the pass on N steps and
-    # its estimate on 2N, and the next run computes all 7 again
+    # its estimate (expected_passes), and the next run computes all 7 again
     passes = []
     gauss_pass = monodromy._gauss_pass
 
@@ -419,11 +437,11 @@ def test_one_period_pass_per_schedule_per_check_run(monkeypatch):
     for _ in range(2):
         passes.clear()
         assert all(r.passed for r in checks.run_builtin_checks())
-        inputs = [(sched, t0) for sched, t0, _ in passes[::2]]
-        assert len(set(inputs)) == len(inputs) == 7
-        N = [monodromy._step_count(sched) for sched, _ in inputs]
-        assert passes == [(sched, t0, n) for (sched, t0), n0 in
-                          zip(inputs, N) for n in (n0, 2 * n0)]
+        taken = list(passes)
+        inputs = list(dict.fromkeys((sched, t0) for sched, t0, _ in taken))
+        assert len(inputs) == 7
+        assert taken == [(sched, t0, n) for sched, t0 in inputs
+                         for n in expected_passes(sched, t0)]
         # no pass outlives the run
         assert monodromy._SHARED.get() is None
     sched = ParameterSchedule.standard(0.05, 1.0)

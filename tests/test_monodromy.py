@@ -286,8 +286,10 @@ def test_gauss_pass_matches_rk45_witness():
         assert np.max(np.abs(mono.M - M)) <= 1e-11 * max(1.0, np.abs(M).max())
         assert abs(mono.rho - rho) <= 1e-12
         assert abs(mono.tr_KS - tr_KS) <= 1e-10 * abs(tr_KS)
-        # the N-vs-2N estimate sits at roundoff, far under its bound
+        # every pass is certified, and its N-vs-N/2 estimate sits at
+        # roundoff, far under its bound
         assert mono.steps == monodromy_module._step_count(sched)
+        assert mono.flow.estimator == "N/2"
         assert 0.0 <= mono.estimate <= 1e-13
 
 
@@ -324,7 +326,8 @@ def test_partial_steps_are_read_in_the_direction_of_b(monkeypatch):
 
 def test_coarse_pass_fails_its_error_estimate(tmp_path, monkeypatch, capsys):
     # six steps count the windings (~1.05 rad per step) but leave an error
-    # of ~2e-9, which the N-vs-2N comparison must catch and name
+    # of ~2e-9; no turn certificate holds on steps that long, and the
+    # N-vs-2N comparison must catch and name the error
     monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 6)
     with pytest.raises(ConvergenceError,
                        match=r"N = 6 steps and on 2N = 12 steps disagree by "
@@ -333,6 +336,83 @@ def test_coarse_pass_fails_its_error_estimate(tmp_path, monkeypatch, capsys):
     cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n")
     assert cli.run("floquet", cfg, out_dir=tmp_path) == 1
     assert "N = 6 steps" in capsys.readouterr().err
+
+
+def certificate_cases():
+    # seeded standard points, the strongly squeezed (0.8, 0.55) among them,
+    # seeded Fourier schedules with 1-8 harmonics, and the draw one of
+    # whose steps turns the row by 1.6 rad
+    rng = np.random.default_rng(27)
+    return [ParameterSchedule.standard(0.8, 0.55),
+            *(ParameterSchedule.standard(rng.uniform(0.05, 0.95),
+                                         rng.uniform(0.3, 2.5))
+              for _ in range(8)),
+            *(random_fourier(rng, harmonics) for harmonics in range(1, 9)),
+            fast_row_draws(127)[127]]
+
+
+def test_turn_certificate_bounds_the_turn_of_every_step():
+    # the turn of each of the N steps, read off a lifted pass on 16N
+    # steps, is within the certified bound (1.56 times the turn or more);
+    # where every bound is under pi the lift of the N pass is exact.  Only
+    # the strongly squeezed point (4.7 rad) and the fast-turning draw
+    # (25 rad) are refused
+    certified = []
+    for sched in certificate_cases():
+        N = monodromy_module._step_count(sched)
+        Ms = monodromy_module._gauss_pass(sched, N)[0]
+        bounds = monodromy_module._turn_bounds(sched, Ms)
+        fine = monodromy_module._lift(
+            monodromy_module._gauss_pass(sched, 16 * N)[0], sched, 0.0)[::16]
+        assert np.all(np.abs(np.diff(fine)) <= bounds)
+        certified.append(bounds.max() < math.pi)
+        if certified[-1]:
+            alpha = monodromy_module._lift(Ms, sched, 0.0)
+            assert np.abs(alpha - fine).max() <= 1e-9
+    assert certified == [False] + [True] * 16 + [False]
+
+
+def harmonic_six():
+    # a = 1 + 0.1 cos 6t, b = 1, c = 0.1 sin 6t: the sixth harmonic sets
+    # the accuracy of a step, the small coefficients its turn
+    return ParameterSchedule.fourier(
+        TWO_PI, [(1.0, 0.0)] + [(0.0, 0.0)] * 5 + [(0.1, 0.0)],
+        [(1.0, 0.0)], [(0.0, 0.0)] * 6 + [(0.0, 0.1)])
+
+
+@pytest.mark.parametrize("sched, steps, estimator", [
+    # certified: the estimate comes from the pass on ceil(N/2) steps
+    (ParameterSchedule.standard(0.05, 1.0), [39, 20], "N/2"),
+    # the row of the strongly squeezed point comes near the origin, and
+    # the certificate fails: the 2N route
+    (ParameterSchedule.standard(0.8, 0.55), [95, 190], "2N"),
+    # forced to 45 steps the pass is certified (0.69 rad), but the 23-step
+    # pass is off by 2e-10, past the bound: the 2N route decides
+    (harmonic_six(), [45, 23, 90], "2N"),
+])
+def test_pass_takes_the_route_its_certificate_allows(monkeypatch, sched,
+                                                    steps, estimator):
+    N = steps[0]
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: N)
+    Ms, Ks = monodromy_module._gauss_pass(sched, N)
+    taken = []
+    gauss_pass = monodromy_module._gauss_pass
+
+    def counted(sched, N, t0=0.0):
+        taken.append(N)
+        return gauss_pass(sched, N, t0)
+
+    monkeypatch.setattr(monodromy_module, "_gauss_pass", counted)
+    flow = monodromy_module.period_pass(sched)
+    assert taken == steps
+    assert flow.estimator == estimator
+    assert (flow.turn_bound < math.pi) == (steps[1] < N)
+    assert flow.estimate <= monodromy_module._ESTIMATE_BOUND
+    # whichever route estimates it, the pass is the N pass, bit for bit
+    assert flow.Ms.tobytes() == Ms.tobytes()
+    assert flow.Ks.tobytes() == Ks.tobytes()
+    assert (flow.alpha.tobytes()
+            == monodromy_module._lift(Ms, sched, 0.0).tobytes())
 
 
 # ----------------------------------------------------------------------
