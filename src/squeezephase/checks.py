@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, floquet, hannay, monodromy, orbits
-from .monodromy import _GL_B, _GL_C
+from .monodromy import _GL_B, _GL_C, _nu
 from .params import STANDARD, Constants, ParameterSchedule
 
 
@@ -54,12 +54,6 @@ def ellipse_points(W, I_bar, n):
     phis = 2.0 * math.pi * np.arange(n) / n
     r = math.sqrt(2.0 * I_bar)
     return np.column_stack([r * np.sin(phis), r * np.cos(phis)]) @ W.T
-
-
-def _nu(eps, omega):
-    """The frequency nu = sqrt((1 + omega/2)^2 - eps^2) of the standard
-    family's exact solution in the frame rotating at omega/2."""
-    return math.sqrt((1.0 + 0.5 * omega) ** 2 - eps * eps)
 
 
 def _standard_exact(eps, omega):

@@ -10,6 +10,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -284,19 +285,193 @@ def _write_json(path: Path, obj):
     path.write_text(_dump_json(obj) + "\n", encoding="utf-8", newline="\n")
 
 
-# rows of a float table formatted by one %-format
-_CSV_BLOCK = 256
+# rows of a float table spelled per string _csv_lines yields
+_CSV_CHUNK = 512
+
+
+def _split(x):
+    """Dekker's split x = hi + lo, hi on the top 26 bits of x."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# 10^k for k = 0..20, exact in binary64, and its Dekker halves
+_POW10 = np.array([float(10 ** k) for k in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# The tables below are built on first use, so that a process that writes
+# no table does not pay for them.  They use only the float64, int64 divmod
+# and uint64 word operations that the writer and the physics run anyway:
+# each further numpy loop a process runs adds ~64 KB of resident code.
+
+
+def _read_only(*arrays):
+    """The arrays, read-only: a cached table goes to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _digit_tables():
+    """(digits, zeros) over 0..9999: the four ASCII digits as a word, the
+    first digit in the low byte, and their trailing zeros."""
+    n = np.arange(10000)
+    digits = np.zeros(10000, "<u8")
+    for shift in (24, 16, 8, 0):
+        n, d = np.divmod(n, 10)
+        digits |= (d + ord("0")).astype("<u8") << np.uint64(shift)
+    n = np.arange(10000.0)
+    zeros = sum(np.floor(n / 10 ** j) * 10 ** j == n for j in range(1, 5))
+    return _read_only(digits, zeros.astype(np.intp))
+
+
+@functools.cache
+def _row_layouts():
+    """(keep, keep_shifted, fixed): 32-byte masks and bytes of a cell, as
+    rows of four little-endian words, at row (X + 4)*17 + z for the
+    decimal exponent X = -4..16 and z trailing zeros of the 17 digits.
+
+    A cell's digit row holds its sign at byte 0, the leading digit at byte
+    7 and the other 16 digits at bytes 8-23; its shifted row is the digit
+    row one byte up.  The cell is (row & keep) | (shifted & keep_shifted)
+    | fixed: the sign, "0." and -X - 1 zeros at bytes 1.. for X < 0,
+    digits 0..X in place, the point after them and the rest one byte up
+    for X >= 0, the trailing zeros of the fraction dropped (the point too
+    when no fraction digit is left), and the separator ',' at byte 31.
+    Every other byte is NUL."""
+    X = np.arange(-4.0, 17.0)[:, None, None]
+    last = 16.0 - np.arange(17.0)[:, None]     # the last nonzero digit
+    b = np.arange(32.0)
+    fraction = (X >= 0) & (last > X)
+    point = np.where(fraction, 8 + X, 32.0)
+    end = np.where(X < 0, 8 + last, np.where(fraction, 9 + last, 8 + X))
+    keep = (b < 1) | ((b >= 7) & (b < np.minimum(point, end)))
+    keep_shifted = (b > point) & (b < end)
+    prefix = (X < 0) & (b >= 1) & (b <= 1 - X)
+    dot = (prefix & (b == 2)) | (b == point)
+    fixed = (dot * float(ord(".")) + (prefix & ~dot) * float(ord("0"))
+             + (b == 31) * float(ord(",")))
+    return _read_only(*(
+        np.broadcast_to(t, fixed.shape).astype(np.uint8).reshape(-1, 32)
+        .view("<u8") for t in (keep * 255.0, keep_shifted * 255.0, fixed)))
+
+
+def _two_product(a, k):
+    """(hi, lo) with hi + lo = a*10^k exactly, hi = fl(a*10^k) (Dekker)."""
+    hi = a * np.take(_POW10, k)
+    ah, al = _split(a)
+    bh, bl = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _outside(hi, lo):
+    """Whether hi + lo lies outside [1e16, 1e17)."""
+    return ((hi < 1e16) | ((hi == 1e16) & (lo < 0))
+            | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+
+
+def _mantissas(x):
+    """(X, m, slow) of the cells x (_csv_lines): the decimal exponent, the
+    17-digit mantissa and the indices of the cells _fmt spells."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0
+    X = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(X, -4, 16, out=X)
+    hi, lo = _two_product(a, 16 - X)
+    fix = np.flatnonzero(_outside(hi, lo))
+    if fix.size:
+        X[fix] += np.where(hi[fix] > 3e16, 1, -1)
+        hi[fix], lo[fix] = _two_product(a[fix], 16 - X[fix])
+        fast[fix[_outside(hi[fix], lo[fix])]] = False
+    m = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    slow = np.flatnonzero(~fast)
+    m[slow] = 10 ** 16
+    X[slow] = 0
+    return X, m, slow
+
+
+def _digits8(v):
+    """(word, zeros): the eight ASCII digits of v < 10^8 as a word, and
+    their trailing zeros."""
+    digits, zeros4 = _digit_tables()
+    high, low = np.divmod(v, 10 ** 4)
+    word = np.take(digits, high) | np.take(digits, low) << np.uint64(32)
+    zeros = np.take(zeros4, low)
+    # zeros >> 2 is 1 where all four low digits are zeros, else 0
+    return word, zeros + (zeros >> 2) * np.take(zeros4, high)
+
+
+def _digit_rows(x, m):
+    """(row, zeros): the digit rows of the cells x with mantissas m
+    (_row_layouts), and the trailing zeros of m."""
+    lead, m = np.divmod(m, 10 ** 16)
+    high, low = np.divmod(m, 10 ** 8)
+    row = np.empty((len(x), 4), "<u8")
+    row[:, 0] = ((lead + ord("0")).astype("<u8") << np.uint64(56)
+                 | (x < 0) * np.uint64(ord("-")))
+    row[:, 1], zeros = _digits8(high)
+    row[:, 2], zeros_low = _digits8(low)
+    row[:, 3] = 0
+    # zeros_low >> 3 is 1 where all eight low digits are zeros, else 0
+    return row, zeros_low + (zeros_low >> 3) * zeros
+
+
+def _spell(block):
+    """The CSV text of the rows of a 2-D float64 array (_csv_lines)."""
+    x = block.ravel()
+    # a nan cell compares False; some numpy versions flag a signaling one
+    with np.errstate(invalid="ignore"):
+        X, m, slow = _mantissas(x)
+        cells, zeros = _digit_rows(x, m)
+    c = (X + 4) * 17 + zeros
+    keep, keep_shifted, fixed = _row_layouts()
+    shifted = np.zeros_like(cells)
+    shifted.view(np.uint8).ravel()[1:] = cells.view(np.uint8).ravel()[:-1]
+    shifted &= np.take(keep_shifted, c, axis=0)
+    cells &= np.take(keep, c, axis=0)
+    cells |= shifted
+    cells |= np.take(fixed, c, axis=0)
+    cols = block.shape[1]
+    cells[cols - 1::cols, 3] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
+    if slow.size:
+        spelled = b"".join(_fmt(v).encode().ljust(24, b"\0")
+                           for v in x[slow].tolist())
+        cells[slow, :3] = np.frombuffer(spelled, "<u8").reshape(-1, 3)
+    return cells.astype("<u8", copy=False).tobytes().translate(
+        None, b"\0").decode("ascii")
 
 
 def _csv_lines(table):
-    """The lines of a 2-D float array, a block of rows at a time: each
-    block is one %-format, which spells each cell as _fmt does once nan
-    is spelled null (no finite %.17g number contains "nan")."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for i in range(0, len(table), _CSV_BLOCK):
-        block = table[i:i + _CSV_BLOCK]
-        yield (line * len(block) % tuple(block.ravel().tolist())).replace(
-            "nan", "null")
+    """The lines of a 2-D float64 array, one string per _CSV_CHUNK rows,
+    each cell spelled byte for byte as _fmt spells it.
+
+    A cell x with 1e-4 <= |x| < 1e17 spells as '%.17g' does in fixed
+    notation, from its decimal exponent X (-4..16) and the 17-digit
+    mantissa m = round(|x|*10^(16 - X)) in [1e16, 1e17).  X starts from
+    floor(log10|x|).  10^(16 - X) is exact, so Dekker's two-product gives
+    y = |x|*10^(16 - X) exactly as hi + lo, hi = fl(y).  A start one
+    decade off leaves y outside [1e16, 1e17), which hi and the sign of lo
+    show exactly; X moves once, and a cell still outside falls back.  In
+    [1e16, 1e17) hi is an even integer (its ulp is 2 or more) and |lo| is
+    at most half an ulp, so m = hi + rint(lo) is y rounded to the nearest
+    integer; on an exact tie (frac(lo) = 1/2, e.g. 10001*2^-20) rint
+    rounds lo to even, so m is even, as '%.17g' rounds ties.  m never
+    carries to 1e17: the largest double below a power of ten 10^-3..10^17
+    lies more than 8e-17 of it below, past the half unit 5e-18 of the
+    17th digit.  The digits come in
+    4-digit groups from a table; the point, the "0.000" prefix and the
+    trailing zeros dropped as '%.17g' drops them come from the layouts of
+    _row_layouts.
+
+    Falls back to _fmt, cell by cell: 0 and -0, nan (spelled null), inf
+    and -inf, and every |x| outside [1e-4, 1e17), the scientific
+    spellings."""
+    table = np.asarray(table, dtype=np.float64)
+    for i in range(0, len(table), _CSV_CHUNK):
+        yield _spell(table[i:i + _CSV_CHUNK])
 
 
 def _write_table(out_dir: Path, stem: str, header, table, fmt: str):

@@ -112,9 +112,6 @@ class Trajectory:
     def final(self) -> ExtendedState:
         return ExtendedState.from_array(self.y[-1], self.t[-1])
 
-    def state_at_index(self, i: int) -> ExtendedState:
-        return ExtendedState.from_array(self.y[i], self.t[i])
-
 
 # ----------------------------------------------------------------------
 # Energy functions and derived quantities
@@ -134,14 +131,6 @@ def h_fl(G, Pi, a, b, c):
 def h_eff(q, p, G, Pi, a, b, c, hbar=1.0):
     """Total effective energy H_cl + hbar*H_fl."""
     return h_cl(q, p, a, b, c) + hbar * h_fl(G, Pi, a, b, c)
-
-
-def covariance(G, Pi, hbar=1.0):
-    """(Dq^2, Dp^2, cov) of the Gaussian state; det is hbar^2/4 identically."""
-    _require_positive_width(G)
-    dq2 = hbar * G
-    dp2 = hbar * (0.25 / G + 4.0 * Pi * Pi * G)
-    return dq2, dp2, 2.0 * hbar * G * Pi
 
 
 def actions(state: ExtendedState):

@@ -478,13 +478,21 @@ def _period_pass(sched: ParameterSchedule, t0: float) -> PeriodPass:
                       turn_bound=turn_bound)
 
 
+def _nu(eps, omega):
+    """The frequency nu = sqrt((1 + omega/2)^2 - eps^2) of the standard
+    family's exact solution in the frame rotating at omega/2."""
+    return math.sqrt((1.0 + 0.5 * omega) ** 2 - eps * eps)
+
+
 def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
     """The period pass from t = 0 (period_pass), then (sigma, k, rho) and
     the normal frame W of M = M(T).
 
     A map normal_frame refuses (a schedule in or next to a resonance
     tongue) is reported with the half-turns of the row lift over the
-    period, their rounded count k, and the pass's estimate.
+    period, their rounded count k, and the pass's estimate; on the
+    standard family also with the resonance in frequency terms, the
+    Floquet frequency rho/T = nu - omega/2 against k omega/2 (nu = _nu).
 
     The winding k comes from the lift the pass already has.  W is lower
     triangular with W11 > 0, so the first row of M(t) W starts along
@@ -507,11 +515,20 @@ def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
     except NonEllipticError as exc:
         # a map at or past the boundary sits in (or next to) the resonance
         # tongue of k half-turns: the row turns by about k pi per period
+        k = round(alpha / math.pi)
+        frequency = ""
+        if sched.kind == STANDARD:
+            omega = sched.omega
+            frequency = (
+                f"; Floquet frequency nu - omega/2 = "
+                f"{_nu(sched.epsilon, omega) - 0.5 * omega:.12g} against "
+                f"k omega/2 = {0.5 * k * omega:.12g}")
         raise NonEllipticError(
             f"{exc}; over the period the first row of M turns "
             f"alpha_T/pi = {alpha / math.pi:.3f} half-turns, resonance "
-            f"k = {round(alpha / math.pi)}; pass N-vs-{flow.estimator} "
-            f"estimate {flow.estimate:.1e} on N = {flow.steps} steps") from exc
+            f"k = {k}; pass N-vs-{flow.estimator} estimate "
+            f"{flow.estimate:.1e} on N = {flow.steps} steps{frequency}"
+        ) from exc
     turn = alpha + _wrap(_row_angle(M @ W) - alpha)
     winding = int(round((turn - sigma) / (2.0 * math.pi)))
     return Monodromy(M=M, sigma=sigma, winding=winding,

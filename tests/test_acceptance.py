@@ -9,14 +9,14 @@ import math
 import numpy as np
 
 from squeezephase.dynamics import (ExtendedState, IntegratorOptions, actions,
-                                   covariance, integrate)
+                                   integrate)
 from squeezephase.floquet import floquet_reports
 from squeezephase.hannay import (_mismatch_rate, hannay_closed_form,
                                  hannay_quadrature)
 from squeezephase.monodromy import compute_monodromy, fluctuation_point
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import Constants, ParameterSchedule
-from witness import flow
+from witness import covariance, flow, state_at_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,7 +166,7 @@ def test_criterion_9_structural_invariants():
     traj0 = flow(state, 10 * TWO_PI, free)
     act_dev = 0.0
     for i in range(0, len(traj0.t), 25):
-        I, J = actions(traj0.state_at_index(i))
+        I, J = actions(state_at_index(traj0, i))
         act_dev = max(act_dev, abs(I - I0), abs(J - J0))
 
     ref = flow(state, TWO_PI, free, tol=1e-13).final

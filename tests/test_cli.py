@@ -232,7 +232,7 @@ def test_simulate_columns_match_scalar_helpers(tmp_path, schedule):
     keep = np.searchsorted(traj.t, grid)
     assert len(lines) == len(keep)
     for line, i in zip(lines, keep):
-        st = traj.state_at_index(i)
+        st = witness.state_at_index(traj, i)
         a, b, c = cfg.schedule.eval(st.t)
         want = [st.t, *dynamics.actions(st),
                 dynamics.h_eff(st.q, st.p, st.G, st.Pi, a, b, c,
@@ -261,21 +261,57 @@ def test_cell_formatter_spellings():
                           "10000000000000000")
 
 
-def test_csv_array_blocks_match_cell_formatter(tmp_path, monkeypatch):
-    # a float array is formatted a block of rows at a time; a row with a
-    # nan or an infinity is spelled by _fmt, and a block that holds one
-    # formats its finite rows as any other
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
-    rng = np.random.default_rng(5)
-    table = rng.standard_normal((11, 3)) * 10.0 ** rng.integers(-300, 300,
-                                                                (11, 3))
-    table[0] = [0.1, -0.0, 5e-324]
-    table[5, 1], table[6, 2], table[10, 0] = np.nan, np.inf, -np.inf
-    cli._write_table(tmp_path, "t", ["a", "b", "c"], table, "csv")
-    want = ["a,b,c"] + [",".join(map(cli._fmt, r)) for r in table.tolist()]
-    assert (tmp_path / "t.csv").read_bytes() == \
-        ("\n".join(want) + "\n").encode()
-    assert want[6].split(",")[1] == "null" and want[7].endswith(",inf")
+def _assert_spelled(lines, table):
+    # the lines hold the rows of table, each cell spelled by _fmt; the
+    # first row that differs is reported
+    got = "".join(lines).split("\n")
+    want = [",".join(map(cli._fmt, row)) for row in table.tolist()] + [""]
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+               None)
+    assert bad is None, (table[bad].tolist(), got[bad], want[bad])
+    assert len(got) == len(want)
+
+
+def test_csv_lines_match_cell_formatter(tmp_path):
+    # the table writer spells every cell as _fmt does, byte for byte
+    rng = np.random.default_rng(28)
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    odd = np.arange(1049, 10486, 2)
+    edges = np.concatenate([
+        # each decade and the neighbours of its power of ten: a log10 one
+        # decade off, the 17-digit rounding next to a power of ten and the
+        # ends of fixed notation (X = -5/-4 and 16/17)
+        powers, below, above, np.nextafter(below, 0.0),
+        np.nextafter(above, np.inf), 9.5 * powers,
+        # integer-valued cells and halves, small and past 2^53
+        np.arange(2000) / 2.0,
+        rng.integers(0, 2 ** 60, 1000).astype(np.float64),
+        # exact ties of the 17-digit rounding: m 2^-20 10^19 is m 5^19 / 2
+        odd * 2.0 ** -20,
+        [0.0, 5e-324, 2.2250738585072009e-308, np.nan, np.inf],
+    ])
+    cells = np.concatenate([
+        # random bit patterns, mostly spelled by _fmt itself
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64),
+        # random cells in every decade the writer spells itself
+        rng.standard_normal(50_000) * 10.0 ** rng.integers(-4, 17, 50_000),
+        edges, -edges])
+    cells = cells[:len(cells) // 7 * 7]
+    table = cells.reshape(-1, 7)
+    _assert_spelled(cli._csv_lines(table), table)
+    # one string per chunk of rows, the last one short
+    chunk = cli._CSV_CHUNK
+    for rows in (1, chunk - 1, chunk, chunk + 1):
+        part = cells[rng.permutation(len(cells))[:rows * 3]].reshape(rows, 3)
+        lines = list(cli._csv_lines(part))
+        assert len(lines) == -(-rows // chunk)
+        _assert_spelled(lines, part)
+    part[0] = [np.nan, -np.inf, 0.5]
+    cli._write_table(tmp_path, "t", ["a", "b", "c"], part, "csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[:2] == [
+        "a,b,c", "null,-inf,0.5"]
+    assert list(cli._csv_lines(np.empty((0, 2)))) == []
     cli._write_table(tmp_path, "empty", ["a", "b"], np.empty((0, 2)), "csv")
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
@@ -341,7 +377,8 @@ def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
     # a = 1 + 0.5 cos 2t, b = 1 inside the first Mathieu tongue: the row
     # of M turns 0.892 half-turns over the period, so k = 1 (tr M < 0),
     # and the refusal names that count and the pass's estimate, N-vs-N/2
-    # since the turn certificate holds
+    # since the turn certificate holds, and no frequency: the schedule is
+    # not the standard family
     path = tmp_path / "tongue.cfg"
     path.write_text("period=3.141592653589793\na_cos=1.0,0.5\nb_cos=1.0\n"
                     "c_cos=0.0\n")
@@ -353,8 +390,22 @@ def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
         assert code == 1
         assert err.startswith("error: |tr M| = 2.153935 >= 2, not elliptic;")
         assert "alpha_T/pi = 0.892 half-turns, resonance k = 1;" in err
-        assert (f"pass N-vs-N/2 estimate {flow.estimate:.1e} on N = 32 steps"
-                in err)
+        assert err.endswith(f"pass N-vs-N/2 estimate {flow.estimate:.1e} "
+                            "on N = 32 steps\n")
+    # the standard family meets a resonance where its Floquet frequency
+    # rho/T = nu - omega/2 is k omega/2: at (0.75, 0.5), nu = 1, and 1e-8
+    # off it 2 - |tr M| = 8e-15 is refused, named in frequency terms too
+    path.write_text("epsilon=0.75000001\nomega=0.5\n")
+    nu = monodromy._nu(0.75000001, 0.5)
+    assert 0.0 < 0.75 - (nu - 0.25) < 1e-8
+    for sub in ("orbit", "hannay", "floquet"):
+        code = main([sub, "--config", str(path), "--out", str(tmp_path / sub)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: 2 - |tr M| = ")
+        assert "alpha_T/pi = 3.000 half-turns, resonance k = 3;" in err
+        assert err.endswith(f"; Floquet frequency nu - omega/2 = "
+                            f"{nu - 0.25:.12g} against k omega/2 = 0.75\n")
 
 
 def test_untyped_error_propagates(tmp_path, monkeypatch):

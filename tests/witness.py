@@ -17,6 +17,9 @@ flow runs it on dynamics._extended_rhs.
 standard_flow is the exact flow matrix of the standard family, which the
 tests hold the linear route, the orbit and the exact path of the
 built-in checks against.
+
+covariance and state_at_index read a trajectory's rows as the tests
+need them.
 """
 
 import math
@@ -196,6 +199,20 @@ def rk45_lists(rhs, t0, y0, t1, tol):
         factor = grow if err == 0.0 else min(grow, safety * err ** -0.2)
         h = h * max(shrink, factor)
     return np.array(ts), np.array(ys).reshape(-1, n)
+
+
+def state_at_index(traj: Trajectory, i: int) -> ExtendedState:
+    """Row i of a trajectory as an ExtendedState."""
+    return ExtendedState.from_array(traj.y[i], traj.t[i])
+
+
+def covariance(G, Pi, hbar=1.0):
+    """(Dq^2, Dp^2, cov) of the Gaussian state; det is hbar^2/4
+    identically."""
+    dynamics._require_positive_width(G)
+    dq2 = hbar * G
+    dp2 = hbar * (0.25 / G + 4.0 * Pi * Pi * G)
+    return dq2, dp2, 2.0 * hbar * G * Pi
 
 
 def random_fourier(rng, harmonics):
