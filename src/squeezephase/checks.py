@@ -274,25 +274,26 @@ def check_orbit_phase_witness():
 
 
 def loop_phase(sched, n):
-    """(lambda_G as the loop integral, lambda_G_cycle) of the periodic
-    orbit: -int_0^T (dPi/dt) G dt as T times the plain mean over n uniform
-    orbit samples, with dPi/dt from the equations of motion.  The
-    integrand is periodic and analytic, so the mean converges
-    geometrically in n."""
+    """(lambda_G as the loop integral on n samples, the same on n/2,
+    lambda_G_cycle) of the periodic orbit: -int_0^T (dPi/dt) G dt as T
+    times the plain mean over n uniform orbit samples, with dPi/dt from
+    the equations of motion, and over their even half, the samples of the
+    n/2-sample orbit.  The integrand is periodic and analytic, so the mean
+    converges geometrically in n."""
     orb = orbits.find_periodic_orbit(sched, n_samples=n)
     rows = np.column_stack([*sched.sample(orb.t[:-1]), orb.G[:-1],
                             orb.Pi[:-1]])
     rates = [dynamics._rates(a, b, c, 0.0, 0.0, G, Pi, HBAR)[3] * G
              for a, b, c, G, Pi in rows.tolist()]
-    return -sched.period * float(np.mean(rates)), orb.lambda_G_cycle
+    return (-sched.period * float(np.mean(rates)),
+            -sched.period * float(np.mean(rates[::2])), orb.lambda_G_cycle)
 
 
 def check_orbit_loop_area():
     # at this drive lambda_G is -0.074, so the bound is ~1e-12 relative;
     # at EPS it would be ~1e-10 (lambda_G = -8.7e-4)
     sched = ParameterSchedule.standard(0.4, 0.7)
-    coarse, cycle = loop_phase(sched, 64)
-    fine, _ = loop_phase(sched, 128)
+    fine, coarse, cycle = loop_phase(sched, 128)
     dev = max(abs(coarse - fine), abs(coarse - cycle), abs(fine - cycle))
     return _result("orbit-loop-area", dev < 1e-13,
                    f"max |loop(64) - loop(128)|, |loop(n) - lambda_G| at "

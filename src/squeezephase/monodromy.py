@@ -19,9 +19,10 @@ int x^T H x dt = x0^T K x0 along any centroid solution, and it lifts
 the angle alpha of the first row r of M(t) over its steps.  The row
 turns one way: r' = c r + b r2 (r2 the second row), so
 alpha' = b det M / |r|^2 = b / |r|^2, and b keeps its sign where
-a b > c^2.  A step's increment on the nearest branch stands when under
-pi/2; a larger one is read in the direction of b (_full_turns), however
-fast the row turns where |r| is small.
+a b > c^2 (_b_sign reads it off the coefficients).  A step's increment
+on the nearest branch stands when under pi/2; a larger one is read in
+the direction of b (_full_turns), however fast the row turns where |r|
+is small.
 compute_monodromy reads M = M(T), the normal frame W, sigma and the
 continuous rotation number rho = 2*pi*k + sigma off the pass from t = 0,
 the winding k from the lift of alpha.  The orbit, the trajectory Hannay
@@ -32,9 +33,11 @@ The pass is s = 5 stage Gauss-Legendre collocation (order 2s = 10) on N
 equal steps.  The system x' = A(t) x, A = J H, is linear, so a Gauss step
 maps M(t_k) to P_k M(t_k) with a step matrix P_k that does not depend on
 the state: the stage equations Z_i = I + h sum_j a_ij A_j Z_j of all N
-steps are one batched linear solve, fed by one ParameterSchedule.sample
-call at all N s nodes.  The same stage solutions give the step's share of
-K, M_k^T Q_k M_k with Q_k = h sum_i b_i Z_i^T H_i Z_i, at the same order.
+steps, and of the ceil(N/2) steps of its estimate (below), are one
+batched linear solve, fed by one ParameterSchedule.sample call at all
+their nodes; no step's P_k depends on the other steps of the solve.
+The same stage solutions give the step's share of K, M_k^T Q_k M_k with
+Q_k = h sum_i b_i Z_i^T H_i Z_i, at the same order.
 Only the 2x2 prefix product M_(k+1) = P_k M_k is sequential.  Gauss
 methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, IV.2 and VI.4).
@@ -48,8 +51,10 @@ max(|r_j| - e |M_j|_F, (1 - e)/|M_j|_F), and the step turns it by at
 most h B / rho_k^2.  Where every such bound is under pi the nearest
 branches are exact, on every partial step too, and the pass on ceil(N/2)
 steps is the error estimate: it bounds a pass far less accurate than
-the N pass.  Otherwise, or where it is past the bound, the pass on 2N
-steps is, and its rows, lifted the same way, must turn as far within pi.
+the N pass.  Its steps are solved with those of the N pass, before the
+certificate is known, and go unread where it fails.  Otherwise, or
+where it is past the bound, the pass on 2N steps is, and its rows,
+lifted the same way, must turn as far within pi.
 
 Inside shared_passes(), period_pass computes each distinct (schedule,
 t0) once and hands every later caller the same PeriodPass: the built-in
@@ -132,6 +137,10 @@ def _gauss_legendre():
 
 _GL_C, _GL_B, _GL_A = _gauss_legendre()
 _STAGES = _GL_C.size
+# -a_ij, which gives the products (-x) a_ij as x (-a_ij), bit for bit
+_NEG_GL_A = -_GL_A
+# the right-hand side (I, ..., I) of the stage equations of one step
+_STAGE_RHS = np.tile(np.eye(2), (_STAGES, 1))
 
 
 @dataclass
@@ -207,48 +216,76 @@ def _gauss_steps(sched: ParameterSchedule, t0, h):
     from the times t0 (arrays of one length n).
 
     P maps M(t0) to M(t0 + h), and the step adds M(t0)^T Q M(t0) to K.
+    Each step's P and Q are the same bit for bit whatever other steps
+    share the call.
     """
     n, s = t0.size, _STAGES
-    a, b, c = sched.sample(t0[:, None] + h[:, None] * _GL_C)   # (n, s)
+    a, b, c = sched.sample(t0[:, None] + h[:, None] * _GL_C)
+    # everything below is indexed with the step last, so that every
+    # operation runs over the n steps at once
+    a, b, c = (np.ascontiguousarray(v.T) for v in (a, b, c))    # (s, n)
     # block (i, j) of the stage equations Z_i - h sum_j a_ij A_j Z_j = I
-    # is delta_ij I - h a_ij A_j, A = J H = [[c, b], [-a, -c]]; hA is
-    # indexed (step, row, stage, column)
-    ha, hb, hc = (h[:, None] * v for v in (a, b, c))
-    hA = np.stack([np.stack([hc, hb], -1), np.stack([-ha, -hc], -1)], 1)
-    L = np.eye(2 * s) - (hA[:, None] * _GL_A[:, None, :, None]).reshape(
-        n, 2 * s, 2 * s)
+    # is delta_ij I - h a_ij A_j, A = J H = [[c, b], [-a, -c]]; L is
+    # indexed (stage i, row, stage j, column, step)
+    L = np.empty((s, 2, s, 2, n))
+    hc = h * c
+    np.multiply(_NEG_GL_A[..., None], hc, out=L[:, 0, :, 0])
+    np.multiply(_NEG_GL_A[..., None], h * b, out=L[:, 0, :, 1])
+    np.multiply(_GL_A[..., None], h * a, out=L[:, 1, :, 0])
+    np.multiply(_GL_A[..., None], hc, out=L[:, 1, :, 1])
+    L = L.reshape(2 * s, 2 * s, n)
+    L.reshape(4 * s * s, n)[::2 * s + 1] += 1.0         # delta_ij I
     # the right-hand side has the shape of the solution, which every
     # numpy version reads as a stack of matrices
-    ones = np.broadcast_to(np.tile(np.eye(2), (s, 1)), (n, 2 * s, 2))
-    Z = np.linalg.solve(L, ones).reshape(n, s, 2, 2)
-    # rows of A_i Z_i from the rows Z0, Z1 of Z_i; H_i Z_i = J^T A_i Z_i
-    # has the rows (-F1, F0)
-    Z0, Z1 = Z[:, :, 0], Z[:, :, 1]
-    a, b, c = a[..., None], b[..., None], c[..., None]
-    F0, F1 = c * Z0 + b * Z1, -(a * Z0 + c * Z1)
-    w = h[:, None] * _GL_B                              # (n, s)
-    P = np.eye(2) + np.einsum("ni,nipq->npq", w, np.stack([F0, F1], 2))
-    Q = np.einsum("nipq,nipr->nqr", Z * w[..., None, None],
-                  np.stack([-F1, F0], 2))
-    return P, Q
+    Z = np.linalg.solve(L.transpose(2, 0, 1),
+                        np.broadcast_to(_STAGE_RHS, (n, 2 * s, 2)))
+    Z = np.ascontiguousarray(Z.reshape(n, s, 2, 2).transpose(1, 2, 3, 0))
+    # the rows F0, F1 of F_i = A_i Z_i, and H_i Z_i = J^T F_i with the
+    # rows (-F1, F0), from the rows Z0, Z1 of Z_i
+    a, b, c = a[:, None], b[:, None], c[:, None]
+    F, HZ = np.empty((s, 2, 2, n)), np.empty((s, 2, 2, n))
+    np.multiply(c, Z[:, 0], out=F[:, 0])
+    F[:, 0] += b * Z[:, 1]
+    np.multiply(a, Z[:, 0], out=HZ[:, 0])
+    HZ[:, 0] += c * Z[:, 1]
+    np.negative(HZ[:, 0], out=F[:, 1])
+    HZ[:, 1] = F[:, 0]
+    w = np.multiply.outer(_GL_B, h)                      # (s, n)
+    P = np.eye(2) + np.einsum("in,ipqn->npq", w, F, order="C")
+    # with the steps last in its output too, Q's contraction runs over
+    # them in its inner loop
+    Q = np.einsum("ipqn,iprn->qrn", Z * w[:, None, None], HZ)
+    return P, np.ascontiguousarray(Q.transpose(2, 0, 1))
 
 
-def _gauss_pass(sched: ParameterSchedule, N: int, t0: float = 0.0):
-    """M(t_k) and K(t_k) at the N + 1 step times t_k = t0 + k T/N of the
-    flow from t0: K(t_k) is the prefix sum of the step shares
-    M_j^T Q_j M_j, j < k."""
-    h = sched.period / N
-    P, Q = _gauss_steps(sched, t0 + h * np.arange(N), np.full(N, h))
+def _prefix(P, Q):
+    """M(t_k) and K(t_k), k = 0 .. N, of a pass from its N step matrices P
+    and quadrature matrices Q: M(t_(k+1)) = P_k M(t_k), and K(t_k) is the
+    prefix sum of the step shares M_j^T Q_j M_j, j < k."""
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     prefix = [(m11, m12, m21, m22)]
     for (p11, p12), (p21, p22) in P.tolist():
         m11, m12, m21, m22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
                               p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
         prefix.append((m11, m12, m21, m22))
-    Ms = np.array(prefix).reshape(N + 1, 2, 2)
+    Ms = np.array(prefix).reshape(-1, 2, 2)
     shares = np.einsum("kpq,kpr->kqr", Ms[:-1], Q @ Ms[:-1])
     return Ms, np.concatenate([np.zeros((1, 2, 2)),
                                np.cumsum(shares, axis=0)])
+
+
+def _gauss_passes(sched: ParameterSchedule, counts, t0: float = 0.0):
+    """(Ms, Ks) of the pass from t0 on each step count N of counts: M(t_k)
+    and K(t_k) at its N + 1 step times t_k = t0 + k T/N (_prefix).  The
+    steps of all the passes are one _gauss_steps call."""
+    sizes = [sched.period / N for N in counts]
+    P, Q = _gauss_steps(
+        sched, np.concatenate([t0 + h * np.arange(N)
+                               for N, h in zip(counts, sizes)]),
+        np.repeat(sizes, counts))
+    ends = np.cumsum(counts)
+    return [_prefix(P[end - N:end], Q[end - N:end])
+            for N, end in zip(counts, ends)]
 
 
 def _row_angle(M):
@@ -261,21 +298,29 @@ def _wrap(angle):
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _full_turns(turn, sched, t0):
+def _b_sign(sched: ParameterSchedule) -> float:
+    """The sign of b, which ellipticity (a b > c^2) keeps over the whole
+    period: +1 on the standard family (b = 1 - eps cos), and on a Fourier
+    schedule that of its mean over the period, its constant term."""
+    return 1.0 if sched.kind == STANDARD else math.copysign(
+        1.0, sched.b_coeffs[0][0])
+
+
+def _full_turns(turn, sched):
     """The full turns that row-angle increments turn of a pass of sched
-    from t0 lack when read on the nearest branch: 2 pi in the direction
-    of b where turn runs against it by pi/2 or more, else 0 (module doc)."""
-    full = math.copysign(2.0 * math.pi, float(sched.sample(t0)[1]))
+    lack when read on the nearest branch: 2 pi in the direction of b where
+    turn runs against it by pi/2 or more, else 0 (module doc)."""
+    full = 2.0 * math.pi * _b_sign(sched)
     return np.where((np.abs(turn) >= 0.5 * math.pi) & (turn * full < 0.0),
                     full, 0.0)
 
 
-def _lift(Ms, sched, t0):
-    """The angle of the first row of each M of a pass of sched from t0,
-    lifted over its steps: the nearest branches and the full turns they
-    lack (_full_turns)."""
+def _lift(Ms, sched):
+    """The angle of the first row of each M of a pass of sched, lifted over
+    its steps: the nearest branches and the full turns they lack
+    (_full_turns)."""
     alpha = np.unwrap(_row_angle(Ms))
-    alpha[1:] += np.cumsum(_full_turns(np.diff(alpha), sched, t0))
+    alpha[1:] += np.cumsum(_full_turns(np.diff(alpha), sched))
     return alpha
 
 
@@ -344,7 +389,7 @@ class PeriodPass:
             M[j] = P @ M[j]
         start = self.alpha[step]
         turn = _wrap(_row_angle(M) - start)
-        return M, K, start + turn + _full_turns(turn, self.sched, self.t0)
+        return M, K, start + turn + _full_turns(turn, self.sched)
 
     def sample(self, t1: float, times, W) -> FlowSample:
         """M(t), K(t) and the turn of the first row of M(t) W of the flow
@@ -450,16 +495,18 @@ def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
 def _period_pass(sched: ParameterSchedule, t0: float) -> PeriodPass:
     """The pass of period_pass, computed afresh."""
     N = _step_count(sched)
-    Ms, Ks = _gauss_pass(sched, N, t0)
-    alpha = _lift(Ms, sched, t0)
+    # the steps of the estimate on ceil(N/2) steps are taken with those of
+    # the N pass, before the certificate that decides whether it is read
+    (Ms, Ks), half = _gauss_passes(sched, (N, (N + 1) // 2), t0)
+    alpha = _lift(Ms, sched)
     turn_bound = float(_turn_bounds(sched, Ms).max())
     estimator, estimate = "N/2", math.inf
     if N >= 2 and turn_bound < math.pi:
-        estimate = _disagreement(Ms, Ks, *_gauss_pass(sched, (N + 1) // 2, t0))
+        estimate = _disagreement(Ms, Ks, *half)
     if not estimate <= _ESTIMATE_BOUND:
         estimator = "2N"
-        Ms2, Ks2 = _gauss_pass(sched, 2 * N, t0)
-        turn, turn2 = alpha[-1], _lift(Ms2, sched, t0)[-1]
+        (Ms2, Ks2), = _gauss_passes(sched, (2 * N,), t0)
+        turn, turn2 = alpha[-1], _lift(Ms2, sched)[-1]
         if not abs(turn2 - turn) < math.pi:
             raise ConvergenceError(
                 f"period pass on N = {N} steps and on 2N = {2 * N} steps "

@@ -421,19 +421,20 @@ def test_untyped_error_propagates(tmp_path, monkeypatch):
 
 def expected_passes(sched, t0=0.0):
     """Step counts of the Gauss passes period_pass takes for sched: the
-    pass on N steps, then its estimate on ceil(N/2) where the turn
-    certificate holds and on 2N where it does not."""
+    pass on N steps and its estimate on ceil(N/2), both in one kernel
+    call, then the estimate on 2N where the turn certificate fails."""
     N = monodromy._step_count(sched)
-    Ms = monodromy._gauss_pass(sched, N, t0)[0]
+    (Ms, _), = monodromy._gauss_passes(sched, (N,), t0)
     certified = N >= 2 and monodromy._turn_bounds(sched, Ms).max() < np.pi
-    return [N, (N + 1) // 2 if certified else 2 * N]
+    return [N, (N + 1) // 2] + ([] if certified else [2 * N])
 
 
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     # each caller looks compute_monodromy up in its own namespace; calls
     # counts the calls of each operation, and passes the step count of
-    # every Gauss pass: the pass on N steps and its estimate on N/2 or 2N.
-    # The strongly squeezed point takes the 2N route, the others N/2
+    # every Gauss pass: the pass on N steps, its estimate on N/2, and on
+    # 2N where the certificate fails.  The strongly squeezed point takes
+    # the 2N route, the others N/2
     calls, passes = [], []
 
     def counting(inner, record, arg):
@@ -445,24 +446,27 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     for module in (cli, hannay, orbits, floquet):
         monkeypatch.setattr(module, "compute_monodromy", counting(
             module.compute_monodromy, calls, lambda args, kwargs: module))
-    monkeypatch.setattr(monodromy, "_gauss_pass", counting(
-        monodromy._gauss_pass, passes, lambda args, kwargs: args[1]))
+    monkeypatch.setattr(monodromy, "_gauss_passes", counting(
+        monodromy._gauss_passes, passes, lambda args, kwargs: args[1]))
     fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
                "b_cos=1.0,-0.05\nc_sin=0.0,0.05\n")
-    for schedule, route in (("epsilon=0.1\nomega=1.0\n", 0.5),
-                            (fourier, 0.5),
-                            ("epsilon=0.8\nomega=0.55\n", 2)):
+    for schedule, route in (("epsilon=0.1\nomega=1.0\n", "N/2"),
+                            (fourier, "N/2"),
+                            ("epsilon=0.8\nomega=0.55\n", "2N")):
         cfg = parse_config(schedule + "[orbit]\nsamples=64\n"
                            "[floquet]\nn=0,1,2\n[simulate]\nt1=20.0\n"
                            "samples=500\n")
         N = monodromy._step_count(cfg.schedule)
         expected = expected_passes(cfg.schedule)
-        assert expected == [N, math.ceil(route * N)]
+        assert expected == [N, math.ceil(N / 2)] + (
+            [2 * N] if route == "2N" else [])
         for sub in ("orbit", "hannay", "floquet", "simulate"):
             calls.clear()
             passes.clear()
             assert run(sub, cfg, out_dir=tmp_path / sub) == 0
-            assert passes == expected, sub
+            # the N pass and its N/2 estimate are one kernel call
+            assert passes[0] == (N, (N + 1) // 2), sub
+            assert [n for counts in passes for n in counts] == expected, sub
             # the orbit samples the pass of its one monodromy; simulate
             # samples a pass of its own and reads no monodromy
             assert len(calls) == {"orbit": 1, "hannay": 1, "floquet": 1,
@@ -478,13 +482,13 @@ def test_one_period_pass_per_schedule_per_check_run(monkeypatch):
     # consumers; one run computes each once, as the pass on N steps and
     # its estimate (expected_passes), and the next run computes all 7 again
     passes = []
-    gauss_pass = monodromy._gauss_pass
+    gauss_passes = monodromy._gauss_passes
 
-    def counted(sched, N, t0=0.0):
-        passes.append((sched, float(t0), N))
-        return gauss_pass(sched, N, t0)
+    def counted(sched, counts, t0=0.0):
+        passes.extend((sched, float(t0), N) for N in counts)
+        return gauss_passes(sched, counts, t0)
 
-    monkeypatch.setattr(monodromy, "_gauss_pass", counted)
+    monkeypatch.setattr(monodromy, "_gauss_passes", counted)
     for _ in range(2):
         passes.clear()
         assert all(r.passed for r in checks.run_builtin_checks())

@@ -148,7 +148,7 @@ def test_shared_passes_serve_every_consumer_within_the_block(monkeypatch):
             raise AssertionError("a shared pass was computed again")
 
         with monkeypatch.context() as patched:
-            patched.setattr(monodromy_module, "_gauss_pass", no_pass)
+            patched.setattr(monodromy_module, "_gauss_passes", no_pass)
             assert compute_monodromy(sched).flow is first
             assert find_periodic_orbit(sched, 8).monodromy.flow is first
             floquet_reports(sched, [0, 1])
@@ -360,14 +360,14 @@ def test_turn_certificate_bounds_the_turn_of_every_step():
     certified = []
     for sched in certificate_cases():
         N = monodromy_module._step_count(sched)
-        Ms = monodromy_module._gauss_pass(sched, N)[0]
+        (Ms, _), (fine, _) = monodromy_module._gauss_passes(
+            sched, (N, 16 * N))
         bounds = monodromy_module._turn_bounds(sched, Ms)
-        fine = monodromy_module._lift(
-            monodromy_module._gauss_pass(sched, 16 * N)[0], sched, 0.0)[::16]
+        fine = monodromy_module._lift(fine, sched)[::16]
         assert np.all(np.abs(np.diff(fine)) <= bounds)
         certified.append(bounds.max() < math.pi)
         if certified[-1]:
-            alpha = monodromy_module._lift(Ms, sched, 0.0)
+            alpha = monodromy_module._lift(Ms, sched)
             assert np.abs(alpha - fine).max() <= 1e-9
     assert certified == [False] + [True] * 16 + [False]
 
@@ -381,7 +381,8 @@ def harmonic_six():
 
 
 @pytest.mark.parametrize("sched, steps, estimator", [
-    # certified: the estimate comes from the pass on ceil(N/2) steps
+    # steps: the N pass and the passes its estimate reads.  Certified: the
+    # estimate comes from the pass on ceil(N/2) steps
     (ParameterSchedule.standard(0.05, 1.0), [39, 20], "N/2"),
     # the row of the strongly squeezed point comes near the origin, and
     # the certificate fails: the 2N route
@@ -394,17 +395,26 @@ def test_pass_takes_the_route_its_certificate_allows(monkeypatch, sched,
                                                     steps, estimator):
     N = steps[0]
     monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: N)
-    Ms, Ks = monodromy_module._gauss_pass(sched, N)
-    taken = []
-    gauss_pass = monodromy_module._gauss_pass
+    (Ms, Ks), = monodromy_module._gauss_passes(sched, (N,))
+    taken, read = [], []
+    gauss_passes = monodromy_module._gauss_passes
+    disagreement = monodromy_module._disagreement
 
-    def counted(sched, N, t0=0.0):
-        taken.append(N)
-        return gauss_pass(sched, N, t0)
+    def counted(sched, counts, t0=0.0):
+        taken.extend(counts)
+        return gauss_passes(sched, counts, t0)
 
-    monkeypatch.setattr(monodromy_module, "_gauss_pass", counted)
+    def compared(Ms, Ks, Ms2, Ks2):
+        read.append(Ms2.shape[0] - 1)
+        return disagreement(Ms, Ks, Ms2, Ks2)
+
+    monkeypatch.setattr(monodromy_module, "_gauss_passes", counted)
+    monkeypatch.setattr(monodromy_module, "_disagreement", compared)
     flow = monodromy_module.period_pass(sched)
-    assert taken == steps
+    # the ceil(N/2) pass is taken with the N pass on every route, and the
+    # 2N pass only where the estimate needs it
+    assert taken == [N, (N + 1) // 2] + ([2 * N] if 2 * N in steps else [])
+    assert [N] + read == steps
     assert flow.estimator == estimator
     assert (flow.turn_bound < math.pi) == (steps[1] < N)
     assert flow.estimate <= monodromy_module._ESTIMATE_BOUND
@@ -412,7 +422,61 @@ def test_pass_takes_the_route_its_certificate_allows(monkeypatch, sched,
     assert flow.Ms.tobytes() == Ms.tobytes()
     assert flow.Ks.tobytes() == Ks.tobytes()
     assert (flow.alpha.tobytes()
-            == monodromy_module._lift(Ms, sched, 0.0).tobytes())
+            == monodromy_module._lift(Ms, sched).tobytes())
+
+
+@pytest.mark.parametrize("sched", [
+    ParameterSchedule.standard(0.3, 1.2),
+    random_fourier(np.random.default_rng(29), 4),
+])
+def test_steps_do_not_depend_on_the_steps_they_share_a_call_with(sched):
+    # the period pass takes the steps of its N pass and of its ceil(N/2)
+    # estimate in one kernel call, and the sampler takes its partial steps
+    # in chunks: a step's P and Q bytes must not depend on the rest of the
+    # call, in batches of 1, 7 and 256, in any order
+    rng = np.random.default_rng(29)
+    T = sched.period
+    t0, h = rng.uniform(0.0, T, 256), rng.uniform(0.0, T / 8, 256)
+    alone = [monodromy_module._gauss_steps(sched, t0[k:k + 1], h[k:k + 1])
+             for k in range(256)]
+    order = rng.permutation(256)
+    for size in (7, 256):
+        for start in range(0, 256, size):
+            k = order[start:start + size]
+            P, Q = monodromy_module._gauss_steps(sched, t0[k], h[k])
+            for j, step in enumerate(k):
+                assert P[j].tobytes() == alone[step][0].tobytes()
+                assert Q[j].tobytes() == alone[step][1].tobytes()
+    # so the fused call's passes are the standalone passes, bit for bit
+    N = monodromy_module._step_count(sched)
+    for t0 in (0.0, 0.37):
+        fused = monodromy_module._gauss_passes(sched, (N, (N + 1) // 2), t0)
+        for counts, (Ms, Ks) in zip(((N,), ((N + 1) // 2,)), fused):
+            (Ms1, Ks1), = monodromy_module._gauss_passes(sched, counts, t0)
+            assert Ms.shape == (counts[0] + 1, 2, 2)
+            assert Ms.tobytes() == Ms1.tobytes()
+            assert Ks.tobytes() == Ks1.tobytes()
+
+
+def test_sign_of_b_is_read_off_the_coefficients():
+    # ellipticity (a b > c^2) keeps b of one sign over the period, so the
+    # lift reads it from the coefficients: +1 on the standard family, and
+    # the sign of the constant term on seeded Fourier schedules and on the
+    # same schedules with H -> -H, whose b is negative
+    rng = np.random.default_rng(29)
+    cases = [ParameterSchedule.standard(eps, omega)
+             for eps, omega in ((0.0, 1.0), (0.5, 0.7), (0.95, 2.0))]
+    for harmonics in (1, 3, 6):
+        sched = random_fourier(rng, harmonics)
+        flipped = ParameterSchedule.fourier(sched.period, *(
+            [(-cos, -sin) for cos, sin in pairs]
+            for pairs in (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs)))
+        cases += [sched, flipped]
+    signs = [monodromy_module._b_sign(sched) for sched in cases]
+    assert signs == [1.0] * 3 + [1.0, -1.0] * 3
+    for sched, sign in zip(cases, signs):
+        t = rng.uniform(-3.0, 3.0) + np.linspace(0.0, sched.period, 1001)
+        assert np.all(np.sign(sched.sample(t)[1]) == sign)
 
 
 # ----------------------------------------------------------------------

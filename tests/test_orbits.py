@@ -178,6 +178,22 @@ def test_geometric_phase_is_enclosed_area():
     assert abs(signed_area - orb.lambda_G_cycle) < 1e-8
 
 
+def test_even_samples_are_the_half_orbit():
+    # the check's loop(64) is read off the even samples of the 128-sample
+    # orbit: those are the 64-sample orbit's samples bit for bit, so the
+    # loop on them is loop(64)
+    rng = np.random.default_rng(29)
+    for sched in (ParameterSchedule.standard(0.4, 0.7),
+                  ParameterSchedule.standard(0.8, 0.55),
+                  random_fourier(rng, 1), random_fourier(rng, 6)):
+        fine = find_periodic_orbit(sched, 128)
+        coarse = find_periodic_orbit(sched, 64)
+        for name in ("t", "G", "Pi"):
+            assert (getattr(fine, name)[::2].tobytes()
+                    == getattr(coarse, name).tobytes())
+        assert loop_phase(sched, 128)[1] == loop_phase(sched, 64)[0]
+
+
 def test_geometric_phase_is_loop_integral_on_fourier_schedules():
     # the paper's headline identity, lambda_G = -int (dPi/dt) G dt around
     # the orbit, on generic schedules.  Draws inside a resonance tongue
@@ -195,7 +211,7 @@ def test_geometric_phase_is_loop_integral_on_fourier_schedules():
             continue
         if margin < 0.01:
             continue
-        loop, cycle = loop_phase(sched, 128)
+        loop, _, cycle = loop_phase(sched, 128)
         assert abs(loop - cycle) < 1e-12
         held += 1
     assert held >= 20
