@@ -158,20 +158,9 @@ def _require_positive_width(G):
 def eom_rhs(state: ExtendedState, sched: ParameterSchedule,
             consts: Constants = Constants()) -> np.ndarray:
     """Time derivative of (q, p, G, Pi, lambda_G, lambda_D) at the state."""
-    rhs = _extended_rhs(sched, consts.hbar)
-    return np.array(rhs(state.t, state.as_array()))
-
-
-def _extended_rhs(sched, hbar):
-    """rhs(t, y): the derivative of the 6-sequence y at t under sched, as
-    a list of floats (_rates, as it is when rhs is made)."""
-    coeffs, rates = sched.eval, _rates
-
-    def rhs(t, y):
-        a, b, c = coeffs(t)
-        q, p, G, Pi, _, _ = y
-        return rates(a, b, c, q, p, G, Pi, hbar)
-    return rhs
+    a, b, c = sched.eval(state.t)
+    return np.array(_rates(a, b, c, state.q, state.p, state.G, state.Pi,
+                           consts.hbar))
 
 
 def _rates(a, b, c, q, p, G, Pi, hbar):

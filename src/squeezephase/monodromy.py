@@ -16,13 +16,11 @@ independent of hbar.
 period_pass is the one period pass of the package.  Beside M(t) it
 integrates K(t) = int_t0^t M^T H M dt, H = [[a, c], [c, b]], so that
 int x^T H x dt = x0^T K x0 along any centroid solution, and it lifts
-the angle alpha of the first row r of M(t) over its steps.  The row
-turns one way: r' = c r + b r2 (r2 the second row), so
-alpha' = b det M / |r|^2 = b / |r|^2, and b keeps its sign where
-a b > c^2 (_b_sign reads it off the coefficients).  A step's increment
-on the nearest branch stands when under pi/2; a larger one is read in
-the direction of b (_full_turns), however fast the row turns where |r|
-is small.
+the angle alpha of the first row r of M(t) over its steps: r' = c r + b r2
+(r2 the second row), so alpha' = b det M / |r|^2 = b / |r|^2.  Every
+step of a pass period_pass returns is certified to turn the row by less
+than pi (below), so the nearest branch reads its increment, and that of
+any partial step inside it, exactly.
 compute_monodromy reads M = M(T), the normal frame W, sigma and the
 continuous rotation number rho = 2*pi*k + sigma off the pass from t = 0,
 the winding k from the lift of alpha.  The orbit, the trajectory Hannay
@@ -42,19 +40,24 @@ Only the 2x2 prefix product M_(k+1) = P_k M_k is sequential.  Gauss
 methods are symplectic, so det M = 1 holds to roundoff (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, IV.2 and VI.4).
 
-The lift of the N pass is certified from the pass itself.  With B the
-step rule's bound on |a|, |b| and |c|, h = T/N and e = expm1(2 h B) < 1,
-Gronwall bounds the flow P over a step by |P - I| <= e (|A| <= 2B), and
-det M = 1 gives sigma_min(M) >= 1/|M|_F; so on step k the first row has
-|r| >= rho_k = max over its two ends j of
+The lift is certified from the pass itself.  With B_a, B_b and B_c the
+bounds on |a|, |b| and |c| over the period (_bound), Gershgorin bounds
+|A|_2 = |H|_2 (J is orthogonal) by L = max(B_a, B_b) + B_c; with h = T/N
+and e = expm1(h L) < 1, Gronwall bounds the flow P over a step by
+|P - I|_2 <= e, and det M = 1 gives sigma_min(M) >= 1/|M|_F.  So on step
+k the first row has |r| >= rho_k = max over its two ends j of
 max(|r_j| - e |M_j|_F, (1 - e)/|M_j|_F), and the step turns it by at
-most h B / rho_k^2.  Where every such bound is under pi the nearest
-branches are exact, on every partial step too, and the pass on ceil(N/2)
-steps is the error estimate: it bounds a pass far less accurate than
-the N pass.  Its steps are solved with those of the N pass, before the
-certificate is known, and go unread where it fails.  Otherwise, or
-where it is past the bound, the pass on 2N steps is, and its rows,
-lifted the same way, must turn as far within pi.
+most bound_k = h B_b / rho_k^2.
+
+The N pass is accepted where N >= 2, every bound_k is under pi and the
+pass on ceil(N/2) steps, solved with it, agrees with it within
+_ESTIMATE_BOUND.  Otherwise the pass on m N steps is taken, with
+m = max(2, floor(max_k bound_k / pi) + 1): each of its steps lies inside
+a step k of the N pass and turns the row by at most bound_k / m < pi, and
+the N pass is its estimate.  A pass without a certificate (e >= 1), one
+whose m N is over _MAX_PASS_STEPS, and a refined pass past
+_ESTIMATE_BOUND are refused with ConvergenceError, so nothing
+uncertified is lifted.
 
 Inside shared_passes(), period_pass computes each distinct (schedule,
 t0) once and hands every later caller the same PeriodPass: the built-in
@@ -94,9 +97,13 @@ _PARABOLIC_TOL = 1e-12
 # leaves the truncation error under roundoff.
 _STEP_RATE = 0.5
 
-# Largest accepted disagreement of the N pass and its N/2 or 2N pass, in M
-# relative to max(1, max |M|) and in K relative to max(1, max |K|).
+# Largest accepted disagreement of a pass and its estimate (period_pass),
+# in M relative to max(1, max |M|) and in K relative to max(1, max |K|).
 _ESTIMATE_BOUND = 1e-11
+
+# Most steps a refined pass may take: its one kernel call holds ~1.6 KB a
+# step at its peak, so ~53 MB here.
+_MAX_PASS_STEPS = 2 ** 15
 
 # Samples of the pass are taken this many at a time, which bounds the
 # memory of their batched partial steps whatever the sample count.
@@ -151,9 +158,9 @@ class Monodromy:
 
     W is the normal frame (W^-1 M W = R(sigma), det W = 1) and
     K = int_0^T M^T H M dt with H = [[a, c], [c, b]].  steps is the number
-    N of Gauss steps and estimate the disagreement of the N pass and its
-    estimator pass (relative, see period_pass); flow is the pass itself,
-    whose sample gives M(t) and K(t) at any time.
+    of Gauss steps of the pass and estimate its disagreement with its
+    estimate (relative, see period_pass); flow is the pass itself, whose
+    sample gives M(t) and K(t) at any time.
     """
 
     M: np.ndarray
@@ -180,35 +187,35 @@ class Monodromy:
 
 
 def _bound(sched: ParameterSchedule):
-    """B, a bound on |a|, |b| and |c| over the period, and the highest
-    harmonic H."""
+    """(B_a, B_b, B_c), bounds on |a|, |b| and |c| over the period, and
+    the highest harmonic H."""
     if sched.kind == STANDARD:
-        return 1.0 + sched.epsilon, 1
+        return (1.0 + sched.epsilon,) * 2 + (sched.epsilon,), 1
     coeffs = (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs)
-    return (max(sum(abs(c) + abs(s) for c, s in pairs) for pairs in coeffs),
+    return (tuple(sum(abs(c) + abs(s) for c, s in pairs) for pairs in coeffs),
             max(len(pairs) for pairs in coeffs) - 1)
 
 
 def _step_count(sched: ParameterSchedule) -> int:
     """N of the step rule: the smallest N with
-    (T/N) (2 B + 2 pi H / T) <= _STEP_RATE."""
-    bound, harmonics = _bound(sched)
-    rate = 2.0 * bound * sched.period + 2.0 * math.pi * harmonics
+    (T/N) (2 B + 2 pi H / T) <= _STEP_RATE, B = max(B_a, B_b, B_c)."""
+    bounds, harmonics = _bound(sched)
+    rate = 2.0 * max(bounds) * sched.period + 2.0 * math.pi * harmonics
     return max(1, math.ceil(rate / _STEP_RATE))
 
 
 def _turn_bounds(sched: ParameterSchedule, Ms):
     """Bounds on the turn of the first row of M over each step of a pass
     with M = Ms at its step times (module doc); inf without a certificate."""
-    B = _bound(sched)[0]
+    (B_a, B_b, B_c), _ = _bound(sched)
     h = sched.period / (Ms.shape[0] - 1)
-    e = math.expm1(2.0 * h * B)
+    e = math.expm1(h * (max(B_a, B_b) + B_c))
     if not e < 1.0:
         return np.full(Ms.shape[0] - 1, math.inf)
     norm = np.sqrt(np.einsum("kpq,kpq->k", Ms, Ms))
     rho = np.maximum(np.hypot(Ms[:, 0, 0], Ms[:, 0, 1]) - e * norm,
                      (1.0 - e) / norm)
-    return h * B / np.maximum(rho[:-1], rho[1:]) ** 2
+    return h * B_b / np.maximum(rho[:-1], rho[1:]) ** 2
 
 
 def _gauss_steps(sched: ParameterSchedule, t0, h):
@@ -298,32 +305,6 @@ def _wrap(angle):
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _b_sign(sched: ParameterSchedule) -> float:
-    """The sign of b, which ellipticity (a b > c^2) keeps over the whole
-    period: +1 on the standard family (b = 1 - eps cos), and on a Fourier
-    schedule that of its mean over the period, its constant term."""
-    return 1.0 if sched.kind == STANDARD else math.copysign(
-        1.0, sched.b_coeffs[0][0])
-
-
-def _full_turns(turn, sched):
-    """The full turns that row-angle increments turn of a pass of sched
-    lack when read on the nearest branch: 2 pi in the direction of b where
-    turn runs against it by pi/2 or more, else 0 (module doc)."""
-    full = 2.0 * math.pi * _b_sign(sched)
-    return np.where((np.abs(turn) >= 0.5 * math.pi) & (turn * full < 0.0),
-                    full, 0.0)
-
-
-def _lift(Ms, sched):
-    """The angle of the first row of each M of a pass of sched, lifted over
-    its steps: the nearest branches and the full turns they lack
-    (_full_turns)."""
-    alpha = np.unwrap(_row_angle(Ms))
-    alpha[1:] += np.cumsum(_full_turns(np.diff(alpha), sched))
-    return alpha
-
-
 def _disagreement(Ms, Ks, Ms2, Ks2):
     """max |M' - M| / max(1, max |M|) at the end of two passes, or the
     same for K if larger."""
@@ -348,10 +329,9 @@ class FlowSample:
 class PeriodPass:
     """The Gauss pass over [t0, t0 + T] (period_pass): M and K at the
     N + 1 step times t0 + k T/N, the angle alpha of the first row of M
-    there, lifted from 0 at t0, the disagreement estimate of the N pass
-    and the pass on estimator ("N/2" or "2N") steps, and turn_bound,
-    the largest bound of the turn certificate on the turn of a step (pi
-    or more where it fails, inf where it gives none)."""
+    there, lifted from 0 at t0, the disagreement estimate of the pass and
+    its estimate, and turn_bound, the largest bound of the turn
+    certificate on the turn of a step, under pi."""
 
     sched: ParameterSchedule
     t0: float
@@ -359,7 +339,6 @@ class PeriodPass:
     Ks: np.ndarray
     alpha: np.ndarray
     estimate: float
-    estimator: str
     turn_bound: float
 
     @property
@@ -374,8 +353,8 @@ class PeriodPass:
         tau - k h is one Gauss step of that size from the step time,
         which maps M and adds M^T Q M to K; the partial steps are taken
         _SAMPLE_CHUNK at a time.  The angle is alpha at the step time
-        plus the increment of the partial step, read as period_pass reads
-        those of its steps (_full_turns)."""
+        plus the increment of the partial step on the nearest branch,
+        exact inside a certified step."""
         N = self.steps
         h = self.sched.period / N
         step = np.clip(np.floor(tau / h), 0, N - 1).astype(int)
@@ -388,8 +367,7 @@ class PeriodPass:
             K[j] += np.einsum("npq,npr->nqr", M[j], Q @ M[j])
             M[j] = P @ M[j]
         start = self.alpha[step]
-        turn = _wrap(_row_angle(M) - start)
-        return M, K, start + turn + _full_turns(turn, self.sched)
+        return M, K, start + _wrap(_row_angle(M) - start)
 
     def sample(self, t1: float, times, W) -> FlowSample:
         """M(t), K(t) and the turn of the first row of M(t) W of the flow
@@ -464,24 +442,23 @@ def shared_passes():
 
 
 def period_pass(sched: ParameterSchedule, t0: float = 0.0) -> PeriodPass:
-    """The Gauss pass over [t0, t0 + T] on N steps, N set by the schedule
-    alone (_step_count); inside shared_passes() the pass already computed
-    for (sched, t0), if any.
+    """The certified Gauss pass over [t0, t0 + T]; inside shared_passes()
+    the pass already computed for (sched, t0), if any.
 
     Ms, Ks and alpha are read-only, so that no caller can move a pass
     another caller reads.
 
-    The angle alpha of the first row of M is lifted over the N steps:
-    np.unwrap's nearest branches plus the full turns they lack
-    (_full_turns).  estimate is the larger of
-    max |M' - M_N| / max(1, max |M_N|) at t0 + T and the same for K, M'
-    the end of a second pass.  Where N >= 2 and the turn certificate
-    (_turn_bounds, module doc) bounds every step's turn under pi, the
-    lift is exact and the second pass is on ceil(N/2) steps.  Otherwise,
-    or when that estimate is past _ESTIMATE_BOUND, it is on 2N steps and
-    is lifted too: ConvergenceError is raised when the two turn the row
-    by pi or more apart, which a step that hides a turn does, and when
-    estimate is past _ESTIMATE_BOUND.
+    The pass is on N steps, N set by the schedule alone (_step_count),
+    where N >= 2, the turn certificate (_turn_bounds, module doc) bounds
+    every step's turn under pi, and the pass on ceil(N/2) steps is within
+    _ESTIMATE_BOUND of it; otherwise it is on m N steps, m > the largest
+    bound / pi, with the N pass as its estimate.  estimate is the larger
+    of max |M' - M| / max(1, max |M|) at t0 + T and the same for K, M the
+    end of the pass and M' that of its estimate.  The angle alpha of the
+    first row of M is lifted over the steps on the nearest branches,
+    exact since every step turns it by less than pi.  ConvergenceError is
+    raised where the N pass has no certificate, where m N is over
+    _MAX_PASS_STEPS, and where the refined pass is past _ESTIMATE_BOUND.
     """
     shared = _SHARED.get()
     if shared is None:
@@ -498,31 +475,36 @@ def _period_pass(sched: ParameterSchedule, t0: float) -> PeriodPass:
     # the steps of the estimate on ceil(N/2) steps are taken with those of
     # the N pass, before the certificate that decides whether it is read
     (Ms, Ks), half = _gauss_passes(sched, (N, (N + 1) // 2), t0)
-    alpha = _lift(Ms, sched)
     turn_bound = float(_turn_bounds(sched, Ms).max())
-    estimator, estimate = "N/2", math.inf
+    estimate = math.inf
     if N >= 2 and turn_bound < math.pi:
         estimate = _disagreement(Ms, Ks, *half)
     if not estimate <= _ESTIMATE_BOUND:
-        estimator = "2N"
-        (Ms2, Ks2), = _gauss_passes(sched, (2 * N,), t0)
-        turn, turn2 = alpha[-1], _lift(Ms2, sched)[-1]
-        if not abs(turn2 - turn) < math.pi:
+        # each step of the pass on m N steps lies inside a step of the N
+        # pass and turns the row by at most turn_bound / m < pi
+        m = math.inf
+        if turn_bound < math.inf:
+            m = max(2, math.floor(turn_bound / math.pi) + 1)
+        if not m * N <= _MAX_PASS_STEPS:
             raise ConvergenceError(
-                f"period pass on N = {N} steps and on 2N = {2 * N} steps "
-                f"turn the first row of M by {turn:.6g} and {turn2:.6g} "
-                "rad: the turns of a step cannot be counted")
-        estimate = _disagreement(Ms, Ks, Ms2, Ks2)
+                f"period pass on N = {N} steps: turn bound {turn_bound:.3g} "
+                f"rad, estimate {estimate:.3e}; m = {m} times the steps "
+                f"would be over the ceiling of {_MAX_PASS_STEPS}")
+        coarse = Ms, Ks
+        (Ms, Ks), = _gauss_passes(sched, (m * N,), t0)
+        estimate = _disagreement(Ms, Ks, *coarse)
         if not estimate <= _ESTIMATE_BOUND:
             raise ConvergenceError(
-                f"period pass on N = {N} steps and on 2N = {2 * N} steps "
-                f"disagree by {estimate:.3e} (relative), over the bound "
+                f"period pass on N = {N} steps: turn bound {turn_bound:.3g} "
+                f"rad; on m N = {m * N} steps (m = {m}) it disagrees with "
+                f"the N pass by {estimate:.3e} (relative), over the bound "
                 f"{_ESTIMATE_BOUND:.0e}")
+        turn_bound /= m
+    alpha = np.unwrap(_row_angle(Ms))
     for x in (Ms, Ks, alpha):
         x.flags.writeable = False
     return PeriodPass(sched=sched, t0=t0, Ms=Ms, Ks=Ks, alpha=alpha,
-                      estimate=estimate, estimator=estimator,
-                      turn_bound=turn_bound)
+                      estimate=estimate, turn_bound=turn_bound)
 
 
 def _nu(eps, omega):
@@ -573,8 +555,8 @@ def compute_monodromy(sched: ParameterSchedule) -> Monodromy:
         raise NonEllipticError(
             f"{exc}; over the period the first row of M turns "
             f"alpha_T/pi = {alpha / math.pi:.3f} half-turns, resonance "
-            f"k = {k}; pass N-vs-{flow.estimator} estimate "
-            f"{flow.estimate:.1e} on N = {flow.steps} steps{frequency}"
+            f"k = {k}; pass estimate {flow.estimate:.1e} on N = "
+            f"{flow.steps} steps{frequency}"
         ) from exc
     turn = alpha + _wrap(_row_angle(M @ W) - alpha)
     winding = int(round((turn - sigma) / (2.0 * math.pi)))

@@ -96,15 +96,16 @@ def _fails(check):
     assert not result.passed, result.detail
 
 
-def test_symplectic_check_names_the_estimator(monkeypatch):
-    # both of its passes are certified and estimated on N/2 steps; without
-    # a certificate they take the 2N route, and the detail says so
+def test_symplectic_check_names_the_steps_and_the_estimate(monkeypatch):
+    # both of its passes are certified on their N steps; where a step may
+    # turn the row by pi or more they are refined, and the detail names
+    # the steps of the passes it read
     result = checks.check_monodromy_symplectic()
-    assert result.passed and "steps, N-vs-N/2 estimate " in result.detail
+    assert result.passed and "(N = 38, 39 steps, estimate " in result.detail
     monkeypatch.setattr(monodromy, "_turn_bounds",
-                        lambda sched, Ms: np.full(len(Ms) - 1, np.inf))
+                        lambda sched, Ms: np.full(len(Ms) - 1, 4.0))
     result = checks.check_monodromy_symplectic()
-    assert result.passed and "steps, N-vs-2N estimate " in result.detail
+    assert result.passed and "(N = 76, 78 steps, estimate " in result.detail
 
 
 def test_phase_additivity_catches_lost_start_phases(monkeypatch):

@@ -376,9 +376,8 @@ def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
                                                              capsys):
     # a = 1 + 0.5 cos 2t, b = 1 inside the first Mathieu tongue: the row
     # of M turns 0.892 half-turns over the period, so k = 1 (tr M < 0),
-    # and the refusal names that count and the pass's estimate, N-vs-N/2
-    # since the turn certificate holds, and no frequency: the schedule is
-    # not the standard family
+    # and the refusal names that count, the pass's estimate and its steps,
+    # and no frequency: the schedule is not the standard family
     path = tmp_path / "tongue.cfg"
     path.write_text("period=3.141592653589793\na_cos=1.0,0.5\nb_cos=1.0\n"
                     "c_cos=0.0\n")
@@ -390,8 +389,8 @@ def test_tongue_refusal_names_the_resonance_and_the_estimate(tmp_path,
         assert code == 1
         assert err.startswith("error: |tr M| = 2.153935 >= 2, not elliptic;")
         assert "alpha_T/pi = 0.892 half-turns, resonance k = 1;" in err
-        assert err.endswith(f"pass N-vs-N/2 estimate {flow.estimate:.1e} "
-                            "on N = 32 steps\n")
+        assert err.endswith(f"pass estimate {flow.estimate:.1e} on N = 32 "
+                            "steps\n")
     # the standard family meets a resonance where its Floquet frequency
     # rho/T = nu - omega/2 is k omega/2: at (0.75, 0.5), nu = 1, and 1e-8
     # off it 2 - |tr M| = 8e-15 is refused, named in frequency terms too
@@ -419,22 +418,37 @@ def test_untyped_error_propagates(tmp_path, monkeypatch):
         run("orbit", parse_config(""), out_dir=tmp_path)
 
 
+def fast_row_config():
+    """The fast-turning Fourier draw 127 (witness.fast_row_draws) as a
+    config, its coefficients written with repr."""
+    sched = witness.fast_row_draws(127)[127]
+    lines = [f"period={sched.period!r}"]
+    for name, pairs in zip("abc", (sched.a_coeffs, sched.b_coeffs,
+                                   sched.c_coeffs)):
+        for part, values in zip(("cos", "sin"), zip(*pairs)):
+            lines.append(f"{name}_{part}=" + ",".join(map(repr, values)))
+    return "\n".join(lines) + "\n"
+
+
 def expected_passes(sched, t0=0.0):
     """Step counts of the Gauss passes period_pass takes for sched: the
     pass on N steps and its estimate on ceil(N/2), both in one kernel
-    call, then the estimate on 2N where the turn certificate fails."""
+    call, then the pass on m N steps where the turn certificate asks for
+    m > 1 (none of these passes fails its estimate)."""
     N = monodromy._step_count(sched)
     (Ms, _), = monodromy._gauss_passes(sched, (N,), t0)
-    certified = N >= 2 and monodromy._turn_bounds(sched, Ms).max() < np.pi
-    return [N, (N + 1) // 2] + ([] if certified else [2 * N])
+    bound = monodromy._turn_bounds(sched, Ms).max()
+    m = 1 if N >= 2 and bound < np.pi else max(2, int(bound / np.pi) + 1)
+    return [N, (N + 1) // 2] + ([m * N] if m > 1 else [])
 
 
 def test_one_period_pass_per_operation(tmp_path, monkeypatch):
     # each caller looks compute_monodromy up in its own namespace; calls
     # counts the calls of each operation, and passes the step count of
-    # every Gauss pass: the pass on N steps, its estimate on N/2, and on
-    # 2N where the certificate fails.  The strongly squeezed point takes
-    # the 2N route, the others N/2
+    # every Gauss pass: the pass on N steps, its estimate on N/2, and the
+    # refined pass on m N where a step may turn the row by pi or more.
+    # The fast-turning draw is refined 4 times, the others are certified
+    # on N steps, the strongly squeezed point too
     calls, passes = [], []
 
     def counting(inner, record, arg):
@@ -450,16 +464,17 @@ def test_one_period_pass_per_operation(tmp_path, monkeypatch):
         monodromy._gauss_passes, passes, lambda args, kwargs: args[1]))
     fourier = ("period=6.283185307179586\na_cos=1.0,0.05\n"
                "b_cos=1.0,-0.05\nc_sin=0.0,0.05\n")
-    for schedule, route in (("epsilon=0.1\nomega=1.0\n", "N/2"),
-                            (fourier, "N/2"),
-                            ("epsilon=0.8\nomega=0.55\n", "2N")):
+    for schedule, m in (("epsilon=0.1\nomega=1.0\n", 1), (fourier, 1),
+                        ("epsilon=0.8\nomega=0.55\n", 1),
+                        (fast_row_config(), 4)):
         cfg = parse_config(schedule + "[orbit]\nsamples=64\n"
                            "[floquet]\nn=0,1,2\n[simulate]\nt1=20.0\n"
                            "samples=500\n")
+        if m > 1:
+            assert cfg.schedule == witness.fast_row_draws(127)[127]
         N = monodromy._step_count(cfg.schedule)
         expected = expected_passes(cfg.schedule)
-        assert expected == [N, math.ceil(N / 2)] + (
-            [2 * N] if route == "2N" else [])
+        assert expected == [N, math.ceil(N / 2)] + ([m * N] if m > 1 else [])
         for sub in ("orbit", "hannay", "floquet", "simulate"):
             calls.clear()
             passes.clear()

@@ -11,7 +11,8 @@ from squeezephase.dynamics import (ExtendedState, IntegratorOptions,
                                    integrate)
 from squeezephase.errors import DomainError, IntegrationError
 from squeezephase.params import FOURIER, Constants, ParameterSchedule
-from witness import covariance, flow, integrate_ode, state_at_index
+from witness import (covariance, extended_rhs, flow, integrate_ode,
+                     state_at_index)
 
 TWO_PI = 2.0 * math.pi
 
@@ -385,7 +386,7 @@ def _numpy_rk4(sched, y0, t1, step, marks, hbar=1.0):
     """rk4-fixed as a numpy vector pass, landing on every mark: the rows
     at (0, *marks, t1)."""
     def f(t, y):
-        return np.array(dynamics._extended_rhs(sched, hbar)(t, y))
+        return np.array(extended_rhs(sched, hbar)(t, y))
 
     hmin = dynamics._hmin(0.0, t1)
     y, t, rows = np.array(y0, dtype=float), 0.0, [np.array(y0, dtype=float)]
@@ -463,7 +464,7 @@ def test_adaptive_step_equals_the_tableau():
     h = 0.01
 
     def f(t, y):
-        return np.array(dynamics._extended_rhs(sched, 1.0)(t, y))
+        return np.array(extended_rhs(sched, 1.0)(t, y))
 
     traj = flow(ExtendedState.from_array(y0, 0.0), h, sched, tol=1e-6)
     ts, ys = traj.t, traj.y
@@ -478,17 +479,20 @@ def test_adaptive_step_equals_the_tableau():
 def test_extended_rhs_takes_a_list_or_an_array():
     sched = ParameterSchedule.standard(0.3, 1.3)
     y = [0.7, -0.3, 0.6, 0.1, 0.2, -0.4]
-    rhs = dynamics._extended_rhs(sched, 0.7)
+    rhs = extended_rhs(sched, 0.7)
     from_list, from_array = rhs(0.4, y), rhs(0.4, np.array(y))
     assert isinstance(from_list, list) and len(from_list) == 6
     assert from_list == from_array
 
 
 def test_eom_rhs_returns_an_array():
-    rhs = eom_rhs(ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1, t=0.4),
-                  ParameterSchedule.standard(0.3, 1.3))
+    # the derivative of _rates at the state, as the witness flow reads it
+    state = ExtendedState(q=0.7, p=-0.3, G=0.6, Pi=0.1, t=0.4)
+    sched = ParameterSchedule.standard(0.3, 1.3)
+    rhs = eom_rhs(state, sched, Constants(hbar=0.7))
     assert isinstance(rhs, np.ndarray) and rhs.shape == (6,)
     assert rhs.dtype == float
+    assert rhs.tolist() == extended_rhs(sched, 0.7)(0.4, state.as_array())
 
 
 def test_output_times_must_increase_inside_the_horizon(rates_calls):
@@ -567,7 +571,7 @@ def test_interpolated_width_below_floor_is_reported(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rates", rates_without_floor)
     monkeypatch.setattr(dynamics, "G_FLOOR", 0.3)
-    _, ys = integrate_ode(dynamics._extended_rhs(sched, 1.0), 0.0,
+    _, ys = integrate_ode(extended_rhs(sched, 1.0), 0.0,
                           state.as_array(), math.pi, 1e-10)
     # the witness flow looks _rates up per pass, so it takes the swap too,
     # and it has no row check: it returns the steps below the floor

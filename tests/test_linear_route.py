@@ -275,24 +275,19 @@ def test_width_rows_at_floor_are_refused():
 
 def test_coarse_pass_makes_simulate_fail(tmp_path, monkeypatch, capsys):
     # one Gauss step per period of 8.38 hides a full turn of the first
-    # row of M, which the two steps of the 2N pass count: the turn
-    # comparison refuses.  Six count the turns but fail the N-vs-2N
-    # estimate of the period pass
+    # row of M, and six steps are as long as the turn certificate allows
+    # none: the period pass is refused, and so is simulate
     cfg = cli.parse_config("epsilon=0.05\nomega=0.75\n[simulate]\nq0=1.0\n"
                            "t1=20.0\n")
     state = ExtendedState(q=1.0, p=0.0, G=0.5, Pi=0.0)
     sched = cfg.schedule
-    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 1)
-    turns = (r"N = 1 steps and on 2N = 2 steps turn the first row of M by "
-             r"1\.849\d* and 8\.384\d* rad")
-    with pytest.raises(ConvergenceError, match=turns):
-        integrate(state, 20.0, sched)
-    assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
-    assert re.search(turns, capsys.readouterr().err)
-    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 6)
-    with pytest.raises(ConvergenceError, match="N = 6 steps and on 2N = 12"):
-        integrate(state, 20.0, sched)
-    assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
+    for N in (1, 6):
+        monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: N)
+        refusal = rf"period pass on N = {N} steps: turn bound inf rad"
+        with pytest.raises(ConvergenceError, match=refusal):
+            integrate(state, 20.0, sched)
+        assert cli.run("simulate", cfg, out_dir=tmp_path) == 1
+        assert re.search(refusal, capsys.readouterr().err)
     # the fixed-step route does not run the pass
     rk4 = cli.parse_config("epsilon=0.05\nomega=0.75\nmethod=rk4-fixed\n"
                            "step=0.01\n[simulate]\nq0=1.0\nt1=20.0\n")

@@ -15,7 +15,8 @@ from squeezephase.monodromy import (compute_monodromy, fluctuation_point,
                                     normal_frame)
 from squeezephase.orbits import find_periodic_orbit
 from squeezephase.params import ParameterSchedule
-from witness import flow, period_end, random_fourier, rk45_period_pass
+from witness import (fast_row_draws, flow, period_end, random_fourier,
+                     rk45_period_pass)
 
 TWO_PI = 2.0 * math.pi
 
@@ -232,28 +233,11 @@ def test_squeezed_frame_does_not_refuse_the_winding(draw):
     assert abs(mono.rho - rho) <= 1e-12
 
 
-def fast_row_draws(*picks):
-    # draws of a seeded sweep over strongly driven 1-3 harmonic Fourier
-    # schedules: the first row of M passes so near the origin that it
-    # turns by 1.6 to 3.0 rad in one Gauss step.  127 is elliptic;
-    # 63, 89 and 321 are hyperbolic
-    rng = np.random.default_rng(5)
-    picked = {}
-    for i in range(max(picks) + 1):
-        H = rng.integers(1, 4)
-        amp = rng.uniform(0.4, 0.9)
-        period = rng.uniform(3, 25)
-        coeffs = [[(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2) / k)
-                                   for k in range(1, H + 1)]
-                  for mean in (1.0, 1.0, 0.0)]
-        if i in picks:
-            picked[i] = ParameterSchedule.fourier(period, *coeffs)
-    return picked
-
-
 def test_fast_turning_row_is_counted(tmp_path):
-    # one of 170 steps turns the row by 1.605 rad; the pass is accurate
-    # (|tr M| = 0.930, N and 2N agree to 1e-14) and its winding is right
+    # one of the 170 steps of the step rule turns the row by 1.605 rad,
+    # and the certificate allows one to turn it by 10.8: the pass is
+    # refined to 680 steps, agrees with the 170-step pass to 3.5e-15
+    # (|tr M| = 0.930), and its winding is right
     sched = fast_row_draws(127)[127]
     mono = compute_monodromy(sched)
     _, _, rho = rk45_period_pass(sched)
@@ -268,6 +252,70 @@ def test_fast_turning_row_is_counted(tmp_path):
 def test_fast_turning_hyperbolic_map_is_refused_as_such(draw, trace):
     with pytest.raises(NonEllipticError, match=rf"\|tr M\| = {trace} >= 2"):
         compute_monodromy(fast_row_draws(draw)[draw])
+
+
+def benchmark_recipe_draws(seed):
+    # schedules drawn by the benchmark's recipes: a standard point in each
+    # of its drive-strength x drive-speed bands, and Fourier schedules of
+    # 1-6 harmonics (amplitude 0.12, T in [5, 5.5]) and of 8 (0.08,
+    # T in [5, 6]), harmonic k of magnitude amplitude/k
+    rng = np.random.default_rng(seed)
+    scheds = [ParameterSchedule.standard(rng.uniform(*eps), rng.uniform(*omega))
+              for eps in ((0.02, 0.12), (0.3, 0.45), (0.65, 0.85))
+              for omega in ((0.5, 0.6), (1.1, 1.4), (2.2, 2.8))]
+    for harmonics, amplitude, periods in (*((k, 0.12, (5.0, 5.5))
+                                            for k in range(1, 7)),
+                                          (8, 0.08, (5.0, 6.0))):
+        period = rng.uniform(*periods)
+        scale = amplitude * rng.uniform(0.9, 1.1)
+        coeffs = []
+        for const in (1.0, 1.0, 0.0):
+            phases = rng.uniform(0.0, TWO_PI, harmonics)
+            coeffs.append([(const + rng.uniform(-0.05, 0.05), 0.0)] + [
+                (scale / k * math.cos(phase), scale / k * math.sin(phase))
+                for k, phase in enumerate(phases, 1)])
+        scheds.append(ParameterSchedule.fourier(period, *coeffs))
+    return scheds
+
+
+def fine_lift(sched, steps, chunk=4096):
+    # the lifted angle of the first row of M over the Gauss pass on steps
+    # steps from 0, its kernel calls chunk steps at a time
+    h = sched.period / steps
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    angles = [0.0]
+    for start in range(0, steps, chunk):
+        k = np.arange(start, min(start + chunk, steps))
+        P, _ = monodromy_module._gauss_steps(sched, h * k, np.full(k.size, h))
+        for (p11, p12), (p21, p22) in P.tolist():
+            m11, m12, m21, m22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
+                                  p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
+            angles.append(math.atan2(m12, m11))
+    return np.unwrap(angles)
+
+
+def test_every_pass_returned_is_certified_and_lifts_exactly():
+    # seeded draws of the benchmark's recipes, the strongly squeezed point
+    # and the fast-turning draws: every pass period_pass returns bounds the
+    # turn of each step under pi, and its lift, at its step times and at
+    # sampled times inside its steps, is that of the pass 16 times finer.
+    # The draws take passes refined 4, 5, 7 and 223 times
+    rng = np.random.default_rng(30)
+    draws = fast_row_draws(63, 89, 127, 321)
+    cases = [*benchmark_recipe_draws(1), *benchmark_recipe_draws(2),
+             ParameterSchedule.standard(0.8, 0.55), *draws.values()]
+    refined = []
+    for sched in cases:
+        flow = monodromy_module.period_pass(sched)
+        assert flow.turn_bound < math.pi
+        steps, T = 16 * flow.steps, sched.period
+        fine = fine_lift(sched, steps)
+        assert np.abs(flow.alpha - fine[::16]).max() <= 1e-9
+        marks = np.sort(rng.choice(np.arange(1, steps), 64, replace=False))
+        angle = flow.sample(T, marks * (T / steps), np.eye(2)).angle
+        assert np.abs(angle[1:-1] - fine[marks]).max() <= 1e-9
+        refined.append(flow.steps // monodromy_module._step_count(sched))
+    assert refined == [1] * 33 + [223, 5, 4, 7]
 
 
 def witness_cases():
@@ -286,56 +334,67 @@ def test_gauss_pass_matches_rk45_witness():
         assert np.max(np.abs(mono.M - M)) <= 1e-11 * max(1.0, np.abs(M).max())
         assert abs(mono.rho - rho) <= 1e-12
         assert abs(mono.tr_KS - tr_KS) <= 1e-10 * abs(tr_KS)
-        # every pass is certified, and its N-vs-N/2 estimate sits at
-        # roundoff, far under its bound
+        # every pass is certified on its N steps, unrefined, and its
+        # N-vs-N/2 estimate sits at roundoff, far under its bound
         assert mono.steps == monodromy_module._step_count(sched)
-        assert mono.flow.estimator == "N/2"
+        assert mono.flow.turn_bound < math.pi
         assert 0.0 <= mono.estimate <= 1e-13
 
 
 def test_coarse_pass_cannot_count_windings(tmp_path, monkeypatch, capsys):
     # one Gauss step over a period of 8.38 hides a full turn of the first
-    # row of M (read as 1.849 rad); the two steps of the 2N pass turn it
-    # by ~4.2 rad each, which only a reading in the direction of b counts
-    # (the nearest branch reads -2.1), and the turn comparison refuses
+    # row of M; on a step that long (h L = 9.2, e >= 1) no turn
+    # certificate holds, and the pass is refused rather than lifted
     monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 1)
-    turns = (r"N = 1 steps and on 2N = 2 steps turn the first row of M by "
-             r"1\.849\d* and 8\.384\d* rad")
-    with pytest.raises(ConvergenceError, match=turns):
+    refusal = (r"period pass on N = 1 steps: turn bound inf rad, estimate "
+               r"inf; m = inf times the steps would be over the ceiling of "
+               r"32768")
+    with pytest.raises(ConvergenceError, match=refusal):
         compute_monodromy(ParameterSchedule.standard(0.05, 0.75))
     cfg = cli.parse_config("epsilon=0.05\nomega=0.75\n")
     assert cli.run("hannay", cfg, out_dir=tmp_path) == 1
-    assert re.search(turns, capsys.readouterr().err)
+    assert re.search(refusal, capsys.readouterr().err)
 
 
-def test_partial_steps_are_read_in_the_direction_of_b(monkeypatch):
-    # with a = b = 1, c = 0 the first row of M(t) is (cos t, sin t), so
-    # its angle is t.  Three Gauss steps over T = 4 pi turn it by 4.19
-    # rad each (their error, 1.4e-3 in the angle, let past the estimate
-    # bound), and the steps and the partial steps must be read in the
-    # direction of b (the nearest branch loses 2 pi)
-    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 3)
-    monkeypatch.setattr(monodromy_module, "_ESTIMATE_BOUND", 1.0)
-    sched = ParameterSchedule.standard(0.0, 0.5)
-    flow = monodromy_module.period_pass(sched)
-    T = sched.period
-    times = np.linspace(0.5, T - 0.5, 24)
-    angle = flow.sample(T, times, np.eye(2)).angle
-    assert np.abs(angle - np.array([0.0, *times, T])).max() <= 1e-2
+def test_refinement_over_the_step_ceiling_is_refused(monkeypatch):
+    # ten steps of a period of 2 pi are certified, but so loosely (8.3e4
+    # rad) that the refined pass would take 26426 times as many; the
+    # fast-turning draw needs m = 4, 680 steps, allowed up to the ceiling
+    # and refused one step under it
+    sched = ParameterSchedule.standard(0.05, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(monodromy_module, "_step_count", lambda sched: 10)
+        with pytest.raises(ConvergenceError,
+                           match=r"N = 10 steps: turn bound 8\.3e\+04 rad, "
+                                 r"estimate inf; m = 26426 times the steps "
+                                 r"would be over the ceiling of 32768"):
+            monodromy_module.period_pass(sched)
+    draw = fast_row_draws(127)[127]
+    monkeypatch.setattr(monodromy_module, "_MAX_PASS_STEPS", 680)
+    assert monodromy_module.period_pass(draw).steps == 680
+    monkeypatch.setattr(monodromy_module, "_MAX_PASS_STEPS", 679)
+    with pytest.raises(ConvergenceError,
+                       match=r"N = 170 steps: turn bound 10\.8 rad, estimate "
+                             r"inf; m = 4 times .* ceiling of 679"):
+        monodromy_module.period_pass(draw)
 
 
 def test_coarse_pass_fails_its_error_estimate(tmp_path, monkeypatch, capsys):
-    # six steps count the windings (~1.05 rad per step) but leave an error
-    # of ~2e-9; no turn certificate holds on steps that long, and the
-    # N-vs-2N comparison must catch and name the error
-    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 6)
-    with pytest.raises(ConvergenceError,
-                       match=r"N = 6 steps and on 2N = 12 steps disagree by "
-                             r"\d\.\d{3}e-\d\d .* over the bound 1e-11"):
-        compute_monodromy(ParameterSchedule.standard(0.05, 1.0))
-    cfg = cli.parse_config("epsilon=0.05\nomega=1.0\n")
+    # fourteen steps across six periods of the sixth harmonic: the pass is
+    # certified (10.9 rad), so it is refined to 4N = 56 steps, but the N
+    # pass that estimates it is off by 3.9e-8, which the refusal names
+    monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: 14)
+    refusal = (r"N = 14 steps: turn bound 10\.9 rad; on m N = 56 steps "
+               r"\(m = 4\) it disagrees with the N pass by \d\.\d{3}e-08 "
+               r"\(relative\), over the bound 1e-11")
+    cfg = cli.parse_config("period=6.283185307179586\n"
+                           "a_cos=1.0,0,0,0,0,0,0.1\nb_cos=1.0\n"
+                           "c_sin=0,0,0,0,0,0,0.1\n")
+    assert cfg.schedule == harmonic_six()
+    with pytest.raises(ConvergenceError, match=refusal):
+        compute_monodromy(cfg.schedule)
     assert cli.run("floquet", cfg, out_dir=tmp_path) == 1
-    assert "N = 6 steps" in capsys.readouterr().err
+    assert re.search(refusal, capsys.readouterr().err)
 
 
 def certificate_cases():
@@ -351,25 +410,28 @@ def certificate_cases():
             fast_row_draws(127)[127]]
 
 
+def lift(Ms):
+    # the angle of the first row of each M of a pass, on nearest branches
+    return np.unwrap(monodromy_module._row_angle(Ms))
+
+
 def test_turn_certificate_bounds_the_turn_of_every_step():
     # the turn of each of the N steps, read off a lifted pass on 16N
-    # steps, is within the certified bound (1.56 times the turn or more);
-    # where every bound is under pi the lift of the N pass is exact.  Only
-    # the strongly squeezed point (4.7 rad) and the fast-turning draw
-    # (25 rad) are refused
+    # steps, is within the certified bound; where every bound is under pi
+    # the lift of the N pass is exact.  Only the fast-turning draw
+    # (10.8 rad) is refused; the strongly squeezed point reads 2.47 rad
     certified = []
     for sched in certificate_cases():
         N = monodromy_module._step_count(sched)
         (Ms, _), (fine, _) = monodromy_module._gauss_passes(
             sched, (N, 16 * N))
         bounds = monodromy_module._turn_bounds(sched, Ms)
-        fine = monodromy_module._lift(fine, sched)[::16]
+        fine = lift(fine)[::16]
         assert np.all(np.abs(np.diff(fine)) <= bounds)
         certified.append(bounds.max() < math.pi)
         if certified[-1]:
-            alpha = monodromy_module._lift(Ms, sched)
-            assert np.abs(alpha - fine).max() <= 1e-9
-    assert certified == [False] + [True] * 16 + [False]
+            assert np.abs(lift(Ms) - fine).max() <= 1e-9
+    assert certified == [True] * 17 + [False]
 
 
 def harmonic_six():
@@ -380,49 +442,59 @@ def harmonic_six():
         [(1.0, 0.0)], [(0.0, 0.0)] * 6 + [(0.0, 0.1)])
 
 
-@pytest.mark.parametrize("sched, steps, estimator", [
-    # steps: the N pass and the passes its estimate reads.  Certified: the
-    # estimate comes from the pass on ceil(N/2) steps
-    (ParameterSchedule.standard(0.05, 1.0), [39, 20], "N/2"),
-    # the row of the strongly squeezed point comes near the origin, and
-    # the certificate fails: the 2N route
-    (ParameterSchedule.standard(0.8, 0.55), [95, 190], "2N"),
+@pytest.mark.parametrize("sched, N, m, compared", [
+    # N, the refinement m of the pass returned (1: the N pass), and the
+    # (pass, estimate) step counts of each comparison.  Certified, and
+    # estimated by the pass on ceil(N/2) steps
+    pytest.param(ParameterSchedule.standard(0.05, 1.0), 39, 1, [(39, 20)],
+                 id="certified"),
+    # the row of the strongly squeezed point comes near the origin, but no
+    # step turns it by more than 2.47 rad
+    pytest.param(ParameterSchedule.standard(0.8, 0.55), 95, 1, [(95, 48)],
+                 id="squeezed"),
     # forced to 45 steps the pass is certified (0.69 rad), but the 23-step
-    # pass is off by 2e-10, past the bound: the 2N route decides
-    (harmonic_six(), [45, 23, 90], "2N"),
+    # pass is off by 2e-10, past the bound: the pass on 2N steps, with the
+    # N pass as its estimate
+    pytest.param(harmonic_six(), 45, 2, [(45, 23), (90, 45)],
+                 id="refined-for-the-estimate"),
+    # one step may turn the row by 10.8 rad: no N/2 estimate is read, and
+    # the pass on 4N steps is
+    pytest.param(fast_row_draws(127)[127], 170, 4, [(680, 170)],
+                 id="refined-for-the-turns"),
 ])
-def test_pass_takes_the_route_its_certificate_allows(monkeypatch, sched,
-                                                    steps, estimator):
-    N = steps[0]
+def test_pass_takes_the_route_its_certificate_allows(monkeypatch, sched, N,
+                                                    m, compared):
     monkeypatch.setattr(monodromy_module, "_step_count", lambda sched: N)
-    (Ms, Ks), = monodromy_module._gauss_passes(sched, (N,))
+    (Ms, _), (fine, fine_K) = monodromy_module._gauss_passes(sched,
+                                                             (N, m * N))
+    bound = float(monodromy_module._turn_bounds(sched, Ms).max())
     taken, read = [], []
     gauss_passes = monodromy_module._gauss_passes
     disagreement = monodromy_module._disagreement
 
     def counted(sched, counts, t0=0.0):
-        taken.extend(counts)
+        taken.append(counts)
         return gauss_passes(sched, counts, t0)
 
-    def compared(Ms, Ks, Ms2, Ks2):
-        read.append(Ms2.shape[0] - 1)
+    def compared_with(Ms, Ks, Ms2, Ks2):
+        read.append((Ms.shape[0] - 1, Ms2.shape[0] - 1))
         return disagreement(Ms, Ks, Ms2, Ks2)
 
     monkeypatch.setattr(monodromy_module, "_gauss_passes", counted)
-    monkeypatch.setattr(monodromy_module, "_disagreement", compared)
+    monkeypatch.setattr(monodromy_module, "_disagreement", compared_with)
     flow = monodromy_module.period_pass(sched)
     # the ceil(N/2) pass is taken with the N pass on every route, and the
-    # 2N pass only where the estimate needs it
-    assert taken == [N, (N + 1) // 2] + ([2 * N] if 2 * N in steps else [])
-    assert [N] + read == steps
-    assert flow.estimator == estimator
-    assert (flow.turn_bound < math.pi) == (steps[1] < N)
+    # refined pass only where the N pass is not accepted
+    assert taken == [(N, (N + 1) // 2)] + ([(m * N,)] if m > 1 else [])
+    assert read == compared
+    assert flow.steps == m * N
+    assert flow.turn_bound == bound / m < math.pi
     assert flow.estimate <= monodromy_module._ESTIMATE_BOUND
-    # whichever route estimates it, the pass is the N pass, bit for bit
-    assert flow.Ms.tobytes() == Ms.tobytes()
-    assert flow.Ks.tobytes() == Ks.tobytes()
-    assert (flow.alpha.tobytes()
-            == monodromy_module._lift(Ms, sched).tobytes())
+    # the pass returned is the N pass or the refined one, bit for bit, and
+    # its lift is on the nearest branches
+    assert flow.Ms.tobytes() == fine.tobytes()
+    assert flow.Ks.tobytes() == fine_K.tobytes()
+    assert flow.alpha.tobytes() == lift(fine).tobytes()
 
 
 @pytest.mark.parametrize("sched", [
@@ -456,27 +528,6 @@ def test_steps_do_not_depend_on_the_steps_they_share_a_call_with(sched):
             assert Ms.shape == (counts[0] + 1, 2, 2)
             assert Ms.tobytes() == Ms1.tobytes()
             assert Ks.tobytes() == Ks1.tobytes()
-
-
-def test_sign_of_b_is_read_off_the_coefficients():
-    # ellipticity (a b > c^2) keeps b of one sign over the period, so the
-    # lift reads it from the coefficients: +1 on the standard family, and
-    # the sign of the constant term on seeded Fourier schedules and on the
-    # same schedules with H -> -H, whose b is negative
-    rng = np.random.default_rng(29)
-    cases = [ParameterSchedule.standard(eps, omega)
-             for eps, omega in ((0.0, 1.0), (0.5, 0.7), (0.95, 2.0))]
-    for harmonics in (1, 3, 6):
-        sched = random_fourier(rng, harmonics)
-        flipped = ParameterSchedule.fourier(sched.period, *(
-            [(-cos, -sin) for cos, sin in pairs]
-            for pairs in (sched.a_coeffs, sched.b_coeffs, sched.c_coeffs)))
-        cases += [sched, flipped]
-    signs = [monodromy_module._b_sign(sched) for sched in cases]
-    assert signs == [1.0] * 3 + [1.0, -1.0] * 3
-    for sched, sign in zip(cases, signs):
-        t = rng.uniform(-3.0, 3.0) + np.linspace(0.0, sched.period, 1001)
-        assert np.all(np.sign(sched.sample(t)[1]) == sign)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ stepper instead of Gauss-Legendre collocation.
 
 The stepper, rk45_lists, runs on a state held as a list of floats, on any
 right-hand side; integrate_ode adapts it to numpy right-hand sides, and
-flow runs it on dynamics._extended_rhs.
+flow runs it on extended_rhs, the equations of motion of dynamics._rates.
+
+random_fourier and fast_row_draws are seeded Fourier schedules, the
+latter strongly driven.
 
 standard_flow is the exact flow matrix of the standard family, which the
 tests hold the linear route, the orbit and the exact path of the
@@ -75,8 +78,20 @@ def flow(state0: ExtendedState, t1, sched: ParameterSchedule,
         raise ValueError(f"t1={t1} must exceed start time {state0.t}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return Trajectory(*rk45_lists(dynamics._extended_rhs(sched, consts.hbar),
+    return Trajectory(*rk45_lists(extended_rhs(sched, consts.hbar),
                                   state0.t, state0.as_array(), t1, tol))
+
+
+def extended_rhs(sched, hbar):
+    """rhs(t, y): the derivative of the 6-sequence y at t under sched, as
+    a list of floats (dynamics._rates, as it is when rhs is made)."""
+    coeffs, rates = sched.eval, dynamics._rates
+
+    def rhs(t, y):
+        a, b, c = coeffs(t)
+        q, p, G, Pi, _, _ = y
+        return rates(a, b, c, q, p, G, Pi, hbar)
+    return rhs
 
 
 def integrate_ode(rhs, t0, y0, t1, tol):
@@ -226,6 +241,25 @@ def random_fourier(rng, harmonics):
     return ParameterSchedule.fourier(
         rng.uniform(2.0, 8.0), coeff(rng.uniform(0.8, 1.2)),
         coeff(rng.uniform(0.8, 1.2)), coeff(rng.uniform(-0.05, 0.05)))
+
+
+def fast_row_draws(*picks):
+    """The picked draws of a seeded sweep over strongly driven 1-3
+    harmonic Fourier schedules, by index: the first row of M passes so
+    near the origin that it turns by 1.6 to 3.0 rad in one Gauss step of
+    the step rule.  127 is elliptic; 63, 89 and 321 are hyperbolic."""
+    rng = np.random.default_rng(5)
+    picked = {}
+    for i in range(max(picks) + 1):
+        H = rng.integers(1, 4)
+        amp = rng.uniform(0.4, 0.9)
+        period = rng.uniform(3, 25)
+        coeffs = [[(mean, 0.0)] + [tuple(rng.uniform(-amp, amp, 2) / k)
+                                   for k in range(1, H + 1)]
+                  for mean in (1.0, 1.0, 0.0)]
+        if i in picks:
+            picked[i] = ParameterSchedule.fourier(period, *coeffs)
+    return picked
 
 
 def standard_generator(eps, omega):
